@@ -168,7 +168,7 @@ fn run_one(name: &'static str, json: &str) -> Outcome {
     Outcome {
         name,
         dashboard: ctl.noc.dashboard(),
-        exposition: ctl.noc.families.expose(),
+        exposition: ctl.noc.families().expose(),
         domains,
         scrapes: ctl.noc.scrapes(),
         suppressed: ctl.noc.suppressed_total(),

@@ -31,7 +31,8 @@
 
 use std::collections::BTreeMap;
 
-use simcore::{FamilyRegistry, Scheduler, SimDuration, SimTime};
+use photonic::{FiberId, RoadmId};
+use simcore::{FamilyRegistry, GaugeId, Scheduler, SimDuration, SimTime};
 
 /// The root cause a domain of correlated alarms is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -77,6 +78,52 @@ pub struct Domain {
     pub suppressed: u64,
 }
 
+/// One label value of a scrape sample, kept in the form the sweep has it
+/// in; rendered to a string only when the sample's gauge is first
+/// resolved.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LabelValue {
+    Roadm(RoadmId),
+    Fiber(FiberId),
+    Index(u32),
+    Name(&'static str),
+}
+
+impl std::fmt::Display for LabelValue {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            LabelValue::Roadm(r) => r.fmt(f),
+            LabelValue::Fiber(fiber) => fiber.fmt(f),
+            LabelValue::Index(i) => i.fmt(f),
+            LabelValue::Name(n) => n.fmt(f),
+        }
+    }
+}
+
+/// Which gauge child a scrape sample writes: the family and up to two
+/// labels. Plain `Copy` data, so comparing it against a cache slot
+/// allocates nothing.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct SampleKey {
+    family: &'static str,
+    labels: [Option<(&'static str, LabelValue)>; 2],
+}
+
+impl SampleKey {
+    /// Render the label strings and resolve (creating if need be) the
+    /// gauge child this key names.
+    fn resolve(&self, families: &mut FamilyRegistry) -> GaugeId {
+        let rendered: Vec<(&str, String)> = self
+            .labels
+            .iter()
+            .flatten()
+            .map(|(k, v)| (*k, v.to_string()))
+            .collect();
+        let labels: Vec<(&str, &str)> = rendered.iter().map(|(k, v)| (*k, v.as_str())).collect();
+        families.gauge_id(self.family, &labels)
+    }
+}
+
 /// The NOC: scrape engine + correlation engine. Lives on
 /// [`crate::controller::Controller`] as the `noc` field; disabled (and
 /// free) by default — call [`Noc::enable`] before driving the controller.
@@ -88,7 +135,15 @@ pub struct Noc {
     /// controller's scheduler so enabling the NOC adds no events there.
     sched: Scheduler<()>,
     /// All telemetry and correlation metric families.
-    pub families: FamilyRegistry,
+    families: FamilyRegistry,
+    /// Scrape id cache: slot `i` holds the key of the `i`-th sample of the
+    /// last scrape and the gauge in `families` it resolved to. A sweep
+    /// over an unchanged inventory emits the same keys in the same order,
+    /// so every write is one indexed store; a slot whose key differs
+    /// (inventory changed) re-resolves by name. The ids are only valid
+    /// for `families`, which is why both fields are private and clone
+    /// together.
+    scrape_slots: Vec<(SampleKey, GaugeId)>,
     domains: BTreeMap<RootCause, Domain>,
     /// Inventory joins populated at fault-injection time: which fiber a
     /// symptom's reporting entity was riding. Keyed by raw ids because
@@ -133,6 +188,11 @@ impl Noc {
         self.scrapes
     }
 
+    /// All telemetry and correlation metric families.
+    pub fn families(&self) -> &FamilyRegistry {
+        &self.families
+    }
+
     /// If a scrape is due at or before `now`, consume it, schedule the
     /// next one and return the *nominal* scrape time. The controller
     /// calls this after every event boundary and performs the actual
@@ -150,6 +210,21 @@ impl Noc {
         self.scrapes += 1;
         self.families.counter("noc_scrapes_total", &[]).incr();
         Some(t)
+    }
+
+    /// Write sample number `pos` of the current scrape (see
+    /// `scrape_slots`).
+    fn put_sample(&mut self, pos: usize, key: SampleKey, v: f64) {
+        let id = match self.scrape_slots.get(pos) {
+            Some((cached, id)) if *cached == key => *id,
+            _ => {
+                let id = key.resolve(&mut self.families);
+                self.scrape_slots.truncate(pos);
+                self.scrape_slots.push((key, id));
+                id
+            }
+        };
+        self.families.gauge_at(id).set(v);
     }
 
     // ── fault-injection hooks (controller-facing) ───────────────────
@@ -456,27 +531,33 @@ impl crate::controller::Controller {
     }
 
     /// One full multi-layer telemetry sweep, stamped with the nominal
-    /// scrape time `t`. Samples are collected first (immutable borrows),
-    /// then written into the NOC's families.
+    /// scrape time `t`. Each sample goes straight into the NOC's families
+    /// through the scrape id cache; the sweep itself reads only the other
+    /// controller fields.
     fn noc_scrape(&mut self, t: SimTime) {
-        type Sample = (&'static str, Vec<(&'static str, String)>, f64);
-        let mut samples: Vec<Sample> = Vec::new();
-        let mut push = |name: &'static str, labels: Vec<(&'static str, String)>, v: f64| {
-            samples.push((name, labels, v));
-        };
+        use crate::calendar::ReservationState;
+        use crate::connection::ConnState;
+        use LabelValue::{Fiber, Index, Name, Roadm};
 
+        let index = |i: usize| Index(u32::try_from(i).expect("inventory index fits u32"));
+        let noc = &mut self.noc;
+        let mut pos = 0;
+        let mut put =
+            |family: &'static str, labels: [Option<(&'static str, LabelValue)>; 2], v: f64| {
+                noc.put_sample(pos, SampleKey { family, labels }, v);
+                pos += 1;
+            };
+
+        let secs = t.saturating_since(SimTime::ZERO).as_secs_f64();
+        put("noc_scrape_time_secs", [None, None], secs);
         // Photonic layer: per-degree wavelength occupancy + fragmentation.
         for r in self.net.roadm_ids() {
             let roadm = self.net.roadm(r);
             for di in 0..roadm.degree_count() {
                 let d = photonic::DegreeId::from_index(di);
-                let labels = vec![("roadm", r.to_string()), ("degree", di.to_string())];
-                push(
-                    "noc_degree_lit_lambdas",
-                    labels.clone(),
-                    roadm.lit_count(d) as f64,
-                );
-                push(
+                let labels = [Some(("roadm", Roadm(r))), Some(("degree", index(di)))];
+                put("noc_degree_lit_lambdas", labels, roadm.lit_count(d) as f64);
+                put(
                     "noc_degree_fragmentation",
                     labels,
                     fragmentation(roadm.free_mask(d)),
@@ -491,44 +572,40 @@ impl crate::controller::Controller {
             let lit = self.net.lit_lambdas_on_fiber(f);
             let margin = self.cfg.transients.tolerance_db
                 - self.cfg.transients.depth_db(lit.saturating_sub(1));
-            push(
+            put(
                 "noc_power_margin_db",
-                vec![("fiber", f.to_string())],
+                [Some(("fiber", Fiber(f))), None],
                 margin,
             );
         }
         // EMS plane: serialized command queue and in-flight workflows.
-        push(
+        put(
             "noc_ems_queue_depth",
-            vec![("queue", "restoration".to_string())],
+            [Some(("queue", Name("restoration"))), None],
             self.restoration_queue.len() as f64,
         );
-        push(
+        put(
             "noc_ems_inflight",
-            vec![("kind", "restoration".to_string())],
+            [Some(("kind", Name("restoration"))), None],
             self.restorations_in_flight as f64,
         );
         for (kind, state) in [
-            ("provisioning", crate::connection::ConnState::Provisioning),
-            ("tearing_down", crate::connection::ConnState::TearingDown),
-            ("restoring", crate::connection::ConnState::Restoring),
+            ("provisioning", ConnState::Provisioning),
+            ("tearing_down", ConnState::TearingDown),
+            ("restoring", ConnState::Restoring),
         ] {
             let n = self.conns.values().filter(|c| c.state == state).count();
-            push(
+            put(
                 "noc_ems_inflight",
-                vec![("kind", kind.to_string())],
+                [Some(("kind", Name(kind))), None],
                 n as f64,
             );
         }
         // OTN layer: switch fabric load and trunk tributary fill.
         for (i, sw) in self.switches.iter().enumerate() {
-            let labels = vec![("switch", i.to_string())];
-            push(
-                "noc_otn_fabric_gbps",
-                labels.clone(),
-                sw.fabric_used().gbps_f64(),
-            );
-            push("noc_otn_xc_count", labels, sw.xc_count() as f64);
+            let labels = [Some(("switch", index(i))), None];
+            put("noc_otn_fabric_gbps", labels, sw.fabric_used().gbps_f64());
+            put("noc_otn_xc_count", labels, sw.xc_count() as f64);
         }
         for tr in &self.trunks {
             let (sw, port) = tr.line_a;
@@ -538,61 +615,50 @@ impl crate::controller::Controller {
             } else {
                 1.0 - self.switches[sw].free_ts(port) as f64 / total as f64
             };
-            let labels = vec![("trunk", tr.id.raw().to_string())];
-            push("noc_trunk_fill", labels.clone(), fill);
-            push("noc_trunk_ready", labels, f64::from(u8::from(tr.ready)));
+            let labels = [Some(("trunk", Index(tr.id.raw()))), None];
+            put("noc_trunk_fill", labels, fill);
+            put("noc_trunk_ready", labels, f64::from(u8::from(tr.ready)));
         }
         // Controller: connection census, fault state, calendar.
         for (label, state) in [
-            ("provisioning", crate::connection::ConnState::Provisioning),
-            ("active", crate::connection::ConnState::Active),
-            ("failed", crate::connection::ConnState::Failed),
-            ("restoring", crate::connection::ConnState::Restoring),
-            ("tearing_down", crate::connection::ConnState::TearingDown),
-            ("released", crate::connection::ConnState::Released),
-            ("blocked", crate::connection::ConnState::Blocked),
+            ("provisioning", ConnState::Provisioning),
+            ("active", ConnState::Active),
+            ("failed", ConnState::Failed),
+            ("restoring", ConnState::Restoring),
+            ("tearing_down", ConnState::TearingDown),
+            ("released", ConnState::Released),
+            ("blocked", ConnState::Blocked),
         ] {
             let n = self.conns.values().filter(|c| c.state == state).count();
-            push(
+            put(
                 "noc_connections",
-                vec![("state", label.to_string())],
+                [Some(("state", Name(label))), None],
                 n as f64,
             );
         }
-        push("noc_down_fibers", Vec::new(), self.down_fibers.len() as f64);
+        put(
+            "noc_down_fibers",
+            [None, None],
+            self.down_fibers.len() as f64,
+        );
         for (label, pred) in [
             (
                 "booked",
-                (&|s: &crate::calendar::ReservationState| {
-                    matches!(s, crate::calendar::ReservationState::Booked)
-                }) as &dyn Fn(&crate::calendar::ReservationState) -> bool,
+                (&|s: &ReservationState| matches!(s, ReservationState::Booked))
+                    as &dyn Fn(&ReservationState) -> bool,
             ),
-            ("active", &|s| {
-                matches!(s, crate::calendar::ReservationState::Active(_))
-            }),
-            ("completed", &|s| {
-                matches!(s, crate::calendar::ReservationState::Completed)
-            }),
+            ("active", &|s| matches!(s, ReservationState::Active(_))),
+            ("completed", &|s| matches!(s, ReservationState::Completed)),
             ("failed", &|s| {
-                matches!(s, crate::calendar::ReservationState::ActivationFailed(_))
+                matches!(s, ReservationState::ActivationFailed(_))
             }),
         ] {
             let n = self.reservations.iter().filter(|r| pred(&r.state)).count();
-            push(
+            put(
                 "noc_reservations",
-                vec![("state", label.to_string())],
+                [Some(("state", Name(label))), None],
                 n as f64,
             );
-        }
-
-        let secs = t.saturating_since(SimTime::ZERO).as_secs_f64();
-        self.noc
-            .families
-            .gauge("noc_scrape_time_secs", &[])
-            .set(secs);
-        for (name, labels, v) in samples {
-            let lref: Vec<(&str, &str)> = labels.iter().map(|(k, v)| (*k, v.as_str())).collect();
-            self.noc.families.gauge(name, &lref).set(v);
         }
     }
 
@@ -652,7 +718,7 @@ mod tests {
             SimTime::from_secs(1),
         );
         noc.on_restoration_started(SimTime::from_secs(2));
-        assert!(noc.families.is_empty());
+        assert!(noc.families().is_empty());
         assert_eq!(noc.domains().count(), 0);
         assert_eq!(noc.take_due_scrape(SimTime::from_secs(100)), None);
     }
@@ -736,7 +802,7 @@ mod tests {
             noc.on_slo_alert("setup_latency_p99", "ticket", SimTime::from_secs(90)),
             Some(RootCause::OtFault(8))
         );
-        let exp = noc.families.expose();
+        let exp = noc.families().expose();
         assert!(
             exp.contains(
                 "noc_slo_alerts_total{cause=\"unknown\",severity=\"page\",slo=\"availability\"} 1"
@@ -755,7 +821,71 @@ mod tests {
             off.on_slo_alert("availability", "page", SimTime::ZERO),
             None
         );
-        assert!(off.families.is_empty());
+        assert!(off.families().is_empty());
+    }
+
+    fn scraping_controller() -> crate::controller::Controller {
+        let (net, _) = photonic::PhotonicNetwork::testbed(4);
+        let mut ctl = crate::controller::Controller::new(net, Default::default());
+        ctl.noc.enable(SimDuration::from_secs(60));
+        ctl
+    }
+
+    /// The same controller state scraped at `t` by a NOC that has never
+    /// scraped before.
+    fn cold_scrape(ctl: &crate::controller::Controller, t: SimTime) -> String {
+        let mut cold = ctl.fork();
+        cold.noc = Noc::new();
+        cold.noc.enable(SimDuration::from_secs(60));
+        cold.noc_scrape(t);
+        cold.noc.families().expose()
+    }
+
+    #[test]
+    fn scrape_after_inventory_change_matches_a_cold_noc() {
+        let mut ctl = scraping_controller();
+        ctl.noc_scrape(SimTime::from_secs(60));
+        let warm_slots = ctl.noc.scrape_slots.len();
+        assert_eq!(
+            ctl.noc.families().expose(),
+            cold_scrape(&ctl, SimTime::from_secs(60))
+        );
+        // A new ROADM and fibre land in the middle of the sweep order, so
+        // every later slot's cached key no longer matches its sample.
+        let first = ctl.net.roadm_ids().next().expect("testbed has nodes");
+        let added = ctl.net.add_roadm("added");
+        ctl.net.link(first, added, 40.0).expect("fresh link");
+        let t = SimTime::from_secs(120);
+        ctl.noc_scrape(t);
+        assert!(ctl.noc.scrape_slots.len() > warm_slots);
+        assert_eq!(ctl.noc.families().expose(), cold_scrape(&ctl, t));
+        // And the re-resolved cache is itself right on the next sweep.
+        let t = SimTime::from_secs(180);
+        ctl.noc_scrape(t);
+        assert_eq!(ctl.noc.families().expose(), cold_scrape(&ctl, t));
+    }
+
+    #[test]
+    fn fork_carries_cache_and_registry_together() {
+        let mut ctl = scraping_controller();
+        ctl.noc_scrape(SimTime::from_secs(60));
+        let mut replica = ctl.fork();
+        assert_eq!(replica.noc.scrape_slots, ctl.noc.scrape_slots);
+        // The replica's inventory moves on; its cached ids must still
+        // name children of *its* registry.
+        let first = replica.net.roadm_ids().next().expect("testbed has nodes");
+        let added = replica.net.add_roadm("added");
+        replica.net.link(first, added, 40.0).expect("fresh link");
+        let t = SimTime::from_secs(120);
+        replica.noc_scrape(t);
+        ctl.noc_scrape(t);
+        assert_eq!(replica.noc.families().expose(), cold_scrape(&replica, t));
+        assert_eq!(ctl.noc.families().expose(), cold_scrape(&ctl, t));
+        assert_ne!(
+            replica.noc.families().expose(),
+            ctl.noc.families().expose(),
+            "the replica's registry is its own"
+        );
     }
 
     #[test]

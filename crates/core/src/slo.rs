@@ -107,8 +107,10 @@ pub struct BurnAlert {
 #[derive(Debug, Clone, Default)]
 pub struct SloEngine {
     specs: Vec<SloSpec>,
-    /// Time-ordered good/bad events per (spec index, scope).
-    events: BTreeMap<(usize, String), Vec<(SimTime, bool)>>,
+    /// Time-ordered good/bad events per scope, one map per spec (same
+    /// index as `specs`), so a stream is found by `&str` scope without
+    /// building an owned key.
+    streams: Vec<BTreeMap<String, Vec<(SimTime, bool)>>>,
 }
 
 impl SloEngine {
@@ -122,14 +124,23 @@ impl SloEngine {
             );
         }
         SloEngine {
+            streams: vec![BTreeMap::new(); specs.len()],
             specs,
-            events: BTreeMap::new(),
         }
     }
 
     /// The declared objectives.
     pub fn specs(&self) -> &[SloSpec] {
         &self.specs
+    }
+
+    /// Every stream as `(spec index, scope, events)`, in `(spec, scope)`
+    /// order.
+    fn streams(&self) -> impl Iterator<Item = (usize, &String, &Vec<(SimTime, bool)>)> {
+        self.streams
+            .iter()
+            .enumerate()
+            .flat_map(|(idx, by_scope)| by_scope.iter().map(move |(scope, s)| (idx, scope, s)))
     }
 
     fn spec_index(&self, name: &str) -> usize {
@@ -144,7 +155,11 @@ impl SloEngine {
     /// deterministic simulation, so they do).
     pub fn observe(&mut self, slo: &str, scope: &str, at: SimTime, good: bool) {
         let idx = self.spec_index(slo);
-        let stream = self.events.entry((idx, scope.to_string())).or_default();
+        let streams = &mut self.streams[idx];
+        let stream = match streams.get_mut(scope) {
+            Some(stream) => stream,
+            None => streams.entry(scope.to_string()).or_default(),
+        };
         if let Some(&(last, _)) = stream.last() {
             assert!(at >= last, "observations for {slo}/{scope} out of order");
         }
@@ -176,7 +191,7 @@ impl SloEngine {
     /// the sustainable rate; 0 for an empty window.
     pub fn burn_rate(&self, slo: &str, scope: &str, now: SimTime, w: SimDuration) -> f64 {
         let idx = self.spec_index(slo);
-        let Some(stream) = self.events.get(&(idx, scope.to_string())) else {
+        let Some(stream) = self.streams[idx].get(scope) else {
             return 0.0;
         };
         let (total, bad) = Self::window_counts(stream, now, w);
@@ -220,7 +235,7 @@ impl SloEngine {
     pub fn scan_alerts(&self, step: SimDuration, until: SimTime) -> Vec<BurnAlert> {
         assert!(!step.is_zero(), "scan step must be positive");
         let mut alerts = Vec::new();
-        for (&(idx, ref scope), stream) in &self.events {
+        for (idx, scope, stream) in self.streams() {
             let mut prev: Option<&'static str> = None;
             let mut t = SimTime::ZERO + step;
             while t <= until {
@@ -255,9 +270,8 @@ impl SloEngine {
             SLOW_WINDOWS.0,
             SLOW_WINDOWS.1,
         ];
-        self.events
-            .iter()
-            .map(|(&(idx, ref scope), stream)| {
+        self.streams()
+            .map(|(idx, scope, stream)| {
                 let spec = &self.specs[idx];
                 let events = stream.len() as u64;
                 let bad = stream.iter().filter(|&&(_, good)| !good).count() as u64;

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 
 use griphon::{Controller, ControllerConfig, CustomerId, RegionMap, SloEngine, SloSpec};
 use photonic::{generate, GeneratorConfig, RoadmId};
-use simcore::metrics::FamilyRegistry;
+use simcore::metrics::{CounterId, FamilyRegistry, GaugeId, HistogramId};
 use simcore::span::AttrValue;
 use simcore::{
     BoundedQueue, DataRate, Scheduler, SimDuration, SimRng, SimTime, SpanRecorder,
@@ -241,6 +241,45 @@ pub fn build_testbed(target_roadms: usize, pair_count: usize, seed: u64) -> Test
     }
 }
 
+/// The `outcome` label of `api_requests_total`.
+#[derive(Debug, Clone, Copy)]
+enum Outcome {
+    Unauthorized,
+    RateLimited,
+    ShedLoad,
+    QuotaExhausted,
+    Accepted,
+    ControllerRefused,
+}
+
+impl Outcome {
+    const COUNT: usize = 6;
+
+    fn label(self) -> &'static str {
+        match self {
+            Outcome::Unauthorized => "unauthorized",
+            Outcome::RateLimited => "rate_limited",
+            Outcome::ShedLoad => "shed_load",
+            Outcome::QuotaExhausted => "quota_exhausted",
+            Outcome::Accepted => "accepted",
+            Outcome::ControllerRefused => "controller_refused",
+        }
+    }
+}
+
+/// Ids of the children the edge writes on every request and every drain
+/// tick, each resolved on its first write — never at construction, so a
+/// child nothing wrote does not appear in the exposition.
+#[derive(Default)]
+struct HotIds {
+    /// `api_requests_total{tier, outcome}`; tier row 3 is `unknown`.
+    requests: [[Option<CounterId>; Outcome::COUNT]; 4],
+    /// `api_admission_latency_ms{tier}`.
+    latency: [Option<HistogramId>; 3],
+    pending_events: Option<GaugeId>,
+    next_event_lag: Option<GaugeId>,
+}
+
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ServerEvent {
     Arrival(u32),
@@ -310,6 +349,7 @@ pub struct ApiServer {
     sampler: TailSampler,
     slo: SloEngine,
     families: FamilyRegistry,
+    ids: HotIds,
     admitted: Vec<AdmittedIntent>,
     latencies_ns: [Vec<u64>; 3],
     depth_series: Vec<(SimTime, [usize; 3])>,
@@ -348,12 +388,6 @@ impl ApiServer {
             keep_slowest: cfg.keep_slowest,
             slow_threshold: Some(cfg.slo_latency),
         });
-        let mut families = FamilyRegistry::new();
-        for tier in Tier::ALL {
-            families
-                .histogram("api_admission_latency_ms", &[("tier", tier.label())])
-                .enable_exemplars(cfg.seed ^ tier.index() as u64, cfg.exemplar_capacity);
-        }
         ApiServer {
             quota: QuotaLedger::new(cfg.quota),
             queues: [
@@ -364,7 +398,8 @@ impl ApiServer {
             spans: SpanRecorder::new(4 * cfg.drain_budget.max(64)),
             sampler,
             slo,
-            families,
+            families: FamilyRegistry::new(),
+            ids: HotIds::default(),
             cfg,
             dir,
             ctl: testbed.ctl,
@@ -391,7 +426,7 @@ impl ApiServer {
     pub fn submit(&mut self, now: SimTime, idx: u32, req: &Request) -> SubmitOutcome {
         let Some(tier) = self.dir.authenticate(req.tenant, req.token) else {
             self.unauthorized += 1;
-            self.count_outcome("unknown", "unauthorized");
+            self.count_outcome(None, Outcome::Unauthorized);
             return SubmitOutcome::Rejected(Rejection::Unauthorized);
         };
         let ti = tier.index();
@@ -402,7 +437,7 @@ impl ApiServer {
         });
         if let Err(limited) = bucket.try_take(now, 1) {
             self.rate_limited_per_tier[ti] += 1;
-            self.count_outcome(tier.label(), "rate_limited");
+            self.count_outcome(Some(tier), Outcome::RateLimited);
             self.slo.observe(SLO_SHED, tier.label(), now, true);
             return SubmitOutcome::Rejected(Rejection::RateLimited {
                 retry_after: limited.retry_after,
@@ -413,7 +448,7 @@ impl ApiServer {
         // not consume budget.
         if self.queues[ti].len() >= self.queues[ti].capacity() {
             self.shed_per_tier[ti] += 1;
-            self.count_outcome(tier.label(), "shed_load");
+            self.count_outcome(Some(tier), Outcome::ShedLoad);
             self.slo.observe(SLO_SHED, tier.label(), now, false);
             let retry_after = self.time_to_next_drain(now);
             return SubmitOutcome::Rejected(Rejection::ShedLoad { retry_after });
@@ -424,7 +459,7 @@ impl ApiServer {
             .charge(req.tenant, tier, req.rate_bps, req.duration_secs)
         {
             self.quota_per_tier[ti] += 1;
-            self.count_outcome(tier.label(), "quota_exhausted");
+            self.count_outcome(Some(tier), Outcome::QuotaExhausted);
             self.slo.observe(SLO_SHED, tier.label(), now, true);
             return SubmitOutcome::Rejected(Rejection::QuotaExhausted(e));
         }
@@ -433,18 +468,38 @@ impl ApiServer {
             Ok(simcore::PushOutcome::Enqueued(d)) => d,
             _ => unreachable!("capacity checked above"),
         };
-        self.count_outcome(tier.label(), "accepted");
+        self.count_outcome(Some(tier), Outcome::Accepted);
         self.slo.observe(SLO_SHED, tier.label(), now, true);
         SubmitOutcome::Accepted { depth }
     }
 
-    fn count_outcome(&mut self, tier: &'static str, outcome: &'static str) {
-        self.families
-            .counter(
-                "api_requests_total",
-                &[("tier", tier), ("outcome", outcome)],
-            )
-            .incr();
+    /// Count one decided request; `tier` is `None` before authentication.
+    fn count_outcome(&mut self, tier: Option<Tier>, outcome: Outcome) {
+        let id = *self.ids.requests[tier.map_or(3, Tier::index)][outcome as usize]
+            .get_or_insert_with(|| {
+                let tier = tier.map_or("unknown", Tier::label);
+                self.families.counter_id(
+                    "api_requests_total",
+                    &[("tier", tier), ("outcome", outcome.label())],
+                )
+            });
+        self.families.counter_at(id).incr();
+    }
+
+    /// The tier's admission-latency histogram, created with its exemplar
+    /// reservoir on the tier's first admission.
+    fn latency_histogram(&mut self, tier: Tier) -> &mut simcore::Histogram {
+        let id = *self.ids.latency[tier.index()].get_or_insert_with(|| {
+            let id = self
+                .families
+                .histogram_id("api_admission_latency_ms", &[("tier", tier.label())]);
+            self.families.histogram_at(id).enable_exemplars(
+                self.cfg.seed ^ tier.index() as u64,
+                self.cfg.exemplar_capacity,
+            );
+            id
+        });
+        self.families.histogram_at(id)
     }
 
     fn time_to_next_drain(&self, now: SimTime) -> SimDuration {
@@ -460,7 +515,9 @@ impl ApiServer {
         self.ctl.run_until(now);
 
         // Strict priority drain: premium first, then standard, free.
-        let mut picked: Vec<(u32, Tier)> = Vec::with_capacity(self.cfg.drain_budget);
+        // Sized by what is queued, so an idle tick allocates no batch.
+        let queued: usize = self.queues.iter().map(|q| q.len()).sum();
+        let mut picked: Vec<(u32, Tier)> = Vec::with_capacity(queued.min(self.cfg.drain_budget));
         for tier in Tier::ALL {
             while picked.len() < self.cfg.drain_budget {
                 match self.queues[tier.index()].pop() {
@@ -522,7 +579,7 @@ impl ApiServer {
                 let req = &requests[it.idx as usize];
                 if res.is_err() {
                     self.controller_refusals += 1;
-                    self.count_outcome(it.tier.label(), "controller_refused");
+                    self.count_outcome(Some(it.tier), Outcome::ControllerRefused);
                     continue;
                 }
                 let ti = it.tier.index();
@@ -540,9 +597,7 @@ impl ApiServer {
                 let latency = now.saturating_since(req.arrival);
                 let latency_ms = latency.as_secs_f64() * 1e3;
                 self.latencies_ns[ti].push(latency.as_nanos());
-                self.families
-                    .histogram("api_admission_latency_ms", &[("tier", it.tier.label())])
-                    .record(latency_ms);
+                self.latency_histogram(it.tier).record(latency_ms);
                 self.slo
                     .observe_latency(SLO_ADMISSION, it.tier.label(), now, latency);
                 // One closed api.admit span per hand-off; the tail
@@ -557,31 +612,32 @@ impl ApiServer {
             }
         }
 
-        // Drain the bounded recorder every tick; retention is the
-        // sampler's decision, drops are a hard failure.
-        let batch = self.spans.take_spans();
-        self.sampler.ingest(&batch);
+        // Drain the bounded recorder every tick that recorded anything;
+        // retention is the sampler's decision, drops are a hard failure.
+        if !self.spans.is_empty() {
+            let batch = self.spans.take_spans();
+            self.sampler.ingest(&batch);
+        }
 
         // Southbound pressure (satellite: NOC-scrapable gauge from
         // `peek_event_time` / `pending_events` at every drain).
+        let southbound = [("surface", "southbound")];
         let pending = self.ctl.pending_events();
-        self.families
-            .gauge(
-                "api_southbound_pending_events",
-                &[("surface", "southbound")],
-            )
-            .set(pending as f64);
+        let id = *self.ids.pending_events.get_or_insert_with(|| {
+            self.families
+                .gauge_id("api_southbound_pending_events", &southbound)
+        });
+        self.families.gauge_at(id).set(pending as f64);
         let lag = self
             .ctl
             .peek_event_time()
             .map(|t| t.saturating_since(now).as_secs_f64())
             .unwrap_or(0.0);
-        self.families
-            .gauge(
-                "api_southbound_next_event_lag_secs",
-                &[("surface", "southbound")],
-            )
-            .set(lag);
+        let id = *self.ids.next_event_lag.get_or_insert_with(|| {
+            self.families
+                .gauge_id("api_southbound_next_event_lag_secs", &southbound)
+        });
+        self.families.gauge_at(id).set(lag);
 
         if self.drains.is_multiple_of(self.cfg.depth_sample_every) {
             self.depth_series.push((
@@ -679,10 +735,10 @@ impl ApiServer {
         let retained_ids: std::collections::BTreeSet<u64> =
             retained.iter().map(|s| s.id.index() as u64).collect();
         let mut exemplars = 0usize;
-        for tier in Tier::ALL {
-            let h = families
-                .get_histogram("api_admission_latency_ms", &[("tier", tier.label())])
-                .expect("histogram created at construction");
+        // A tier that admitted nothing has no histogram.
+        for h in Tier::ALL.iter().filter_map(|tier| {
+            families.get_histogram("api_admission_latency_ms", &[("tier", tier.label())])
+        }) {
             for e in h.exemplars() {
                 assert!(
                     retained_ids.contains(&e.span_id),
@@ -848,6 +904,10 @@ mod tests {
         let dir = TenantDirectory::new(100, seed);
         let testbed = build_testbed(14, 2, seed);
         let mut server = ApiServer::new(testbed, dir.clone(), ServerConfig::default());
+        assert!(
+            server.families().is_empty(),
+            "no child exists before its first write"
+        );
         server.horizon = SimTime::from_secs(60);
         let mk = |tenant: u64, at: u64| Request {
             tenant,
@@ -876,6 +936,15 @@ mod tests {
         assert_eq!(
             server.submit(forged.arrival, 99, &forged),
             SubmitOutcome::Rejected(Rejection::Unauthorized)
+        );
+        // Only what was written is exposed: three outcomes, no latency
+        // histogram (nothing drained), no southbound gauges.
+        assert_eq!(
+            server.families().expose(),
+            "# TYPE api_requests_total counter\n\
+             api_requests_total{outcome=\"accepted\",tier=\"free\"} 3\n\
+             api_requests_total{outcome=\"rate_limited\",tier=\"free\"} 2\n\
+             api_requests_total{outcome=\"unauthorized\",tier=\"unknown\"} 1\n"
         );
     }
 }

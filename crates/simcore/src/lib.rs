@@ -77,8 +77,9 @@ pub use codec::{crc32c, crc32c_reference, CodecError, Crc32c, CrcWriter, Decoder
 pub use dist::{bounded_pareto_bits, diurnal_day_factor, diurnal_sin, zipf_weights, ZipfSampler};
 pub use flow::{BoundedQueue, PushOutcome, RateLimited, TokenBucket};
 pub use metrics::{
-    Counter, CounterSample, Exemplar, FamilyRegistry, Footprint, Gauge, GaugeSample, Histogram,
-    HistogramSample, LatencyRecorder, MetricsRegistry, MetricsSnapshot, TimeSeries,
+    Counter, CounterId, CounterSample, Exemplar, FamilyRegistry, Footprint, Gauge, GaugeId,
+    GaugeSample, Histogram, HistogramId, HistogramSample, LatencyRecorder, MetricsRegistry,
+    MetricsSnapshot, TimeSeries,
 };
 pub use queue::{EventId, FluidQueue, Scheduler};
 pub use rng::SimRng;

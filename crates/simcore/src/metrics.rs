@@ -9,6 +9,7 @@
 //! trade-off HdrHistogram makes: bounded memory, ~4 % relative quantile
 //! error, no stored samples.
 
+use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -556,6 +557,17 @@ impl LatencyRecorder {
     }
 }
 
+/// `map[name]`, created on first use. Looks up by `&str` and builds the
+/// owned key only on a miss, so a write to an existing entry does not
+/// allocate. (Two lookups on a hit: the borrow checker rejects returning
+/// out of a single `get_mut`.)
+fn entry<'a, T: Default>(map: &'a mut BTreeMap<String, T>, name: &str) -> &'a mut T {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), T::default());
+    }
+    map.get_mut(name).expect("present or just inserted")
+}
+
 /// A named collection of metrics for one experiment run.
 #[derive(Debug, Default, Clone)]
 pub struct MetricsRegistry {
@@ -573,19 +585,19 @@ impl MetricsRegistry {
 
     /// Named counter (created on first use).
     pub fn counter(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_string()).or_default()
+        entry(&mut self.counters, name)
     }
     /// Named gauge (created on first use).
     pub fn gauge(&mut self, name: &str) -> &mut Gauge {
-        self.gauges.entry(name.to_string()).or_default()
+        entry(&mut self.gauges, name)
     }
     /// Named histogram (created on first use).
     pub fn histogram(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_string()).or_default()
+        entry(&mut self.histograms, name)
     }
     /// Named time series (created on first use).
     pub fn series(&mut self, name: &str) -> &mut TimeSeries {
-        self.series.entry(name.to_string()).or_default()
+        entry(&mut self.series, name)
     }
 
     /// Read a counter if it exists.
@@ -643,16 +655,69 @@ impl MetricsRegistry {
 /// `[("b","2"),("a","1")]` name the same child.
 pub type LabelSet = Vec<(String, String)>;
 
-fn canon_labels(labels: &[(&str, &str)]) -> LabelSet {
-    let mut v: LabelSet = labels
-        .iter()
-        .map(|(k, val)| (k.to_string(), val.to_string()))
-        .collect();
-    v.sort();
-    for w in v.windows(2) {
-        assert!(w[0].0 != w[1].0, "duplicate label key {:?}", w[0].0);
+/// Label pairs [`Canon`] sorts on the stack; longer sets spill to the heap.
+const INLINE_LABELS: usize = 8;
+
+/// A caller's labels in canonical (key-sorted) order, still borrowed. The
+/// sort runs in a stack buffer, so resolving a child that already exists
+/// allocates nothing. Duplicate label keys panic.
+struct Canon<'a> {
+    inline: [(&'a str, &'a str); INLINE_LABELS],
+    spill: Vec<(&'a str, &'a str)>,
+    len: usize,
+}
+
+impl<'a> Canon<'a> {
+    fn new(labels: &[(&'a str, &'a str)]) -> Self {
+        let mut canon = Canon {
+            inline: [("", ""); INLINE_LABELS],
+            spill: Vec::new(),
+            len: labels.len(),
+        };
+        let sorted = match canon.inline.get_mut(..labels.len()) {
+            Some(buf) => {
+                buf.copy_from_slice(labels);
+                buf
+            }
+            None => {
+                canon.spill.extend_from_slice(labels);
+                &mut canon.spill[..]
+            }
+        };
+        sorted.sort_unstable();
+        for w in sorted.windows(2) {
+            assert!(w[0].0 != w[1].0, "duplicate label key {:?}", w[0].0);
+        }
+        canon
     }
-    v
+
+    fn pairs(&self) -> &[(&'a str, &'a str)] {
+        if self.spill.is_empty() {
+            &self.inline[..self.len]
+        } else {
+            &self.spill
+        }
+    }
+
+    fn to_owned(&self) -> LabelSet {
+        self.pairs()
+            .iter()
+            .map(|(k, v)| (k.to_string(), v.to_string()))
+            .collect()
+    }
+}
+
+fn canon_labels(labels: &[(&str, &str)]) -> LabelSet {
+    Canon::new(labels).to_owned()
+}
+
+/// Order an owned label set against canonical borrowed pairs exactly as
+/// `LabelSet: Ord` orders two owned sets.
+fn cmp_labels(owned: &LabelSet, pairs: &[(&str, &str)]) -> Ordering {
+    owned
+        .iter()
+        .map(|(k, v)| (k.as_str(), v.as_str()))
+        .cmp(pairs.iter().copied())
 }
 
 fn escape_label_value(v: &str) -> String {
@@ -736,20 +801,114 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<HistogramSample>,
 }
 
+/// One metric kind's families: name → children ordered by label set →
+/// slot in `slab`. Slots are append-only, so a slot index identifies its
+/// child for the life of the registry and of every clone of it.
+#[derive(Debug, Clone, Default)]
+struct Family<T> {
+    index: BTreeMap<String, Vec<(LabelSet, u32)>>,
+    slab: Vec<T>,
+}
+
+impl<T: Default> Family<T> {
+    /// Slot of the child `(name, labels)`, created on first use. A hit
+    /// compares the borrowed labels against the owned keys and allocates
+    /// nothing; only a miss builds the owned key.
+    fn resolve(&mut self, name: &str, labels: &[(&str, &str)]) -> u32 {
+        let canon = Canon::new(labels);
+        let children = match self.index.get_mut(name) {
+            Some(children) => children,
+            None => self.index.entry(name.to_string()).or_default(),
+        };
+        match children.binary_search_by(|(own, _)| cmp_labels(own, canon.pairs())) {
+            Ok(i) => children[i].1,
+            Err(i) => {
+                let slot = u32::try_from(self.slab.len()).expect("under 2^32 metric children");
+                children.insert(i, (canon.to_owned(), slot));
+                self.slab.push(T::default());
+                slot
+            }
+        }
+    }
+
+    fn get(&self, name: &str, labels: &[(&str, &str)]) -> Option<&T> {
+        let canon = Canon::new(labels);
+        let children = self.index.get(name)?;
+        let i = children
+            .binary_search_by(|(own, _)| cmp_labels(own, canon.pairs()))
+            .ok()?;
+        Some(&self.slab[children[i].1 as usize])
+    }
+
+    /// Families in name order, each with its children in label-set order.
+    fn iter(&self) -> impl Iterator<Item = (&String, impl Iterator<Item = (&LabelSet, &T)>)> {
+        self.index.iter().map(|(name, children)| {
+            let children = children
+                .iter()
+                .map(|(labels, slot)| (labels, &self.slab[*slot as usize]));
+            (name, children)
+        })
+    }
+
+    /// Every child as `(name, labels, value)`, in `(name, labels)` order.
+    fn children(&self) -> impl Iterator<Item = (&String, &LabelSet, &T)> {
+        self.iter()
+            .flat_map(|(name, children)| children.map(move |(labels, v)| (name, labels, v)))
+    }
+
+    /// Fold every child of `other` into the child of the same name and
+    /// labels (plus `extra`, if given) here.
+    fn merge(&mut self, other: &Family<T>, extra: Option<(&str, &str)>, fold: impl Fn(&mut T, &T)) {
+        let mut labels: Vec<(&str, &str)> = Vec::new();
+        for (name, theirs_labels, theirs) in other.children() {
+            labels.clear();
+            labels.extend(theirs_labels.iter().map(|(k, v)| (k.as_str(), v.as_str())));
+            if let Some((k, v)) = extra {
+                assert!(
+                    labels.iter().all(|(ek, _)| *ek != k),
+                    "merge_labeled: child already carries label key {k:?}"
+                );
+                labels.push((k, v));
+            }
+            let slot = self.resolve(name, &labels);
+            fold(&mut self.slab[slot as usize], theirs);
+        }
+    }
+}
+
+/// A counter child's slot in the [`FamilyRegistry`] that resolved it.
+/// Valid for that registry and its clones only; on any other registry it
+/// names an unrelated child or panics.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(u32);
+
+/// A gauge child's slot (see [`CounterId`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeId(u32);
+
+/// A histogram child's slot (see [`CounterId`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramId(u32);
+
 /// Labeled metric families: counters, gauges, and histograms keyed by a
 /// sorted label set, in the mold of a Prometheus client registry.
 ///
-/// All maps are `BTreeMap`s, so iteration — and therefore [`expose`]
-/// output and [`snapshot`] contents — is deterministic for a given set of
-/// recordings, independent of insertion order.
+/// Children are indexed in `(name, label set)` order, so iteration — and
+/// therefore [`expose`] output and [`snapshot`] contents — is
+/// deterministic for a given set of recordings, independent of insertion
+/// order.
+///
+/// A write is `resolve` + one indexed store: `counter(name, labels)` is
+/// `counter_at(counter_id(name, labels))`. A caller that writes the same
+/// child repeatedly keeps the id and skips the lookup.
 ///
 /// [`expose`]: FamilyRegistry::expose
 /// [`snapshot`]: FamilyRegistry::snapshot
 #[derive(Debug, Default, Clone)]
 pub struct FamilyRegistry {
-    counters: BTreeMap<String, BTreeMap<LabelSet, Counter>>,
-    gauges: BTreeMap<String, BTreeMap<LabelSet, Gauge>>,
-    histograms: BTreeMap<String, BTreeMap<LabelSet, Histogram>>,
+    counters: Family<Counter>,
+    gauges: Family<Gauge>,
+    histograms: Family<Histogram>,
 }
 
 impl FamilyRegistry {
@@ -758,58 +917,77 @@ impl FamilyRegistry {
         Self::default()
     }
 
-    /// Counter child for `(name, labels)`, created on first use. Label
-    /// order does not matter; duplicate label keys panic.
-    pub fn counter(&mut self, name: &str, labels: &[(&str, &str)]) -> &mut Counter {
-        self.counters
-            .entry(name.to_string())
-            .or_default()
-            .entry(canon_labels(labels))
-            .or_default()
+    /// Id of the counter child `(name, labels)`, created on first use.
+    /// Label order does not matter; duplicate label keys panic.
+    pub fn counter_id(&mut self, name: &str, labels: &[(&str, &str)]) -> CounterId {
+        CounterId(self.counters.resolve(name, labels))
+    }
+    /// Id of the gauge child `(name, labels)`, created on first use.
+    pub fn gauge_id(&mut self, name: &str, labels: &[(&str, &str)]) -> GaugeId {
+        GaugeId(self.gauges.resolve(name, labels))
+    }
+    /// Id of the histogram child `(name, labels)`, created on first use.
+    pub fn histogram_id(&mut self, name: &str, labels: &[(&str, &str)]) -> HistogramId {
+        HistogramId(self.histograms.resolve(name, labels))
     }
 
+    /// The counter child `id` names.
+    pub fn counter_at(&mut self, id: CounterId) -> &mut Counter {
+        &mut self.counters.slab[id.0 as usize]
+    }
+    /// The gauge child `id` names.
+    pub fn gauge_at(&mut self, id: GaugeId) -> &mut Gauge {
+        &mut self.gauges.slab[id.0 as usize]
+    }
+    /// The histogram child `id` names.
+    pub fn histogram_at(&mut self, id: HistogramId) -> &mut Histogram {
+        &mut self.histograms.slab[id.0 as usize]
+    }
+
+    /// Counter child for `(name, labels)`, created on first use.
+    pub fn counter(&mut self, name: &str, labels: &[(&str, &str)]) -> &mut Counter {
+        let id = self.counter_id(name, labels);
+        self.counter_at(id)
+    }
     /// Gauge child for `(name, labels)`, created on first use.
     pub fn gauge(&mut self, name: &str, labels: &[(&str, &str)]) -> &mut Gauge {
-        self.gauges
-            .entry(name.to_string())
-            .or_default()
-            .entry(canon_labels(labels))
-            .or_default()
+        let id = self.gauge_id(name, labels);
+        self.gauge_at(id)
     }
-
     /// Histogram child for `(name, labels)`, created on first use.
     pub fn histogram(&mut self, name: &str, labels: &[(&str, &str)]) -> &mut Histogram {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .entry(canon_labels(labels))
-            .or_default()
+        let id = self.histogram_id(name, labels);
+        self.histogram_at(id)
     }
 
     /// Read a counter child if it exists.
     pub fn get_counter(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Counter> {
-        self.counters.get(name)?.get(&canon_labels(labels))
+        self.counters.get(name, labels)
     }
     /// Read a gauge child if it exists.
     pub fn get_gauge(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Gauge> {
-        self.gauges.get(name)?.get(&canon_labels(labels))
+        self.gauges.get(name, labels)
     }
     /// Read a histogram child if it exists.
     pub fn get_histogram(&self, name: &str, labels: &[(&str, &str)]) -> Option<&Histogram> {
-        self.histograms.get(name)?.get(&canon_labels(labels))
+        self.histograms.get(name, labels)
     }
 
     /// Sum a counter family across all children (0 if the family is absent).
     pub fn counter_family_total(&self, name: &str) -> u64 {
-        self.counters
-            .get(name)
-            .map(|f| f.values().map(Counter::get).sum())
-            .unwrap_or(0)
+        self.counters.index.get(name).map_or(0, |children| {
+            children
+                .iter()
+                .map(|(_, slot)| self.counters.slab[*slot as usize].get())
+                .sum()
+        })
     }
 
     /// True if nothing has ever been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
+        self.counters.slab.is_empty()
+            && self.gauges.slab.is_empty()
+            && self.histograms.slab.is_empty()
     }
 
     /// Merge another registry into this one: counters add, histograms
@@ -829,37 +1007,11 @@ impl FamilyRegistry {
     }
 
     fn merge_with_extra(&mut self, other: &FamilyRegistry, extra: Option<(&str, &str)>) {
-        let relabel = |labels: &LabelSet| -> LabelSet {
-            let Some((k, v)) = extra else {
-                return labels.clone();
-            };
-            let mut out = labels.clone();
-            assert!(
-                out.iter().all(|(ek, _)| ek != k),
-                "merge_labeled: child already carries label key {k:?}"
-            );
-            let pos = out.partition_point(|(ek, _)| ek.as_str() < k);
-            out.insert(pos, (k.to_string(), v.to_string()));
-            out
-        };
-        for (name, children) in &other.counters {
-            let fam = self.counters.entry(name.clone()).or_default();
-            for (labels, c) in children {
-                fam.entry(relabel(labels)).or_default().add(c.get());
-            }
-        }
-        for (name, children) in &other.gauges {
-            let fam = self.gauges.entry(name.clone()).or_default();
-            for (labels, g) in children {
-                fam.entry(relabel(labels)).or_default().merge_from(g);
-            }
-        }
-        for (name, children) in &other.histograms {
-            let fam = self.histograms.entry(name.clone()).or_default();
-            for (labels, h) in children {
-                fam.entry(relabel(labels)).or_default().merge(h);
-            }
-        }
+        self.counters
+            .merge(&other.counters, extra, |c, theirs| c.add(theirs.get()));
+        self.gauges.merge(&other.gauges, extra, Gauge::merge_from);
+        self.histograms
+            .merge(&other.histograms, extra, Histogram::merge);
     }
 
     /// Prometheus-style text exposition. Counter families come first, then
@@ -867,7 +1019,7 @@ impl FamilyRegistry {
     /// `_sum`/`_count`); families sort by name and children by label set.
     pub fn expose(&self) -> String {
         let mut out = String::new();
-        for (name, children) in &self.counters {
+        for (name, children) in self.counters.iter() {
             out.push_str(&format!("# TYPE {name} counter\n"));
             for (labels, c) in children {
                 out.push_str(&format!(
@@ -877,7 +1029,7 @@ impl FamilyRegistry {
                 ));
             }
         }
-        for (name, children) in &self.gauges {
+        for (name, children) in self.gauges.iter() {
             out.push_str(&format!("# TYPE {name} gauge\n"));
             for (labels, g) in children {
                 out.push_str(&format!(
@@ -887,7 +1039,7 @@ impl FamilyRegistry {
                 ));
             }
         }
-        for (name, children) in &self.histograms {
+        for (name, children) in self.histograms.iter() {
             out.push_str(&format!("# TYPE {name} summary\n"));
             for (labels, h) in children {
                 for (q, v) in [
@@ -941,42 +1093,36 @@ impl FamilyRegistry {
         MetricsSnapshot {
             counters: self
                 .counters
-                .iter()
-                .flat_map(|(name, ch)| {
-                    ch.iter().map(move |(labels, c)| CounterSample {
-                        name: name.clone(),
-                        labels: labels.clone(),
-                        value: c.get(),
-                    })
+                .children()
+                .map(|(name, labels, c)| CounterSample {
+                    name: name.clone(),
+                    labels: labels.clone(),
+                    value: c.get(),
                 })
                 .collect(),
             gauges: self
                 .gauges
-                .iter()
-                .flat_map(|(name, ch)| {
-                    ch.iter().map(move |(labels, g)| GaugeSample {
-                        name: name.clone(),
-                        labels: labels.clone(),
-                        value: g.get(),
-                        max_seen: g.max_seen(),
-                    })
+                .children()
+                .map(|(name, labels, g)| GaugeSample {
+                    name: name.clone(),
+                    labels: labels.clone(),
+                    value: g.get(),
+                    max_seen: g.max_seen(),
                 })
                 .collect(),
             histograms: self
                 .histograms
-                .iter()
-                .flat_map(|(name, ch)| {
-                    ch.iter().map(move |(labels, h)| HistogramSample {
-                        name: name.clone(),
-                        labels: labels.clone(),
-                        count: h.count(),
-                        sum: h.sum(),
-                        min: h.min(),
-                        p50: h.quantile(0.5),
-                        p95: h.quantile(0.95),
-                        p99: h.quantile(0.99),
-                        max: h.max(),
-                    })
+                .children()
+                .map(|(name, labels, h)| HistogramSample {
+                    name: name.clone(),
+                    labels: labels.clone(),
+                    count: h.count(),
+                    sum: h.sum(),
+                    min: h.min(),
+                    p50: h.quantile(0.5),
+                    p95: h.quantile(0.95),
+                    p99: h.quantile(0.99),
+                    max: h.max(),
                 })
                 .collect(),
         }
@@ -1230,6 +1376,42 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "duplicate label key")]
+    fn family_registry_rejects_duplicate_label_keys_on_an_existing_child() {
+        let mut f = FamilyRegistry::new();
+        f.counter("x", &[("k", "1")]).incr();
+        f.counter("x", &[("k", "1"), ("k", "1")]);
+    }
+
+    #[test]
+    fn family_ids_name_the_child_the_labels_name() {
+        let mut f = FamilyRegistry::new();
+        let id = f.counter_id("c", &[("b", "2"), ("a", "1")]);
+        assert_eq!(id, f.counter_id("c", &[("a", "1"), ("b", "2")]));
+        assert_ne!(id, f.counter_id("c", &[("a", "1")]));
+        f.counter_at(id).add(3);
+        f.counter("c", &[("a", "1"), ("b", "2")]).incr();
+        assert_eq!(f.counter_at(id).get(), 4);
+        // Ids survive a clone and later growth of the slab.
+        let mut g = f.clone();
+        for i in 0..100 {
+            g.counter("c", &[("a", &i.to_string())]).incr();
+        }
+        g.counter_at(id).incr();
+        assert_eq!(
+            g.get_counter("c", &[("a", "1"), ("b", "2")]).unwrap().get(),
+            5
+        );
+        // More labels than the stack buffer holds still canonicalise.
+        let many: Vec<(String, String)> = (0..INLINE_LABELS + 3)
+            .map(|i| (format!("k{i:02}"), i.to_string()))
+            .collect();
+        let fwd: Vec<(&str, &str)> = many.iter().map(|(k, v)| (&**k, &**v)).collect();
+        let rev: Vec<(&str, &str)> = fwd.iter().rev().copied().collect();
+        assert_eq!(f.gauge_id("wide", &fwd), f.gauge_id("wide", &rev));
+    }
+
+    #[test]
     fn family_exposition_is_deterministic_and_prometheus_shaped() {
         let build = || {
             let mut f = FamilyRegistry::new();
@@ -1410,5 +1592,125 @@ mod tests {
         assert!(r.contains("lambdas.active"));
         assert!(r.contains("bw"));
         let _ = SimDuration::ZERO;
+    }
+}
+
+#[cfg(test)]
+mod family_props {
+    use super::*;
+    use proptest::prelude::*;
+
+    const NAMES: [&str; 3] = ["alpha", "beta_total", "b"];
+    const KEYS: [&str; 3] = ["a", "b", "c"];
+    const VALUES: [&str; 5] = ["", "1", "10", "2", "x"];
+
+    /// Decode a label set from `bits`: each key is absent or takes one of
+    /// `VALUES`; `bits` also picks the order the caller passes them in.
+    fn labels_from(bits: u64) -> Vec<(&'static str, &'static str)> {
+        let mut out = Vec::new();
+        for (i, key) in KEYS.iter().enumerate() {
+            let pick = (bits >> (3 * i)) % 8;
+            if let Some(value) = VALUES.get(pick as usize) {
+                out.push((*key, *value));
+            }
+        }
+        let len = out.len().max(1);
+        out.rotate_left((bits >> 9) as usize % len);
+        if (bits >> 12) & 1 == 1 {
+            out.reverse();
+        }
+        out
+    }
+
+    /// One by-name write of `value` to child `(kind, name, labels)`.
+    fn write(reg: &mut FamilyRegistry, kind: u64, name: &str, labels: &[(&str, &str)], value: u64) {
+        match kind {
+            0 => reg.counter(name, labels).add(value),
+            1 => reg.gauge(name, labels).set(value as f64 - 8.0),
+            _ => reg.histogram(name, labels).record(value as f64),
+        }
+    }
+
+    proptest! {
+        /// Whatever mix of by-name writes, by-id writes, label orders,
+        /// merges and clones produced a registry, it renders exactly as
+        /// a fresh registry given the same writes by name.
+        #[test]
+        fn any_interleaving_matches_by_name_reference(
+            ops in prop::collection::vec(any::<u64>(), 1..120),
+        ) {
+            let mut subject = FamilyRegistry::new();
+            let mut reference = FamilyRegistry::new();
+            let mut counter_ids = BTreeMap::new();
+            let mut gauge_ids = BTreeMap::new();
+            let mut histogram_ids = BTreeMap::new();
+            for op in ops {
+                let kind = op % 3;
+                let name = NAMES[(op >> 2) as usize % NAMES.len()];
+                let labels = labels_from(op >> 8);
+                let value = (op >> 24) % 16;
+                let key = (name, canon_labels(&labels));
+                match (op >> 32) % 8 {
+                    // By id: resolved once per child, then reused — also
+                    // across the clones below.
+                    0..=2 => match kind {
+                        0 => {
+                            let id = *counter_ids
+                                .entry(key)
+                                .or_insert_with(|| subject.counter_id(name, &labels));
+                            subject.counter_at(id).add(value);
+                        }
+                        1 => {
+                            let id = *gauge_ids
+                                .entry(key)
+                                .or_insert_with(|| subject.gauge_id(name, &labels));
+                            subject.gauge_at(id).set(value as f64 - 8.0);
+                        }
+                        _ => {
+                            let id = *histogram_ids
+                                .entry(key)
+                                .or_insert_with(|| subject.histogram_id(name, &labels));
+                            subject.histogram_at(id).record(value as f64);
+                        }
+                    },
+                    3..=4 => write(&mut subject, kind, name, &labels, value),
+                    5 => {
+                        let mut side = FamilyRegistry::new();
+                        write(&mut side, kind, name, &labels, value);
+                        subject.merge_from(&side);
+                    }
+                    6 => {
+                        let mut side = FamilyRegistry::new();
+                        write(&mut side, kind, name, &labels, value);
+                        let region = VALUES[value as usize % VALUES.len()];
+                        subject.merge_labeled(&side, "region", region);
+                        let mut relabeled = labels.clone();
+                        relabeled.push(("region", region));
+                        write(&mut reference, kind, name, &relabeled, value);
+                        continue;
+                    }
+                    _ => {
+                        subject = subject.clone();
+                        continue;
+                    }
+                }
+                let sorted = Canon::new(&labels);
+                write(&mut reference, kind, name, sorted.pairs(), value);
+            }
+            prop_assert_eq!(subject.expose(), reference.expose());
+            prop_assert_eq!(subject.snapshot_json(), reference.snapshot_json());
+        }
+
+        /// The borrowed comparison a lookup uses orders label sets
+        /// exactly as the owned keys order among themselves.
+        #[test]
+        fn borrowed_comparison_orders_as_owned(a in any::<u64>(), b in any::<u64>()) {
+            let owned = canon_labels(&labels_from(a));
+            let query = labels_from(b);
+            prop_assert_eq!(
+                cmp_labels(&owned, Canon::new(&query).pairs()),
+                owned.cmp(&canon_labels(&query))
+            );
+        }
     }
 }

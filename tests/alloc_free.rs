@@ -1,0 +1,166 @@
+//! The telemetry write path allocates only when it creates something: a
+//! write to an existing metric child, an observation on an existing SLO
+//! stream, a NOC scrape of an unchanged plant and an idle edge drain tick
+//! must not touch the heap (DESIGN.md §10, "Telemetry write path").
+//!
+//! This file is its own test binary so that it can install a counting
+//! global allocator. Counts are per thread: the test harness runs tests
+//! on parallel threads.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use griphon::{Controller, ControllerConfig, SloEngine, SloSpec};
+use northbound::{build_testbed, ApiServer, ServerConfig, TenantDirectory};
+use photonic::{generate, GeneratorConfig};
+use simcore::{FamilyRegistry, MetricsRegistry, SimDuration, SimTime};
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: both methods forward their arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract. The counter is a const-
+// initialised `Cell<u64>` with no destructor, so touching it never
+// allocates and is valid for the whole life of the thread. The default
+// `realloc` and `alloc_zeroed` go through `alloc`, so they count too.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.with(|c| c.set(c.get() + 1));
+        // SAFETY: the caller's obligations for `alloc` are passed through.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr`/`layout` come from `alloc` above, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Heap allocations this thread makes while running `f`.
+fn allocs_during(f: impl FnOnce()) -> u64 {
+    let before = ALLOCS.with(Cell::get);
+    f();
+    ALLOCS.with(Cell::get) - before
+}
+
+#[test]
+fn the_counter_counts() {
+    assert_eq!(
+        allocs_during(|| drop(std::hint::black_box(Box::new(1u8)))),
+        1
+    );
+    assert_eq!(
+        allocs_during(|| {
+            let mut v = vec![1u8];
+            v.reserve(1000);
+            std::hint::black_box(&v);
+        }),
+        2
+    );
+}
+
+#[test]
+fn writes_to_existing_children_do_not_allocate() {
+    let mut reg = FamilyRegistry::new();
+    let labels = [("roadm", "roadm17"), ("degree", "2")];
+    let shuffled = [("degree", "2"), ("roadm", "roadm17")];
+    let creating = allocs_during(|| {
+        reg.gauge("noc_degree_lit_lambdas", &labels).set(1.0);
+        reg.counter("api_requests_total", &[("tier", "free")])
+            .incr();
+        reg.histogram("lat_ms", &[("tier", "free")]).record(5.0);
+    });
+    assert!(creating > 0, "creating a child builds its owned key");
+    let id = reg.counter_id("api_requests_total", &[("tier", "free")]);
+    let hist = reg.histogram_id("lat_ms", &[("tier", "free")]);
+    let writing = allocs_during(|| {
+        for i in 0..1000 {
+            reg.gauge("noc_degree_lit_lambdas", &labels)
+                .set(f64::from(i));
+            reg.gauge("noc_degree_lit_lambdas", &shuffled).adjust(1.0);
+            reg.counter("api_requests_total", &[("tier", "free")])
+                .incr();
+            reg.counter_at(id).incr();
+            // 5.0 already has its bucket.
+            reg.histogram("lat_ms", &[("tier", "free")]).record(5.0);
+            reg.histogram_at(hist).record(5.0);
+        }
+    });
+    assert_eq!(writing, 0);
+    assert_eq!(reg.counter_at(id).get(), 2001);
+
+    let mut plain = MetricsRegistry::new();
+    plain.counter("setup.completed").incr();
+    plain.histogram("setup.secs").record(62.0);
+    plain.gauge("lambdas.active").set(1.0);
+    let writing = allocs_during(|| {
+        for _ in 0..1000 {
+            plain.counter("setup.completed").incr();
+            plain.histogram("setup.secs").record(62.0);
+            plain.gauge("lambdas.active").adjust(1.0);
+        }
+    });
+    assert_eq!(writing, 0);
+}
+
+#[test]
+fn observing_an_existing_slo_stream_does_not_allocate() {
+    let mut slo = SloEngine::new(vec![SloSpec {
+        name: "api_shed_rate",
+        objective: 0.9,
+        threshold_secs: 0.0,
+    }]);
+    slo.observe("api_shed_rate", "free", SimTime::ZERO, true);
+    // The stream's `Vec` holds four events after its first push; up to
+    // there the lookup is all an observation does.
+    let within_capacity = allocs_during(|| {
+        for s in 1..4 {
+            slo.observe("api_shed_rate", "free", SimTime::from_secs(s), s % 2 == 0);
+        }
+    });
+    assert_eq!(within_capacity, 0);
+    // Beyond it the only allocations are the stream doubling.
+    let growing = allocs_during(|| {
+        for s in 4..4096 {
+            slo.observe("api_shed_rate", "free", SimTime::from_secs(s), true);
+        }
+    });
+    assert!(growing <= 10, "{growing} allocations for 4092 observations");
+}
+
+#[test]
+fn second_scrape_of_an_unchanged_plant_does_not_allocate() {
+    let plant = generate(&GeneratorConfig::with_target_roadms(100, 7));
+    let mut ctl = Controller::new(plant.net, ControllerConfig::default());
+    let interval = SimDuration::from_secs(60);
+    ctl.noc.enable(interval);
+    let first = allocs_during(|| ctl.run_until(SimTime::ZERO + interval));
+    assert_eq!(ctl.noc.scrapes(), 1);
+    let samples = ctl.noc.families().snapshot().gauges.len() as u64;
+    assert!(samples > 500, "a 100-ROADM sweep is {samples} samples");
+    assert!(first > samples, "the first scrape creates every child");
+    let second = allocs_during(|| ctl.run_until(SimTime::ZERO + interval * 2));
+    assert_eq!(ctl.noc.scrapes(), 2);
+    assert_eq!(second, 0, "{second} allocations over {samples} samples");
+}
+
+#[test]
+fn idle_drain_ticks_do_not_allocate_per_tick() {
+    let cfg = ServerConfig::default();
+    let ticks = 1_000;
+    let horizon = SimTime::ZERO + cfg.drain_interval * ticks;
+    let mut server = ApiServer::new(build_testbed(14, 2, 3), TenantDirectory::new(10, 3), cfg);
+    let allocs = allocs_during(|| server.run(&[], horizon));
+    // What is left is amortised growth (the depth series, the event
+    // queue) and the first resolution of the two southbound gauges.
+    assert!(
+        allocs < ticks / 10,
+        "{allocs} allocations over {ticks} idle ticks"
+    );
+}

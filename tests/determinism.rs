@@ -182,7 +182,7 @@ fn scenario_report_is_identical_noc_on_or_off() {
     let (out_on, ctl_on) = griphon_bench::scenario::run_with(&spec_on).unwrap();
     assert_eq!(out_on, out_off, "report must match byte for byte");
     assert_eq!(ctl_on.events_processed(), ctl_off.events_processed());
-    assert!(!ctl_off.noc.is_enabled() && ctl_off.noc.families.is_empty());
+    assert!(!ctl_off.noc.is_enabled() && ctl_off.noc.families().is_empty());
     assert!(ctl_on.noc.scrapes() > 0, "NOC-on run must have scraped");
     assert_eq!(ctl_on.noc.unattributed(), 0);
     assert!(ctl_on.noc.suppressed_total() > 0);
