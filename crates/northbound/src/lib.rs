@@ -3,8 +3,9 @@
 //! The intent API server the paper's BoD service would expose to
 //! tenants, modeled as a deterministic sim-time request plane in front
 //! of the `griphon` controller. No sockets, no threads: arrivals,
-//! admission decisions, and batched controller hand-offs are all events
-//! on a [`simcore::Scheduler`], so a million-tenant load test is a pure
+//! admission decisions, and batched controller hand-offs happen at
+//! sim-time instants in one merge loop over the sorted arrival stream
+//! and the drain cadence, so a million-tenant load test is a pure
 //! function of `(config, seed)` and replays bit-identically.
 //!
 //! The crate splits along the request path:

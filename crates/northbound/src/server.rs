@@ -1,8 +1,7 @@
 //! The intent API server: a modeled async request plane.
 //!
-//! One deterministic sim-time event loop on [`simcore::Scheduler`] —
-//! no real sockets, honestly benchmarked — in front of the GRIPhoN
-//! controller:
+//! One deterministic sim-time loop — no real sockets, honestly
+//! benchmarked — in front of the GRIPhoN controller:
 //!
 //! ```text
 //!  fleet ──▶ auth ──▶ token bucket ──▶ bounded tier queue ──▶ drain tick
@@ -19,6 +18,10 @@
 //! touches controller state: replaying the admitted-intent stream
 //! against a bare controller must — and is asserted to — produce a
 //! byte-identical `state_digest_crc`.
+//!
+//! The plane has exactly two event sources — the request slice, sorted
+//! by arrival, and the fixed drain cadence — so [`ApiServer::run`] merges
+//! them in place: no event list is built and nothing is pending.
 
 use std::collections::HashMap;
 
@@ -27,8 +30,8 @@ use photonic::{generate, GeneratorConfig, RoadmId};
 use simcore::metrics::{CounterId, FamilyRegistry, GaugeId, HistogramId};
 use simcore::span::AttrValue;
 use simcore::{
-    BoundedQueue, DataRate, Scheduler, SimDuration, SimRng, SimTime, SpanRecorder,
-    TailSampleConfig, TailSampleStats, TailSampler, TokenBucket,
+    BoundedQueue, DataRate, SimDuration, SimRng, SimTime, SpanRecorder, TailSampleConfig,
+    TailSampleStats, TailSampler, TokenBucket,
 };
 
 use crate::directory::{TenantDirectory, Tier};
@@ -280,12 +283,6 @@ struct HotIds {
     next_event_lag: Option<GaugeId>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ServerEvent {
-    Arrival(u32),
-    Drain,
-}
-
 /// Everything a finished serve run reports.
 #[derive(Debug)]
 pub struct ServeOutcome {
@@ -341,7 +338,6 @@ pub struct ApiServer {
     ctl: Controller,
     customers: [CustomerId; 3],
     pairs: Vec<(RoadmId, RoadmId)>,
-    sched: Scheduler<ServerEvent>,
     queues: [BoundedQueue<u32>; 3],
     buckets: HashMap<u64, TokenBucket>,
     quota: QuotaLedger,
@@ -405,7 +401,6 @@ impl ApiServer {
             ctl: testbed.ctl,
             customers: testbed.customers,
             pairs: testbed.pairs,
-            sched: Scheduler::new(),
             buckets: HashMap::new(),
             admitted: Vec::new(),
             latencies_ns: [Vec::new(), Vec::new(), Vec::new()],
@@ -649,29 +644,55 @@ impl ApiServer {
                 ],
             ));
         }
-
-        let next = now + self.cfg.drain_interval;
-        if next <= self.horizon {
-            self.sched.schedule_at(next, ServerEvent::Drain);
-        }
     }
 
     /// Run the server over `requests` until `horizon`.
+    ///
+    /// `requests` must be sorted by arrival, as [`crate::fleet::generate`]
+    /// returns them. Drain ticks fire at every multiple of
+    /// `drain_interval` in `(0, horizon]`; a request arriving at
+    /// `t ≤ horizon` is offered, one arriving later never is (it is not
+    /// counted in [`ServeOutcome::offered`] either). An arrival that falls
+    /// exactly on a drain instant is decided *before* that drain, and
+    /// equal-time arrivals are decided in slice order — the `(time, seq)`
+    /// order of an event list that schedules every arrival before the
+    /// first drain.
+    ///
+    /// # Panics
+    /// If `requests` is longer than `u32::MAX` (the tier queues hold `u32`
+    /// indices into it), or if an arrival is earlier than the one before
+    /// it; the message names the first out-of-order index.
     pub fn run(&mut self, requests: &[Request], horizon: SimTime) {
-        self.horizon = horizon;
-        for (i, r) in requests.iter().enumerate() {
-            debug_assert!(r.arrival < horizon);
-            self.sched
-                .schedule_at(r.arrival, ServerEvent::Arrival(i as u32));
+        assert!(
+            u32::try_from(requests.len()).is_ok(),
+            "{} requests do not fit the u32 queue index",
+            requests.len()
+        );
+        if let Some(i) = requests
+            .windows(2)
+            .position(|w| w[1].arrival < w[0].arrival)
+        {
+            panic!(
+                "requests are not sorted by arrival: request {} arrives at {}, before request {i} at {}",
+                i + 1,
+                requests[i + 1].arrival,
+                requests[i].arrival
+            );
         }
-        self.sched
-            .schedule_at(SimTime::ZERO + self.cfg.drain_interval, ServerEvent::Drain);
-        while let Some((t, ev)) = self.sched.pop_until(horizon) {
-            match ev {
-                ServerEvent::Arrival(i) => {
-                    let _ = self.submit(t, i, &requests[i as usize]);
+        self.horizon = horizon;
+        let mut cursor = 0;
+        let mut drain = SimTime::ZERO + self.cfg.drain_interval;
+        loop {
+            match requests.get(cursor) {
+                Some(req) if req.arrival <= drain.min(horizon) => {
+                    let _ = self.submit(req.arrival, cursor as u32, req);
+                    cursor += 1;
                 }
-                ServerEvent::Drain => self.on_drain(t, requests),
+                _ if drain <= horizon => {
+                    self.on_drain(drain, requests);
+                    drain += self.cfg.drain_interval;
+                }
+                _ => break,
             }
         }
         self.ctl.run_until(horizon);
@@ -834,7 +855,21 @@ pub fn replay_admitted(testbed: Testbed, admitted: &[AdmittedIntent], horizon: S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fleet::{self, FleetConfig};
+    use crate::fleet::{self, AbuserConfig, FleetConfig};
+    use simcore::Scheduler;
+
+    /// A well-formed 1 Gbps / 10 min request from `tenant` at `ms`.
+    fn request_at(dir: &TenantDirectory, tenant: u64, ms: u64) -> Request {
+        Request {
+            tenant,
+            token: dir.token_for(tenant),
+            arrival: SimTime::from_millis(ms),
+            pair: 0,
+            rate_bps: 1_000_000_000,
+            duration_secs: 600,
+            abusive: false,
+        }
+    }
 
     fn small_run(seed: u64) -> (ServeOutcome, Testbed) {
         let fleet_cfg = FleetConfig {
@@ -909,15 +944,7 @@ mod tests {
             "no child exists before its first write"
         );
         server.horizon = SimTime::from_secs(60);
-        let mk = |tenant: u64, at: u64| Request {
-            tenant,
-            token: dir.token_for(tenant),
-            arrival: SimTime::from_millis(at),
-            pair: 0,
-            rate_bps: 1_000_000_000,
-            duration_secs: 600,
-            abusive: false,
-        };
+        let mk = |tenant: u64, at: u64| request_at(&dir, tenant, at);
         // Free-tier tenant 42: burst 3, then 429 with a finite hint.
         let reqs: Vec<Request> = (0..5).map(|i| mk(42, i)).collect();
         let mut last = SubmitOutcome::Accepted { depth: 0 };
@@ -946,5 +973,185 @@ mod tests {
              api_requests_total{outcome=\"rate_limited\",tier=\"free\"} 2\n\
              api_requests_total{outcome=\"unauthorized\",tier=\"unknown\"} 1\n"
         );
+    }
+
+    /// `run` as it was before the merge loop: every arrival goes on an
+    /// event list first, then each drain schedules the next. `(time, seq)`
+    /// pop order is the specification `run`'s tie rule has to reproduce.
+    fn run_on_event_list(server: &mut ApiServer, requests: &[Request], horizon: SimTime) {
+        #[derive(Clone, Copy)]
+        enum ServerEvent {
+            Arrival(u32),
+            Drain,
+        }
+        server.horizon = horizon;
+        let mut sched = Scheduler::new();
+        for (i, r) in requests.iter().enumerate() {
+            sched.schedule_at(r.arrival, ServerEvent::Arrival(i as u32));
+        }
+        sched.schedule_at(
+            SimTime::ZERO + server.cfg.drain_interval,
+            ServerEvent::Drain,
+        );
+        while let Some((t, ev)) = sched.pop_until(horizon) {
+            match ev {
+                ServerEvent::Arrival(i) => {
+                    let _ = server.submit(t, i, &requests[i as usize]);
+                }
+                ServerEvent::Drain => {
+                    server.on_drain(t, requests);
+                    let next = t + server.cfg.drain_interval;
+                    if next <= horizon {
+                        sched.schedule_at(next, ServerEvent::Drain);
+                    }
+                }
+            }
+        }
+        server.ctl.run_until(horizon);
+    }
+
+    /// Serve `requests` through `run` and through the event-list oracle on
+    /// identical fixtures; the whole `ServeOutcome` must agree (its `Debug`
+    /// form covers every field, and nothing in it iterates a hash map).
+    /// Returns the merge loop's outcome.
+    fn assert_run_matches_event_list(
+        requests: &[Request],
+        dir: &TenantDirectory,
+        pairs: usize,
+        horizon: SimTime,
+    ) -> ServeOutcome {
+        let serve = |event_list: bool| {
+            let mut server = ApiServer::new(
+                build_testbed(14, pairs, 0x7E57),
+                dir.clone(),
+                ServerConfig::default(),
+            );
+            if event_list {
+                run_on_event_list(&mut server, requests, horizon);
+            } else {
+                server.run(requests, horizon);
+            }
+            server.finish()
+        };
+        let (got, want) = (serve(false), serve(true));
+        // The short fields first, for a readable failure; then everything.
+        assert_eq!(got.admitted, want.admitted);
+        assert_eq!(got.depth_series, want.depth_series);
+        assert_eq!(got.families.expose(), want.families.expose());
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        got
+    }
+
+    #[test]
+    fn merge_loop_matches_event_list_on_generated_fleets() {
+        let fleets = [
+            // At drain capacity, 4x over it, and with an abuser overlay
+            // (the only generator path that re-sorts the stream).
+            FleetConfig {
+                tenants: 1_000,
+                seed: 0xE0,
+                ..FleetConfig::default()
+            },
+            FleetConfig {
+                tenants: 1_000,
+                seed: 0xE1,
+                base_rate_per_sec: 400.0,
+                ..FleetConfig::default()
+            },
+            FleetConfig {
+                tenants: 1_000,
+                seed: 0xE2,
+                abuser: Some(AbuserConfig {
+                    tenant: 42,
+                    rate_per_sec: 50.0,
+                }),
+                ..FleetConfig::default()
+            },
+        ];
+        for cfg in fleets {
+            let dir = TenantDirectory::new(cfg.tenants, cfg.seed);
+            let requests = fleet::generate(&cfg, &dir);
+            let out = assert_run_matches_event_list(&requests, &dir, cfg.pairs, cfg.horizon);
+            assert_eq!(out.offered, requests.len() as u64);
+            assert!(
+                !out.admitted.is_empty(),
+                "seed {:#x} admitted nothing",
+                cfg.seed
+            );
+        }
+    }
+
+    /// No generated fleet has an arrival exactly on a drain instant
+    /// (arrivals are ns-resolution draws), so this hand-built stream is
+    /// what pins the tie rule: an arrival at `t == drain` is decided
+    /// before that drain and handed off by it with zero latency.
+    #[test]
+    fn arrivals_on_drain_instants_go_first_and_late_ones_are_never_offered() {
+        let dir = TenantDirectory::new(100, 0x71E);
+        let at = |tenant: u64, ms: u64| request_at(&dir, tenant, ms);
+        // Drains every 100 ms. Tenants are distinct, so no bucket limits.
+        let requests = [
+            at(1, 100), // exactly on the first drain
+            at(2, 150),
+            at(3, 150), // equal-time pair, slice order
+            at(4, 200),
+            at(5, 200), // equal-time pair on a drain instant
+            at(6, 201),
+            at(7, 900),   // == the 900 ms horizon below, a drain instant
+            at(8, 950),   // == the 950 ms horizon below, between drains
+            at(9, 1_000), // == the 1 s horizon below, a drain instant
+            at(10, 1_001),
+        ];
+        let ms = SimTime::from_millis;
+        // Tenant 1 arrives on the 100 ms drain and is handed off by it, 4
+        // and 5 likewise at 200 ms; 2, 3 and 6 wait for the next drain. An
+        // arrival at the horizon is offered, and handed off only if the
+        // horizon is itself a drain instant.
+        let hand_offs = [
+            (1, 100),
+            (2, 200),
+            (3, 200),
+            (4, 200),
+            (5, 200),
+            (6, 300),
+            (7, 900),
+            (8, 1_000),
+            (9, 1_000),
+            (10, 1_100),
+        ];
+        // (horizon ms, offered, handed off, left queued)
+        let cases = [
+            (900, 7, 7, 0),
+            (950, 8, 7, 1),
+            (1_000, 9, 9, 0),
+            (2_000, 10, 10, 0),
+        ];
+        for (horizon, offered, handed_off, queued) in cases {
+            let out = assert_run_matches_event_list(&requests, &dir, 1, ms(horizon));
+            assert_eq!(out.offered, offered, "horizon {horizon} ms");
+            assert_eq!(out.final_depth.iter().sum::<usize>(), queued);
+            // Within one drain the tiers decide the order: compare sorted.
+            let mut got: Vec<(u64, SimTime)> =
+                out.admitted.iter().map(|a| (a.tenant, a.at)).collect();
+            got.sort_unstable();
+            let want: Vec<(u64, SimTime)> = hand_offs[..handed_off]
+                .iter()
+                .map(|&(tenant, at)| (tenant, ms(at)))
+                .collect();
+            assert_eq!(got, want, "horizon {horizon} ms");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "request 2 arrives at")]
+    fn unsorted_requests_are_refused_up_front() {
+        let dir = TenantDirectory::new(100, 1);
+        let at = |ms: u64| request_at(&dir, 1, ms);
+        let mut server = ApiServer::new(
+            build_testbed(14, 1, 1),
+            dir.clone(),
+            ServerConfig::default(),
+        );
+        server.run(&[at(10), at(30), at(20), at(5)], SimTime::from_secs(1));
     }
 }

@@ -10,11 +10,12 @@
 //!
 //! - [`time`] — [`SimTime`]/[`SimDuration`], nanosecond-resolution simulated
 //!   time with checked arithmetic and human-readable formatting.
-//! - [`queue`] — [`Scheduler`], a calendar queue (binary heap with a
+//! - [`queue`] — [`Scheduler`], a future-event list (binary heap with a
 //!   monotonic sequence tiebreak) supporting cancellable timers. Events at
 //!   equal timestamps pop in scheduling order, which makes every simulation
-//!   built on it deterministic. Also [`FluidQueue`], an exact-integer
-//!   fluid bottleneck queue used by the active-probing measurement plane.
+//!   built on it deterministic; liveness is a generation-stamped slab, so
+//!   no path hashes. Also [`FluidQueue`], an exact-integer fluid bottleneck
+//!   queue used by the active-probing measurement plane.
 //! - [`rng`] — [`SimRng`], a small, fully reproducible PRNG
 //!   (SplitMix64-seeded xoshiro256**) with the distributions the workload
 //!   generators need (uniform, exponential, normal, lognormal, Pareto,

@@ -1,5 +1,5 @@
-//! The event scheduler: a calendar queue with deterministic ordering and
-//! cancellable entries.
+//! The event scheduler: a binary-heap future-event list with
+//! deterministic ordering and cancellable entries.
 //!
 //! [`Scheduler`] is deliberately *not* a framework — it is a data structure.
 //! The owning simulation pops `(time, event)` pairs and dispatches them
@@ -8,30 +8,53 @@
 //!
 //! Two properties matter for reproducibility:
 //!
-//! 1. Events with equal timestamps pop in the order they were scheduled
-//!    (FIFO tiebreak via a monotonic sequence number).
-//! 2. Cancellation is tombstone-based: [`Scheduler::cancel`] marks the
-//!    [`EventId`]; cancelled entries are skipped lazily at pop time, so
-//!    cancel is O(1) and pop stays O(log n) amortised.
+//! 1. Events pop in `(time, seq)` order, where `seq` is a monotonic
+//!    sequence number handed out one per [`Scheduler::schedule_at`]
+//!    starting at 0 — so equal timestamps pop in the order they were
+//!    scheduled. `seq` is also listed by
+//!    [`Scheduler::pending_entries`] and so is part of every controller
+//!    state digest.
+//! 2. Cancellation is lazy: [`Scheduler::cancel`] is O(1), the cancelled
+//!    entry stays in the heap as a tombstone and is skipped at pop time,
+//!    so pop stays O(log n) amortised.
 //!
-//! Bookkeeping memory is O(pending events): the scheduler tracks which
-//! sequence numbers are still in the heap, not which ones ever fired, so
-//! arbitrarily long simulations run in bounded space.
+//! Liveness is a generation-stamped slab, not a set. Each pending event
+//! owns one slot of `slots` holding its `seq` as the stamp; the heap
+//! entry and the [`EventId`] both carry `(seq, slot)`. An entry or id is
+//! live iff `slots[slot] == seq`. Delivery and cancellation vacate the
+//! slot and thread it onto the free list (kept inside the vacant slots
+//! themselves) for the next `schedule_at`; a `seq` is never issued
+//! twice, so a tombstone or a stale id can never match whatever event
+//! reuses its slot. No hashing on any path, and the slab is as long as
+//! the most events ever pending at once — memory is O(peak pending)
+//! however long the simulation runs.
 
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 use crate::units::{DataRate, DataSize};
 
+/// Set in the stamp of a slab slot that holds no pending event; the low
+/// 32 bits then index the next vacant slot ([`NO_SLOT`] ends the list).
+/// No `seq` has this bit: that would take 2^63 `schedule_at` calls.
+const VACANT: u64 = 1 << 63;
+
+/// End of the free list.
+const NO_SLOT: u32 = u32::MAX;
+
 /// Handle to a scheduled event, used to cancel it before it fires.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
+pub struct EventId {
+    seq: u64,
+    slot: u32,
+}
 
 #[derive(Clone)]
 struct Entry<E> {
     at: SimTime,
     seq: u64,
+    slot: u32,
     event: E,
 }
 
@@ -62,15 +85,20 @@ impl<E> PartialOrd for Entry<E> {
 ///
 /// The scheduler tracks `now`: popping an event advances the clock to that
 /// event's timestamp. Scheduling into the past is a logic error and panics.
+#[derive(Clone)]
 pub struct Scheduler<E> {
+    /// Live entries and the tombstones of cancelled ones, on `(at, seq)`.
     heap: BinaryHeap<Entry<E>>,
-    /// Tombstones for cancelled entries still sitting in the heap; drained
-    /// lazily by `skip_cancelled`, so never larger than the heap.
-    cancelled: HashSet<u64>,
-    /// Sequence numbers currently pending (in the heap, not cancelled).
-    /// An id is live iff it is here, which makes `cancel` exact without
-    /// remembering every event ever delivered.
-    live: HashSet<u64>,
+    /// `slots[i]` is the `seq` of the pending event that owns slot `i`; a
+    /// vacant slot holds [`VACANT`] plus the index of the next vacant one.
+    /// A heap entry or an [`EventId`] is live iff its `seq` equals the
+    /// stamp of its slot.
+    slots: Vec<u64>,
+    /// Head of the free list threaded through the vacant slots.
+    free_head: u32,
+    /// Pending (scheduled, not delivered, not cancelled) events, i.e. the
+    /// number of occupied slots.
+    live: usize,
     now: SimTime,
     next_seq: u64,
     popped: u64,
@@ -82,26 +110,14 @@ impl<E> Default for Scheduler<E> {
     }
 }
 
-impl<E: Clone> Clone for Scheduler<E> {
-    fn clone(&self) -> Self {
-        Scheduler {
-            heap: self.heap.clone(),
-            cancelled: self.cancelled.clone(),
-            live: self.live.clone(),
-            now: self.now,
-            next_seq: self.next_seq,
-            popped: self.popped,
-        }
-    }
-}
-
 impl<E> Scheduler<E> {
     /// An empty scheduler with the clock at [`SimTime::ZERO`].
     pub fn new() -> Self {
         Scheduler {
             heap: BinaryHeap::new(),
-            cancelled: HashSet::new(),
-            live: HashSet::new(),
+            slots: Vec::new(),
+            free_head: NO_SLOT,
+            live: 0,
             now: SimTime::ZERO,
             next_seq: 0,
             popped: 0,
@@ -115,15 +131,16 @@ impl<E> Scheduler<E> {
 
     /// Number of live (non-cancelled) events still pending.
     pub fn pending(&self) -> usize {
-        self.live.len()
+        self.live
     }
 
-    /// Size of the internal bookkeeping sets (live ids + tombstones).
+    /// Size of the internal bookkeeping: heap entries (live ones and
+    /// tombstones) plus slab slots (occupied and free).
     ///
-    /// Exposed for memory-regression tests: this stays O(pending) no
+    /// Exposed for memory-regression tests: this stays O(peak pending) no
     /// matter how many events have ever been scheduled or delivered.
     pub fn bookkeeping_len(&self) -> usize {
-        self.live.len() + self.cancelled.len()
+        self.heap.len() + self.slots.len()
     }
 
     /// True if no live events remain.
@@ -148,9 +165,28 @@ impl<E> Scheduler<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
-        self.live.insert(seq);
-        EventId(seq)
+        let slot = if self.free_head != NO_SLOT {
+            let slot = self.free_head;
+            // The low half of a vacant stamp is the rest of the free list.
+            self.free_head = self.slots[slot as usize] as u32;
+            self.slots[slot as usize] = seq;
+            slot
+        } else {
+            assert!(
+                self.slots.len() < NO_SLOT as usize,
+                "more than u32::MAX events pending at once"
+            );
+            self.slots.push(seq);
+            (self.slots.len() - 1) as u32
+        };
+        self.live += 1;
+        self.heap.push(Entry {
+            at,
+            seq,
+            slot,
+            event,
+        });
+        EventId { seq, slot }
     }
 
     /// Schedule `event` at `now + delay`.
@@ -161,14 +197,16 @@ impl<E> Scheduler<E> {
     /// Cancel a previously scheduled event. Returns `true` if the event was
     /// still pending, `false` if it had already fired or been cancelled.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        // An id is pending iff it is in the live set; delivered, cancelled,
-        // and never-issued ids all fail the removal below. The entry itself
-        // stays in the heap as a tombstone and is skipped lazily at pop.
-        if self.live.remove(&id.0) {
-            self.cancelled.insert(id.0);
-            true
-        } else {
-            false
+        // An id is pending iff its slot still carries its stamp; delivered
+        // and cancelled ids find the slot vacant or restamped, never-issued
+        // ones find no such slot or stamp. The entry itself stays in the
+        // heap as a tombstone and is skipped lazily at pop.
+        match self.slots.get(id.slot as usize) {
+            Some(&stamp) if stamp == id.seq => {
+                self.vacate(id.slot);
+                true
+            }
+            _ => false,
         }
     }
 
@@ -185,7 +223,7 @@ impl<E> Scheduler<E> {
         debug_assert!(entry.at >= self.now);
         self.now = entry.at;
         self.popped += 1;
-        self.live.remove(&entry.seq);
+        self.vacate(entry.slot);
         Some((entry.at, entry.event))
     }
 
@@ -213,13 +251,23 @@ impl<E> Scheduler<E> {
         self.now = at;
     }
 
+    fn is_live(&self, entry: &Entry<E>) -> bool {
+        self.slots[entry.slot as usize] == entry.seq
+    }
+
+    /// Release the slot of an event that was just delivered or cancelled.
+    fn vacate(&mut self, slot: u32) {
+        self.slots[slot as usize] = VACANT | u64::from(self.free_head);
+        self.free_head = slot;
+        self.live -= 1;
+    }
+
     fn skip_cancelled(&mut self) {
         while let Some(top) = self.heap.peek() {
-            if self.cancelled.remove(&top.seq) {
-                self.heap.pop();
-            } else {
+            if self.is_live(top) {
                 break;
             }
+            self.heap.pop();
         }
     }
 
@@ -233,22 +281,11 @@ impl<E> Scheduler<E> {
         let mut out: Vec<(SimTime, u64, &E)> = self
             .heap
             .iter()
-            .filter(|e| self.live.contains(&e.seq))
+            .filter(|e| self.is_live(e))
             .map(|e| (e.at, e.seq, &e.event))
             .collect();
         out.sort_by_key(|(at, seq, _)| (*at, *seq));
         out
-    }
-
-    /// Release excess capacity held by the internal collections.
-    ///
-    /// Bookkeeping is already bounded by the number of pending events, so
-    /// this only returns allocator space after a burst; behaviour is
-    /// completely unaffected. Kept for API compatibility.
-    pub fn compact(&mut self) {
-        self.heap.shrink_to_fit();
-        self.live.shrink_to_fit();
-        self.cancelled.shrink_to_fit();
     }
 }
 
@@ -395,7 +432,31 @@ mod tests {
     #[test]
     fn cancel_unknown_id_returns_false() {
         let mut s: Scheduler<()> = Scheduler::new();
-        assert!(!s.cancel(EventId(999)));
+        assert!(!s.cancel(EventId {
+            seq: 999,
+            slot: 999
+        }));
+        // An existing slot, but a stamp it never carried.
+        s.schedule_at(SimTime::from_secs(1), ());
+        assert!(!s.cancel(EventId { seq: 999, slot: 0 }));
+        assert_eq!(s.pending(), 1);
+    }
+
+    /// A freed slot is handed to the next event under a new stamp: neither
+    /// the old id nor the old heap entry may reach the new occupant.
+    #[test]
+    fn reused_slot_ignores_stale_id_and_tombstone() {
+        let mut s = Scheduler::new();
+        let old = s.schedule_at(SimTime::from_secs(5), "old");
+        assert!(s.cancel(old));
+        let new = s.schedule_at(SimTime::from_secs(9), "new");
+        assert_eq!(new.slot, old.slot, "the vacated slot is reused");
+        assert_ne!(new.seq, old.seq);
+        assert!(!s.cancel(old), "a stale id must not cancel the new event");
+        // The tombstone at t=5 sorts first and must be skipped, not
+        // delivered as the slot's new occupant.
+        assert_eq!(s.pop(), Some((SimTime::from_secs(9), "new")));
+        assert!(s.pop().is_none());
     }
 
     #[test]
@@ -433,17 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn compact_clears_when_idle() {
-        let mut s = Scheduler::new();
-        for i in 0..100 {
-            s.schedule_at(SimTime::from_secs(i), i);
-        }
-        while s.pop().is_some() {}
-        s.compact();
-        assert!(s.is_empty());
-    }
-
-    #[test]
     fn pending_entries_sorted_and_skips_cancelled() {
         let mut s = Scheduler::new();
         s.schedule_at(SimTime::from_secs(3), "c");
@@ -475,9 +525,9 @@ mod tests {
         assert_eq!(s.now(), t.now());
     }
 
-    /// Bookkeeping must stay O(pending) over an arbitrarily long run: a
-    /// million schedule/pop/cancel cycles may not leave more than a few
-    /// entries of side-table state behind.
+    /// Bookkeeping must stay O(peak pending) over an arbitrarily long run:
+    /// a million schedule/pop/cancel cycles with at most one event pending
+    /// may leave neither heap entries nor more than one slab slot behind.
     #[test]
     fn bookkeeping_bounded_after_long_churn() {
         let mut s = Scheduler::new();
@@ -498,11 +548,9 @@ mod tests {
         while s.pop().is_some() {}
         assert_eq!(cancelled_ok, 333_334);
         assert_eq!(s.pending(), 0);
-        assert!(
-            s.bookkeeping_len() <= 1,
-            "bookkeeping grew to {} entries after 1M cycles",
-            s.bookkeeping_len()
-        );
+        assert!(s.heap.is_empty(), "{} tombstones left", s.heap.len());
+        assert_eq!(s.slots.len(), 1, "one event pending at a time is one slot");
+        assert_eq!(s.bookkeeping_len(), 1);
     }
 
     #[test]

@@ -1,7 +1,11 @@
 //! The telemetry write path allocates only when it creates something: a
 //! write to an existing metric child, an observation on an existing SLO
 //! stream, a NOC scrape of an unchanged plant and an idle edge drain tick
-//! must not touch the heap (DESIGN.md §10, "Telemetry write path").
+//! must not touch the heap (DESIGN.md §10, "Telemetry write path"). The
+//! same holds one layer down: a warm event kernel schedules, cancels and
+//! pops without allocating, and what `ApiServer::run` allocates does not
+//! depend on how many requests it is offered (DESIGN.md §8 "Scheduler
+//! liveness", §16 "The run loop").
 //!
 //! This file is its own test binary so that it can install a counting
 //! global allocator. Counts are per thread: the test harness runs tests
@@ -11,9 +15,9 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use griphon::{Controller, ControllerConfig, SloEngine, SloSpec};
-use northbound::{build_testbed, ApiServer, ServerConfig, TenantDirectory};
+use northbound::{build_testbed, ApiServer, Request, ServerConfig, TenantDirectory};
 use photonic::{generate, GeneratorConfig};
-use simcore::{FamilyRegistry, MetricsRegistry, SimDuration, SimTime};
+use simcore::{FamilyRegistry, MetricsRegistry, Scheduler, SimDuration, SimTime};
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
@@ -163,4 +167,56 @@ fn idle_drain_ticks_do_not_allocate_per_tick() {
         allocs < ticks / 10,
         "{allocs} allocations over {ticks} idle ticks"
     );
+}
+
+#[test]
+fn warm_scheduler_cycles_do_not_allocate() {
+    let mut sched: Scheduler<u32> = Scheduler::new();
+    // Warm-up: the heap and the slab get their capacity here.
+    for i in 0..64 {
+        sched.schedule_after(SimDuration::from_secs(1), i);
+    }
+    while sched.pop().is_some() {}
+    let allocs = allocs_during(|| {
+        for i in 0..10_000 {
+            sched.schedule_after(SimDuration::from_millis(1), i);
+            assert_eq!(sched.pop().map(|(_, ev)| ev), Some(i));
+            // A cancelled event leaves a tombstone in the heap and a free
+            // slot in the slab; the next pop and schedule reclaim both.
+            let id = sched.schedule_after(SimDuration::from_millis(1), i);
+            assert!(sched.cancel(id));
+            assert!(sched.pop().is_none());
+        }
+    });
+    assert_eq!(allocs, 0);
+    assert_eq!(sched.events_delivered(), 64 + 10_000);
+}
+
+#[test]
+fn run_allocations_do_not_grow_with_the_request_count() {
+    let cfg = ServerConfig::default();
+    let horizon = SimTime::ZERO + cfg.drain_interval * 100;
+    let dir = TenantDirectory::new(10, 3);
+    // Every request presents a forged token: a 401 touches no bucket, no
+    // queue and no SLO stream, so all that could grow with the request
+    // count is the loop's own bookkeeping — of which there is none.
+    let allocs_for = |count: u64| {
+        let step = horizon.as_nanos() / count;
+        let requests: Vec<Request> = (0..count)
+            .map(|i| Request {
+                tenant: i % 10,
+                token: dir.token_for(i % 10) ^ 1,
+                arrival: SimTime::from_nanos(i * step),
+                pair: 0,
+                rate_bps: 1_000_000_000,
+                duration_secs: 600,
+                abusive: false,
+            })
+            .collect();
+        let mut server = ApiServer::new(build_testbed(14, 2, 3), dir.clone(), cfg.clone());
+        let allocs = allocs_during(|| server.run(&requests, horizon));
+        assert_eq!(server.finish().unauthorized, count);
+        allocs
+    };
+    assert_eq!(allocs_for(10_000), allocs_for(100_000));
 }
