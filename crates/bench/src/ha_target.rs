@@ -129,7 +129,7 @@ pub struct CadencePoint {
 #[derive(Serialize)]
 pub struct HaReport {
     /// Common `BENCH_*.json` header.
-    pub header: crate::bench_json::BenchHeader,
+    pub header: crate::BenchHeader,
     /// Report name, fixed to `ha`.
     pub benchmark: String,
     /// Shipping cadence (scenario barriers between standby syncs).
@@ -434,7 +434,7 @@ pub fn build() -> HaReport {
         assert!(s.warm_takeover_identical, "{}: takeover diverged", s.name);
     }
     HaReport {
-        header: crate::bench_json::BenchHeader::new("ha", "default"),
+        header: crate::BenchHeader::new("ha", "default"),
         benchmark: "ha".to_string(),
         sync_every_barriers: SYNC_EVERY,
         snapshot_cadence: SNAPSHOT_CADENCE,

@@ -257,7 +257,7 @@ pub struct ScenarioRow {
 #[derive(Debug, Clone, Serialize)]
 pub struct MeasureReport {
     /// Common `BENCH_*.json` header.
-    pub header: crate::bench_json::BenchHeader,
+    pub header: crate::BenchHeader,
     /// Report identifier.
     pub benchmark: String,
     /// Sweep profile (`full` or `reduced`).
@@ -523,10 +523,7 @@ pub fn emit(bench_path: &str, exposition_path: &str) -> String {
     std::fs::write(exposition_path, &exposition).expect("write measure exposition");
 
     let report = MeasureReport {
-        header: crate::bench_json::BenchHeader::new(
-            "measure",
-            if reduced { "reduced" } else { "full" },
-        ),
+        header: crate::BenchHeader::new("measure", if reduced { "reduced" } else { "full" }),
         benchmark: "measure".into(),
         sweep: if reduced { "reduced" } else { "full" }.into(),
         threads,

@@ -124,7 +124,7 @@ pub struct ScenarioReport {
 #[derive(Serialize)]
 pub struct NocReport {
     /// Common `BENCH_*.json` header.
-    pub header: crate::bench_json::BenchHeader,
+    pub header: crate::BenchHeader,
     /// Report name, fixed to `noc`.
     pub benchmark: String,
     /// Scrape cadence driving both scenarios (seconds).
@@ -295,7 +295,7 @@ pub fn build(outcomes: &[Outcome]) -> (NocReport, String) {
         );
     }
     let report = NocReport {
-        header: crate::bench_json::BenchHeader::new("noc", "default"),
+        header: crate::BenchHeader::new("noc", "default"),
         benchmark: "noc".to_string(),
         scrape_secs: SCRAPE_SECS,
         scenarios,

@@ -15,7 +15,7 @@ pub enum Category {
     /// Direct reproductions of the paper's tables, figures, and
     /// experiment narratives.
     Paper,
-    /// Engine performance: RWA micro-benchmarks, route-cache counters.
+    /// Engine performance: route-cache and planning-latency counters.
     Perf,
     /// Economics / workload studies (bandwidth-on-demand value).
     Economics,
@@ -76,55 +76,55 @@ pub struct Target {
 pub const TARGETS: &[Target] = &[
     Target {
         name: "table1",
-        about: "Table 1 — provisioning latency per service class",
+        about: "Table 1 — BoD vision vs today's reality vs GRIPhoN, quantified",
         category: Category::Paper,
         run: exp::table1,
     },
     Target {
         name: "table2",
-        about: "Table 2 — control-plane phase breakdown",
+        about: "Table 2 — wavelength setup time vs path length (1/2/3 hops)",
         category: Category::Paper,
         run: exp::table2,
     },
     Target {
         name: "fig1",
-        about: "Fig. 1 — layered testbed view (static)",
+        about: "Fig. 1 — current services and layers (W-DCS/SONET/DWDM)",
         category: Category::Paper,
         run: fig1,
     },
     Target {
         name: "fig2",
-        about: "Fig. 2 — layered testbed view (with services)",
+        about: "Fig. 2 — future services and layers (OTN/DWDM BoD)",
         category: Category::Paper,
         run: fig2,
     },
     Target {
         name: "fig3",
-        about: "Fig. 3 — GUI connection view",
+        about: "Fig. 3 — BoD architecture walk-through (λ and OTN paths)",
         category: Category::Paper,
         run: exp::fig3,
     },
     Target {
         name: "fig4",
-        about: "Fig. 4 — testbed topology walk-through",
+        about: "Fig. 4 — the four-ROADM testbed, rendered and checked",
         category: Category::Paper,
         run: exp::fig4,
     },
     Target {
         name: "fig6",
-        about: "Fig. 6 — bandwidth-on-demand timeline",
+        about: "Fig. 6 — one week of two-DC replication: cost per policy",
         category: Category::Economics,
         run: exp::fig6,
     },
     Target {
         name: "fig7",
-        about: "Fig. 7 — restoration sequence",
-        category: Category::Paper,
+        about: "Fig. 7 — weekly cost vs offered bulk load",
+        category: Category::Economics,
         run: exp::fig7,
     },
     Target {
         name: "e1-teardown",
-        about: "E1 — teardown latency",
+        about: "E1 — §3 prose timings: setup range, teardown",
         category: Category::Paper,
         run: exp::e1_teardown,
     },
@@ -142,55 +142,55 @@ pub const TARGETS: &[Target] = &[
     },
     Target {
         name: "e3-maintenance",
-        about: "E3 — hitless maintenance roll",
+        about: "E3 — maintenance hit: bridge-and-roll vs cold reroute",
         category: Category::Paper,
         run: exp::e3_maintenance,
     },
     Target {
         name: "e4-composite",
-        about: "E4 — composite service lifecycle",
+        about: "E4 — composite BoD: 12 G = 10G λ + 2×1G OTN",
         category: Category::Paper,
         run: exp::e4_composite,
     },
     Target {
         name: "e5-bulk",
-        about: "E5 — bulk provisioning sweep",
+        about: "E5 — one week of bulk replication: BoD vs static vs S&F",
         category: Category::Paper,
         run: exp::e5_bulk,
     },
     Target {
         name: "e5b-full-mesh",
-        about: "E5b — full-mesh NSFNET provisioning",
+        about: "E5b — full-mesh replication, three DCs, one carrier",
         category: Category::Paper,
         run: exp::e5b_full_mesh,
     },
     Target {
         name: "e6-grooming",
-        about: "E6 — sub-wavelength grooming",
+        about: "E6 — grooming: OTN switching vs muxponder-only",
         category: Category::Paper,
         run: exp::e6_grooming,
     },
     Target {
         name: "e7-ablation",
-        about: "E7 — feature ablation grid",
+        about: "E7 — setup time vs hops under control-plane ablations",
         category: Category::Paper,
         run: exp::e7_ablation,
     },
     Target {
         name: "e8-protection",
-        about: "E8 — 1+1 protection switchover",
+        about: "E8 — 1+1 protection vs restoration: footprint, outage",
         category: Category::Paper,
         run: exp::e8_protection,
     },
     Target {
         name: "e9-planning",
-        about: "E9 — calendar booking and planning",
+        about: "E9 — transponder-pool blocking: Erlang-B vs simulation",
         category: Category::Paper,
         run: exp::e9_planning,
     },
     Target {
         name: "e10-sla",
-        about: "E10 — SLA availability accounting",
+        about: "E10 — a month of fiber cuts: availability, auto vs manual",
         category: Category::Paper,
         run: exp::e10_sla,
     },
@@ -202,21 +202,9 @@ pub const TARGETS: &[Target] = &[
     },
     Target {
         name: "all",
-        about: "every table, figure, and experiment above",
+        about: "every target above, plus fig6, fig7 and perf",
         category: Category::Paper,
         run: exp::all,
-    },
-    Target {
-        name: "bench-rwa",
-        about: "writes BENCH_rwa.json (RWA micro-benchmarks)",
-        category: Category::Perf,
-        run: bench_rwa,
-    },
-    Target {
-        name: "bench-cloud",
-        about: "writes BENCH_cloud.json (cloud workload replay)",
-        category: Category::Economics,
-        run: bench_cloud,
     },
     Target {
         name: "trace",
@@ -249,12 +237,6 @@ pub const TARGETS: &[Target] = &[
         run: ha,
     },
     Target {
-        name: "bench-wal",
-        about: "writes BENCH_wal.json (CRC, WAL append, digest, replay speed)",
-        category: Category::Durability,
-        run: bench_wal,
-    },
-    Target {
         name: "scale",
         about: "writes BENCH_scale.json (plant-size sweep, sharded RWA, digests)",
         category: Category::Scale,
@@ -276,14 +258,6 @@ fn fig2() -> String {
     exp::fig_layers(true)
 }
 
-fn bench_rwa() -> String {
-    crate::bench_json::emit("BENCH_rwa.json")
-}
-
-fn bench_cloud() -> String {
-    crate::bench_cloud::emit("BENCH_cloud.json")
-}
-
 fn trace() -> String {
     crate::trace_target::emit("BENCH_trace.json", "BENCH_trace_chrome.json")
 }
@@ -302,10 +276,6 @@ fn measure() -> String {
 
 fn ha() -> String {
     crate::ha_target::emit("BENCH_ha.json")
-}
-
-fn bench_wal() -> String {
-    crate::bench_wal::emit("BENCH_wal.json")
 }
 
 fn scale() -> String {
@@ -410,5 +380,18 @@ mod tests {
         let scale_pos = list.find("\n  scale ").or_else(|| list.find("  scale "));
         let header_pos = list.find("scale:").unwrap();
         assert!(scale_pos.unwrap() > header_pos);
+        // Fig. 6 and Fig. 7 are §4's economics tables.
+        let economics = list
+            .split("\n\n")
+            .find(|s| s.starts_with("economics:"))
+            .expect("economics section");
+        for name in ["fig6", "fig7"] {
+            assert!(
+                economics.contains(&format!("\n  {name} ")),
+                "{name} is not listed under economics:"
+            );
+        }
+        // Host-time cost is measured by `benchmark/`, not by a target.
+        assert!(!list.contains("bench-"), "--list names a bench-* target");
     }
 }

@@ -108,7 +108,7 @@ pub struct ScalePoint {
 #[derive(Debug, Clone, Serialize)]
 pub struct ScaleReport {
     /// Common `BENCH_*.json` header.
-    pub header: crate::bench_json::BenchHeader,
+    pub header: crate::BenchHeader,
     /// Report identifier.
     pub benchmark: String,
     /// Sweep profile (`full` or `reduced`).
@@ -384,10 +384,7 @@ pub fn emit(path: &str) -> String {
     );
 
     let report = ScaleReport {
-        header: crate::bench_json::BenchHeader::new(
-            "scale",
-            if reduced { "reduced" } else { "full" },
-        ),
+        header: crate::BenchHeader::new("scale", if reduced { "reduced" } else { "full" }),
         benchmark: "scale_sweep".into(),
         sweep: if reduced { "reduced" } else { "full" }.into(),
         threads,

@@ -191,7 +191,7 @@ pub struct ServeGolden {
 #[derive(Debug, Clone, Serialize)]
 pub struct ServeReport {
     /// Common `BENCH_*.json` header.
-    pub header: crate::bench_json::BenchHeader,
+    pub header: crate::BenchHeader,
     /// Report identifier.
     pub benchmark: String,
     /// Sweep profile (`full` or `reduced`).
@@ -450,10 +450,7 @@ pub fn emit(path: &str) -> String {
     ));
 
     let report = ServeReport {
-        header: crate::bench_json::BenchHeader::new(
-            "serve",
-            if reduced { "reduced" } else { "full" },
-        ),
+        header: crate::BenchHeader::new("serve", if reduced { "reduced" } else { "full" }),
         benchmark: "serve_sweep".into(),
         sweep: if reduced { "reduced" } else { "full" }.into(),
         threads,

@@ -375,7 +375,7 @@ pub struct BudgetRow {
 #[derive(Debug, Clone, Serialize)]
 pub struct SloReport {
     /// Common `BENCH_*.json` header.
-    pub header: crate::bench_json::BenchHeader,
+    pub header: crate::BenchHeader,
     /// Report identifier.
     pub benchmark: String,
     /// Sweep profile (`full` or `reduced`).
@@ -751,10 +751,7 @@ pub fn emit(bench_path: &str, exposition_path: &str) -> String {
     std::fs::write(exposition_path, &exposition).expect("write slo exposition");
 
     let report = SloReport {
-        header: crate::bench_json::BenchHeader::new(
-            "slo",
-            if reduced { "reduced" } else { "full" },
-        ),
+        header: crate::BenchHeader::new("slo", if reduced { "reduced" } else { "full" }),
         benchmark: "slo".into(),
         sweep: if reduced { "reduced" } else { "full" }.into(),
         threads,

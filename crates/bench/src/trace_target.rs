@@ -242,7 +242,7 @@ pub struct HopRow {
 #[derive(Serialize)]
 pub struct TraceReport {
     /// Common `BENCH_*.json` header.
-    pub header: crate::bench_json::BenchHeader,
+    pub header: crate::BenchHeader,
     /// Report name, fixed to `trace`.
     pub benchmark: String,
     /// Mechanistic Table 2: per-phase setup breakdown by hop count.
@@ -442,7 +442,7 @@ pub fn build(scenarios: &[Scenario]) -> (TraceReport, String) {
 
     let spans_recorded = scenarios.iter().map(|s| s.spans.len() as u64).sum();
     let report = TraceReport {
-        header: crate::bench_json::BenchHeader::new("trace", "default"),
+        header: crate::BenchHeader::new("trace", "default"),
         benchmark: "trace".to_string(),
         table2,
         teardown_secs,
