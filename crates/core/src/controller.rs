@@ -797,27 +797,26 @@ impl Controller {
             self.now(),
         );
         self.claim_plan(&plan);
-        conn.resources = Some(Resources::Wavelength(plan.clone()));
+        let (hops, lambda) = (plan.hops(), plan.lambda);
+        conn.resources = Some(Resources::Wavelength(plan));
         self.conns.insert(id, conn);
-        let sample = self.wavelength_setup_sample(plan.hops());
+        let sample = self.wavelength_setup_sample(hops);
         let dur = sample.total();
         self.trace.emit(
             self.now(),
             "conn",
             format!(
-                "{id} setup started {}→{} λ{} hops={} eta={dur} [{sample}]",
+                "{id} setup started {}→{} λ{} hops={hops} eta={dur} [{sample}]",
                 self.net.name(from),
                 self.net.name(to),
-                plan.lambda.0,
-                plan.hops()
+                lambda.0,
             ),
         );
         let t0 = self.now();
         let root = self.open_workflow_span(id, WorkflowKind::Setup, t0, "conn.setup");
         if root.is_valid() {
-            self.spans.attr_u64(root, "hops", plan.hops() as u64);
-            self.spans
-                .attr_u64(root, "lambda", u64::from(plan.lambda.0));
+            self.spans.attr_u64(root, "hops", hops as u64);
+            self.spans.attr_u64(root, "lambda", u64::from(lambda.0));
             self.emit_setup_spans(root, t0, &sample);
         }
         self.schedule_workflow(dur, id, WorkflowKind::Setup);
@@ -1210,31 +1209,33 @@ impl Controller {
         for r in &plan.regens {
             self.net.regen_mut(*r).claim();
         }
-        let nodes = self.net.node_sequence(from, &plan.path);
         // Source add/drop.
         let (src_node, src_port) = self.net.ot_port(plan.ot_src);
-        debug_assert_eq!(src_node, nodes[0]);
-        let d0 = self.degree_for(nodes[0], plan.path[0]);
+        debug_assert_eq!(src_node, from);
+        let d0 = self.degree_for(from, plan.path[0]);
         self.net
-            .roadm_mut(nodes[0])
+            .roadm_mut(from)
             .connect_add_drop(src_port, plan.lambda, d0)
             .expect("planner verified λ free at source");
-        // Intermediate expresses.
-        #[allow(clippy::needless_range_loop)] // i indexes both nodes and path, offset
-        for i in 1..nodes.len() - 1 {
-            let din = self.degree_for(nodes[i], plan.path[i - 1]);
-            let dout = self.degree_for(nodes[i], plan.path[i]);
+        // Intermediate expresses, walking the path from the source.
+        let mut node = from;
+        for hop in plan.path.windows(2) {
+            node = self.net.fiber(hop[0]).other_end(node);
+            let din = self.degree_for(node, hop[0]);
+            let dout = self.degree_for(node, hop[1]);
             self.net
-                .roadm_mut(nodes[i])
+                .roadm_mut(node)
                 .connect_express(plan.lambda, din, dout)
                 .expect("planner verified λ free at intermediate");
         }
         // Destination add/drop.
+        let last = plan.path[plan.path.len() - 1];
+        let end = self.net.fiber(last).other_end(node);
         let (dst_node, dst_port) = self.net.ot_port(plan.ot_dst);
-        debug_assert_eq!(dst_node, *nodes.last().unwrap());
-        let dl = self.degree_for(*nodes.last().unwrap(), *plan.path.last().unwrap());
+        debug_assert_eq!(dst_node, end);
+        let dl = self.degree_for(end, last);
         self.net
-            .roadm_mut(*nodes.last().unwrap())
+            .roadm_mut(end)
             .connect_add_drop(dst_port, plan.lambda, dl)
             .expect("planner verified λ free at destination");
     }
@@ -1246,24 +1247,28 @@ impl Controller {
         let to = self.net.transponder(plan.ot_dst).location;
         self.fxc_unpatch(from, plan.ot_src);
         self.fxc_unpatch(to, plan.ot_dst);
-        let nodes = self.net.node_sequence(from, &plan.path);
         let (_, src_port) = self.net.ot_port(plan.ot_src);
         self.net
-            .roadm_mut(nodes[0])
+            .roadm_mut(from)
             .disconnect_add_drop(src_port)
             .expect("claimed plan must be configured");
-        #[allow(clippy::needless_range_loop)] // i indexes both nodes and path, offset
-        for i in 1..nodes.len() - 1 {
-            let din = self.degree_for(nodes[i], plan.path[i - 1]);
-            let dout = self.degree_for(nodes[i], plan.path[i]);
+        let mut node = from;
+        for hop in plan.path.windows(2) {
+            node = self.net.fiber(hop[0]).other_end(node);
+            let din = self.degree_for(node, hop[0]);
+            let dout = self.degree_for(node, hop[1]);
             self.net
-                .roadm_mut(nodes[i])
+                .roadm_mut(node)
                 .disconnect_express(plan.lambda, din, dout)
                 .expect("claimed plan must be configured");
         }
+        let end = self
+            .net
+            .fiber(plan.path[plan.path.len() - 1])
+            .other_end(node);
         let (_, dst_port) = self.net.ot_port(plan.ot_dst);
         self.net
-            .roadm_mut(*nodes.last().unwrap())
+            .roadm_mut(end)
             .disconnect_add_drop(dst_port)
             .expect("claimed plan must be configured");
         self.net.transponder_mut(plan.ot_src).release();

@@ -735,10 +735,11 @@ impl Wal {
     }
 
     /// The pre-optimization append path, kept as the oracle the zero-copy
-    /// path is tested against and the honest "before" side of
-    /// `repro bench-wal`: a fresh encoder per record, an intermediate
-    /// framed `Vec`, and the byte-at-a-time reference CRC. Byte-identical
-    /// output to [`Wal::append`] (never deferred by batches).
+    /// path is tested against and the baseline of the append speed floor
+    /// in `tests/speed_floors.rs`: a fresh encoder per record, an
+    /// intermediate framed `Vec`, and the byte-at-a-time reference CRC.
+    /// Byte-identical output to [`Wal::append`] (never deferred by
+    /// batches).
     pub fn append_reference(&mut self, at: SimTime, intent: &Intent) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;

@@ -20,10 +20,12 @@
 //!   shared-mesh backup planning, a link-disjoint second path is found by
 //!   pruning the first path's fibers and re-routing.
 //!
-//! The heavy lifting lives in [`PathEngine`]: epoch-stamped Dijkstra
-//! scratch buffers (no per-call allocation), heap-ranked hash-deduplicated
-//! Yen candidates, and a route cache invalidated for free by the
-//! network's [topology epoch](PhotonicNetwork::topology_epoch). The free
+//! The heavy lifting lives in [`PathEngine`]: a per-fiber weight table
+//! and a route cache, both invalidated for free by the network's
+//! [topology epoch](PhotonicNetwork::topology_epoch); epoch-stamped
+//! Dijkstra scratch buffers; and one reusable arena holding every Yen
+//! path as a span, deduplicated and excluded by scanning those spans. A
+//! warm engine allocates only what a call returns or caches. The free
 //! functions remain as thin wrappers for one-shot callers.
 
 use photonic::{
@@ -180,6 +182,81 @@ impl std::fmt::Display for RwaError {
 
 impl std::error::Error for RwaError {}
 
+/// `(length_km, metres)` of one fiber: metres is exactly
+/// `(length_km * 1000.0) as u64`, or [`DOWN`] for a fiber that is not up.
+type FiberWeight = (f64, u64);
+
+/// The metres of a fiber that cannot carry traffic.
+const DOWN: u64 = u64::MAX;
+
+/// The engine's copy of every fiber's weight, so a Dijkstra relaxation
+/// reads one flat array instead of re-summing the fiber's spans. It is
+/// valid for the `(topology epoch, fiber count)` it was built at — the
+/// route cache's own validity rule, since every fiber mutation goes
+/// through `fiber_mut` or `link` and both bump the epoch.
+#[derive(Debug, Default)]
+struct FiberWeights {
+    built_for: Option<(u64, usize)>,
+    weights: Vec<FiberWeight>,
+    builds: u64,
+}
+
+impl FiberWeights {
+    /// Rebuild the table if `net` has moved on since it was built.
+    fn refresh(&mut self, net: &PhotonicNetwork) -> &[FiberWeight] {
+        let key = (net.topology_epoch(), net.fiber_count());
+        if self.built_for != Some(key) {
+            self.weights.clear();
+            self.weights.extend(net.fiber_ids().map(|f| {
+                let link = net.fiber(f);
+                let km = link.length_km();
+                let metres = if link.is_up() {
+                    (km * 1000.0) as u64
+                } else {
+                    DOWN
+                };
+                (km, metres)
+            }));
+            self.built_for = Some(key);
+            self.builds += 1;
+        }
+        &self.weights
+    }
+}
+
+/// What one search reads: the plant's adjacency, the weight table and the
+/// optional region restriction.
+struct Graph<'a> {
+    net: &'a PhotonicNetwork,
+    weights: &'a [FiberWeight],
+    allowed: RegionFilter<'a>,
+}
+
+impl<'a> Graph<'a> {
+    /// The graph for a `from → to` query, refreshing the weight table
+    /// first and restricting the search to the endpoint regions plus the
+    /// backbone when a partition is installed.
+    fn over(
+        net: &'a PhotonicNetwork,
+        weights: &'a mut FiberWeights,
+        map: Option<&'a RegionMap>,
+        from: RoadmId,
+        to: RoadmId,
+    ) -> Graph<'a> {
+        Graph {
+            net,
+            weights: weights.refresh(net),
+            allowed: map.map(|m| (m, m.region(from), m.region(to))),
+        }
+    }
+
+    /// Route kilometres of `path`, summed left to right as
+    /// [`PhotonicNetwork::path_km`] sums them.
+    fn path_km(&self, path: &[FiberId]) -> f64 {
+        path.iter().map(|f| self.weights[f.index()].0).sum()
+    }
+}
+
 /// Reusable Dijkstra state: distance/predecessor arrays indexed by node,
 /// exclusion marks indexed by node/fiber, and the frontier heap. Validity
 /// is tracked by an epoch *stamp* — a slot is live only if its stamp
@@ -208,21 +285,21 @@ type RegionFilter<'a> = Option<(&'a RegionMap, u16, u16)>;
 
 impl DijkstraScratch {
     /// Dijkstra by km over up fibers, with exclusion sets and an optional
-    /// region restriction. Returns the fiber sequence. Distances use
-    /// integer metres for exact `Ord`.
+    /// region restriction. Appends the fiber sequence to `out` and returns
+    /// whether a path exists. Distances use integer metres for exact `Ord`.
     fn shortest_path(
         &mut self,
-        net: &PhotonicNetwork,
+        g: &Graph<'_>,
         from: RoadmId,
         to: RoadmId,
         excluded_fibers: &[FiberId],
         excluded_nodes: &[RoadmId],
-        allowed: RegionFilter<'_>,
-    ) -> Option<Vec<FiberId>> {
+        out: &mut Vec<FiberId>,
+    ) -> bool {
         use std::cmp::Reverse;
 
-        let nodes = net.roadm_count();
-        let fibers = net.fiber_count();
+        let nodes = g.net.roadm_count();
+        let fibers = g.net.fiber_count();
         if self.dist.len() < nodes {
             self.dist.resize(nodes, 0);
             self.dist_stamp.resize(nodes, 0);
@@ -252,19 +329,20 @@ impl DijkstraScratch {
             if self.dist_stamp[n.index()] == stamp && self.dist[n.index()] < d {
                 continue; // stale heap entry
             }
-            for &(fid, m) in net.neighbors(n) {
-                if self.fiber_excluded[fid.index()] == stamp
+            for &(fid, m) in g.net.neighbors(n) {
+                let metres = g.weights[fid.index()].1;
+                if metres == DOWN
+                    || self.fiber_excluded[fid.index()] == stamp
                     || self.node_excluded[m.index()] == stamp
-                    || !net.fiber(fid).is_up()
                 {
                     continue;
                 }
-                if let Some((map, ra, rb)) = allowed {
+                if let Some((map, ra, rb)) = g.allowed {
                     if !map.admits(m, ra, rb) {
                         continue;
                     }
                 }
-                let nd = d + (net.fiber(fid).length_km() * 1000.0) as u64;
+                let nd = d + metres;
                 let mi = m.index();
                 if self.dist_stamp[mi] != stamp || nd < self.dist[mi] {
                     self.dist[mi] = nd;
@@ -276,17 +354,165 @@ impl DijkstraScratch {
             }
         }
         if self.prev_stamp[to.index()] != stamp && from != to {
-            return None;
+            return false;
         }
-        let mut path = Vec::new();
+        let base = out.len();
         let mut cur = to;
         while cur != from {
             let (p, f) = self.prev[cur.index()];
-            path.push(f);
+            out.push(f);
             cur = p;
         }
-        path.reverse();
-        Some(path)
+        out[base..].reverse();
+        true
+    }
+}
+
+/// `(offset, len)` of one path inside a path buffer.
+type Span = (u32, u32);
+
+/// The fibers of the path at `span` in `buf`.
+fn at(buf: &[FiberId], (off, len): Span) -> &[FiberId] {
+    &buf[off as usize..(off + len) as usize]
+}
+
+/// A borrowed, ordered list of paths laid out as spans of one buffer: a
+/// cache entry, or what the last search left in the arena.
+#[derive(Clone, Copy)]
+struct Paths<'a> {
+    buf: &'a [FiberId],
+    spans: &'a [Span],
+}
+
+impl<'a> Paths<'a> {
+    fn iter(self) -> impl Iterator<Item = &'a [FiberId]> + Clone {
+        self.spans.iter().map(move |&s| at(self.buf, s))
+    }
+
+    fn to_vecs(self) -> Vec<Vec<FiberId>> {
+        self.iter().map(<[FiberId]>::to_vec).collect()
+    }
+}
+
+/// Yen's working set, reused across searches. Every path the current
+/// search generated — the first, each accepted one and every candidate —
+/// lives in `arena` as a [`Span`], so neither a search nor its result
+/// allocates once the vectors have grown.
+#[derive(Debug, Default)]
+struct Search {
+    dijkstra: DijkstraScratch,
+    arena: Vec<FiberId>,
+    /// Every path generated so far, accepted or still a candidate.
+    generated: Vec<Span>,
+    /// The result, in acceptance order.
+    accepted: Vec<Span>,
+    /// `(metres, span)` of the candidates not yet accepted.
+    candidates: Vec<(u64, Span)>,
+    excluded_fibers: Vec<FiberId>,
+    /// The nodes of the current root, source first.
+    root_nodes: Vec<RoadmId>,
+}
+
+impl Search {
+    fn paths(&self) -> Paths<'_> {
+        Paths {
+            buf: &self.arena,
+            spans: &self.accepted,
+        }
+    }
+
+    /// Yen's k-shortest-paths proper: spur paths are generated off each
+    /// accepted path and ranked by `(metres, hops, fiber sequence)`. A spur
+    /// avoids the next fiber of every generated path sharing its root, so
+    /// it never regenerates one; the dedup scan below only confirms that.
+    fn yen(&mut self, g: &Graph<'_>, from: RoadmId, to: RoadmId, k: usize) -> Paths<'_> {
+        let Search {
+            dijkstra,
+            arena,
+            generated,
+            accepted,
+            candidates,
+            excluded_fibers,
+            root_nodes,
+        } = self;
+        arena.clear();
+        generated.clear();
+        accepted.clear();
+        candidates.clear();
+        if dijkstra.shortest_path(g, from, to, &[], &[], arena) {
+            let first = (0, arena.len() as u32);
+            generated.push(first);
+            accepted.push(first);
+        }
+        while accepted.len() < k {
+            let Some(&(last_off, hops)) = accepted.last() else {
+                break;
+            };
+            let last = last_off as usize;
+            root_nodes.clear();
+            let mut spur_node = from;
+            for spur_idx in 0..hops as usize {
+                let root = last..last + spur_idx;
+                // Exclude fibers that would regenerate a known path from
+                // this root.
+                excluded_fibers.clear();
+                for &(off, len) in generated.iter() {
+                    let off = off as usize;
+                    if len as usize > spur_idx && arena[off..off + spur_idx] == arena[root.clone()]
+                    {
+                        excluded_fibers.push(arena[off + spur_idx]);
+                    }
+                }
+                // Root then spur, appended in place; root nodes are
+                // excluded to keep paths loop-free.
+                let start = arena.len();
+                arena.extend_from_within(root);
+                let found =
+                    dijkstra.shortest_path(g, spur_node, to, excluded_fibers, root_nodes, arena);
+                let total = (start as u32, (arena.len() - start) as u32);
+                if found && !generated.iter().any(|&s| at(arena, s) == at(arena, total)) {
+                    let metres = (g.path_km(at(arena, total)) * 1000.0) as u64;
+                    generated.push(total);
+                    candidates.push((metres, total));
+                } else {
+                    arena.truncate(start);
+                }
+                root_nodes.push(spur_node);
+                spur_node = g.net.fiber(arena[last + spur_idx]).other_end(spur_node);
+            }
+            // Shortest candidate next (by km, then hop count, then fiber
+            // sequence for a total deterministic order).
+            let best = (0..candidates.len()).min_by(|&i, &j| {
+                let ((mi, si), (mj, sj)) = (candidates[i], candidates[j]);
+                (mi, si.1)
+                    .cmp(&(mj, sj.1))
+                    .then_with(|| at(arena, si).cmp(at(arena, sj)))
+            });
+            match best {
+                Some(i) => accepted.push(candidates.swap_remove(i).1),
+                None => break,
+            }
+        }
+        self.paths()
+    }
+
+    /// The shortest path avoiding `excluded`, as a one-path result.
+    fn avoiding(
+        &mut self,
+        g: &Graph<'_>,
+        from: RoadmId,
+        to: RoadmId,
+        excluded: &[FiberId],
+    ) -> Paths<'_> {
+        self.arena.clear();
+        self.accepted.clear();
+        if self
+            .dijkstra
+            .shortest_path(g, from, to, excluded, &[], &mut self.arena)
+        {
+            self.accepted.push((0, self.arena.len() as u32));
+        }
+        self.paths()
     }
 }
 
@@ -320,19 +546,79 @@ impl Default for RwaConfig {
     }
 }
 
-/// The path-computation engine: reusable Dijkstra scratch plus a route
-/// cache keyed by `(src, dst, k)` and validated against the network's
-/// [topology epoch](PhotonicNetwork::topology_epoch). A cached entry is
-/// served only while the epoch is unchanged, so invalidation is free and
-/// results are bit-identical with the cache on or off.
+/// The path-computation engine: a per-fiber weight table, reusable search
+/// scratch, and a route cache keyed by `(src, dst, k)`. The table and the
+/// cache are both validated against the network's
+/// [topology epoch](PhotonicNetwork::topology_epoch), so invalidation is
+/// free and results are bit-identical with the cache on or off. One
+/// engine serves one plant: two plants built by the same call sequence
+/// share epochs.
 ///
 /// The free functions [`k_shortest_paths`], [`plan_wavelength`] and
 /// [`disjoint_pair`] construct a throwaway engine per call; long-lived
-/// callers (the controller) own one and amortise both the scratch buffers
-/// and the cache across requests.
+/// callers (the controller) own one and amortise the table, the scratch
+/// buffers and the cache across requests.
+#[derive(Default)]
 pub struct PathEngine {
-    scratch: DijkstraScratch,
-    cache: std::collections::HashMap<(RoadmId, RoadmId, usize), CacheEntry>,
+    weights: FiberWeights,
+    search: Search,
+    cache: RouteCache,
+    /// Regens picked for the candidate under evaluation.
+    regens: Vec<RegenId>,
+    /// Installed (validated) region partition, if any.
+    region_map: Option<RegionMap>,
+}
+
+impl std::fmt::Debug for PathEngine {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PathEngine")
+            .field("cache", &self.cache)
+            .field("weight_table_builds", &self.weights.builds)
+            .field("region_map", &self.region_map.is_some())
+            .finish_non_exhaustive()
+    }
+}
+
+type RouteKey = (RoadmId, RoadmId, usize);
+
+/// One cached query: its paths laid end to end in one buffer.
+struct CacheEntry {
+    epoch: u64,
+    last_used: u64,
+    buf: Box<[FiberId]>,
+    spans: Box<[Span]>,
+}
+
+impl CacheEntry {
+    fn new(epoch: u64, last_used: u64, paths: Paths<'_>) -> CacheEntry {
+        let mut buf = Vec::with_capacity(paths.iter().map(<[FiberId]>::len).sum());
+        let spans = paths
+            .iter()
+            .map(|p| {
+                let off = buf.len() as u32;
+                buf.extend_from_slice(p);
+                (off, p.len() as u32)
+            })
+            .collect();
+        CacheEntry {
+            epoch,
+            last_used,
+            buf: buf.into_boxed_slice(),
+            spans,
+        }
+    }
+
+    fn paths(&self) -> Paths<'_> {
+        Paths {
+            buf: &self.buf,
+            spans: &self.spans,
+        }
+    }
+}
+
+/// The route cache with its LRU clock, bound and counters.
+struct RouteCache {
+    map: std::collections::HashMap<RouteKey, CacheEntry>,
     /// Monotonic access counter; every cache touch stamps the entry, so
     /// LRU eviction has a deterministic total order regardless of hash
     /// iteration order.
@@ -341,43 +627,190 @@ pub struct PathEngine {
     hits: u64,
     misses: u64,
     evictions: u64,
-    /// Installed (validated) region partition, if any.
-    region_map: Option<RegionMap>,
 }
 
-impl Default for PathEngine {
+impl Default for RouteCache {
     fn default() -> Self {
-        PathEngine {
-            scratch: DijkstraScratch::default(),
-            cache: std::collections::HashMap::new(),
+        RouteCache {
+            map: std::collections::HashMap::new(),
             tick: 0,
             capacity: RwaConfig::default().route_cache_capacity,
             hits: 0,
             misses: 0,
             evictions: 0,
-            region_map: None,
         }
     }
 }
 
-impl std::fmt::Debug for PathEngine {
+impl std::fmt::Debug for RouteCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PathEngine")
-            .field("cache_entries", &self.cache.len())
+        f.debug_struct("RouteCache")
+            .field("entries", &self.map.len())
             .field("capacity", &self.capacity)
             .field("hits", &self.hits)
             .field("misses", &self.misses)
             .field("evictions", &self.evictions)
-            .field("region_map", &self.region_map.is_some())
             .finish_non_exhaustive()
     }
 }
 
-#[derive(Debug)]
-struct CacheEntry {
-    epoch: u64,
-    last_used: u64,
-    paths: Vec<Vec<FiberId>>,
+impl RouteCache {
+    /// The paths cached for `key` at `epoch`, or else the ones `search`
+    /// finds, cached first.
+    fn get_or_search<'a>(
+        &mut self,
+        key: RouteKey,
+        epoch: u64,
+        search: impl FnOnce() -> Paths<'a>,
+    ) -> Paths<'_> {
+        use std::collections::hash_map::Entry;
+
+        self.tick += 1;
+        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
+            self.evict_to_fit(epoch);
+        }
+        let tick = self.tick;
+        match self.map.entry(key) {
+            Entry::Occupied(o) if o.get().epoch == epoch => {
+                self.hits += 1;
+                let e = o.into_mut();
+                e.last_used = tick;
+                e.paths()
+            }
+            entry => {
+                self.misses += 1;
+                let fresh = CacheEntry::new(epoch, tick, search());
+                match entry {
+                    Entry::Occupied(o) => {
+                        let e = o.into_mut();
+                        *e = fresh;
+                        e.paths()
+                    }
+                    Entry::Vacant(v) => v.insert(fresh).paths(),
+                }
+            }
+        }
+    }
+
+    /// Evict least-recently-used entries (stale-epoch entries first) so
+    /// at least one slot is free; evicts in batches of ⅛ capacity so the
+    /// O(entries) selection scan amortises across insertions.
+    fn evict_to_fit(&mut self, current_epoch: u64) {
+        let target = self.capacity.saturating_sub(self.capacity / 8).max(1) - 1;
+        if self.map.len() <= target {
+            return;
+        }
+        let mut victims: Vec<(bool, u64, RouteKey)> = self
+            .map
+            .iter()
+            .map(|(k, e)| (e.epoch == current_epoch, e.last_used, *k))
+            .collect();
+        // Stale entries first (`false < true`), then oldest tick. Ticks
+        // are unique, so the order — and therefore the evicted set — is
+        // deterministic regardless of hash iteration order.
+        victims.sort_unstable();
+        for (_, _, k) in victims.iter().take(self.map.len() - target) {
+            self.map.remove(k);
+            self.evictions += 1;
+        }
+    }
+}
+
+/// Up to `k` paths from `from` to `to`: from the cache when `use_cache`
+/// holds and the entry is current, else from a fresh Yen search.
+fn routes<'a>(
+    search: &'a mut Search,
+    cache: &'a mut RouteCache,
+    g: &Graph<'_>,
+    from: RoadmId,
+    to: RoadmId,
+    k: usize,
+    use_cache: bool,
+) -> Paths<'a> {
+    if !use_cache {
+        return search.yen(g, from, to, k);
+    }
+    cache.get_or_search((from, to, k), g.net.topology_epoch(), || {
+        search.yen(g, from, to, k)
+    })
+}
+
+/// Is `path`, walked from `from`, free of repeated nodes?
+fn is_loop_free(net: &PhotonicNetwork, from: RoadmId, path: &[FiberId]) -> bool {
+    let mut a = from;
+    for (i, fa) in path.iter().enumerate() {
+        let mut b = a;
+        for fb in &path[i..] {
+            b = net.fiber(*fb).other_end(b);
+            if b == a {
+                return false;
+            }
+        }
+        a = net.fiber(*fa).other_end(a);
+    }
+    true
+}
+
+/// The first of `paths` that passes wavelength, transponder, reach and
+/// regen checks, as a plan. Only the chosen path is copied.
+fn choose(
+    g: &Graph<'_>,
+    cfg: &RwaConfig,
+    from: RoadmId,
+    to: RoadmId,
+    rate: LineRate,
+    paths: Paths<'_>,
+    regens: &mut Vec<RegenId>,
+) -> Result<WavelengthPlan, RwaError> {
+    let net = g.net;
+    let candidates = paths.iter().filter(|p| !p.is_empty());
+    let examined = candidates.clone().count();
+    if examined == 0 {
+        return Err(RwaError::NoRoute);
+    }
+    // Transponders at both ends: the same for every candidate.
+    let (Some(ot_src), Some(ot_dst)) = (
+        net.first_idle_ot_at(from, rate),
+        net.first_idle_ot_at(to, rate),
+    ) else {
+        return Err(RwaError::Blocked {
+            candidates: examined,
+        });
+    };
+    for path in candidates {
+        debug_assert!(is_loop_free(net, from, path), "loop in {path:?}");
+        // Wavelength continuity.
+        let Some(lambda) = net.first_free_lambda(path) else {
+            continue;
+        };
+        // Reach: the first free regen at every node the reach model
+        // names. A loop-free path names each node at most once.
+        regens.clear();
+        let (mut node, mut walked) = (from, 0);
+        let hop_km = path.iter().map(|f| g.weights[f.index()].0);
+        let placed = cfg.reach.place_regens(rate, hop_km, |p| {
+            for f in &path[walked..=p] {
+                node = net.fiber(*f).other_end(node);
+            }
+            walked = p + 1;
+            net.first_free_regen_at(node, rate)
+                .map(|r| regens.push(r))
+                .is_some()
+        });
+        if !placed {
+            continue;
+        }
+        return Ok(WavelengthPlan {
+            path: path.to_vec(),
+            lambda,
+            ot_src,
+            ot_dst,
+            regens: regens.clone(),
+        });
+    }
+    Err(RwaError::Blocked {
+        candidates: examined,
+    })
 }
 
 /// Route-cache occupancy and traffic counters.
@@ -415,18 +848,24 @@ impl PathEngine {
 
     /// `(cache hits, cache misses)` since construction.
     pub fn cache_stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+        (self.cache.hits, self.cache.misses)
     }
 
     /// Full route-cache counters (hits, misses, evictions, occupancy).
     pub fn route_cache_stats(&self) -> RouteCacheStats {
         RouteCacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            entries: self.cache.len(),
-            capacity: self.capacity,
+            hits: self.cache.hits,
+            misses: self.cache.misses,
+            evictions: self.cache.evictions,
+            entries: self.cache.map.len(),
+            capacity: self.cache.capacity,
         }
+    }
+
+    /// How many times the per-fiber weight table has been (re)built: once
+    /// per topology epoch the engine has planned at.
+    pub fn weight_table_builds(&self) -> u64 {
+        self.weights.builds
     }
 
     /// Publish the route-cache counters into a metrics family registry
@@ -450,11 +889,11 @@ impl PathEngine {
     /// Bound the route cache to `capacity` resident entries (evicts
     /// immediately if already above the new bound).
     pub fn set_cache_capacity(&mut self, capacity: usize) {
-        self.capacity = capacity.max(1);
-        if self.cache.len() > self.capacity {
+        self.cache.capacity = capacity.max(1);
+        if self.cache.map.len() > self.cache.capacity {
             // No live epoch in hand: treat every entry as current and
             // evict purely by recency.
-            self.evict_to_fit(u64::MAX);
+            self.cache.evict_to_fit(u64::MAX);
         }
     }
 
@@ -477,37 +916,17 @@ impl PathEngine {
         self.region_map.as_ref()
     }
 
-    /// A cold twin: empty scratch and cache, same capacity bound and
-    /// region partition. What controller fork/failover uses — derived
+    /// A cold twin: empty table, scratch and cache, same capacity bound
+    /// and region partition. What controller fork/failover uses — derived
     /// engine state is rebuilt on demand, configuration carries over.
     pub fn fresh_like(&self) -> PathEngine {
         PathEngine {
-            capacity: self.capacity,
+            cache: RouteCache {
+                capacity: self.cache.capacity,
+                ..RouteCache::default()
+            },
             region_map: self.region_map.clone(),
             ..PathEngine::default()
-        }
-    }
-
-    /// Evict least-recently-used entries (stale-epoch entries first) so
-    /// at least one slot is free; evicts in batches of ⅛ capacity so the
-    /// O(entries) selection scan amortises across insertions.
-    fn evict_to_fit(&mut self, current_epoch: u64) {
-        let target = self.capacity.saturating_sub(self.capacity / 8).max(1) - 1;
-        if self.cache.len() <= target {
-            return;
-        }
-        let mut victims: Vec<(bool, u64, (RoadmId, RoadmId, usize))> = self
-            .cache
-            .iter()
-            .map(|(k, e)| (e.epoch == current_epoch, e.last_used, *k))
-            .collect();
-        // Stale entries first (`false < true`), then oldest tick. Ticks
-        // are unique, so the order — and therefore the evicted set — is
-        // deterministic regardless of hash iteration order.
-        victims.sort_unstable();
-        for (_, _, k) in victims.iter().take(self.cache.len() - target) {
-            self.cache.remove(k);
-            self.evictions += 1;
         }
     }
 
@@ -521,108 +940,17 @@ impl PathEngine {
         k: usize,
         use_cache: bool,
     ) -> Vec<Vec<FiberId>> {
-        if !use_cache {
-            return self.yen(net, from, to, k);
-        }
-        let epoch = net.topology_epoch();
-        self.tick += 1;
-        if let Some(e) = self.cache.get_mut(&(from, to, k)) {
-            if e.epoch == epoch {
-                e.last_used = self.tick;
-                self.hits += 1;
-                return e.paths.clone();
-            }
-        }
-        self.misses += 1;
-        let paths = self.yen(net, from, to, k);
-        if self.cache.len() >= self.capacity && !self.cache.contains_key(&(from, to, k)) {
-            self.evict_to_fit(epoch);
-        }
-        self.cache.insert(
-            (from, to, k),
-            CacheEntry {
-                epoch,
-                last_used: self.tick,
-                paths: paths.clone(),
-            },
-        );
-        paths
-    }
-
-    /// Yen's k-shortest-paths proper: spur paths are generated off each
-    /// accepted path, deduplicated through a hash set, and ranked in a
-    /// min-heap by `(metres, hops, fiber sequence)` — no linear
-    /// membership scans, no re-sorting per iteration.
-    fn yen(
-        &mut self,
-        net: &PhotonicNetwork,
-        from: RoadmId,
-        to: RoadmId,
-        k: usize,
-    ) -> Vec<Vec<FiberId>> {
-        use std::cmp::Reverse;
-        use std::collections::{BinaryHeap, HashSet};
-
-        // Restrict the search to the endpoint regions + backbone when a
-        // partition is installed (field access keeps the borrow disjoint
-        // from the scratch buffers).
-        let allowed: RegionFilter<'_> = self
-            .region_map
-            .as_ref()
-            .map(|m| (m, m.region(from), m.region(to)));
-        let mut result: Vec<Vec<FiberId>> = Vec::new();
-        let Some(first) = self.scratch.shortest_path(net, from, to, &[], &[], allowed) else {
-            return result;
-        };
-        // Every path ever generated (accepted or still a candidate):
-        // spur-fiber exclusion consults it, and membership checks are O(1).
-        let mut seen: HashSet<Vec<FiberId>> = HashSet::new();
-        seen.insert(first.clone());
-        result.push(first);
-        let mut candidates: BinaryHeap<Reverse<(u64, usize, Vec<FiberId>)>> = BinaryHeap::new();
-        let mut excluded_fibers: Vec<FiberId> = Vec::new();
-        while result.len() < k {
-            let last = result.last().unwrap().clone();
-            let last_nodes = net.node_sequence(from, &last);
-            for spur_idx in 0..last.len() {
-                let spur_node = last_nodes[spur_idx];
-                let root = &last[..spur_idx];
-                // Exclude fibers that would regenerate a known path from
-                // this root. (Set iteration order varies, but exclusion is
-                // by membership, so the outcome is deterministic.)
-                excluded_fibers.clear();
-                for p in &seen {
-                    if p.len() > spur_idx && p[..spur_idx] == *root {
-                        excluded_fibers.push(p[spur_idx]);
-                    }
-                }
-                // Exclude root nodes to keep paths loop-free.
-                let excluded_nodes = &last_nodes[..spur_idx];
-                if let Some(spur) = self.scratch.shortest_path(
-                    net,
-                    spur_node,
-                    to,
-                    &excluded_fibers,
-                    excluded_nodes,
-                    allowed,
-                ) {
-                    let mut total = root.to_vec();
-                    total.extend(spur);
-                    if !seen.contains(&total) {
-                        seen.insert(total.clone());
-                        let metres = (net.path_km(&total) * 1000.0) as u64;
-                        candidates.push(Reverse((metres, total.len(), total)));
-                    }
-                }
-            }
-            // Shortest candidate next (by km, then hop count, then fiber
-            // sequence for a total deterministic order).
-            match candidates.pop() {
-                Some(Reverse((_, _, path))) => result.push(path),
-                None => break,
-            }
-        }
-        result
+        let g = Graph::over(net, &mut self.weights, self.region_map.as_ref(), from, to);
+        routes(
+            &mut self.search,
+            &mut self.cache,
+            &g,
+            from,
+            to,
+            k,
+            use_cache,
+        )
+        .to_vecs()
     }
 
     /// Produce a provisionable plan for a wavelength connection of `rate`
@@ -640,77 +968,25 @@ impl PathEngine {
         rate: LineRate,
         excluded: &[FiberId],
     ) -> Result<WavelengthPlan, RwaError> {
-        let mut candidates = if excluded.is_empty() {
-            self.k_shortest_paths(net, from, to, cfg.k_paths, cfg.use_route_cache)
+        let g = Graph::over(net, &mut self.weights, self.region_map.as_ref(), from, to);
+        let paths = if excluded.is_empty() {
+            let (k, use_cache) = (cfg.k_paths, cfg.use_route_cache);
+            routes(
+                &mut self.search,
+                &mut self.cache,
+                &g,
+                from,
+                to,
+                k,
+                use_cache,
+            )
         } else {
             // Route around exclusions: prune then search. (Not cached —
             // the exclusion set is part of the query.) Exclusions only
             // remove edges, so the region restriction stays exact.
-            let allowed: RegionFilter<'_> = self
-                .region_map
-                .as_ref()
-                .map(|m| (m, m.region(from), m.region(to)));
-            match self
-                .scratch
-                .shortest_path(net, from, to, excluded, &[], allowed)
-            {
-                Some(p) => vec![p],
-                None => Vec::new(),
-            }
+            self.search.avoiding(&g, from, to, excluded)
         };
-        candidates.retain(|p| !p.is_empty());
-        if candidates.is_empty() {
-            return Err(RwaError::NoRoute);
-        }
-        let mut examined = 0;
-        for path in &candidates {
-            examined += 1;
-            // Wavelength continuity.
-            let Some(lambda) = net.first_free_lambda(path) else {
-                continue;
-            };
-            // Transponders at both ends.
-            let src_pool = net.idle_ots_at(from, rate);
-            let dst_pool = net.idle_ots_at(to, rate);
-            let (Some(ot_src), Some(ot_dst)) = (src_pool.first(), dst_pool.first()) else {
-                continue;
-            };
-            // Reach: insert regens where needed, if the pools allow.
-            let hop_km = net.hop_lengths(path);
-            let Some(points) = cfg.reach.regen_points(rate, &hop_km) else {
-                continue;
-            };
-            let nodes = net.node_sequence(from, path);
-            let mut regens = Vec::new();
-            let mut ok = true;
-            let mut used_at_node: std::collections::HashMap<RoadmId, usize> =
-                std::collections::HashMap::new();
-            for p in &points {
-                let node = nodes[p + 1];
-                let pool = net.free_regens_at(node, rate);
-                let used = used_at_node.entry(node).or_insert(0);
-                if *used < pool.len() {
-                    regens.push(pool[*used]);
-                    *used += 1;
-                } else {
-                    ok = false;
-                    break;
-                }
-            }
-            if !ok {
-                continue;
-            }
-            return Ok(WavelengthPlan {
-                path: path.clone(),
-                lambda,
-                ot_src: *ot_src,
-                ot_dst: *ot_dst,
-                regens,
-            });
-        }
-        Err(RwaError::Blocked {
-            candidates: examined,
-        })
+        choose(&g, cfg, from, to, rate, paths, &mut self.regens)
     }
 
     /// Find a link-disjoint pair of paths (working, protect) between two
@@ -721,17 +997,12 @@ impl PathEngine {
         from: RoadmId,
         to: RoadmId,
     ) -> Option<(Vec<FiberId>, Vec<FiberId>)> {
-        let allowed: RegionFilter<'_> = self
-            .region_map
-            .as_ref()
-            .map(|m| (m, m.region(from), m.region(to)));
-        let working = self
-            .scratch
-            .shortest_path(net, from, to, &[], &[], allowed)?;
-        let protect = self
-            .scratch
-            .shortest_path(net, from, to, &working, &[], allowed)?;
-        Some((working, protect))
+        let g = Graph::over(net, &mut self.weights, self.region_map.as_ref(), from, to);
+        let dijkstra = &mut self.search.dijkstra;
+        let (mut working, mut protect) = (Vec::new(), Vec::new());
+        (dijkstra.shortest_path(&g, from, to, &[], &[], &mut working)
+            && dijkstra.shortest_path(&g, from, to, &working, &[], &mut protect))
+        .then_some((working, protect))
     }
 }
 
@@ -784,11 +1055,8 @@ mod tests {
         assert_eq!(paths.len(), 3);
         assert_eq!(paths[0], vec![ids.f_i_iv]); // 80 km
         assert_eq!(paths[1].len(), 2); // I–III–IV, 160 km
-        assert_eq!(paths[2].len(), 3); // I–II–III–IV, 240 km
-        assert_eq!(
-            net.node_sequence(ids.i, &paths[2]),
-            vec![ids.i, ids.ii, ids.iii, ids.iv]
-        );
+                                       // I–II–III–IV, 240 km
+        assert_eq!(paths[2], vec![ids.f_i_ii, ids.f_ii_iii, ids.f_iii_iv]);
     }
 
     #[test]
@@ -883,10 +1151,16 @@ mod tests {
             "a coast-to-coast 40G path needs regens"
         );
         // Every claimed regen is at an intermediate node of the path.
-        let nodes = net.node_sequence(from, &plan.path);
+        let mut node = from;
+        let inner: Vec<RoadmId> = plan.path[..plan.path.len() - 1]
+            .iter()
+            .map(|f| {
+                node = net.fiber(*f).other_end(node);
+                node
+            })
+            .collect();
         for r in &plan.regens {
-            let loc = net.regen(*r).location;
-            assert!(nodes[1..nodes.len() - 1].contains(&loc));
+            assert!(inner.contains(&net.regen(*r).location));
         }
     }
 
@@ -940,6 +1214,30 @@ mod tests {
         assert_eq!(engine.cache_stats(), (1, 2));
         assert!(!c.iter().any(|p| p.contains(&ids.f_i_iv)));
         assert_eq!(c, k_shortest_paths(&net, ids.i, ids.iv, 3));
+    }
+
+    #[test]
+    fn weight_table_follows_the_topology_epoch() {
+        let (mut net, ids) = PhotonicNetwork::testbed(2);
+        let mut engine = PathEngine::new();
+        let before = engine.k_shortest_paths(&net, ids.i, ids.iv, 2, false);
+        assert_eq!(before[0], vec![ids.f_i_iv]);
+        engine.k_shortest_paths(&net, ids.i, ids.iii, 2, false);
+        assert_eq!(engine.weight_table_builds(), 1);
+        // A cut is seen without the cache's help.
+        net.fiber_mut(ids.f_i_iv).cut_at(0);
+        let after = engine.k_shortest_paths(&net, ids.i, ids.iv, 2, false);
+        assert_eq!(engine.weight_table_builds(), 2);
+        assert!(after.iter().all(|p| !p.contains(&ids.f_i_iv)));
+        assert_eq!(after, k_shortest_paths(&net, ids.i, ids.iv, 2));
+        // So is a new fiber.
+        let e = net.add_roadm("e");
+        net.link(ids.i, e, 5.0).unwrap();
+        net.link(e, ids.iv, 5.0).unwrap();
+        let detour = engine.k_shortest_paths(&net, ids.i, ids.iv, 1, false);
+        assert_eq!(detour[0].len(), 2);
+        assert_eq!(engine.weight_table_builds(), 3);
+        assert_eq!(engine.fresh_like().weight_table_builds(), 0);
     }
 
     #[test]

@@ -66,22 +66,41 @@ impl ReachModel {
     /// placement can fix a too-long hop — the link itself is unusable at
     /// this rate).
     pub fn regen_points(&self, rate: LineRate, hop_km: &[f64]) -> Option<Vec<usize>> {
-        let budget = self.reach_km(rate);
         let mut points = Vec::new();
+        let feasible = self.place_regens(rate, hop_km.iter().copied(), |i| {
+            points.push(i);
+            true
+        });
+        feasible.then_some(points)
+    }
+
+    /// [`ReachModel::regen_points`] without the vector: `place(i)` is
+    /// called for each regen point `i` in path order, and a `false` from
+    /// it stops the walk. Returns whether every hop is within reach and
+    /// every placement succeeded.
+    pub fn place_regens(
+        &self,
+        rate: LineRate,
+        hop_km: impl IntoIterator<Item = f64>,
+        mut place: impl FnMut(usize) -> bool,
+    ) -> bool {
+        let budget = self.reach_km(rate);
         let mut acc = 0.0;
-        for (i, km) in hop_km.iter().enumerate() {
-            if *km > budget {
-                return None;
+        for (i, km) in hop_km.into_iter().enumerate() {
+            if km > budget {
+                return false;
             }
             if acc + km > budget {
                 // regen at the node before this hop
-                points.push(i - 1);
-                acc = *km;
+                if !place(i - 1) {
+                    return false;
+                }
+                acc = km;
             } else {
                 acc += km;
             }
         }
-        Some(points)
+        true
     }
 }
 

@@ -445,14 +445,10 @@ impl PhotonicNetwork {
         nodes
     }
 
-    /// Per-hop lengths (km) of a fiber path.
-    pub fn hop_lengths(&self, path: &[FiberId]) -> Vec<f64> {
-        path.iter().map(|f| self.fiber(*f).length_km()).collect()
-    }
-
-    /// Total length (km) of a fiber path.
+    /// Total length (km) of a fiber path, summed hop by hop from the
+    /// first fiber.
     pub fn path_km(&self, path: &[FiberId]) -> f64 {
-        self.hop_lengths(path).iter().sum()
+        path.iter().map(|f| self.fiber(*f).length_km()).sum()
     }
 
     /// Free-channel bitmask of fiber `f`: bit *i* set ⇔ channel *i* is
@@ -521,27 +517,43 @@ impl PhotonicNetwork {
     /// pool), not O(all transponders), which matters once plants reach
     /// hundreds of nodes.
     pub fn idle_ots_at(&self, node: RoadmId, rate: LineRate) -> Vec<TransponderId> {
+        self.idle_ots(node, rate).collect()
+    }
+
+    /// The first of [`PhotonicNetwork::idle_ots_at`], without collecting.
+    pub fn first_idle_ot_at(&self, node: RoadmId, rate: LineRate) -> Option<TransponderId> {
+        self.idle_ots(node, rate).next()
+    }
+
+    fn idle_ots(&self, node: RoadmId, rate: LineRate) -> impl Iterator<Item = TransponderId> + '_ {
         self.ots_by_node[node.index()]
             .iter()
             .copied()
-            .filter(|&id| {
+            .filter(move |&id| {
                 let t = &self.transponders[id.index()];
                 t.rate == rate && t.is_idle()
             })
-            .collect()
     }
 
     /// Free regens of `rate` at `node` (per-node index; see
     /// [`PhotonicNetwork::idle_ots_at`] for the ordering argument).
     pub fn free_regens_at(&self, node: RoadmId, rate: LineRate) -> Vec<RegenId> {
+        self.free_regens(node, rate).collect()
+    }
+
+    /// The first of [`PhotonicNetwork::free_regens_at`], without collecting.
+    pub fn first_free_regen_at(&self, node: RoadmId, rate: LineRate) -> Option<RegenId> {
+        self.free_regens(node, rate).next()
+    }
+
+    fn free_regens(&self, node: RoadmId, rate: LineRate) -> impl Iterator<Item = RegenId> + '_ {
         self.regens_by_node[node.index()]
             .iter()
             .copied()
-            .filter(|&id| {
+            .filter(move |&id| {
                 let r = &self.regens[id.index()];
                 r.rate == rate && !r.in_use
             })
-            .collect()
     }
 
     /// Fewest-hops path between two nodes over *up* fibers (BFS). The RWA

@@ -102,8 +102,8 @@ pub fn crc32c(data: &[u8]) -> u32 {
 }
 
 /// The original byte-at-a-time CRC-32C — kept as the oracle the
-/// slice-by-32 kernel is property-tested against, and as the honest
-/// "before" side of the `repro bench-wal` comparison.
+/// slice-by-32 kernel is property-tested against, and as the baseline of
+/// the CRC speed floor in `tests/speed_floors.rs`.
 pub fn crc32c_reference(data: &[u8]) -> u32 {
     let table = &crc32c_tables()[0];
     let mut crc = !0u32;

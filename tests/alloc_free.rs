@@ -5,7 +5,8 @@
 //! same holds one layer down: a warm event kernel schedules, cancels and
 //! pops without allocating, and what `ApiServer::run` allocates does not
 //! depend on how many requests it is offered (DESIGN.md §8 "Scheduler
-//! liveness", §16 "The run loop").
+//! liveness", §16 "The run loop"). A warm path engine allocates only what
+//! it returns or caches (DESIGN.md §7).
 //!
 //! This file is its own test binary so that it can install a counting
 //! global allocator. Counts are per thread: the test harness runs tests
@@ -14,9 +15,10 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+use griphon::rwa::{PathEngine, RegionMap, RwaConfig};
 use griphon::{Controller, ControllerConfig, SloEngine, SloSpec};
 use northbound::{build_testbed, ApiServer, Request, ServerConfig, TenantDirectory};
-use photonic::{generate, GeneratorConfig};
+use photonic::{generate, GeneratedPlant, GeneratorConfig, LineRate, RoadmId};
 use simcore::{FamilyRegistry, MetricsRegistry, Scheduler, SimDuration, SimTime};
 
 thread_local! {
@@ -219,4 +221,88 @@ fn run_allocations_do_not_grow_with_the_request_count() {
         allocs
     };
     assert_eq!(allocs_for(10_000), allocs_for(100_000));
+}
+
+/// A 100-ROADM plant, an engine planning over it with the region map
+/// installed, and interior endpoints in plant order (cross-region pairs
+/// are the long ones).
+fn planner() -> (GeneratedPlant, PathEngine, Vec<RoadmId>) {
+    let plant = generate(&GeneratorConfig::with_target_roadms(100, 7));
+    let mut engine = PathEngine::new();
+    engine
+        .install_region_map(&plant.net, RegionMap::new(plant.region_of.clone()))
+        .unwrap();
+    let nodes = plant.interior.iter().flatten().copied().collect();
+    (plant, engine, nodes)
+}
+
+#[test]
+fn route_cache_hits_allocate_only_the_plan() {
+    let (plant, mut engine, nodes) = planner();
+    let cfg = RwaConfig::default();
+    let (a, b) = (nodes[0], nodes[nodes.len() - 1]);
+    let plan =
+        |e: &mut PathEngine| e.plan_wavelength(&plant.net, &cfg, a, b, LineRate::Gbps10, &[]);
+    plan(&mut engine).unwrap();
+    let mut planned = None;
+    let allocs = allocs_during(|| planned = Some(plan(&mut engine)));
+    assert_eq!(engine.cache_stats(), (1, 1));
+    // The plan's path, and its regens if it needs any.
+    let plan = planned.unwrap().unwrap();
+    assert!(plan.hops() > 3, "a cross-region path");
+    assert!(allocs <= 2, "{allocs} allocations for a cache hit");
+}
+
+#[test]
+fn a_warm_miss_allocates_the_same_for_any_k() {
+    let (plant, mut engine, nodes) = planner();
+    let plan = |e: &mut PathEngine, a: RoadmId, b: RoadmId, k: usize| {
+        let cfg = RwaConfig {
+            k_paths: k,
+            ..RwaConfig::default()
+        };
+        e.plan_wavelength(&plant.net, &cfg, a, b, LineRate::Gbps10, &[])
+    };
+    // Warm-up: the arena, the Dijkstra scratch and the cache's table grow
+    // here. 40 entries leave the table room for two more.
+    let n = nodes.len();
+    for i in 0..20 {
+        for k in [4, 8] {
+            plan(&mut engine, nodes[i], nodes[n - 1 - i], k).unwrap();
+        }
+    }
+    let mut miss = |a, b, k| {
+        let mut hops = 0;
+        let allocs = allocs_during(|| hops = plan(&mut engine, a, b, k).unwrap().hops());
+        assert!(hops > 3, "a cross-region path");
+        allocs
+    };
+    let four = miss(nodes[20], nodes[n - 21], 4);
+    let eight = miss(nodes[21], nodes[n - 22], 8);
+    assert_eq!(engine.cache_stats(), (0, 42));
+    // The entry's path buffer and spans, the plan's path and its regens.
+    assert_eq!(four, eight, "a miss at k=8 allocates more than at k=4");
+    assert!(four <= 4, "{four} allocations for a warm miss");
+}
+
+#[test]
+fn queries_at_an_unchanged_epoch_never_rebuild_the_weight_table() {
+    let (mut plant, mut engine, nodes) = planner();
+    let cfg = RwaConfig::default();
+    let (a, b) = (nodes[0], nodes[nodes.len() - 1]);
+    for use_cache in [true, false] {
+        for _ in 0..3 {
+            engine.k_shortest_paths(&plant.net, a, b, 4, use_cache);
+            engine
+                .plan_wavelength(&plant.net, &cfg, a, b, LineRate::Gbps10, &[])
+                .unwrap();
+            engine.disjoint_pair(&plant.net, a, b);
+        }
+    }
+    assert_eq!(engine.weight_table_builds(), 1);
+    let first = engine.k_shortest_paths(&plant.net, a, b, 1, true)[0][0];
+    plant.net.fiber_mut(first).cut_at(0);
+    engine.k_shortest_paths(&plant.net, a, b, 1, true);
+    engine.k_shortest_paths(&plant.net, a, b, 1, false);
+    assert_eq!(engine.weight_table_builds(), 2);
 }
