@@ -29,6 +29,25 @@ pub(crate) fn grid_ceil(start: SimTime, at: SimTime, tick: SimDuration) -> SimTi
     start + tick * at.since(start).div_ceil(tick)
 }
 
+/// A pair's FIFO transfer queue as one decision tick drives it: the
+/// event engines' [`FifoQueue`] and the tick oracles' `PairRun` in
+/// [`crate::scheduler`].
+pub(crate) trait Queue {
+    /// Admit jobs created at or before `now` (relative time).
+    fn admit(&mut self, now: SimTime);
+    /// Give the full `rate` to the FIFO head for `dt`, handing the rest
+    /// of the window to its successor when the head finishes inside it.
+    fn advance_window(&mut self, now: SimTime, dt: SimDuration, rate: DataRate);
+    /// Bits queued but unfinished.
+    fn backlog(&self) -> DataSize;
+    /// The unfinished transfers, oldest first.
+    fn unfinished(&self) -> impl Iterator<Item = &Transfer>;
+    /// Every job admitted and finished.
+    fn all_done(&self) -> bool;
+    /// Every admitted transfer, in admission order.
+    fn transfers(&self) -> &[Transfer];
+}
+
 /// FIFO transfer queue with an exact fast-forward operation.
 ///
 /// Mirrors the tick engine's `PairRun` (sorted arrivals, head-of-line
@@ -38,7 +57,7 @@ pub(crate) fn grid_ceil(start: SimTime, at: SimTime, tick: SimDuration) -> SimTi
 /// ever receives bandwidth.
 pub(crate) struct FifoQueue {
     pending: Vec<BulkJob>,
-    pub(crate) transfers: Vec<Transfer>,
+    transfers: Vec<Transfer>,
     next_arrival: usize,
     head: usize,
     backlog: DataSize,
@@ -56,69 +75,14 @@ impl FifoQueue {
         }
     }
 
-    /// Admit jobs created at or before `now` (relative time).
-    pub(crate) fn admit(&mut self, now: SimTime) {
-        while self.next_arrival < self.pending.len()
-            && self.pending[self.next_arrival].created <= now
-        {
-            let job = self.pending[self.next_arrival].clone();
-            self.backlog += job.size;
-            self.transfers.push(Transfer::new(job));
-            self.next_arrival += 1;
-        }
-    }
-
     /// Creation time of the next not-yet-admitted job.
     pub(crate) fn next_arrival_time(&self) -> Option<SimTime> {
         self.pending.get(self.next_arrival).map(|j| j.created)
     }
 
-    /// Bits queued but unfinished. Maintained incrementally; integer
-    /// arithmetic, so identical to the tick engine's per-tick rescan.
-    pub(crate) fn backlog(&self) -> DataSize {
-        self.backlog
-    }
-
     /// True when at least one admitted transfer is unfinished.
     pub(crate) fn has_work(&self) -> bool {
         self.head < self.transfers.len()
-    }
-
-    pub(crate) fn all_done(&self) -> bool {
-        self.next_arrival == self.pending.len() && !self.has_work()
-    }
-
-    /// The unfinished transfers, oldest first.
-    pub(crate) fn unfinished(&self) -> impl Iterator<Item = &Transfer> {
-        self.transfers[self.head..].iter()
-    }
-
-    /// Give the full `rate` to the FIFO head for `dt`, splitting across
-    /// completions exactly like the tick engine does within one tick.
-    pub(crate) fn advance_window(&mut self, now: SimTime, dt: SimDuration, rate: DataRate) {
-        let mut t = now;
-        let end = now + dt;
-        while t < end {
-            let Some(head) = self.transfers.get_mut(self.head) else {
-                return;
-            };
-            let window = end.since(t);
-            let before = head.remaining;
-            head.advance(t, window, rate);
-            self.backlog -= before - head.remaining;
-            match head.completed {
-                Some(done_at) if done_at < end => {
-                    self.head += 1;
-                    t = done_at; // remainder of the tick goes to the next job
-                }
-                _ => {
-                    if head.is_done() {
-                        self.head += 1;
-                    }
-                    return;
-                }
-            }
-        }
     }
 
     /// Fast-forward `n` ticks of constant `rate` starting at `seg_start`
@@ -172,6 +136,65 @@ impl FifoQueue {
             i += 1;
         }
         None
+    }
+}
+
+impl Queue for FifoQueue {
+    fn admit(&mut self, now: SimTime) {
+        while self.next_arrival < self.pending.len()
+            && self.pending[self.next_arrival].created <= now
+        {
+            let job = self.pending[self.next_arrival].clone();
+            self.backlog += job.size;
+            self.transfers.push(Transfer::new(job));
+            self.next_arrival += 1;
+        }
+    }
+
+    /// Splits across completions exactly like the tick engine does
+    /// within one tick.
+    fn advance_window(&mut self, now: SimTime, dt: SimDuration, rate: DataRate) {
+        let mut t = now;
+        let end = now + dt;
+        while t < end {
+            let Some(head) = self.transfers.get_mut(self.head) else {
+                return;
+            };
+            let window = end.since(t);
+            let before = head.remaining;
+            head.advance(t, window, rate);
+            self.backlog -= before - head.remaining;
+            match head.completed {
+                Some(done_at) if done_at < end => {
+                    self.head += 1;
+                    t = done_at; // remainder of the tick goes to the next job
+                }
+                _ => {
+                    if head.is_done() {
+                        self.head += 1;
+                    }
+                    return;
+                }
+            }
+        }
+    }
+
+    /// Maintained incrementally; integer arithmetic, so identical to the
+    /// tick engine's per-tick rescan.
+    fn backlog(&self) -> DataSize {
+        self.backlog
+    }
+
+    fn unfinished(&self) -> impl Iterator<Item = &Transfer> {
+        self.transfers[self.head..].iter()
+    }
+
+    fn all_done(&self) -> bool {
+        self.next_arrival == self.pending.len() && !self.has_work()
+    }
+
+    fn transfers(&self) -> &[Transfer] {
+        &self.transfers
     }
 }
 

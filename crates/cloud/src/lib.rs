@@ -21,8 +21,9 @@
 //!   a statically-sized leased line, GRIPhoN BoD (request wavelengths
 //!   when a backlog builds, release when drained), and a
 //!   store-and-forward relay baseline in the spirit of NetStitcher.
-//!   Policies run event-driven (cost scales with state changes, not
-//!   horizon/tick) with the original tick loops kept as oracles.
+//!   Policies run on two event-driven drivers (cost scales with state
+//!   changes, not horizon/tick), each with one tick loop kept as its
+//!   oracle.
 //! - [`profile`] — piecewise-constant interactive-load profiles, the
 //!   breakpoint representation the event engine fast-forwards between.
 //! - [`cost`] — the carrier-price model: flat monthly leased-line

@@ -38,6 +38,10 @@ impl RateProfile {
         for (t, r) in steps {
             if out.last().map(|(lt, _)| *lt) == Some(t) {
                 out.last_mut().unwrap().1 = r;
+                // The overwrite may have made the last two steps equal.
+                if out.len() > 1 && out[out.len() - 2].1 == r {
+                    out.pop();
+                }
             } else if out.last().map(|(_, lr)| *lr) != Some(r) {
                 out.push((t, r));
             }
@@ -81,16 +85,6 @@ impl RateProfile {
     pub fn next_change_after(&self, t: SimTime) -> Option<SimTime> {
         let idx = self.steps.partition_point(|(s, _)| *s <= t);
         self.steps.get(idx).map(|(s, _)| *s)
-    }
-
-    /// Number of steps (diagnostics).
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// True when the profile has no steps beyond the implicit zero start.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
     }
 }
 
@@ -147,6 +141,29 @@ mod tests {
             SimTime::from_secs(1000),
             SimDuration::from_secs(1),
         );
-        assert_eq!(p.len(), 1);
+        assert_eq!(p, RateProfile::flat(DataRate::from_gbps(2)));
+    }
+
+    #[test]
+    fn duplicate_time_overwrite_merges_with_its_neighbour() {
+        // The later 0 at 10 s replaces the 5 G step and equals the zero
+        // start, so no breakpoint may remain at 10 s.
+        let p = RateProfile::from_steps(vec![
+            (SimTime::from_secs(10), DataRate::from_gbps(5)),
+            (SimTime::from_secs(10), DataRate::ZERO),
+        ]);
+        assert_eq!(p.next_change_after(SimTime::ZERO), None);
+        assert_eq!(p, RateProfile::flat(DataRate::ZERO));
+        // A step after the merged one still starts where it should.
+        let p = RateProfile::from_steps(vec![
+            (SimTime::from_secs(10), DataRate::from_gbps(5)),
+            (SimTime::from_secs(10), DataRate::ZERO),
+            (SimTime::from_secs(20), DataRate::from_gbps(3)),
+        ]);
+        assert_eq!(
+            p.next_change_after(SimTime::ZERO),
+            Some(SimTime::from_secs(20))
+        );
+        assert_eq!(p.rate_at(SimTime::from_secs(15)), DataRate::ZERO);
     }
 }

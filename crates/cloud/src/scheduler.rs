@@ -15,17 +15,23 @@
 //!   backlog in a target time; release them when the queue empties. Pays
 //!   usage-based prices and eats the 60–70 s setup latency, which this
 //!   simulation faithfully inflicts via the `griphon` controller.
+//!   [`MultiPairBod`], [`DeadlineBodPolicy`] and [`MeasuredBodPolicy`]
+//!   differ from it only in pair count or in how orders are sized.
 //!
 //! All policies process a pair's jobs FIFO (bulk replication is
-//! throughput work, not latency work). Decisions happen on a fixed tick
-//! grid, but the default `run` methods are *event-driven*: they compute
-//! the next instant at which a decision could change — job arrival,
-//! transfer completion, interactive-traffic breakpoint, idle-release
-//! expiry, controller event — and fast-forward through the provably
-//! inert ticks in between with exact quantized arithmetic (see
-//! [`crate::event`]). Every policy keeps its original fixed-tick loop as
-//! `run_tick_reference`, the oracle the event engine must match
-//! byte-for-byte when decisions are restricted to tick boundaries.
+//! throughput work, not latency work) on one of two drivers: the
+//! *harvest* driver ([`StoreForwardPolicy::run`]; a static line is
+//! store-and-forward without relays, billed for its line) and the *BoD*
+//! driver (`run_event_bod`, ordering 10 G wavelengths from a live
+//! controller). Decisions happen on a fixed tick grid, but both drivers
+//! are *event-driven*: they compute the next instant at which a decision
+//! could change — job arrival, transfer completion, interactive-traffic
+//! breakpoint, idle-release expiry, controller event — and fast-forward
+//! through the provably inert ticks in between with exact quantized
+//! arithmetic (see `crate::event`). Each driver keeps one fixed-tick
+//! loop over `PairRun` as `run_tick_reference`, the oracle the event
+//! engine must match byte-for-byte when decisions are restricted to
+//! tick boundaries.
 
 use simcore::{DataRate, DataSize, SimDuration, SimTime};
 
@@ -35,7 +41,7 @@ use griphon::{
 };
 use photonic::{LineRate, RoadmId};
 
-use crate::event::{grid_ceil, FifoQueue};
+use crate::event::{grid_ceil, FifoQueue, Queue};
 use crate::profile::RateProfile;
 use crate::transfer::{Transfer, TransferLog};
 use crate::workload::BulkJob;
@@ -56,7 +62,7 @@ pub struct PolicyOutcome {
     pub setups: u64,
 }
 
-/// Shared simulation mechanics: FIFO transfer list advanced tick by tick.
+/// The tick oracles' queue: a FIFO transfer list rescanned every tick.
 struct PairRun {
     pending: Vec<BulkJob>,
     transfers: Vec<Transfer>,
@@ -72,8 +78,9 @@ impl PairRun {
             next_arrival: 0,
         }
     }
+}
 
-    /// Admit jobs created up to `now`.
+impl Queue for PairRun {
     fn admit(&mut self, now: SimTime) {
         while self.next_arrival < self.pending.len()
             && self.pending[self.next_arrival].created <= now
@@ -84,18 +91,7 @@ impl PairRun {
         }
     }
 
-    /// Bytes queued but unfinished.
-    fn backlog(&self) -> DataSize {
-        self.transfers
-            .iter()
-            .filter(|t| !t.is_done())
-            .map(|t| t.remaining)
-            .sum()
-    }
-
-    /// Give the full `rate` to the FIFO head for `dt` (splitting across
-    /// the boundary when the head finishes mid-tick).
-    fn advance(&mut self, now: SimTime, dt: SimDuration, rate: DataRate) {
+    fn advance_window(&mut self, now: SimTime, dt: SimDuration, rate: DataRate) {
         let mut t = now;
         let end = now + dt;
         while t < end {
@@ -115,8 +111,20 @@ impl PairRun {
         }
     }
 
+    fn backlog(&self) -> DataSize {
+        self.unfinished().map(|t| t.remaining).sum()
+    }
+
+    fn unfinished(&self) -> impl Iterator<Item = &Transfer> {
+        self.transfers.iter().filter(|t| !t.is_done())
+    }
+
     fn all_done(&self) -> bool {
         self.next_arrival == self.pending.len() && self.transfers.iter().all(Transfer::is_done)
+    }
+
+    fn transfers(&self) -> &[Transfer] {
+        &self.transfers
     }
 }
 
@@ -148,38 +156,8 @@ fn backlog_desired(backlog: DataSize, drain_target: SimDuration, max_rate: DataR
     DataRate::from_bps(desired_bps)
 }
 
-/// The rate [`DeadlineBodPolicy`] needs at `now` to keep every deadline
-/// in `transfers` feasible (shared by the tick and event engines so both
-/// evaluate the identical float expression).
-fn required_rate_for<'a>(
-    transfers: impl Iterator<Item = &'a Transfer>,
-    now: SimTime,
-    provisioning_margin: SimDuration,
-    background_drain: SimDuration,
-    max_rate: DataRate,
-) -> DataRate {
-    let mut needed_bps = 0.0f64;
-    let mut background_bits = 0u64;
-    for t in transfers {
-        match t.job.deadline {
-            Some(d) => {
-                let slack = d
-                    .saturating_since(now)
-                    .saturating_sub(provisioning_margin)
-                    .as_secs_f64()
-                    .max(60.0);
-                // Aggregate: deadlines share the pipe FIFO, so sum the
-                // per-job requirements (conservative).
-                needed_bps += t.remaining.bits() as f64 / slack;
-            }
-            None => background_bits += t.remaining.bits(),
-        }
-    }
-    needed_bps += background_bits as f64 / background_drain.as_secs_f64();
-    DataRate::from_bps((needed_bps as u64).min(max_rate.bps()))
-}
-
-/// A statically provisioned leased line.
+/// A statically provisioned leased line: store-and-forward without
+/// relays, billed for the whole line around the clock.
 #[derive(Debug, Clone, Copy)]
 pub struct StaticLinePolicy {
     /// The leased rate.
@@ -187,6 +165,25 @@ pub struct StaticLinePolicy {
 }
 
 impl StaticLinePolicy {
+    /// Bulk gets what interactive traffic leaves of the line.
+    fn harvest(&self) -> StoreForwardPolicy {
+        StoreForwardPolicy {
+            line: self.line,
+            relays: 0,
+            relay_phase_hours: 0.0,
+        }
+    }
+
+    /// A lease bills its full rate over the whole horizon.
+    fn billed(&self, horizon: SimDuration, harvested: PolicyOutcome) -> PolicyOutcome {
+        let hours = horizon.as_secs_f64() / 3600.0;
+        PolicyOutcome {
+            gbps_hours: self.line.gbps_f64() * hours,
+            peak_gbps: self.line.gbps_f64(),
+            ..harvested
+        }
+    }
+
     /// Run the pair's jobs event-driven; `interactive` has priority on
     /// the line. Byte-identical to [`Self::run_tick_reference`] with
     /// `interactive = |t| profile.rate_at(t)`.
@@ -197,46 +194,11 @@ impl StaticLinePolicy {
         tick: SimDuration,
         interactive: &RateProfile,
     ) -> PolicyOutcome {
-        let mut q = FifoQueue::new(jobs);
-        let end = SimTime::ZERO + horizon;
-        let mut t = SimTime::ZERO;
-        while t < end {
-            q.admit(t);
-            if !q.has_work() {
-                // Idle: nothing changes until the next arrival's tick.
-                match q.next_arrival_time() {
-                    None => break,
-                    Some(c) => {
-                        t = grid_ceil(SimTime::ZERO, c, tick);
-                        continue;
-                    }
-                }
-            }
-            let rate = self.line.saturating_sub(interactive.rate_at(t));
-            let mut seg_end = end;
-            if let Some(b) = interactive.next_change_after(t) {
-                seg_end = seg_end.min(grid_ceil(SimTime::ZERO, b, tick));
-            }
-            if let Some(c) = q.next_arrival_time() {
-                seg_end = seg_end.min(grid_ceil(SimTime::ZERO, c, tick));
-            }
-            let n = seg_end.since(t).div_ceil(tick);
-            if q.advance_ticks(t, n, tick, rate).is_some() && q.next_arrival_time().is_none() {
-                break;
-            }
-            t += tick * n;
-        }
-        let hours = horizon.as_secs_f64() / 3600.0;
-        PolicyOutcome {
-            log: TransferLog::summarize(&q.transfers),
-            gbps_hours: self.line.gbps_f64() * hours,
-            peak_gbps: self.line.gbps_f64(),
-            setups: 0,
-        }
+        let harvested = self.harvest().run(jobs, horizon, tick, interactive);
+        self.billed(horizon, harvested)
     }
 
-    /// The original fixed-tick loop, kept as the oracle for the event
-    /// engine.
+    /// The harvest driver's fixed-tick oracle, billed as a lease.
     pub fn run_tick_reference(
         &self,
         jobs: Vec<BulkJob>,
@@ -244,25 +206,10 @@ impl StaticLinePolicy {
         tick: SimDuration,
         interactive: &dyn Fn(SimTime) -> DataRate,
     ) -> PolicyOutcome {
-        let mut run = PairRun::new(jobs);
-        let mut t = SimTime::ZERO;
-        let end = SimTime::ZERO + horizon;
-        while t < end {
-            run.admit(t);
-            let leftover = self.line.saturating_sub(interactive(t));
-            run.advance(t, tick, leftover);
-            t += tick;
-            if run.all_done() {
-                break;
-            }
-        }
-        let hours = horizon.as_secs_f64() / 3600.0;
-        PolicyOutcome {
-            log: TransferLog::summarize(&run.transfers),
-            gbps_hours: self.line.gbps_f64() * hours,
-            peak_gbps: self.line.gbps_f64(),
-            setups: 0,
-        }
+        let harvested = self
+            .harvest()
+            .run_tick_reference(jobs, horizon, tick, interactive);
+        self.billed(horizon, harvested)
     }
 }
 
@@ -312,9 +259,9 @@ impl StoreForwardPolicy {
         next
     }
 
-    /// Run the pair's jobs over harvested capacity only, event-driven.
-    /// Byte-identical to [`Self::run_tick_reference`] with
-    /// `interactive = |t| profile.rate_at(t)`.
+    /// The harvest driver: run the pair's jobs over harvested capacity
+    /// only, event-driven. Byte-identical to [`Self::run_tick_reference`]
+    /// with `interactive = |t| profile.rate_at(t)`.
     pub fn run(
         &self,
         jobs: Vec<BulkJob>,
@@ -348,7 +295,7 @@ impl StoreForwardPolicy {
             t += tick * n;
         }
         PolicyOutcome {
-            log: TransferLog::summarize(&q.transfers),
+            log: TransferLog::summarize(q.transfers()),
             // Harvested capacity is already paid for — zero marginal
             // provisioned bandwidth.
             gbps_hours: 0.0,
@@ -357,8 +304,7 @@ impl StoreForwardPolicy {
         }
     }
 
-    /// The original fixed-tick loop, kept as the oracle for the event
-    /// engine.
+    /// The harvest driver's fixed-tick oracle.
     pub fn run_tick_reference(
         &self,
         jobs: Vec<BulkJob>,
@@ -374,7 +320,7 @@ impl StoreForwardPolicy {
             run.admit(t);
             let rate = self.usable_rate(t, interactive);
             peak = peak.max(rate.gbps_f64());
-            run.advance(t, tick, rate);
+            run.advance_window(t, tick, rate);
             t += tick;
             if run.all_done() {
                 break;
@@ -388,6 +334,9 @@ impl StoreForwardPolicy {
         }
     }
 }
+
+/// The one size the BoD policies order in.
+const TEN_G: DataRate = DataRate::from_gbps(10);
 
 /// GRIPhoN bandwidth-on-demand.
 #[derive(Debug, Clone, Copy)]
@@ -411,31 +360,116 @@ impl Default for BodPolicy {
     }
 }
 
-/// How a BoD variant sizes its wavelength orders.
-#[derive(Clone, Copy)]
-enum Sizing {
+/// How a BoD variant sizes its wavelength orders — all the variants
+/// differ in.
+enum Sizing<'a> {
     /// Drain the current backlog within a fixed target.
-    Backlog { drain_target: SimDuration },
+    Backlog(BodPolicy),
     /// Keep every queued deadline feasible.
-    Deadline {
-        provisioning_margin: SimDuration,
-        background_drain: SimDuration,
-    },
+    Deadline(DeadlineBodPolicy),
+    /// Drain the backlog within a target, net of what a probed shared
+    /// path is believed to contribute. One pair only.
+    Measured(&'a mut Probing),
 }
 
-/// Parameters shared by all BoD variants.
-#[derive(Clone, Copy)]
-struct BodParams {
-    max_rate: DataRate,
-    idle_release: SimDuration,
-    sizing: Sizing,
+impl Sizing<'_> {
+    /// The variant's ceiling on ordered bandwidth and its idle-release
+    /// hysteresis.
+    fn limits(&self) -> (DataRate, SimDuration) {
+        match self {
+            Sizing::Backlog(p) => (p.max_rate, p.idle_release),
+            Sizing::Deadline(p) => (p.max_rate, p.idle_release),
+            Sizing::Measured(p) => (p.policy.max_rate, p.policy.idle_release),
+        }
+    }
+
+    /// Rate the pair receives at `rel_now` beside its wavelengths.
+    fn extra_rate(&mut self, ctl: &mut Controller, rel_now: SimTime) -> DataRate {
+        match self {
+            Sizing::Measured(p) => p.observe(ctl, rel_now),
+            _ => DataRate::ZERO,
+        }
+    }
+
+    /// The committed rate a backlogged pair aims for: while it holds
+    /// less, it orders one more wavelength per tick.
+    fn target(&self, q: &impl Queue, rel_now: SimTime) -> DataRate {
+        match self {
+            Sizing::Backlog(p) => backlog_desired(q.backlog(), p.drain_target, p.max_rate),
+            Sizing::Deadline(p) => p.required_rate(q.unfinished(), rel_now),
+            Sizing::Measured(p) => {
+                backlog_desired(q.backlog(), p.policy.drain_target, p.policy.max_rate)
+                    .saturating_sub(p.est_free)
+            }
+        }
+    }
+
+    /// How many of the next `n` ticks from `rel_start` surely place no
+    /// order, once arrivals, controller events and releases are ruled out.
+    fn inert_ticks(
+        &self,
+        ctl: &Controller,
+        pairs: &[Pair<FifoQueue>],
+        rel_start: SimTime,
+        tick: SimDuration,
+        n: u64,
+    ) -> u64 {
+        let policy = match self {
+            // The target only falls while the queue drains, and a refused
+            // order stays refused until controller state changes.
+            Sizing::Backlog(_) => return n,
+            Sizing::Deadline(p) => p,
+            // The prober must advance at every tick.
+            Sizing::Measured(_) => return 0,
+        };
+        let mut n = n;
+        for st in pairs {
+            if n == 0 {
+                break;
+            }
+            if !st.q.has_work() || st.blocked {
+                continue;
+            }
+            let (_, committed) = member_rates(ctl, &st.members);
+            if committed + TEN_G > policy.max_rate {
+                continue; // at the cap: no order possible anyway
+            }
+            // `required_rate` is weakly increasing in time for a fixed
+            // queue (slacks only shrink) and the queue only drains within
+            // a segment, so the current queue at the last of `w` ticks
+            // bounds every decision before it. Binary search the largest
+            // safe prefix.
+            let inert_through = |w: u64| {
+                let last = rel_start + tick * (w - 1);
+                policy.required_rate(st.q.unfinished(), last) <= committed
+            };
+            if !inert_through(1) {
+                return 0;
+            }
+            if inert_through(n) {
+                continue;
+            }
+            let (mut lo, mut hi) = (1u64, n);
+            while hi - lo > 1 {
+                let mid = lo + (hi - lo) / 2;
+                if inert_through(mid) {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            n = lo;
+        }
+        n
+    }
 }
 
-/// Per-pair state of the event-driven BoD engine.
-struct PairSim {
+/// One BoD pair: its transfer queue — the driver's [`FifoQueue`] or the
+/// oracle's [`PairRun`] — and what it holds at the carrier.
+struct Pair<Q> {
     from: RoadmId,
     to: RoadmId,
-    q: FifoQueue,
+    q: Q,
     members: Vec<ConnectionId>,
     idle_since: Option<SimTime>,
     gbit_seconds: f64,
@@ -449,89 +483,12 @@ struct PairSim {
     done_at: Option<SimTime>,
 }
 
-/// Upper-bound the number of leading ticks of a segment through which a
-/// deadline-sized pair surely stays below `committed` (and therefore
-/// places no order). `required_rate_for` is weakly increasing in time
-/// for a fixed queue (slacks only shrink), and the queue only drains
-/// within a segment, so evaluating the *current* queue at a future tick
-/// bounds every intermediate decision from above. Binary search the
-/// largest safe prefix.
-fn deadline_inert_ticks(
-    q: &FifoQueue,
-    rel_start: SimTime,
-    tick: SimDuration,
-    n: u64,
-    committed: DataRate,
-    params: &BodParams,
-) -> u64 {
-    let Sizing::Deadline {
-        provisioning_margin,
-        background_drain,
-    } = params.sizing
-    else {
-        unreachable!("deadline_inert_ticks is only used with deadline sizing");
-    };
-    let max_rate = params.max_rate;
-    let inert_through = |w: u64| -> bool {
-        // Decisions inside the segment happen at rel_start + i·tick for
-        // i < w; the latest (tightest slack) is at (w-1)·tick.
-        let last = rel_start + tick * (w - 1);
-        required_rate_for(
-            q.unfinished(),
-            last,
-            provisioning_margin,
-            background_drain,
-            max_rate,
-        ) <= committed
-    };
-    if n == 0 || !inert_through(1) {
-        return 0;
-    }
-    if inert_through(n) {
-        return n;
-    }
-    let (mut lo, mut hi) = (1u64, n);
-    while hi - lo > 1 {
-        let mid = lo + (hi - lo) / 2;
-        if inert_through(mid) {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
-/// The event-driven engine shared by [`BodPolicy`], [`MultiPairBod`] and
-/// [`DeadlineBodPolicy`].
-///
-/// Decision ticks replicate the tick engine's per-tick sequence exactly
-/// (controller catch-up, admission, single-pass member rates, advance,
-/// accounting, order/release decision, in pair order). Between decision
-/// ticks the engine proves the policy inert — no arrival, no controller
-/// event, no possible release, and for deadline sizing no crossing of
-/// the committed rate — and replays the whole stretch with
-/// [`FifoQueue::advance_ticks`]. All arithmetic quantizes per tick just
-/// like the oracle, so outcomes are byte-identical.
-fn run_event_bod(
-    ctl: &mut Controller,
-    customer: CustomerId,
-    params: BodParams,
-    pairs: Vec<(RoadmId, RoadmId, Vec<BulkJob>)>,
-    horizon: SimDuration,
-    tick: SimDuration,
-) -> Vec<PolicyOutcome> {
-    let start = ctl.now();
-    let end = start + horizon;
-    let tick_secs = tick.as_secs_f64();
-    let ten_g = DataRate::from_gbps(10);
-    let rel = |abs: SimTime| SimTime::from_nanos(abs.since(start).as_nanos());
-    let mut states: Vec<PairSim> = pairs
-        .into_iter()
-        .map(|(from, to, jobs)| PairSim {
+impl<Q: Queue> Pair<Q> {
+    fn new(from: RoadmId, to: RoadmId, q: Q) -> Pair<Q> {
+        Pair {
             from,
             to,
-            q: FifoQueue::new(jobs),
+            q,
             members: Vec::new(),
             idle_since: None,
             gbit_seconds: 0.0,
@@ -539,7 +496,136 @@ fn run_event_bod(
             setups: 0,
             blocked: false,
             done_at: None,
-        })
+        }
+    }
+
+    /// One decision tick at `t` (`rel_now` on the jobs' clock):
+    /// admission, single-pass member rates, service, accounting, then
+    /// the order/release decision. Every tick of the oracle; the driver's
+    /// tick at each decision point. Returns whether an order went in.
+    fn decision_tick(
+        &mut self,
+        ctl: &mut Controller,
+        customer: CustomerId,
+        sizing: &mut Sizing,
+        t: SimTime,
+        rel_now: SimTime,
+        tick: SimDuration,
+    ) -> bool {
+        self.q.admit(rel_now);
+        let (active, committed) = member_rates(ctl, &self.members);
+        let extra = sizing.extra_rate(ctl, rel_now);
+        self.q.advance_window(rel_now, tick, active + extra);
+        self.gbit_seconds += active.gbps_f64() * tick.as_secs_f64();
+        self.peak = self.peak.max(active.gbps_f64());
+        self.blocked = false;
+        if self.q.backlog().is_zero() {
+            if let Sizing::Measured(p) = sizing {
+                (p.low_streak, p.surplus_streak) = (0, 0);
+            }
+            if !self.members.is_empty() {
+                match self.idle_since {
+                    None => self.idle_since = Some(t),
+                    Some(since) if t.since(since) >= sizing.limits().1 => {
+                        if ctl.spans.is_enabled() {
+                            let sp = ctl.spans.record(t, t, "policy", "policy.release", None);
+                            ctl.spans
+                                .attr_u64(sp, "released", self.members.len() as u64);
+                            ctl.spans.attr_u64(sp, "idle_ns", t.since(since).as_nanos());
+                        }
+                        self.release_all(ctl);
+                        self.idle_since = None;
+                    }
+                    _ => {}
+                }
+            }
+            return false;
+        }
+        self.idle_since = None;
+        let target = sizing.target(&self.q, rel_now);
+        let fits = committed + TEN_G <= sizing.limits().0;
+        let ordered = target > committed && fits && self.order(ctl, customer, t, committed);
+        match sizing {
+            Sizing::Measured(p) => {
+                let may_order = !ordered && fits;
+                p.settle(ctl, customer, self, t, committed, target, may_order) || ordered
+            }
+            _ => ordered,
+        }
+    }
+
+    /// Order one 10 G wavelength at `t`; a refusal marks the pair
+    /// blocked. Returns whether the carrier accepted.
+    fn order(
+        &mut self,
+        ctl: &mut Controller,
+        customer: CustomerId,
+        t: SimTime,
+        committed: DataRate,
+    ) -> bool {
+        match ctl.request_wavelength(customer, self.from, self.to, LineRate::Gbps10) {
+            Ok(id) => {
+                if ctl.spans.is_enabled() {
+                    let sp = ctl.spans.record(t, t, "policy", "policy.order", None);
+                    ctl.spans.attr_u64(sp, "conn", u64::from(id.raw()));
+                    let gbps = committed.gbps_f64() as u64;
+                    ctl.spans.attr_u64(sp, "committed_gbps", gbps);
+                }
+                self.members.push(id);
+                self.setups += 1;
+                true
+            }
+            Err(_) => {
+                self.blocked = true;
+                false
+            }
+        }
+    }
+
+    /// Tear down what the pair still holds.
+    fn release_all(&mut self, ctl: &mut Controller) {
+        for id in self.members.drain(..) {
+            let _ = ctl.request_teardown(id);
+        }
+    }
+
+    fn outcome(&self) -> PolicyOutcome {
+        PolicyOutcome {
+            log: TransferLog::summarize(self.q.transfers()),
+            gbps_hours: self.gbit_seconds / 3600.0,
+            peak_gbps: self.peak,
+            setups: self.setups,
+        }
+    }
+}
+
+/// The BoD driver, shared by [`BodPolicy`], [`MultiPairBod`],
+/// [`DeadlineBodPolicy`] and [`MeasuredBodPolicy`]. Returns every pair
+/// after wind-down, in input order.
+///
+/// Decision ticks run the oracle's per-tick sequence,
+/// [`Pair::decision_tick`], pair by pair. Between decision ticks the
+/// engine proves the policy inert — no arrival, no controller event, no
+/// possible release, no order by [`Sizing::inert_ticks`] — and replays
+/// the whole stretch with [`FifoQueue::advance_ticks`]. All arithmetic
+/// quantizes per tick just like the oracle, so outcomes are
+/// byte-identical.
+fn run_event_bod(
+    ctl: &mut Controller,
+    customer: CustomerId,
+    mut sizing: Sizing,
+    pairs: Vec<(RoadmId, RoadmId, Vec<BulkJob>)>,
+    horizon: SimDuration,
+    tick: SimDuration,
+) -> Vec<Pair<FifoQueue>> {
+    let start = ctl.now();
+    let end = start + horizon;
+    let tick_secs = tick.as_secs_f64();
+    let idle_release = sizing.limits().1;
+    let rel = |abs: SimTime| SimTime::from_nanos(abs.since(start).as_nanos());
+    let mut states: Vec<Pair<FifoQueue>> = pairs
+        .into_iter()
+        .map(|(from, to, jobs)| Pair::new(from, to, FifoQueue::new(jobs)))
         .collect();
     let mut t = start;
     let mut last_tick: Option<SimTime> = None;
@@ -551,70 +637,7 @@ fn run_event_bod(
         let rel_now = rel(t);
         let mut ordered = false;
         for st in states.iter_mut() {
-            st.q.admit(rel_now);
-            let (active, committed) = member_rates(ctl, &st.members);
-            st.q.advance_window(rel_now, tick, active);
-            st.gbit_seconds += active.gbps_f64() * tick_secs;
-            st.peak = st.peak.max(active.gbps_f64());
-            st.blocked = false;
-            let backlog = st.q.backlog();
-            if backlog.is_zero() {
-                if !st.members.is_empty() {
-                    match st.idle_since {
-                        None => st.idle_since = Some(t),
-                        Some(since) if t.since(since) >= params.idle_release => {
-                            if ctl.spans.is_enabled() {
-                                let sp = ctl.spans.record(t, t, "policy", "policy.release", None);
-                                ctl.spans.attr_u64(sp, "released", st.members.len() as u64);
-                                ctl.spans.attr_u64(sp, "idle_ns", t.since(since).as_nanos());
-                            }
-                            for id in st.members.drain(..) {
-                                let _ = ctl.request_teardown(id);
-                            }
-                            st.idle_since = None;
-                        }
-                        _ => {}
-                    }
-                }
-            } else {
-                st.idle_since = None;
-                let wants = match params.sizing {
-                    Sizing::Backlog { drain_target } => {
-                        backlog_desired(backlog, drain_target, params.max_rate) > committed
-                    }
-                    Sizing::Deadline {
-                        provisioning_margin,
-                        background_drain,
-                    } => {
-                        required_rate_for(
-                            st.q.unfinished(),
-                            rel_now,
-                            provisioning_margin,
-                            background_drain,
-                            params.max_rate,
-                        ) > committed
-                    }
-                };
-                if wants && committed + ten_g <= params.max_rate {
-                    match ctl.request_wavelength(customer, st.from, st.to, LineRate::Gbps10) {
-                        Ok(id) => {
-                            if ctl.spans.is_enabled() {
-                                let sp = ctl.spans.record(t, t, "policy", "policy.order", None);
-                                ctl.spans.attr_u64(sp, "conn", u64::from(id.raw()));
-                                ctl.spans.attr_u64(
-                                    sp,
-                                    "committed_gbps",
-                                    committed.gbps_f64() as u64,
-                                );
-                            }
-                            st.members.push(id);
-                            st.setups += 1;
-                            ordered = true;
-                        }
-                        Err(_) => st.blocked = true,
-                    }
-                }
-            }
+            ordered |= st.decision_tick(ctl, customer, &mut sizing, t, rel_now, tick);
             if st.done_at.is_none() && st.q.all_done() && st.members.is_empty() {
                 st.done_at = Some(t);
             }
@@ -658,37 +681,16 @@ fn run_event_bod(
                 let release_floor = match st.idle_since {
                     // Release fires at the first tick a full idle_release
                     // after the queue went idle…
-                    Some(since) => since + params.idle_release,
+                    Some(since) => since + idle_release,
                     // …and with a backlog still draining it cannot fire
                     // before a full idle_release from now.
-                    None => t + params.idle_release,
+                    None => t + idle_release,
                 };
                 seg_end = seg_end.min(grid_ceil(start, release_floor, tick));
             }
         }
-        let mut n = seg_end.since(t).div_ceil(tick);
-        if matches!(params.sizing, Sizing::Deadline { .. }) {
-            for st in &states {
-                if n == 0 {
-                    break;
-                }
-                if !st.q.has_work() || st.blocked {
-                    continue;
-                }
-                let (_, committed) = member_rates(ctl, &st.members);
-                if committed + ten_g > params.max_rate {
-                    continue; // at the cap: no order possible anyway
-                }
-                n = n.min(deadline_inert_ticks(
-                    &st.q,
-                    rel(t),
-                    tick,
-                    n,
-                    committed,
-                    &params,
-                ));
-            }
-        }
+        let n = seg_end.since(t).div_ceil(tick);
+        let n = sizing.inert_ticks(ctl, &states, rel(t), tick, n);
         if n == 0 {
             continue; // nothing provably inert: fall back to ticking
         }
@@ -740,20 +742,54 @@ fn run_event_bod(
         ctl.run_until(lt);
     }
     for st in &mut states {
-        for id in st.members.drain(..) {
-            let _ = ctl.request_teardown(id);
-        }
+        st.release_all(ctl);
     }
     ctl.run_until_idle();
     states
+}
+
+/// The BoD driver's fixed-tick oracle: every tick is a decision tick,
+/// over [`PairRun`].
+fn run_tick_bod(
+    ctl: &mut Controller,
+    customer: CustomerId,
+    mut sizing: Sizing,
+    pairs: Vec<(RoadmId, RoadmId, Vec<BulkJob>)>,
+    horizon: SimDuration,
+    tick: SimDuration,
+) -> Vec<PolicyOutcome> {
+    let start = ctl.now();
+    let end = start + horizon;
+    let mut states: Vec<Pair<PairRun>> = pairs
         .into_iter()
-        .map(|st| PolicyOutcome {
-            log: TransferLog::summarize(&st.q.transfers),
-            gbps_hours: st.gbit_seconds / 3600.0,
-            peak_gbps: st.peak,
-            setups: st.setups,
-        })
-        .collect()
+        .map(|(from, to, jobs)| Pair::new(from, to, PairRun::new(jobs)))
+        .collect();
+    let mut t = start;
+    while t < end {
+        ctl.run_until(t);
+        // Job times are relative to the policy start.
+        let rel_now = SimTime::from_nanos(t.since(start).as_nanos());
+        for st in &mut states {
+            st.decision_tick(ctl, customer, &mut sizing, t, rel_now, tick);
+        }
+        t += tick;
+        if states
+            .iter()
+            .all(|st| st.q.all_done() && st.members.is_empty())
+        {
+            break;
+        }
+    }
+    for st in &mut states {
+        st.release_all(ctl);
+    }
+    ctl.run_until_idle();
+    states.iter().map(Pair::outcome).collect()
+}
+
+/// The single result of a one-pair run.
+fn only<T>(mut pairs: Vec<T>) -> T {
+    pairs.pop().expect("one pair in, one result out")
 }
 
 impl BodPolicy {
@@ -770,26 +806,11 @@ impl BodPolicy {
         horizon: SimDuration,
         tick: SimDuration,
     ) -> PolicyOutcome {
-        run_event_bod(
-            ctl,
-            customer,
-            BodParams {
-                max_rate: self.max_rate,
-                idle_release: self.idle_release,
-                sizing: Sizing::Backlog {
-                    drain_target: self.drain_target,
-                },
-            },
-            vec![(from, to, jobs)],
-            horizon,
-            tick,
-        )
-        .pop()
-        .expect("one pair in, one outcome out")
+        let (sizing, pairs) = (Sizing::Backlog(*self), vec![(from, to, jobs)]);
+        only(run_event_bod(ctl, customer, sizing, pairs, horizon, tick)).outcome()
     }
 
-    /// The original fixed-tick loop, kept as the oracle for the event
-    /// engine.
+    /// The BoD driver's fixed-tick oracle for one pair.
     #[allow(clippy::too_many_arguments)]
     pub fn run_tick_reference(
         &self,
@@ -801,68 +822,8 @@ impl BodPolicy {
         horizon: SimDuration,
         tick: SimDuration,
     ) -> PolicyOutcome {
-        let mut run = PairRun::new(jobs);
-        let start = ctl.now();
-        let end = start + horizon;
-        let mut members: Vec<ConnectionId> = Vec::new();
-        let mut idle_since: Option<SimTime> = None;
-        let mut gbit_seconds = 0.0;
-        let mut peak: f64 = 0.0;
-        let mut setups = 0u64;
-        let mut t = start;
-        while t < end {
-            ctl.run_until(t);
-            // Job times are relative to the policy start.
-            let rel_now = SimTime::from_nanos(t.since(start).as_nanos());
-            run.admit(rel_now);
-            let (active_rate, committed) = member_rates(ctl, &members);
-            run.advance(rel_now, tick, active_rate);
-            gbit_seconds += active_rate.gbps_f64() * tick.as_secs_f64();
-            peak = peak.max(active_rate.gbps_f64());
-            // Decide.
-            let backlog = run.backlog();
-            if backlog.is_zero() {
-                if !members.is_empty() {
-                    match idle_since {
-                        None => idle_since = Some(t),
-                        Some(since) if t.since(since) >= self.idle_release => {
-                            for id in members.drain(..) {
-                                let _ = ctl.request_teardown(id);
-                            }
-                            idle_since = None;
-                        }
-                        _ => {}
-                    }
-                }
-            } else {
-                idle_since = None;
-                if backlog_desired(backlog, self.drain_target, self.max_rate) > committed
-                    && committed + DataRate::from_gbps(10) <= self.max_rate
-                {
-                    // Grow one wavelength per tick (measured pace, avoids
-                    // ordering a burst the backlog won't need).
-                    if let Ok(id) = ctl.request_wavelength(customer, from, to, LineRate::Gbps10) {
-                        members.push(id);
-                        setups += 1;
-                    }
-                }
-            }
-            t += tick;
-            if run.all_done() && members.is_empty() {
-                break;
-            }
-        }
-        // Clean up anything still provisioned.
-        for id in members {
-            let _ = ctl.request_teardown(id);
-        }
-        ctl.run_until_idle();
-        PolicyOutcome {
-            log: TransferLog::summarize(&run.transfers),
-            gbps_hours: gbit_seconds / 3600.0,
-            peak_gbps: peak,
-            setups,
-        }
+        let (sizing, pairs) = (Sizing::Backlog(*self), vec![(from, to, jobs)]);
+        only(run_tick_bod(ctl, customer, sizing, pairs, horizon, tick))
     }
 }
 
@@ -890,24 +851,14 @@ impl MultiPairBod {
         horizon: SimDuration,
         tick: SimDuration,
     ) -> Vec<PolicyOutcome> {
-        run_event_bod(
-            ctl,
-            customer,
-            BodParams {
-                max_rate: self.policy.max_rate,
-                idle_release: self.policy.idle_release,
-                sizing: Sizing::Backlog {
-                    drain_target: self.policy.drain_target,
-                },
-            },
-            pairs,
-            horizon,
-            tick,
-        )
+        let sizing = Sizing::Backlog(self.policy);
+        run_event_bod(ctl, customer, sizing, pairs, horizon, tick)
+            .into_iter()
+            .map(|st| st.outcome())
+            .collect()
     }
 
-    /// The original fixed-tick loop, kept as the oracle for the event
-    /// engine.
+    /// The BoD driver's fixed-tick oracle.
     pub fn run_tick_reference(
         &self,
         ctl: &mut Controller,
@@ -916,94 +867,8 @@ impl MultiPairBod {
         horizon: SimDuration,
         tick: SimDuration,
     ) -> Vec<PolicyOutcome> {
-        struct PairState {
-            from: RoadmId,
-            to: RoadmId,
-            run: PairRun,
-            members: Vec<ConnectionId>,
-            idle_since: Option<SimTime>,
-            gbit_seconds: f64,
-            peak: f64,
-            setups: u64,
-        }
-        let start = ctl.now();
-        let end = start + horizon;
-        let mut states: Vec<PairState> = pairs
-            .into_iter()
-            .map(|(from, to, jobs)| PairState {
-                from,
-                to,
-                run: PairRun::new(jobs),
-                members: Vec::new(),
-                idle_since: None,
-                gbit_seconds: 0.0,
-                peak: 0.0,
-                setups: 0,
-            })
-            .collect();
-        let mut t = start;
-        while t < end {
-            ctl.run_until(t);
-            let rel_now = SimTime::from_nanos(t.since(start).as_nanos());
-            for st in &mut states {
-                st.run.admit(rel_now);
-                let (active_rate, committed) = member_rates(ctl, &st.members);
-                st.run.advance(rel_now, tick, active_rate);
-                st.gbit_seconds += active_rate.gbps_f64() * tick.as_secs_f64();
-                st.peak = st.peak.max(active_rate.gbps_f64());
-                let backlog = st.run.backlog();
-                if backlog.is_zero() {
-                    if !st.members.is_empty() {
-                        match st.idle_since {
-                            None => st.idle_since = Some(t),
-                            Some(since) if t.since(since) >= self.policy.idle_release => {
-                                for id in st.members.drain(..) {
-                                    let _ = ctl.request_teardown(id);
-                                }
-                                st.idle_since = None;
-                            }
-                            _ => {}
-                        }
-                    }
-                } else {
-                    st.idle_since = None;
-                    if backlog_desired(backlog, self.policy.drain_target, self.policy.max_rate)
-                        > committed
-                        && committed + DataRate::from_gbps(10) <= self.policy.max_rate
-                    {
-                        if let Ok(id) =
-                            ctl.request_wavelength(customer, st.from, st.to, LineRate::Gbps10)
-                        {
-                            st.members.push(id);
-                            st.setups += 1;
-                        }
-                    }
-                }
-            }
-            t += tick;
-            if states
-                .iter()
-                .all(|st| st.run.all_done() && st.members.is_empty())
-            {
-                break;
-            }
-        }
-        let mut outcomes = Vec::new();
-        for st in &mut states {
-            for id in st.members.drain(..) {
-                let _ = ctl.request_teardown(id);
-            }
-        }
-        ctl.run_until_idle();
-        for st in states {
-            outcomes.push(PolicyOutcome {
-                log: TransferLog::summarize(&st.run.transfers),
-                gbps_hours: st.gbit_seconds / 3600.0,
-                peak_gbps: st.peak,
-                setups: st.setups,
-            });
-        }
-        outcomes
+        let sizing = Sizing::Backlog(self.policy);
+        run_tick_bod(ctl, customer, sizing, pairs, horizon, tick)
     }
 }
 
@@ -1035,15 +900,35 @@ impl Default for DeadlineBodPolicy {
 }
 
 impl DeadlineBodPolicy {
-    /// The rate needed right now to keep every deadline feasible.
-    fn required_rate(&self, run: &PairRun, now: SimTime) -> DataRate {
-        required_rate_for(
-            run.transfers.iter().filter(|t| !t.is_done()),
-            now,
-            self.provisioning_margin,
-            self.background_drain,
-            self.max_rate,
-        )
+    /// The rate needed at `now` to keep every deadline in `transfers`
+    /// feasible.
+    fn required_rate<'a>(
+        &self,
+        transfers: impl Iterator<Item = &'a Transfer>,
+        now: SimTime,
+    ) -> DataRate {
+        let mut needed_bps = 0.0f64;
+        let mut background_bits = 0u64;
+        for t in transfers {
+            match t.job.deadline {
+                Some(d) => {
+                    let slack = d
+                        .saturating_since(now)
+                        .saturating_sub(self.provisioning_margin)
+                        .as_secs_f64()
+                        .max(60.0);
+                    // Aggregate: deadlines share the pipe FIFO, so sum the
+                    // per-job requirements (conservative).
+                    needed_bps += t.remaining.bits() as f64 / slack;
+                }
+                None => background_bits += t.remaining.bits(),
+            }
+        }
+        // Only with background work: a zero drain would add 0/0 = NaN.
+        if background_bits > 0 {
+            needed_bps += background_bits as f64 / self.background_drain.as_secs_f64();
+        }
+        DataRate::from_bps((needed_bps as u64).min(self.max_rate.bps()))
     }
 
     /// Run the pair's jobs against a live controller, event-driven.
@@ -1058,27 +943,11 @@ impl DeadlineBodPolicy {
         horizon: SimDuration,
         tick: SimDuration,
     ) -> PolicyOutcome {
-        run_event_bod(
-            ctl,
-            customer,
-            BodParams {
-                max_rate: self.max_rate,
-                idle_release: self.idle_release,
-                sizing: Sizing::Deadline {
-                    provisioning_margin: self.provisioning_margin,
-                    background_drain: self.background_drain,
-                },
-            },
-            vec![(from, to, jobs)],
-            horizon,
-            tick,
-        )
-        .pop()
-        .expect("one pair in, one outcome out")
+        let (sizing, pairs) = (Sizing::Deadline(*self), vec![(from, to, jobs)]);
+        only(run_event_bod(ctl, customer, sizing, pairs, horizon, tick)).outcome()
     }
 
-    /// The original fixed-tick loop, kept as the oracle for the event
-    /// engine.
+    /// The BoD driver's fixed-tick oracle for one pair.
     #[allow(clippy::too_many_arguments)]
     pub fn run_tick_reference(
         &self,
@@ -1090,62 +959,8 @@ impl DeadlineBodPolicy {
         horizon: SimDuration,
         tick: SimDuration,
     ) -> PolicyOutcome {
-        let mut run = PairRun::new(jobs);
-        let start = ctl.now();
-        let end = start + horizon;
-        let mut members: Vec<ConnectionId> = Vec::new();
-        let mut idle_since: Option<SimTime> = None;
-        let mut gbit_seconds = 0.0;
-        let mut peak: f64 = 0.0;
-        let mut setups = 0u64;
-        let mut t = start;
-        while t < end {
-            ctl.run_until(t);
-            let rel_now = SimTime::from_nanos(t.since(start).as_nanos());
-            run.admit(rel_now);
-            let (active_rate, committed) = member_rates(ctl, &members);
-            run.advance(rel_now, tick, active_rate);
-            gbit_seconds += active_rate.gbps_f64() * tick.as_secs_f64();
-            peak = peak.max(active_rate.gbps_f64());
-            let backlog = run.backlog();
-            if backlog.is_zero() {
-                if !members.is_empty() {
-                    match idle_since {
-                        None => idle_since = Some(t),
-                        Some(since) if t.since(since) >= self.idle_release => {
-                            for id in members.drain(..) {
-                                let _ = ctl.request_teardown(id);
-                            }
-                            idle_since = None;
-                        }
-                        _ => {}
-                    }
-                }
-            } else {
-                idle_since = None;
-                let required = self.required_rate(&run, rel_now);
-                if required > committed && committed + DataRate::from_gbps(10) <= self.max_rate {
-                    if let Ok(id) = ctl.request_wavelength(customer, from, to, LineRate::Gbps10) {
-                        members.push(id);
-                        setups += 1;
-                    }
-                }
-            }
-            t += tick;
-            if run.all_done() && members.is_empty() {
-                break;
-            }
-        }
-        for id in members {
-            let _ = ctl.request_teardown(id);
-        }
-        ctl.run_until_idle();
-        PolicyOutcome {
-            log: TransferLog::summarize(&run.transfers),
-            gbps_hours: gbit_seconds / 3600.0,
-            peak_gbps: peak,
-            setups,
-        }
+        let (sizing, pairs) = (Sizing::Deadline(*self), vec![(from, to, jobs)]);
+        only(run_tick_bod(ctl, customer, sizing, pairs, horizon, tick))
     }
 }
 
@@ -1244,13 +1059,94 @@ pub struct MeasuredRun {
     pub measure: MeasureOutcome,
 }
 
+/// The measured sizing's state across a run: the prober on the shared
+/// path, this tick's true and believed free capacity, and the
+/// upgrade/downgrade streaks.
+struct Probing {
+    policy: MeasuredBodPolicy,
+    prober: Prober,
+    free_true: DataRate,
+    est_free: DataRate,
+    low_streak: u32,
+    surplus_streak: u32,
+    under_delivery_ticks: u64,
+    upgrades: u64,
+    downgrades: u64,
+}
+
+impl Probing {
+    /// Advance the prober to `rel_now` and take this tick's true and
+    /// believed free capacity. Returns the true one: the path delivers
+    /// it whether or not the policy knows it.
+    fn observe(&mut self, ctl: &mut Controller, rel_now: SimTime) -> DataRate {
+        self.prober.advance_to(rel_now);
+        self.free_true = self.prober.true_available(rel_now);
+        self.est_free = match self.policy.mode {
+            MeasuredMode::Fixed => DataRate::ZERO,
+            MeasuredMode::Estimated => self.prober.estimate().unwrap_or(DataRate::ZERO),
+            MeasuredMode::Oracle => self.free_true,
+        };
+        let (est, truth) = (self.est_free.gbps_f64(), self.free_true.gbps_f64());
+        let path = self.prober.path();
+        let error_pct = 100.0 * (est - truth).abs() / path.capacity.gbps_f64();
+        ctl.noc.observe_available_bw(path.name, est, error_pct);
+        self.free_true
+    }
+
+    /// The post-decision step at a backlogged tick: order beyond the
+    /// plan after two ticks of under-delivery (if `may_order`: the tick
+    /// has not ordered and is below the cap), and shed a member after
+    /// three ticks a full wavelength over `need_paid`. Returns whether it
+    /// ordered.
+    #[allow(clippy::too_many_arguments)]
+    fn settle<Q: Queue>(
+        &mut self,
+        ctl: &mut Controller,
+        customer: CustomerId,
+        pair: &mut Pair<Q>,
+        t: SimTime,
+        committed: DataRate,
+        need_paid: DataRate,
+        may_order: bool,
+    ) -> bool {
+        // Under-delivery: the path gave measurably less than the
+        // estimate the plan was sized with.
+        if self.free_true.gbps_f64() < self.policy.underdelivery_margin * self.est_free.gbps_f64() {
+            self.under_delivery_ticks += 1;
+            self.low_streak += 1;
+        } else {
+            self.low_streak = 0;
+        }
+        let upgraded = may_order && self.low_streak >= 2 && pair.order(ctl, customer, t, committed);
+        if upgraded {
+            self.upgrades += 1;
+            self.low_streak = 0;
+        }
+        // Surplus: a full wavelength more than the plan needs,
+        // sustained — shed it before the idle timer would.
+        if committed.saturating_sub(need_paid) >= TEN_G {
+            self.surplus_streak += 1;
+        } else {
+            self.surplus_streak = 0;
+        }
+        if self.surplus_streak >= 3 {
+            if let Some(id) = pair.members.pop() {
+                let _ = ctl.request_teardown(id);
+                self.downgrades += 1;
+            }
+            self.surplus_streak = 0;
+        }
+        upgraded
+    }
+}
+
 impl MeasuredBodPolicy {
     /// Run the pair's jobs against a live controller with a prober on
-    /// the shared path. The `observability` flag gates only what the
-    /// measurement plane *records* (spans, samplers, metric families) —
-    /// estimates, RNG draws and every decision are identical either
-    /// way, which is the per-cell digest-identity invariant `repro
-    /// measure` asserts.
+    /// the shared path, on the BoD driver with every tick a decision
+    /// tick. The `observability` flag gates only what the measurement
+    /// plane *records* (spans, samplers, metric families) — estimates,
+    /// RNG draws and every decision are identical either way, which is
+    /// the per-cell digest-identity invariant `repro measure` asserts.
     #[allow(clippy::too_many_arguments)]
     pub fn run(
         &self,
@@ -1266,138 +1162,36 @@ impl MeasuredBodPolicy {
         seed: u64,
         observability: bool,
     ) -> MeasuredRun {
-        let cap_gbps = path.capacity.gbps_f64();
-        let mut prober = Prober::new(path, probe_cfg, seed, observability);
-        let mut run = PairRun::new(jobs);
-        let start = ctl.now();
-        let end = start + horizon;
-        let ten_g = DataRate::from_gbps(10);
-        let mut members: Vec<ConnectionId> = Vec::new();
-        let mut idle_since: Option<SimTime> = None;
-        let mut gbit_seconds = 0.0;
-        let mut peak: f64 = 0.0;
-        let mut setups = 0u64;
-        let mut under_delivery_ticks = 0u64;
-        let mut upgrades = 0u64;
-        let mut downgrades = 0u64;
-        let mut low_streak = 0u32;
-        let mut surplus_streak = 0u32;
-        let mut t = start;
-        while t < end {
-            ctl.run_until(t);
-            // Job and probe times are relative to the policy start.
-            let rel_now = SimTime::from_nanos(t.since(start).as_nanos());
-            prober.advance_to(rel_now);
-            run.admit(rel_now);
-            let (active_rate, committed) = member_rates(ctl, &members);
-            // Delivered rate = true free capacity of the shared path
-            // (whether or not the policy knows it) + paid wavelengths.
-            let free_true = prober.true_available(rel_now);
-            run.advance(rel_now, tick, active_rate + free_true);
-            gbit_seconds += active_rate.gbps_f64() * tick.as_secs_f64();
-            peak = peak.max(active_rate.gbps_f64());
-            // What the sizing loop believes the path contributes.
-            let est_free = match self.mode {
-                MeasuredMode::Fixed => DataRate::ZERO,
-                MeasuredMode::Estimated => prober.estimate().unwrap_or(DataRate::ZERO),
-                MeasuredMode::Oracle => free_true,
-            };
-            ctl.noc.observe_available_bw(
-                prober.path().name,
-                est_free.gbps_f64(),
-                100.0 * (est_free.gbps_f64() - free_true.gbps_f64()).abs() / cap_gbps,
-            );
-            let backlog = run.backlog();
-            if backlog.is_zero() {
-                low_streak = 0;
-                surplus_streak = 0;
-                if !members.is_empty() {
-                    match idle_since {
-                        None => idle_since = Some(t),
-                        Some(since) if t.since(since) >= self.idle_release => {
-                            for id in members.drain(..) {
-                                let _ = ctl.request_teardown(id);
-                            }
-                            idle_since = None;
-                        }
-                        _ => {}
-                    }
-                }
-            } else {
-                idle_since = None;
-                let desired = backlog_desired(backlog, self.drain_target, self.max_rate);
-                let need_paid = desired.saturating_sub(est_free);
-                let mut ordered = false;
-                if need_paid > committed && committed + ten_g <= self.max_rate {
-                    if let Ok(id) = ctl.request_wavelength(customer, from, to, LineRate::Gbps10) {
-                        members.push(id);
-                        setups += 1;
-                        ordered = true;
-                    }
-                }
-                // Under-delivery: the path gave measurably less than the
-                // estimate the plan was sized with.
-                let miss = free_true.gbps_f64() < self.underdelivery_margin * est_free.gbps_f64();
-                if miss {
-                    under_delivery_ticks += 1;
-                    low_streak += 1;
-                } else {
-                    low_streak = 0;
-                }
-                if !ordered && low_streak >= 2 && committed + ten_g <= self.max_rate {
-                    if let Ok(id) = ctl.request_wavelength(customer, from, to, LineRate::Gbps10) {
-                        members.push(id);
-                        setups += 1;
-                        upgrades += 1;
-                        low_streak = 0;
-                    }
-                }
-                // Surplus: a full wavelength more than the plan needs,
-                // sustained — shed it before the idle timer would.
-                if committed.saturating_sub(need_paid) >= ten_g {
-                    surplus_streak += 1;
-                } else {
-                    surplus_streak = 0;
-                }
-                if surplus_streak >= 3 {
-                    if let Some(id) = members.pop() {
-                        let _ = ctl.request_teardown(id);
-                        downgrades += 1;
-                    }
-                    surplus_streak = 0;
-                }
-            }
-            t += tick;
-            if run.all_done() && members.is_empty() {
-                break;
-            }
-        }
-        for id in members {
-            let _ = ctl.request_teardown(id);
-        }
-        ctl.run_until_idle();
+        let mut probing = Probing {
+            policy: *self,
+            prober: Prober::new(path, probe_cfg, seed, observability),
+            free_true: DataRate::ZERO,
+            est_free: DataRate::ZERO,
+            low_streak: 0,
+            surplus_streak: 0,
+            under_delivery_ticks: 0,
+            upgrades: 0,
+            downgrades: 0,
+        };
+        let (sizing, pairs) = (Sizing::Measured(&mut probing), vec![(from, to, jobs)]);
+        let pair = only(run_event_bod(ctl, customer, sizing, pairs, horizon, tick));
         let horizon_rel = SimTime::ZERO + horizon;
         let mut late_job_hours = 0.0;
-        for tr in &run.transfers {
+        for tr in pair.q.transfers() {
             let due = tr.job.created + self.sla_drain;
             let done = tr.completed.unwrap_or(horizon_rel);
             late_job_hours += done.saturating_since(due).as_secs_f64() / 3600.0;
         }
-        let outcome = PolicyOutcome {
-            log: TransferLog::summarize(&run.transfers),
-            gbps_hours: gbit_seconds / 3600.0,
-            peak_gbps: peak,
-            setups,
-        };
+        let outcome = pair.outcome();
         let score = outcome.gbps_hours + self.lateness_penalty * late_job_hours;
         MeasuredRun {
             outcome,
             late_job_hours,
-            under_delivery_ticks,
-            upgrades,
-            downgrades,
+            under_delivery_ticks: probing.under_delivery_ticks,
+            upgrades: probing.upgrades,
+            downgrades: probing.downgrades,
             score,
-            measure: prober.finish(),
+            measure: probing.prober.finish(),
         }
     }
 }
@@ -1805,6 +1599,31 @@ mod tests {
     }
 
     #[test]
+    fn deadline_policy_orders_with_zero_background_drain() {
+        // No background job, so the background term must not turn the
+        // required rate into 0/0 = NaN, which casts to zero: the policy
+        // would never order and miss the deadline.
+        let policy = DeadlineBodPolicy {
+            background_drain: SimDuration::ZERO,
+            ..DeadlineBodPolicy::default()
+        };
+        let jobs = vec![BulkJob {
+            deadline: Some(SimTime::from_secs(3 * 3600)),
+            ..job(0, 4, 0)
+        }];
+        let (horizon, tick) = (SimDuration::from_hours(4), SimDuration::from_secs(60));
+        let (mut ctl, from, to, csp) = bod_setup();
+        let out = policy.run(&mut ctl, csp, from, to, jobs.clone(), horizon, tick);
+        assert_eq!(out.log.completed, 1);
+        assert_eq!(out.log.deadline_hit_rate, 1.0);
+        assert!(out.setups >= 1);
+        let (mut ctl_b, from_b, to_b, csp_b) = bod_setup();
+        let oracle =
+            policy.run_tick_reference(&mut ctl_b, csp_b, from_b, to_b, jobs, horizon, tick);
+        assert_eq!(out, oracle);
+    }
+
+    #[test]
     fn bod_scales_with_backlog() {
         let (mut ctl, from, to, csp) = bod_setup();
         let policy = BodPolicy {
@@ -1904,6 +1723,49 @@ mod tests {
         assert!(on.measure.exemplars >= 1);
         assert_eq!(off.measure.exemplars, 0);
         assert_eq!(on.measure.span_dropped, 0);
+    }
+
+    #[test]
+    fn measured_bod_reports_through_the_driver_only_when_asked() {
+        let run = |telemetry: bool| {
+            let (mut ctl, from, to, csp) = bod_setup();
+            if telemetry {
+                ctl.spans.set_enabled(true);
+                ctl.noc.enable(SimDuration::from_mins(5));
+            }
+            let out = MeasuredBodPolicy::default().run(
+                &mut ctl,
+                csp,
+                from,
+                to,
+                vec![job(0, 30, 0)],
+                SimDuration::from_hours(8),
+                SimDuration::from_secs(60),
+                stationary_path(),
+                ProbeConfig::default(),
+                1234,
+                false,
+            );
+            (ctl, out)
+        };
+        let (quiet, off) = run(false);
+        let (loud, on) = run(true);
+        assert_eq!(on.outcome, off.outcome);
+        assert_eq!(on.score.to_bits(), off.score.to_bits());
+        assert!(quiet.spans.is_empty());
+        assert!(quiet.noc.families().is_empty());
+        let orders = loud
+            .spans
+            .spans()
+            .iter()
+            .filter(|s| s.name == "policy.order")
+            .count();
+        assert_eq!(orders as u64, on.outcome.setups);
+        assert!(loud
+            .noc
+            .families()
+            .expose()
+            .contains("noc_cloud_backlog_tb"));
     }
 
     #[test]

@@ -185,6 +185,43 @@ proptest! {
         prop_assert_eq!(event, oracle);
         assert_controllers_equal(&mut ctl_e, &mut ctl_t);
     }
+
+    /// Multi-pair BoD: one to three pairs contend for one carrier, and
+    /// every pair's decision tick must land where the oracle's does.
+    #[test]
+    fn multi_pair_bod_event_matches_tick_oracle(
+        specs in prop::collection::vec(job_spec(), 1..4),
+        drain_mins in 10u64..180,
+        idle_mins in 1u64..60,
+        max_gbps in 1u64..5,
+    ) {
+        let horizon = SimDuration::from_hours(24);
+        let tick = SimDuration::from_secs(60);
+        let runner = MultiPairBod {
+            policy: BodPolicy {
+                max_rate: DataRate::from_gbps(max_gbps * 10),
+                drain_target: SimDuration::from_mins(drain_mins),
+                idle_release: SimDuration::from_mins(idle_mins),
+            },
+        };
+        let twin = || {
+            let (mut ctl, ids) = quiet_testbed(10);
+            let csp = ctl.tenants.register("t", DataRate::from_gbps(400));
+            let ends = [(ids.i, ids.iv), (ids.i, ids.iii), (ids.iii, ids.iv)];
+            let pairs: Vec<_> = specs
+                .iter()
+                .zip(ends)
+                .map(|(spec, (a, b))| (a, b, jobs_from(spec)))
+                .collect();
+            (ctl, csp, pairs)
+        };
+        let (mut ctl_e, csp_e, pairs_e) = twin();
+        let event = runner.run(&mut ctl_e, csp_e, pairs_e, horizon, tick);
+        let (mut ctl_t, csp_t, pairs_t) = twin();
+        let oracle = runner.run_tick_reference(&mut ctl_t, csp_t, pairs_t, horizon, tick);
+        prop_assert_eq!(event, oracle);
+        assert_controllers_equal(&mut ctl_e, &mut ctl_t);
+    }
 }
 
 /// One full-mesh multi-pair run under the event engine.
