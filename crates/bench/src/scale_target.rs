@@ -7,7 +7,7 @@
 //!
 //! - **unsharded** — all cells executed on one thread;
 //! - **sharded** — the same cells fanned across
-//!   [`repro_threads`](crate::experiments::repro_threads) workers.
+//!   [`repro_threads`] workers.
 //!
 //! Each cell owns a full controller over the shared plant (region map
 //! installed, admission group-committed in waves through

@@ -173,7 +173,7 @@ pub struct FairnessReport {
     pub well_admitted_with_abuser: u64,
     /// Well-behaved admissions in the abuser-off run.
     pub well_admitted_without_abuser: u64,
-    /// `with / without` (gated ≥ [`MIN_FAIRNESS_RETENTION`]).
+    /// `with / without` (the fairness gate holds it ≥ 0.97).
     pub retention: f64,
 }
 

@@ -3,8 +3,8 @@
 //! The event-driven engine in [`crate::scheduler`] never simulates a tick
 //! it can predict: between two decision points it knows the service rate
 //! is constant, so the whole stretch can be replayed analytically. The
-//! subtlety is that "analytically" must mean *bit-identically* to the
-//! tick engine, whose arithmetic quantizes per tick:
+//! subtlety is that "analytically" must mean *bit-identically* to
+//! advancing tick by tick, whose arithmetic quantizes per tick:
 //!
 //! - each full tick moves exactly `rate.over(tick)` bits (integer
 //!   truncation in [`DataRate::over`]), and
@@ -29,32 +29,12 @@ pub(crate) fn grid_ceil(start: SimTime, at: SimTime, tick: SimDuration) -> SimTi
     start + tick * at.since(start).div_ceil(tick)
 }
 
-/// A pair's FIFO transfer queue as one decision tick drives it: the
-/// event engines' [`FifoQueue`] and the tick oracles' `PairRun` in
-/// [`crate::scheduler`].
-pub(crate) trait Queue {
-    /// Admit jobs created at or before `now` (relative time).
-    fn admit(&mut self, now: SimTime);
-    /// Give the full `rate` to the FIFO head for `dt`, handing the rest
-    /// of the window to its successor when the head finishes inside it.
-    fn advance_window(&mut self, now: SimTime, dt: SimDuration, rate: DataRate);
-    /// Bits queued but unfinished.
-    fn backlog(&self) -> DataSize;
-    /// The unfinished transfers, oldest first.
-    fn unfinished(&self) -> impl Iterator<Item = &Transfer>;
-    /// Every job admitted and finished.
-    fn all_done(&self) -> bool;
-    /// Every admitted transfer, in admission order.
-    fn transfers(&self) -> &[Transfer];
-}
-
 /// FIFO transfer queue with an exact fast-forward operation.
 ///
-/// Mirrors the tick engine's `PairRun` (sorted arrivals, head-of-line
-/// service) but keeps an O(1) head cursor and an incrementally-maintained
-/// integer backlog instead of rescanning the transfer list every tick.
-/// Completed transfers form a contiguous prefix because only the head
-/// ever receives bandwidth.
+/// Sorted arrivals and head-of-line service, with an O(1) head cursor
+/// and an incrementally-maintained integer backlog instead of a rescan
+/// of the transfer list every tick. Completed transfers form a
+/// contiguous prefix because only the head ever receives bandwidth.
 pub(crate) struct FifoQueue {
     pending: Vec<BulkJob>,
     transfers: Vec<Transfer>,
@@ -137,10 +117,9 @@ impl FifoQueue {
         }
         None
     }
-}
 
-impl Queue for FifoQueue {
-    fn admit(&mut self, now: SimTime) {
+    /// Admit jobs created at or before `now` (relative time).
+    pub(crate) fn admit(&mut self, now: SimTime) {
         while self.next_arrival < self.pending.len()
             && self.pending[self.next_arrival].created <= now
         {
@@ -151,9 +130,9 @@ impl Queue for FifoQueue {
         }
     }
 
-    /// Splits across completions exactly like the tick engine does
-    /// within one tick.
-    fn advance_window(&mut self, now: SimTime, dt: SimDuration, rate: DataRate) {
+    /// Give the full `rate` to the FIFO head for `dt`, handing the rest
+    /// of the window to its successor when the head finishes inside it.
+    pub(crate) fn advance_window(&mut self, now: SimTime, dt: SimDuration, rate: DataRate) {
         let mut t = now;
         let end = now + dt;
         while t < end {
@@ -179,21 +158,24 @@ impl Queue for FifoQueue {
         }
     }
 
-    /// Maintained incrementally; integer arithmetic, so identical to the
-    /// tick engine's per-tick rescan.
-    fn backlog(&self) -> DataSize {
+    /// Bits queued but unfinished; maintained incrementally, in integer
+    /// arithmetic, so identical to a per-tick rescan.
+    pub(crate) fn backlog(&self) -> DataSize {
         self.backlog
     }
 
-    fn unfinished(&self) -> impl Iterator<Item = &Transfer> {
+    /// The unfinished transfers, oldest first.
+    pub(crate) fn unfinished(&self) -> impl Iterator<Item = &Transfer> {
         self.transfers[self.head..].iter()
     }
 
-    fn all_done(&self) -> bool {
+    /// Every job admitted and finished.
+    pub(crate) fn all_done(&self) -> bool {
         self.next_arrival == self.pending.len() && !self.has_work()
     }
 
-    fn transfers(&self) -> &[Transfer] {
+    /// Every admitted transfer, in admission order.
+    pub(crate) fn transfers(&self) -> &[Transfer] {
         &self.transfers
     }
 }

@@ -22,8 +22,8 @@
 //!   when a backlog builds, release when drained), and a
 //!   store-and-forward relay baseline in the spirit of NetStitcher.
 //!   Policies run on two event-driven drivers (cost scales with state
-//!   changes, not horizon/tick), each with one tick loop kept as its
-//!   oracle.
+//!   changes, not horizon/tick); the fixed-tick oracles they are held
+//!   to live under the workspace's `tests/support/`.
 //! - [`profile`] — piecewise-constant interactive-load profiles, the
 //!   breakpoint representation the event engine fast-forwards between.
 //! - [`cost`] — the carrier-price model: flat monthly leased-line

@@ -28,10 +28,9 @@
 //! could change — job arrival, transfer completion, interactive-traffic
 //! breakpoint, idle-release expiry, controller event — and fast-forward
 //! through the provably inert ticks in between with exact quantized
-//! arithmetic (see `crate::event`). Each driver keeps one fixed-tick
-//! loop over `PairRun` as `run_tick_reference`, the oracle the event
-//! engine must match byte-for-byte when decisions are restricted to
-//! tick boundaries.
+//! arithmetic (see `crate::event`). Outcomes are byte-identical to
+//! deciding at every tick; the fixed-tick oracles that hold the drivers
+//! to this live beside the tests, not here (DESIGN.md §8).
 
 use simcore::{DataRate, DataSize, SimDuration, SimTime};
 
@@ -41,7 +40,7 @@ use griphon::{
 };
 use photonic::{LineRate, RoadmId};
 
-use crate::event::{grid_ceil, FifoQueue, Queue};
+use crate::event::{grid_ceil, FifoQueue};
 use crate::profile::RateProfile;
 use crate::transfer::{Transfer, TransferLog};
 use crate::workload::BulkJob;
@@ -60,72 +59,6 @@ pub struct PolicyOutcome {
     pub peak_gbps: f64,
     /// Wavelength/circuit setups performed (BoD churn).
     pub setups: u64,
-}
-
-/// The tick oracles' queue: a FIFO transfer list rescanned every tick.
-struct PairRun {
-    pending: Vec<BulkJob>,
-    transfers: Vec<Transfer>,
-    next_arrival: usize,
-}
-
-impl PairRun {
-    fn new(mut jobs: Vec<BulkJob>) -> PairRun {
-        jobs.sort_by_key(|j| (j.created, j.id));
-        PairRun {
-            pending: jobs,
-            transfers: Vec::new(),
-            next_arrival: 0,
-        }
-    }
-}
-
-impl Queue for PairRun {
-    fn admit(&mut self, now: SimTime) {
-        while self.next_arrival < self.pending.len()
-            && self.pending[self.next_arrival].created <= now
-        {
-            self.transfers
-                .push(Transfer::new(self.pending[self.next_arrival].clone()));
-            self.next_arrival += 1;
-        }
-    }
-
-    fn advance_window(&mut self, now: SimTime, dt: SimDuration, rate: DataRate) {
-        let mut t = now;
-        let end = now + dt;
-        while t < end {
-            let Some(head) = self.transfers.iter_mut().find(|tr| !tr.is_done()) else {
-                return;
-            };
-            let window = end.since(t);
-            let before_remaining = head.remaining;
-            head.advance(t, window, rate);
-            match head.completed {
-                Some(done_at) if done_at < end => {
-                    t = done_at; // hand the remainder of the tick to the next job
-                }
-                _ => return,
-            }
-            debug_assert!(before_remaining >= head.remaining);
-        }
-    }
-
-    fn backlog(&self) -> DataSize {
-        self.unfinished().map(|t| t.remaining).sum()
-    }
-
-    fn unfinished(&self) -> impl Iterator<Item = &Transfer> {
-        self.transfers.iter().filter(|t| !t.is_done())
-    }
-
-    fn all_done(&self) -> bool {
-        self.next_arrival == self.pending.len() && self.transfers.iter().all(Transfer::is_done)
-    }
-
-    fn transfers(&self) -> &[Transfer] {
-        &self.transfers
-    }
 }
 
 /// Bandwidth in service (`Active`) and bandwidth committed
@@ -185,8 +118,7 @@ impl StaticLinePolicy {
     }
 
     /// Run the pair's jobs event-driven; `interactive` has priority on
-    /// the line. Byte-identical to [`Self::run_tick_reference`] with
-    /// `interactive = |t| profile.rate_at(t)`.
+    /// the line.
     pub fn run(
         &self,
         jobs: Vec<BulkJob>,
@@ -195,20 +127,6 @@ impl StaticLinePolicy {
         interactive: &RateProfile,
     ) -> PolicyOutcome {
         let harvested = self.harvest().run(jobs, horizon, tick, interactive);
-        self.billed(horizon, harvested)
-    }
-
-    /// The harvest driver's fixed-tick oracle, billed as a lease.
-    pub fn run_tick_reference(
-        &self,
-        jobs: Vec<BulkJob>,
-        horizon: SimDuration,
-        tick: SimDuration,
-        interactive: &dyn Fn(SimTime) -> DataRate,
-    ) -> PolicyOutcome {
-        let harvested = self
-            .harvest()
-            .run_tick_reference(jobs, horizon, tick, interactive);
         self.billed(horizon, harvested)
     }
 }
@@ -260,8 +178,8 @@ impl StoreForwardPolicy {
     }
 
     /// The harvest driver: run the pair's jobs over harvested capacity
-    /// only, event-driven. Byte-identical to [`Self::run_tick_reference`]
-    /// with `interactive = |t| profile.rate_at(t)`.
+    /// only, event-driven. Byte-identical to deciding at every tick with
+    /// `interactive = |t| profile.rate_at(t)`.
     pub fn run(
         &self,
         jobs: Vec<BulkJob>,
@@ -277,8 +195,8 @@ impl StoreForwardPolicy {
         while t < end {
             q.admit(t);
             let rate = self.usable_rate(t, &sample);
-            // The tick engine tracks peak every tick, including idle
-            // stretches between arrivals, so walk every segment.
+            // Peak counts at every tick, including idle stretches
+            // between arrivals, so walk every segment.
             peak = peak.max(rate.gbps_f64());
             let mut seg_end = end;
             if let Some(b) = self.next_usable_change(t, interactive) {
@@ -298,36 +216,6 @@ impl StoreForwardPolicy {
             log: TransferLog::summarize(q.transfers()),
             // Harvested capacity is already paid for — zero marginal
             // provisioned bandwidth.
-            gbps_hours: 0.0,
-            peak_gbps: peak,
-            setups: 0,
-        }
-    }
-
-    /// The harvest driver's fixed-tick oracle.
-    pub fn run_tick_reference(
-        &self,
-        jobs: Vec<BulkJob>,
-        horizon: SimDuration,
-        tick: SimDuration,
-        interactive: &dyn Fn(SimTime) -> DataRate,
-    ) -> PolicyOutcome {
-        let mut run = PairRun::new(jobs);
-        let mut t = SimTime::ZERO;
-        let end = SimTime::ZERO + horizon;
-        let mut peak: f64 = 0.0;
-        while t < end {
-            run.admit(t);
-            let rate = self.usable_rate(t, interactive);
-            peak = peak.max(rate.gbps_f64());
-            run.advance_window(t, tick, rate);
-            t += tick;
-            if run.all_done() {
-                break;
-            }
-        }
-        PolicyOutcome {
-            log: TransferLog::summarize(&run.transfers),
             gbps_hours: 0.0,
             peak_gbps: peak,
             setups: 0,
@@ -393,7 +281,7 @@ impl Sizing<'_> {
 
     /// The committed rate a backlogged pair aims for: while it holds
     /// less, it orders one more wavelength per tick.
-    fn target(&self, q: &impl Queue, rel_now: SimTime) -> DataRate {
+    fn target(&self, q: &FifoQueue, rel_now: SimTime) -> DataRate {
         match self {
             Sizing::Backlog(p) => backlog_desired(q.backlog(), p.drain_target, p.max_rate),
             Sizing::Deadline(p) => p.required_rate(q.unfinished(), rel_now),
@@ -409,7 +297,7 @@ impl Sizing<'_> {
     fn inert_ticks(
         &self,
         ctl: &Controller,
-        pairs: &[Pair<FifoQueue>],
+        pairs: &[Pair],
         rel_start: SimTime,
         tick: SimDuration,
         n: u64,
@@ -464,12 +352,11 @@ impl Sizing<'_> {
     }
 }
 
-/// One BoD pair: its transfer queue — the driver's [`FifoQueue`] or the
-/// oracle's [`PairRun`] — and what it holds at the carrier.
-struct Pair<Q> {
+/// One BoD pair: its transfer queue and what it holds at the carrier.
+struct Pair {
     from: RoadmId,
     to: RoadmId,
-    q: Q,
+    q: FifoQueue,
     members: Vec<ConnectionId>,
     idle_since: Option<SimTime>,
     gbit_seconds: f64,
@@ -483,12 +370,12 @@ struct Pair<Q> {
     done_at: Option<SimTime>,
 }
 
-impl<Q: Queue> Pair<Q> {
-    fn new(from: RoadmId, to: RoadmId, q: Q) -> Pair<Q> {
+impl Pair {
+    fn new(from: RoadmId, to: RoadmId, jobs: Vec<BulkJob>) -> Pair {
         Pair {
             from,
             to,
-            q,
+            q: FifoQueue::new(jobs),
             members: Vec::new(),
             idle_since: None,
             gbit_seconds: 0.0,
@@ -501,8 +388,8 @@ impl<Q: Queue> Pair<Q> {
 
     /// One decision tick at `t` (`rel_now` on the jobs' clock):
     /// admission, single-pass member rates, service, accounting, then
-    /// the order/release decision. Every tick of the oracle; the driver's
-    /// tick at each decision point. Returns whether an order went in.
+    /// the order/release decision — what every tick would do, run at
+    /// each decision point. Returns whether an order went in.
     fn decision_tick(
         &mut self,
         ctl: &mut Controller,
@@ -603,13 +490,12 @@ impl<Q: Queue> Pair<Q> {
 /// [`DeadlineBodPolicy`] and [`MeasuredBodPolicy`]. Returns every pair
 /// after wind-down, in input order.
 ///
-/// Decision ticks run the oracle's per-tick sequence,
-/// [`Pair::decision_tick`], pair by pair. Between decision ticks the
-/// engine proves the policy inert — no arrival, no controller event, no
-/// possible release, no order by [`Sizing::inert_ticks`] — and replays
-/// the whole stretch with [`FifoQueue::advance_ticks`]. All arithmetic
-/// quantizes per tick just like the oracle, so outcomes are
-/// byte-identical.
+/// Decision ticks run the per-tick sequence, [`Pair::decision_tick`],
+/// pair by pair. Between decision ticks the engine proves the policy
+/// inert — no arrival, no controller event, no possible release, no
+/// order by [`Sizing::inert_ticks`] — and replays the whole stretch with
+/// [`FifoQueue::advance_ticks`]. All arithmetic quantizes per tick, so
+/// outcomes are byte-identical to deciding at every tick.
 fn run_event_bod(
     ctl: &mut Controller,
     customer: CustomerId,
@@ -617,21 +503,21 @@ fn run_event_bod(
     pairs: Vec<(RoadmId, RoadmId, Vec<BulkJob>)>,
     horizon: SimDuration,
     tick: SimDuration,
-) -> Vec<Pair<FifoQueue>> {
+) -> Vec<Pair> {
     let start = ctl.now();
     let end = start + horizon;
     let tick_secs = tick.as_secs_f64();
     let idle_release = sizing.limits().1;
     let rel = |abs: SimTime| SimTime::from_nanos(abs.since(start).as_nanos());
-    let mut states: Vec<Pair<FifoQueue>> = pairs
+    let mut states: Vec<Pair> = pairs
         .into_iter()
-        .map(|(from, to, jobs)| Pair::new(from, to, FifoQueue::new(jobs)))
+        .map(|(from, to, jobs)| Pair::new(from, to, jobs))
         .collect();
     let mut t = start;
     let mut last_tick: Option<SimTime> = None;
     let mut finished = false;
     while t < end {
-        // ── decision tick: the oracle's per-tick sequence, verbatim ──
+        // ── decision tick: the full per-tick sequence ──
         ctl.run_until(t);
         last_tick = Some(t);
         let rel_now = rel(t);
@@ -713,7 +599,7 @@ fn run_event_bod(
                 }
             }
             if g != 0.0 {
-                // Repeat the oracle's float accumulation value-for-value
+                // Repeat the per-tick float accumulation value-for-value
                 // (same addend, same count, same order).
                 let add = g * tick_secs;
                 for _ in 0..n {
@@ -729,9 +615,9 @@ fn run_event_bod(
         }
         t += tick * n;
     }
-    // ── wind down exactly where the oracle's loop stopped ──
+    // ── wind down exactly where a per-tick loop would stop ──
     if finished {
-        // The oracle exits at the tick where the last pair finished; no
+        // Ticking exits at the tick where the last pair finished; no
         // controller events can be pending at or before it (any such
         // event would have bounded the segment).
         let done = states.iter().filter_map(|st| st.done_at).max();
@@ -748,47 +634,8 @@ fn run_event_bod(
     states
 }
 
-/// The BoD driver's fixed-tick oracle: every tick is a decision tick,
-/// over [`PairRun`].
-fn run_tick_bod(
-    ctl: &mut Controller,
-    customer: CustomerId,
-    mut sizing: Sizing,
-    pairs: Vec<(RoadmId, RoadmId, Vec<BulkJob>)>,
-    horizon: SimDuration,
-    tick: SimDuration,
-) -> Vec<PolicyOutcome> {
-    let start = ctl.now();
-    let end = start + horizon;
-    let mut states: Vec<Pair<PairRun>> = pairs
-        .into_iter()
-        .map(|(from, to, jobs)| Pair::new(from, to, PairRun::new(jobs)))
-        .collect();
-    let mut t = start;
-    while t < end {
-        ctl.run_until(t);
-        // Job times are relative to the policy start.
-        let rel_now = SimTime::from_nanos(t.since(start).as_nanos());
-        for st in &mut states {
-            st.decision_tick(ctl, customer, &mut sizing, t, rel_now, tick);
-        }
-        t += tick;
-        if states
-            .iter()
-            .all(|st| st.q.all_done() && st.members.is_empty())
-        {
-            break;
-        }
-    }
-    for st in &mut states {
-        st.release_all(ctl);
-    }
-    ctl.run_until_idle();
-    states.iter().map(Pair::outcome).collect()
-}
-
 /// The single result of a one-pair run.
-fn only<T>(mut pairs: Vec<T>) -> T {
+fn only(mut pairs: Vec<Pair>) -> Pair {
     pairs.pop().expect("one pair in, one result out")
 }
 
@@ -808,22 +655,6 @@ impl BodPolicy {
     ) -> PolicyOutcome {
         let (sizing, pairs) = (Sizing::Backlog(*self), vec![(from, to, jobs)]);
         only(run_event_bod(ctl, customer, sizing, pairs, horizon, tick)).outcome()
-    }
-
-    /// The BoD driver's fixed-tick oracle for one pair.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_tick_reference(
-        &self,
-        ctl: &mut Controller,
-        customer: CustomerId,
-        from: RoadmId,
-        to: RoadmId,
-        jobs: Vec<BulkJob>,
-        horizon: SimDuration,
-        tick: SimDuration,
-    ) -> PolicyOutcome {
-        let (sizing, pairs) = (Sizing::Backlog(*self), vec![(from, to, jobs)]);
-        only(run_tick_bod(ctl, customer, sizing, pairs, horizon, tick))
     }
 }
 
@@ -856,19 +687,6 @@ impl MultiPairBod {
             .into_iter()
             .map(|st| st.outcome())
             .collect()
-    }
-
-    /// The BoD driver's fixed-tick oracle.
-    pub fn run_tick_reference(
-        &self,
-        ctl: &mut Controller,
-        customer: CustomerId,
-        pairs: Vec<(RoadmId, RoadmId, Vec<BulkJob>)>,
-        horizon: SimDuration,
-        tick: SimDuration,
-    ) -> Vec<PolicyOutcome> {
-        let sizing = Sizing::Backlog(self.policy);
-        run_tick_bod(ctl, customer, sizing, pairs, horizon, tick)
     }
 }
 
@@ -945,22 +763,6 @@ impl DeadlineBodPolicy {
     ) -> PolicyOutcome {
         let (sizing, pairs) = (Sizing::Deadline(*self), vec![(from, to, jobs)]);
         only(run_event_bod(ctl, customer, sizing, pairs, horizon, tick)).outcome()
-    }
-
-    /// The BoD driver's fixed-tick oracle for one pair.
-    #[allow(clippy::too_many_arguments)]
-    pub fn run_tick_reference(
-        &self,
-        ctl: &mut Controller,
-        customer: CustomerId,
-        from: RoadmId,
-        to: RoadmId,
-        jobs: Vec<BulkJob>,
-        horizon: SimDuration,
-        tick: SimDuration,
-    ) -> PolicyOutcome {
-        let (sizing, pairs) = (Sizing::Deadline(*self), vec![(from, to, jobs)]);
-        only(run_tick_bod(ctl, customer, sizing, pairs, horizon, tick))
     }
 }
 
@@ -1099,11 +901,11 @@ impl Probing {
     /// three ticks a full wavelength over `need_paid`. Returns whether it
     /// ordered.
     #[allow(clippy::too_many_arguments)]
-    fn settle<Q: Queue>(
+    fn settle(
         &mut self,
         ctl: &mut Controller,
         customer: CustomerId,
-        pair: &mut Pair<Q>,
+        pair: &mut Pair,
         t: SimTime,
         committed: DataRate,
         need_paid: DataRate,
@@ -1269,151 +1071,6 @@ mod tests {
         assert_eq!(out.log.completed, 1);
         assert!(out.log.mean_completion_secs < 2100.0);
         assert_eq!(out.gbps_hours, 0.0, "harvested capacity is free");
-    }
-
-    /// A stepped diurnal-ish profile whose breakpoints sit on (or off)
-    /// the tick grid, to stress the grid-snapping logic.
-    fn stepped_profile() -> RateProfile {
-        RateProfile::from_steps(vec![
-            (SimTime::from_secs(0), DataRate::from_gbps(1)),
-            (SimTime::from_secs(95), DataRate::from_gbps(7)),
-            (SimTime::from_secs(3600), DataRate::from_gbps(3)),
-            (SimTime::from_secs(5403), DataRate::ZERO),
-            (SimTime::from_secs(9000), DataRate::from_gbps(9)),
-        ])
-    }
-
-    #[test]
-    fn static_event_engine_matches_tick_oracle() {
-        let p = StaticLinePolicy {
-            line: DataRate::from_gbps(10),
-        };
-        let profile = stepped_profile();
-        let jobs = vec![
-            job(0, 2, 0),
-            job(1, 1, 500),
-            job(2, 3, 7000),
-            job(3, 1, 7000),
-        ];
-        let horizon = SimDuration::from_hours(9);
-        let tick = SimDuration::from_secs(60);
-        let event = p.run(jobs.clone(), horizon, tick, &profile);
-        let oracle = p.run_tick_reference(jobs, horizon, tick, &|t| profile.rate_at(t));
-        assert_eq!(event, oracle);
-    }
-
-    #[test]
-    fn store_forward_event_engine_matches_tick_oracle() {
-        let p = StoreForwardPolicy {
-            line: DataRate::from_gbps(10),
-            relays: 2,
-            relay_phase_hours: 0.7,
-        };
-        let profile = stepped_profile();
-        let jobs = vec![job(0, 2, 0), job(1, 4, 4000), job(2, 1, 12000)];
-        let horizon = SimDuration::from_hours(12);
-        let tick = SimDuration::from_secs(60);
-        let event = p.run(jobs.clone(), horizon, tick, &profile);
-        let oracle = p.run_tick_reference(jobs, horizon, tick, &|t| profile.rate_at(t));
-        assert_eq!(event, oracle);
-    }
-
-    #[test]
-    fn bod_event_engine_matches_tick_oracle() {
-        let policy = BodPolicy {
-            max_rate: DataRate::from_gbps(20),
-            drain_target: SimDuration::from_mins(30),
-            idle_release: SimDuration::from_mins(5),
-        };
-        let jobs = vec![job(0, 2, 0), job(1, 1, 9000), job(2, 4, 9030)];
-        let horizon = SimDuration::from_hours(8);
-        let tick = SimDuration::from_secs(30);
-        let (mut ctl_a, from_a, to_a, csp_a) = bod_setup();
-        let event = policy.run(&mut ctl_a, csp_a, from_a, to_a, jobs.clone(), horizon, tick);
-        let (mut ctl_b, from_b, to_b, csp_b) = bod_setup();
-        let oracle =
-            policy.run_tick_reference(&mut ctl_b, csp_b, from_b, to_b, jobs, horizon, tick);
-        assert_eq!(event, oracle);
-        assert_eq!(ctl_a.now(), ctl_b.now(), "clocks must agree");
-        assert_eq!(ctl_a.events_processed(), ctl_b.events_processed());
-        assert_eq!(ctl_a.trace.dump(), ctl_b.trace.dump());
-    }
-
-    #[test]
-    fn deadline_event_engine_matches_tick_oracle() {
-        let policy = DeadlineBodPolicy::default();
-        let mk = |id: u32, tb: u64, created_s: u64, deadline_s: Option<u64>| BulkJob {
-            id: JobId::new(id),
-            from: DataCenterId::new(0),
-            to: DataCenterId::new(1),
-            size: DataSize::from_terabytes(tb),
-            created: SimTime::from_secs(created_s),
-            deadline: deadline_s.map(SimTime::from_secs),
-        };
-        let jobs = vec![
-            mk(0, 2, 0, Some(4 * 3600)),
-            mk(1, 1, 1000, None),
-            mk(2, 5, 7200, Some(9 * 3600)),
-        ];
-        let horizon = SimDuration::from_hours(12);
-        let tick = SimDuration::from_secs(60);
-        let (mut ctl_a, from_a, to_a, csp_a) = bod_setup();
-        let event = policy.run(&mut ctl_a, csp_a, from_a, to_a, jobs.clone(), horizon, tick);
-        let (mut ctl_b, from_b, to_b, csp_b) = bod_setup();
-        let oracle =
-            policy.run_tick_reference(&mut ctl_b, csp_b, from_b, to_b, jobs, horizon, tick);
-        assert_eq!(event, oracle);
-        assert_eq!(ctl_a.trace.dump(), ctl_b.trace.dump());
-    }
-
-    #[test]
-    fn multi_pair_event_engine_matches_tick_oracle() {
-        let mk_ctl = || {
-            let (net, ids) = photonic::PhotonicNetwork::testbed(6);
-            let mut ctl = Controller::new(
-                net,
-                ControllerConfig {
-                    ems: EmsProfile::calibrated_deterministic(),
-                    equalization: EqualizationModel::calibrated_deterministic(),
-                    ..ControllerConfig::default()
-                },
-            );
-            let csp = ctl.tenants.register("acme", DataRate::from_gbps(400));
-            (ctl, ids, csp)
-        };
-        let mk = |id: u32, tb: u64, created_s: u64| BulkJob {
-            id: JobId::new(id),
-            from: DataCenterId::new(0),
-            to: DataCenterId::new(1),
-            size: DataSize::from_terabytes(tb),
-            created: SimTime::from_secs(created_s),
-            deadline: None,
-        };
-        let runner = MultiPairBod {
-            policy: BodPolicy {
-                max_rate: DataRate::from_gbps(20),
-                drain_target: SimDuration::from_mins(30),
-                idle_release: SimDuration::from_mins(5),
-            },
-        };
-        let horizon = SimDuration::from_hours(8);
-        let tick = SimDuration::from_secs(60);
-        let (mut ctl_a, ids_a, csp_a) = mk_ctl();
-        let pairs_a = vec![
-            (ids_a.i, ids_a.iv, vec![mk(0, 4, 0), mk(3, 2, 14000)]),
-            (ids_a.i, ids_a.iii, vec![mk(1, 2, 600)]),
-            (ids_a.iii, ids_a.iv, vec![mk(2, 6, 3000)]),
-        ];
-        let event = runner.run(&mut ctl_a, csp_a, pairs_a, horizon, tick);
-        let (mut ctl_b, ids_b, csp_b) = mk_ctl();
-        let pairs_b = vec![
-            (ids_b.i, ids_b.iv, vec![mk(0, 4, 0), mk(3, 2, 14000)]),
-            (ids_b.i, ids_b.iii, vec![mk(1, 2, 600)]),
-            (ids_b.iii, ids_b.iv, vec![mk(2, 6, 3000)]),
-        ];
-        let oracle = runner.run_tick_reference(&mut ctl_b, csp_b, pairs_b, horizon, tick);
-        assert_eq!(event, oracle);
-        assert_eq!(ctl_a.trace.dump(), ctl_b.trace.dump());
     }
 
     fn bod_setup() -> (Controller, RoadmId, RoadmId, CustomerId) {
@@ -1613,14 +1270,10 @@ mod tests {
         }];
         let (horizon, tick) = (SimDuration::from_hours(4), SimDuration::from_secs(60));
         let (mut ctl, from, to, csp) = bod_setup();
-        let out = policy.run(&mut ctl, csp, from, to, jobs.clone(), horizon, tick);
+        let out = policy.run(&mut ctl, csp, from, to, jobs, horizon, tick);
         assert_eq!(out.log.completed, 1);
         assert_eq!(out.log.deadline_hit_rate, 1.0);
         assert!(out.setups >= 1);
-        let (mut ctl_b, from_b, to_b, csp_b) = bod_setup();
-        let oracle =
-            policy.run_tick_reference(&mut ctl_b, csp_b, from_b, to_b, jobs, horizon, tick);
-        assert_eq!(out, oracle);
     }
 
     #[test]

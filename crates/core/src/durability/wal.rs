@@ -734,39 +734,6 @@ impl Wal {
         seq
     }
 
-    /// The pre-optimization append path, kept as the oracle the zero-copy
-    /// path is tested against and the baseline of the append speed floor
-    /// in `tests/speed_floors.rs`: a fresh encoder per record, an
-    /// intermediate framed `Vec`, and the byte-at-a-time reference CRC.
-    /// Byte-identical output to [`Wal::append`] (never deferred by
-    /// batches).
-    pub fn append_reference(&mut self, at: SimTime, intent: &Intent) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let mut e = Encoder::new();
-        e.u64(seq).u64(at.as_nanos());
-        intent.encode(&mut e);
-        let payload = e.finish();
-        let mut rec = Vec::with_capacity(8 + payload.len());
-        rec.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        rec.extend_from_slice(&simcore::crc32c_reference(&payload).to_le_bytes());
-        rec.extend_from_slice(&payload);
-        let need_new = match self.segments.last() {
-            None => true,
-            Some(seg) => {
-                seg.len() > Self::header_len() && seg.len() + rec.len() > self.cfg.segment_bytes
-            }
-        };
-        if need_new {
-            self.push_segment(seq);
-        }
-        self.segments
-            .last_mut()
-            .expect("segment exists")
-            .extend_from_slice(&rec);
-        seq
-    }
-
     /// Open a group-commit batch: subsequent appends are accepted but
     /// buffered, to be flushed as one contiguous byte run by
     /// [`Wal::commit_batch`]. Nested begin/commit pairs are collapsed
@@ -1258,26 +1225,6 @@ mod tests {
         let rebuilt = Wal::from_records(WalConfig { segment_bytes: 256 }, &records);
         assert_eq!(rebuilt.segments(), wal.segments());
         assert_eq!(rebuilt.records(), wal.records());
-    }
-
-    #[test]
-    fn zero_copy_append_matches_reference_path() {
-        // The optimized path must be byte-identical to the pre-PR oracle
-        // across a segment-size sweep (exercising rollover boundaries).
-        for segment_bytes in [64, 96, 128, 256, 8192] {
-            let mut fast = Wal::new(WalConfig { segment_bytes });
-            let mut slow = Wal::new(WalConfig { segment_bytes });
-            for (i, intent) in sample_intents().iter().enumerate() {
-                let a = fast.append(SimTime::from_secs(i as u64), intent);
-                let b = slow.append_reference(SimTime::from_secs(i as u64), intent);
-                assert_eq!(a, b);
-            }
-            assert_eq!(
-                fast.segments(),
-                slow.segments(),
-                "segment_bytes={segment_bytes}"
-            );
-        }
     }
 
     #[test]

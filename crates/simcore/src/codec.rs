@@ -21,9 +21,9 @@
 //! production [`crc32c`] runs a slice-by-32 table kernel (32 bytes per
 //! iteration — the 32 lookups in a block are independent, so the CPU
 //! overlaps them instead of serializing on the per-byte CRC dependency
-//! chain; ~an order of magnitude faster than a byte loop). The original
-//! byte-at-a-time implementation survives as [`crc32c_reference`], the
-//! oracle the fast path is property-tested against.
+//! chain; ~an order of magnitude faster than a byte loop). The workspace
+//! tests hold it to an independent byte-at-a-time oracle with its own
+//! table.
 
 /// Number of slice tables: the fast kernel consumes this many bytes per
 /// iteration.
@@ -99,18 +99,6 @@ fn crc32c_advance(mut crc: u32, data: &[u8]) -> u32 {
 /// CRC-32C checksum of `data` (slice-by-32 fast path).
 pub fn crc32c(data: &[u8]) -> u32 {
     !crc32c_advance(!0u32, data)
-}
-
-/// The original byte-at-a-time CRC-32C — kept as the oracle the
-/// slice-by-32 kernel is property-tested against, and as the baseline of
-/// the CRC speed floor in `tests/speed_floors.rs`.
-pub fn crc32c_reference(data: &[u8]) -> u32 {
-    let table = &crc32c_tables()[0];
-    let mut crc = !0u32;
-    for &b in data {
-        crc = (crc >> 8) ^ table[((crc ^ b as u32) & 0xFF) as usize];
-    }
-    !crc
 }
 
 /// Incremental CRC-32C: feed bytes in arbitrary chunks, then [`finish`].
@@ -425,16 +413,23 @@ mod tests {
 
     #[test]
     fn crc32c_known_vectors() {
-        // RFC 3720 §B.4 test vectors — both the slice-by-32 fast path and
-        // the byte-at-a-time reference must hit them.
-        for crc in [crc32c, crc32c_reference] {
-            assert_eq!(crc(b""), 0x0000_0000);
-            assert_eq!(crc(&[0u8; 32]), 0x8A91_36AA);
-            assert_eq!(crc(&[0xFFu8; 32]), 0x62A8_AB43);
-            let ascending: Vec<u8> = (0u8..32).collect();
-            assert_eq!(crc(&ascending), 0x46DD_794E);
-            assert_eq!(crc(b"123456789"), 0xE306_9283);
-        }
+        // RFC 3720 §B.4 test vectors.
+        assert_eq!(crc32c(b""), 0x0000_0000);
+        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
+        assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
+        let ascending: Vec<u8> = (0u8..32).collect();
+        assert_eq!(crc32c(&ascending), 0x46DD_794E);
+        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
+    }
+
+    #[test]
+    fn crc32c_long_vectors() {
+        // Pinned >64 KiB vectors: thousands of slice-by-32 blocks plus a
+        // remainder, so a table-generation regression cannot slip by.
+        let zeros = vec![0u8; 64 * 1024 + 3];
+        assert_eq!(crc32c(&zeros), 0x1D0A_F0A0);
+        let ones = vec![0xFFu8; 100_000];
+        assert_eq!(crc32c(&ones), 0x2F0B_8293);
     }
 
     /// A deterministic pseudo-random buffer (splitmix-ish byte stream).
@@ -448,22 +443,6 @@ mod tests {
                 (state >> 56) as u8
             })
             .collect()
-    }
-
-    #[test]
-    fn crc32c_long_inputs_match_reference() {
-        // >64 KiB inputs: exercise thousands of slice-by-32 blocks plus
-        // every remainder length, against the byte-at-a-time oracle.
-        for len in [64 * 1024 + 1, 100_000, 100_007, 100_015] {
-            let buf = long_buffer(len);
-            assert_eq!(crc32c(&buf), crc32c_reference(&buf), "len={len}");
-        }
-        // Pinned long vectors so a table-generation regression cannot
-        // slip past a reference that shares the same tables.
-        let zeros = vec![0u8; 64 * 1024 + 3];
-        assert_eq!(crc32c(&zeros), 0x1D0A_F0A0);
-        let ones = vec![0xFFu8; 100_000];
-        assert_eq!(crc32c(&ones), 0x2F0B_8293);
     }
 
     #[test]
@@ -593,41 +572,5 @@ mod tests {
         let mut pos = 0;
         assert_eq!(read_frame(&buf, &mut pos), Some(Frame::Ok(&b""[..])));
         assert_eq!(read_frame(&buf, &mut pos), None);
-    }
-}
-
-#[cfg(test)]
-mod crc_props {
-    use super::*;
-    use proptest::prelude::*;
-
-    proptest! {
-        /// The slice-by-32 kernel is byte-for-byte equivalent to the
-        /// byte-at-a-time reference on arbitrary inputs (lengths cover
-        /// sub-block, exact-block, and multi-block cases).
-        #[test]
-        fn slice_by_32_equals_reference(data in prop::collection::vec(any::<u8>(), 0..4096)) {
-            prop_assert_eq!(crc32c(&data), crc32c_reference(&data));
-        }
-
-        /// Incremental feeding over arbitrary chunk boundaries equals the
-        /// one-shot reference: split points land inside and between
-        /// 16-byte blocks at random.
-        #[test]
-        fn chunked_feeding_equals_one_shot(
-            data in prop::collection::vec(any::<u8>(), 0..2048),
-            cuts in prop::collection::vec(0usize..2048, 0..8),
-        ) {
-            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c.min(data.len())).collect();
-            cuts.sort_unstable();
-            let mut h = Crc32c::new();
-            let mut prev = 0;
-            for c in cuts {
-                h.update(&data[prev..c]);
-                prev = c;
-            }
-            h.update(&data[prev..]);
-            prop_assert_eq!(h.finish(), crc32c_reference(&data));
-        }
     }
 }

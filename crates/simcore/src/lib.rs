@@ -74,7 +74,7 @@ pub mod time;
 pub mod trace;
 pub mod units;
 
-pub use codec::{crc32c, crc32c_reference, CodecError, Crc32c, CrcWriter, Decoder, Encoder};
+pub use codec::{crc32c, CodecError, Crc32c, CrcWriter, Decoder, Encoder};
 pub use dist::{bounded_pareto_bits, diurnal_day_factor, diurnal_sin, zipf_weights, ZipfSampler};
 pub use flow::{BoundedQueue, PushOutcome, RateLimited, TokenBucket};
 pub use metrics::{

@@ -5,17 +5,17 @@
 //! orders, upgrades, downgrades and releases reach the controller, and
 //! its score feeds every `repro measure` row, so the driver must leave
 //! all of them bit-identical to the policy's old fixed-tick loop, kept
-//! verbatim under `tests/support/` as the oracle. Each case runs twin
-//! controllers, one per implementation, and compares the outcome, the
-//! lateness, the three feedback counters, the score's bits, the probe
-//! sample count and the controller's state digest.
+//! in `tests/support/reference_policies.rs` as the oracle. Each case
+//! runs twin controllers, one per implementation, and compares the
+//! outcome, the lateness, the three feedback counters, the score's bits,
+//! the probe sample count and the controller's state digest.
 //!
 //! Tier-1 runs random job sets over stationary, square-wave and diurnal
 //! cross traffic in all three modes; the `#[ignore]`d grid runs the five
 //! `repro measure` scenarios in all three modes
 //! (`cargo test --release --test measured_oracle -- --ignored`).
 
-#[path = "support/reference_measured.rs"]
+#[path = "support/reference_policies.rs"]
 mod reference;
 
 use cloud::{BulkJob, DataCenterId, JobId, MeasuredBodPolicy, MeasuredMode, MeasuredRun};
@@ -24,7 +24,6 @@ use griphon::{CrossTraffic, ProbeConfig, ProbePath};
 use griphon_bench::measure_target::point_seed;
 use photonic::{EmsProfile, EqualizationModel, PhotonicNetwork};
 use proptest::prelude::*;
-use reference::ReferenceRun;
 use simcore::{DataRate, DataSize, SimDuration, SimTime};
 
 const MODES: [MeasuredMode; 3] = [
@@ -75,7 +74,8 @@ fn run(cell: &Cell, reference: bool) -> (MeasuredRun, u32) {
     let tick = SimDuration::from_secs(60);
     let jobs = cell.jobs.clone();
     let out = if reference {
-        policy.run_reference(
+        reference::measured_bod(
+            &policy,
             &mut ctl,
             csp,
             ids.i,

@@ -1,10 +1,9 @@
 //! The transfer-policy experiments pinned to their committed text: E5
 //! (static line, store-and-forward, BoD and deadline BoD over one week),
 //! E5b (three-pair multi-pair BoD on one carrier), Fig. 6 and Fig. 7.
-//! Every number in those tables comes out of `cloud::scheduler`, and
-//! `fig6`/`fig7` also assert each cell byte-identical against the tick
-//! oracles while they build the text, so this one test runs those
-//! checks too.
+//! Every number in those tables comes out of `cloud::scheduler`;
+//! `tests/event_engine.rs` rebuilds each Fig. 6 and Fig. 7 row against
+//! the fixed-tick oracles and requires it in the same golden file.
 //!
 //! If a change intentionally alters a policy, regenerate with
 //! `for t in e5-bulk e5b-full-mesh fig6 fig7; do repro $t; done >

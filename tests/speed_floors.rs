@@ -1,9 +1,10 @@
 //! The two documented host-speed floors of the durability fast paths
 //! (DESIGN.md §12), each against the slow oracle it must stay
-//! byte-identical to:
+//! byte-identical to (`tests/support/reference_durability.rs`):
 //!
-//! - slice-by-32 `crc32c` ≥ 5× the byte-at-a-time `crc32c_reference`;
-//! - zero-copy `Wal::append` ≥ 2× `Wal::append_reference`.
+//! - slice-by-32 `crc32c` ≥ 5× the byte-at-a-time reference CRC;
+//! - zero-copy `Wal::append` ≥ 2× the reference segment builder, which
+//!   encodes each record afresh and frames it through its own `Vec`.
 //!
 //! Every other host-time cost is a per-layer metric of `benchmark/`.
 //! Debug timings measure the compiler, not the code, so both tests are
@@ -15,6 +16,9 @@
 //!
 //! Each asserts byte identity before it times anything; in a debug build
 //! it stops there.
+
+#[path = "support/reference_durability.rs"]
+mod reference;
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -87,7 +91,7 @@ fn crc32c_slice_by_32_is_5x_the_byte_loop() {
     let buf: Vec<u8> = (0..2 << 20) // 16 MiB of seeded noise
         .flat_map(|_| rng.next_u64().to_le_bytes())
         .collect();
-    let want = simcore::crc32c_reference(&buf);
+    let want = reference::crc32c(&buf);
     assert_eq!(simcore::crc32c(&buf), want, "slice-by-32 diverged");
     if cfg!(debug_assertions) {
         return;
@@ -95,7 +99,7 @@ fn crc32c_slice_by_32_is_5x_the_byte_loop() {
 
     let (ref_s, fast_s) = best_of_interleaved(
         || {
-            black_box(simcore::crc32c_reference(black_box(&buf)));
+            black_box(reference::crc32c(black_box(&buf)));
         },
         || {
             black_box(simcore::crc32c(black_box(&buf)));
@@ -117,33 +121,29 @@ fn zero_copy_append_is_2x_the_reference_append() {
     const RECORDS: usize = 20_000;
     let work = workload(RECORDS);
     let cfg = WalConfig::default();
-    let log = |reference: bool| {
+    let log = || {
         let mut wal = Wal::new(cfg);
         for (at, intent) in &work {
-            if reference {
-                wal.append_reference(*at, intent);
-            } else {
-                wal.append(*at, intent);
-            }
+            wal.append(*at, intent);
         }
         wal
     };
-    let want = log(true);
-    assert_eq!(log(false).segments(), want.segments(), "append diverged");
+    let want = reference::wal_segments(cfg.segment_bytes, &work);
+    assert_eq!(log().segments(), want, "append diverged");
     if cfg!(debug_assertions) {
         return;
     }
 
     let (ref_s, fast_s) = best_of_interleaved(
-        || drop(black_box(log(true))),
-        || drop(black_box(log(false))),
+        || drop(black_box(reference::wal_segments(cfg.segment_bytes, &work))),
+        || drop(black_box(log())),
     );
     let speedup = ref_s / fast_s;
     eprintln!(
         "append: zero-copy {:.0} rec/s vs reference {:.0} rec/s over {} bytes: {speedup:.1}x",
         RECORDS as f64 / fast_s,
         RECORDS as f64 / ref_s,
-        want.total_bytes()
+        want.iter().map(Vec::len).sum::<usize>()
     );
     assert!(
         speedup >= 2.0,
