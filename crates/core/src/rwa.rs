@@ -4,9 +4,11 @@
 //!
 //! - **Routing** — Yen's k-shortest-paths over the up-fiber graph,
 //!   weighted by route kilometres (carrier practice: distance ≈ latency ≈
-//!   cost). Candidates are examined in order until one passes wavelength,
-//!   transponder, reach and regen checks, so the controller naturally
-//!   prefers short paths but degrades gracefully under contention.
+//!   cost). Candidates are produced on demand, shortest first, and
+//!   examined until one passes wavelength, transponder, reach and regen
+//!   checks, so the controller naturally prefers short paths but degrades
+//!   gracefully under contention — and pays for the second path only when
+//!   the first fails.
 //! - **Wavelength assignment** — first-fit with the continuity
 //!   constraint: one wavelength free on *every* fiber of the path.
 //!   (First-fit is the classic low-blocking heuristic; the ROADM layer's
@@ -25,6 +27,7 @@
 //! [topology epoch](PhotonicNetwork::topology_epoch); epoch-stamped
 //! Dijkstra scratch buffers; and one reusable arena holding every Yen
 //! path as a span, deduplicated and excluded by scanning those spans. A
+//! cache entry is the prefix of a search that a plan or query read. A
 //! warm engine allocates only what a call returns or caches. The free
 //! functions remain as thin wrappers for one-shot callers.
 
@@ -265,6 +268,8 @@ impl<'a> Graph<'a> {
 /// vectors have grown to the network size.
 #[derive(Debug, Default)]
 struct DijkstraScratch {
+    /// Searches run: the planner's work count.
+    runs: u64,
     stamp: u64,
     /// Distance from the source in metres; valid iff `dist_stamp` matches.
     dist: Vec<u64>,
@@ -310,6 +315,7 @@ impl DijkstraScratch {
         if self.fiber_excluded.len() < fibers {
             self.fiber_excluded.resize(fibers, 0);
         }
+        self.runs += 1;
         self.stamp += 1;
         let stamp = self.stamp;
         for f in excluded_fibers {
@@ -397,7 +403,10 @@ impl<'a> Paths<'a> {
 /// Yen's working set, reused across searches. Every path the current
 /// search generated — the first, each accepted one and every candidate —
 /// lives in `arena` as a [`Span`], so neither a search nor its result
-/// allocates once the vectors have grown.
+/// allocates once the vectors have grown. A search is resumable:
+/// [`Search::begin`] accepts the shortest path and each
+/// [`Search::advance`] one more, so a caller pays only for the paths it
+/// reads.
 #[derive(Debug, Default)]
 struct Search {
     dijkstra: DijkstraScratch,
@@ -421,11 +430,29 @@ impl Search {
         }
     }
 
-    /// Yen's k-shortest-paths proper: spur paths are generated off each
-    /// accepted path and ranked by `(metres, hops, fiber sequence)`. A spur
-    /// avoids the next fiber of every generated path sharing its root, so
-    /// it never regenerates one; the dedup scan below only confirms that.
-    fn yen(&mut self, g: &Graph<'_>, from: RoadmId, to: RoadmId, k: usize) -> Paths<'_> {
+    /// Start a search: the shortest path, if any, is the first accepted.
+    fn begin(&mut self, g: &Graph<'_>, from: RoadmId, to: RoadmId) {
+        self.arena.clear();
+        self.generated.clear();
+        self.accepted.clear();
+        self.candidates.clear();
+        if self
+            .dijkstra
+            .shortest_path(g, from, to, &[], &[], &mut self.arena)
+        {
+            let first = (0, self.arena.len() as u32);
+            self.generated.push(first);
+            self.accepted.push(first);
+        }
+    }
+
+    /// One round of Yen's k-shortest-paths proper: spur paths are
+    /// generated off the last accepted path, and the least candidate by
+    /// `(metres, hops, fiber sequence)` is accepted. A spur avoids the
+    /// next fiber of every generated path sharing its root, so it never
+    /// regenerates one; the dedup scan below only confirms that. Returns
+    /// `false`, accepting nothing, once no candidate is left.
+    fn advance(&mut self, g: &Graph<'_>, from: RoadmId, to: RoadmId) -> bool {
         let Search {
             dijkstra,
             arena,
@@ -435,64 +462,56 @@ impl Search {
             excluded_fibers,
             root_nodes,
         } = self;
-        arena.clear();
-        generated.clear();
-        accepted.clear();
-        candidates.clear();
-        if dijkstra.shortest_path(g, from, to, &[], &[], arena) {
-            let first = (0, arena.len() as u32);
-            generated.push(first);
-            accepted.push(first);
-        }
-        while accepted.len() < k {
-            let Some(&(last_off, hops)) = accepted.last() else {
-                break;
-            };
-            let last = last_off as usize;
-            root_nodes.clear();
-            let mut spur_node = from;
-            for spur_idx in 0..hops as usize {
-                let root = last..last + spur_idx;
-                // Exclude fibers that would regenerate a known path from
-                // this root.
-                excluded_fibers.clear();
-                for &(off, len) in generated.iter() {
-                    let off = off as usize;
-                    if len as usize > spur_idx && arena[off..off + spur_idx] == arena[root.clone()]
-                    {
-                        excluded_fibers.push(arena[off + spur_idx]);
-                    }
+        let Some(&(last_off, hops)) = accepted.last() else {
+            return false;
+        };
+        let last = last_off as usize;
+        root_nodes.clear();
+        let mut spur_node = from;
+        for spur_idx in 0..hops as usize {
+            let root = last..last + spur_idx;
+            // Exclude fibers that would regenerate a known path from this
+            // root.
+            excluded_fibers.clear();
+            for &(off, len) in generated.iter() {
+                let off = off as usize;
+                if len as usize > spur_idx && arena[off..off + spur_idx] == arena[root.clone()] {
+                    excluded_fibers.push(arena[off + spur_idx]);
                 }
-                // Root then spur, appended in place; root nodes are
-                // excluded to keep paths loop-free.
-                let start = arena.len();
-                arena.extend_from_within(root);
-                let found =
-                    dijkstra.shortest_path(g, spur_node, to, excluded_fibers, root_nodes, arena);
-                let total = (start as u32, (arena.len() - start) as u32);
-                if found && !generated.iter().any(|&s| at(arena, s) == at(arena, total)) {
-                    let metres = (g.path_km(at(arena, total)) * 1000.0) as u64;
-                    generated.push(total);
-                    candidates.push((metres, total));
-                } else {
-                    arena.truncate(start);
-                }
-                root_nodes.push(spur_node);
-                spur_node = g.net.fiber(arena[last + spur_idx]).other_end(spur_node);
             }
-            // Shortest candidate next (by km, then hop count, then fiber
-            // sequence for a total deterministic order).
-            let best = (0..candidates.len()).min_by(|&i, &j| {
-                let ((mi, si), (mj, sj)) = (candidates[i], candidates[j]);
-                (mi, si.1)
-                    .cmp(&(mj, sj.1))
-                    .then_with(|| at(arena, si).cmp(at(arena, sj)))
-            });
-            match best {
-                Some(i) => accepted.push(candidates.swap_remove(i).1),
-                None => break,
+            // Root then spur, appended in place; root nodes are excluded
+            // to keep paths loop-free.
+            let start = arena.len();
+            arena.extend_from_within(root);
+            let found =
+                dijkstra.shortest_path(g, spur_node, to, excluded_fibers, root_nodes, arena);
+            let total = (start as u32, (arena.len() - start) as u32);
+            if found && !generated.iter().any(|&s| at(arena, s) == at(arena, total)) {
+                let metres = (g.path_km(at(arena, total)) * 1000.0) as u64;
+                generated.push(total);
+                candidates.push((metres, total));
+            } else {
+                arena.truncate(start);
             }
+            root_nodes.push(spur_node);
+            spur_node = g.net.fiber(arena[last + spur_idx]).other_end(spur_node);
         }
+        // Shortest candidate next (by km, then hop count, then fiber
+        // sequence for a total deterministic order).
+        let best = (0..candidates.len()).min_by(|&i, &j| {
+            let ((mi, si), (mj, sj)) = (candidates[i], candidates[j]);
+            (mi, si.1)
+                .cmp(&(mj, sj.1))
+                .then_with(|| at(arena, si).cmp(at(arena, sj)))
+        });
+        best.map(|i| accepted.push(candidates.swap_remove(i).1))
+            .is_some()
+    }
+
+    /// Up to `k` paths from `from` to `to` (at least the first, if any).
+    fn yen(&mut self, g: &Graph<'_>, from: RoadmId, to: RoadmId, k: usize) -> Paths<'_> {
+        self.begin(g, from, to);
+        while self.accepted.len() < k && self.advance(g, from, to) {}
         self.paths()
     }
 
@@ -519,7 +538,9 @@ impl Search {
 /// Configuration of the RWA engine.
 #[derive(Debug, Clone, Copy)]
 pub struct RwaConfig {
-    /// How many candidate paths Yen's search produces.
+    /// How many candidate paths a plan may examine: Yen's search yields
+    /// them one at a time, shortest first, and a plan stops at the first
+    /// that passes. Also the `k` of a plan's route-cache key.
     pub k_paths: usize,
     /// The reach model used for regen insertion.
     pub reach: ReachModel,
@@ -547,7 +568,8 @@ impl Default for RwaConfig {
 }
 
 /// The path-computation engine: a per-fiber weight table, reusable search
-/// scratch, and a route cache keyed by `(src, dst, k)`. The table and the
+/// scratch, and a route cache keyed by `(src, dst, k)` whose entries hold
+/// the prefix of the search that was read. The table and the
 /// cache are both validated against the network's
 /// [topology epoch](PhotonicNetwork::topology_epoch), so invalidation is
 /// free and results are bit-identical with the cache on or off. One
@@ -574,6 +596,7 @@ impl std::fmt::Debug for PathEngine {
         f.debug_struct("PathEngine")
             .field("cache", &self.cache)
             .field("weight_table_builds", &self.weights.builds)
+            .field("dijkstra_runs", &self.search.dijkstra.runs)
             .field("region_map", &self.region_map.is_some())
             .finish_non_exhaustive()
     }
@@ -581,16 +604,20 @@ impl std::fmt::Debug for PathEngine {
 
 type RouteKey = (RoadmId, RoadmId, usize);
 
-/// One cached query: its paths laid end to end in one buffer.
+/// One cached query: the prefix of its Yen search that was read, laid end
+/// to end in one buffer. By the prefix property (Yen's path *i* depends
+/// only on paths 0..*i*) it is exactly the first paths of the full
+/// search; `complete` says the search reached `k` or ran out of paths.
 struct CacheEntry {
     epoch: u64,
     last_used: u64,
+    complete: bool,
     buf: Box<[FiberId]>,
     spans: Box<[Span]>,
 }
 
 impl CacheEntry {
-    fn new(epoch: u64, last_used: u64, paths: Paths<'_>) -> CacheEntry {
+    fn new(epoch: u64, last_used: u64, paths: Paths<'_>, complete: bool) -> CacheEntry {
         let mut buf = Vec::with_capacity(paths.iter().map(<[FiberId]>::len).sum());
         let spans = paths
             .iter()
@@ -603,6 +630,7 @@ impl CacheEntry {
         CacheEntry {
             epoch,
             last_used,
+            complete,
             buf: buf.into_boxed_slice(),
             spans,
         }
@@ -616,7 +644,9 @@ impl CacheEntry {
     }
 }
 
-/// The route cache with its LRU clock, bound and counters.
+/// The route cache with its LRU clock, bound and counters. An entry holds
+/// a prefix of its search ([`CacheEntry`]); a query that needs more than
+/// the prefix still counts as a hit and overwrites the entry.
 struct RouteCache {
     map: std::collections::HashMap<RouteKey, CacheEntry>,
     /// Monotonic access counter; every cache touch stamps the entry, so
@@ -655,41 +685,31 @@ impl std::fmt::Debug for RouteCache {
 }
 
 impl RouteCache {
-    /// The paths cached for `key` at `epoch`, or else the ones `search`
-    /// finds, cached first.
-    fn get_or_search<'a>(
-        &mut self,
-        key: RouteKey,
-        epoch: u64,
-        search: impl FnOnce() -> Paths<'a>,
-    ) -> Paths<'_> {
-        use std::collections::hash_map::Entry;
-
+    /// Count and stamp a query for `key` at `epoch`: a hit returns the
+    /// current entry; a miss makes room for the one [`RouteCache::store`]
+    /// writes when the query ends.
+    fn lookup(&mut self, key: RouteKey, epoch: u64) -> Option<&CacheEntry> {
         self.tick += 1;
         if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
             self.evict_to_fit(epoch);
         }
-        let tick = self.tick;
-        match self.map.entry(key) {
-            Entry::Occupied(o) if o.get().epoch == epoch => {
+        match self.map.get_mut(&key) {
+            Some(e) if e.epoch == epoch => {
                 self.hits += 1;
-                let e = o.into_mut();
-                e.last_used = tick;
-                e.paths()
+                e.last_used = self.tick;
+                Some(e)
             }
-            entry => {
+            _ => {
                 self.misses += 1;
-                let fresh = CacheEntry::new(epoch, tick, search());
-                match entry {
-                    Entry::Occupied(o) => {
-                        let e = o.into_mut();
-                        *e = fresh;
-                        e.paths()
-                    }
-                    Entry::Vacant(v) => v.insert(fresh).paths(),
-                }
+                None
             }
         }
+    }
+
+    /// Write the paths a query for `key` ended with, stamped with its tick.
+    fn store(&mut self, key: RouteKey, epoch: u64, paths: Paths<'_>, complete: bool) {
+        let entry = CacheEntry::new(epoch, self.tick, paths, complete);
+        self.map.insert(key, entry);
     }
 
     /// Evict least-recently-used entries (stale-epoch entries first) so
@@ -716,25 +736,6 @@ impl RouteCache {
     }
 }
 
-/// Up to `k` paths from `from` to `to`: from the cache when `use_cache`
-/// holds and the entry is current, else from a fresh Yen search.
-fn routes<'a>(
-    search: &'a mut Search,
-    cache: &'a mut RouteCache,
-    g: &Graph<'_>,
-    from: RoadmId,
-    to: RoadmId,
-    k: usize,
-    use_cache: bool,
-) -> Paths<'a> {
-    if !use_cache {
-        return search.yen(g, from, to, k);
-    }
-    cache.get_or_search((from, to, k), g.net.topology_epoch(), || {
-        search.yen(g, from, to, k)
-    })
-}
-
 /// Is `path`, walked from `from`, free of repeated nodes?
 fn is_loop_free(net: &PhotonicNetwork, from: RoadmId, path: &[FiberId]) -> bool {
     let mut a = from;
@@ -751,66 +752,55 @@ fn is_loop_free(net: &PhotonicNetwork, from: RoadmId, path: &[FiberId]) -> bool 
     true
 }
 
-/// The first of `paths` that passes wavelength, transponder, reach and
-/// regen checks, as a plan. Only the chosen path is copied.
-fn choose(
+/// The plan over `path` if it passes the wavelength, reach and regen
+/// checks, ending at the transponders `ots`. Only a passing path is
+/// copied.
+fn fit(
     g: &Graph<'_>,
     cfg: &RwaConfig,
     from: RoadmId,
-    to: RoadmId,
     rate: LineRate,
-    paths: Paths<'_>,
+    (ot_src, ot_dst): (TransponderId, TransponderId),
+    path: &[FiberId],
     regens: &mut Vec<RegenId>,
-) -> Result<WavelengthPlan, RwaError> {
+) -> Option<WavelengthPlan> {
     let net = g.net;
-    let candidates = paths.iter().filter(|p| !p.is_empty());
-    let examined = candidates.clone().count();
-    if examined == 0 {
-        return Err(RwaError::NoRoute);
+    if path.is_empty() {
+        return None;
     }
-    // Transponders at both ends: the same for every candidate.
-    let (Some(ot_src), Some(ot_dst)) = (
-        net.first_idle_ot_at(from, rate),
-        net.first_idle_ot_at(to, rate),
-    ) else {
-        return Err(RwaError::Blocked {
-            candidates: examined,
-        });
-    };
-    for path in candidates {
-        debug_assert!(is_loop_free(net, from, path), "loop in {path:?}");
-        // Wavelength continuity.
-        let Some(lambda) = net.first_free_lambda(path) else {
-            continue;
-        };
-        // Reach: the first free regen at every node the reach model
-        // names. A loop-free path names each node at most once.
-        regens.clear();
-        let (mut node, mut walked) = (from, 0);
-        let hop_km = path.iter().map(|f| g.weights[f.index()].0);
-        let placed = cfg.reach.place_regens(rate, hop_km, |p| {
-            for f in &path[walked..=p] {
-                node = net.fiber(*f).other_end(node);
-            }
-            walked = p + 1;
-            net.first_free_regen_at(node, rate)
-                .map(|r| regens.push(r))
-                .is_some()
-        });
-        if !placed {
-            continue;
+    debug_assert!(is_loop_free(net, from, path), "loop in {path:?}");
+    // Wavelength continuity.
+    let lambda = net.first_free_lambda(path)?;
+    // Reach: the first free regen at every node the reach model names. A
+    // loop-free path names each node at most once.
+    regens.clear();
+    let (mut node, mut walked) = (from, 0);
+    let hop_km = path.iter().map(|f| g.weights[f.index()].0);
+    let placed = cfg.reach.place_regens(rate, hop_km, |p| {
+        for f in &path[walked..=p] {
+            node = net.fiber(*f).other_end(node);
         }
-        return Ok(WavelengthPlan {
-            path: path.to_vec(),
-            lambda,
-            ot_src,
-            ot_dst,
-            regens: regens.clone(),
-        });
-    }
-    Err(RwaError::Blocked {
-        candidates: examined,
+        walked = p + 1;
+        net.first_free_regen_at(node, rate)
+            .map(|r| regens.push(r))
+            .is_some()
+    });
+    placed.then(|| WavelengthPlan {
+        path: path.to_vec(),
+        lambda,
+        ot_src,
+        ot_dst,
+        regens: regens.clone(),
     })
+}
+
+/// Why a query all of whose candidates failed gets no plan: `NoRoute`
+/// when its search found no path, else `Blocked` over every candidate.
+fn refusal(paths: Paths<'_>) -> RwaError {
+    match paths.iter().filter(|p| !p.is_empty()).count() {
+        0 => RwaError::NoRoute,
+        candidates => RwaError::Blocked { candidates },
+    }
 }
 
 /// Route-cache occupancy and traffic counters.
@@ -866,6 +856,13 @@ impl PathEngine {
     /// per topology epoch the engine has planned at.
     pub fn weight_table_builds(&self) -> u64 {
         self.weights.builds
+    }
+
+    /// How many Dijkstra searches the engine has run: the planner's work
+    /// count. A cache hit runs none; a cold plan whose first candidate
+    /// passes runs one.
+    pub fn dijkstra_runs(&self) -> u64 {
+        self.search.dijkstra.runs
     }
 
     /// Publish the route-cache counters into a metrics family registry
@@ -941,21 +938,27 @@ impl PathEngine {
         use_cache: bool,
     ) -> Vec<Vec<FiberId>> {
         let g = Graph::over(net, &mut self.weights, self.region_map.as_ref(), from, to);
-        routes(
-            &mut self.search,
-            &mut self.cache,
-            &g,
-            from,
-            to,
-            k,
-            use_cache,
-        )
-        .to_vecs()
+        let (key, epoch) = ((from, to, k), net.topology_epoch());
+        if use_cache {
+            // A plan may have cached only a prefix: search again for the rest.
+            if let Some(e) = self.cache.lookup(key, epoch).filter(|e| e.complete) {
+                return e.paths().to_vecs();
+            }
+        }
+        let paths = self.search.yen(&g, from, to, k);
+        if use_cache {
+            self.cache.store(key, epoch, paths, true);
+        }
+        paths.to_vecs()
     }
 
     /// Produce a provisionable plan for a wavelength connection of `rate`
     /// between `from` and `to`, avoiding `excluded` fibers (used by
     /// restoration and bridge-and-roll to force disjointness).
+    ///
+    /// Candidates come from Yen's search one at a time, shortest first,
+    /// and the first of at most `cfg.k_paths` that passes wins; a refusal
+    /// still counts all `k_paths`.
     ///
     /// Resources are only *identified*, not claimed — claiming is the
     /// controller's job, under its admission lock.
@@ -969,24 +972,60 @@ impl PathEngine {
         excluded: &[FiberId],
     ) -> Result<WavelengthPlan, RwaError> {
         let g = Graph::over(net, &mut self.weights, self.region_map.as_ref(), from, to);
-        let paths = if excluded.is_empty() {
-            let (k, use_cache) = (cfg.k_paths, cfg.use_route_cache);
-            routes(
-                &mut self.search,
-                &mut self.cache,
-                &g,
-                from,
-                to,
-                k,
-                use_cache,
-            )
-        } else {
+        let PathEngine {
+            search,
+            cache,
+            regens,
+            ..
+        } = self;
+        // Transponders at both ends: the same for every candidate.
+        let ots = net
+            .first_idle_ot_at(from, rate)
+            .zip(net.first_idle_ot_at(to, rate));
+        let mut fits =
+            |path: &[FiberId]| ots.and_then(|ots| fit(&g, cfg, from, rate, ots, path, regens));
+        if !excluded.is_empty() {
             // Route around exclusions: prune then search. (Not cached —
             // the exclusion set is part of the query.) Exclusions only
             // remove edges, so the region restriction stays exact.
-            self.search.avoiding(&g, from, to, excluded)
+            let paths = search.avoiding(&g, from, to, excluded);
+            return paths.iter().find_map(fits).ok_or_else(|| refusal(paths));
+        }
+        let (k, key, epoch) = (cfg.k_paths, (from, to, cfg.k_paths), net.topology_epoch());
+        // The cached prefix first, then the search past it.
+        let mut tried = 0;
+        if cfg.use_route_cache {
+            if let Some(e) = cache.lookup(key, epoch) {
+                if let Some(plan) = e.paths().iter().find_map(&mut fits) {
+                    return Ok(plan);
+                }
+                if e.complete {
+                    return Err(refusal(e.paths()));
+                }
+                tried = e.spans.len();
+            }
+        }
+        // Pull accepted paths one at a time until one fits or `k` have been
+        // read; the first `tried` were the cached ones, already checked.
+        search.begin(&g, from, to);
+        let mut i = 0;
+        let plan = loop {
+            if i == search.accepted.len() && (i >= k || !search.advance(&g, from, to)) {
+                break None;
+            }
+            if i >= tried {
+                if let Some(plan) = fits(at(&search.arena, search.accepted[i])) {
+                    break Some(plan);
+                }
+            }
+            i += 1;
         };
-        choose(&g, cfg, from, to, rate, paths, &mut self.regens)
+        let paths = search.paths();
+        if cfg.use_route_cache {
+            let complete = plan.is_none() || paths.spans.len() >= k;
+            cache.store(key, epoch, paths, complete);
+        }
+        plan.ok_or_else(|| refusal(paths))
     }
 
     /// Find a link-disjoint pair of paths (working, protect) between two

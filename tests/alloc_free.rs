@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use griphon::rwa::{PathEngine, RegionMap, RwaConfig};
+use griphon::rwa::{PathEngine, RegionMap, RwaConfig, RwaError};
 use griphon::{Controller, ControllerConfig, SloEngine, SloSpec};
 use northbound::{build_testbed, ApiServer, Request, ServerConfig, TenantDirectory};
 use photonic::{generate, GeneratedPlant, GeneratorConfig, LineRate, RoadmId};
@@ -283,6 +283,33 @@ fn a_warm_miss_allocates_the_same_for_any_k() {
     // The entry's path buffer and spans, the plan's path and its regens.
     assert_eq!(four, eight, "a miss at k=8 allocates more than at k=4");
     assert!(four <= 4, "{four} allocations for a warm miss");
+}
+
+#[test]
+fn counting_dijkstra_runs_does_not_allocate() {
+    // No transponders anywhere: every plan searches all `k` candidates
+    // and is refused, so a warm plan returns nothing that allocates.
+    let plant = generate(&GeneratorConfig {
+        ots_per_node: 0,
+        ..GeneratorConfig::with_target_roadms(100, 7)
+    });
+    let nodes: Vec<RoadmId> = plant.interior.iter().flatten().copied().collect();
+    let (a, b) = (nodes[0], nodes[nodes.len() - 1]);
+    let cfg = RwaConfig {
+        use_route_cache: false,
+        ..RwaConfig::default()
+    };
+    let mut engine = PathEngine::new();
+    let refuse =
+        |e: &mut PathEngine| e.plan_wavelength(&plant.net, &cfg, a, b, LineRate::Gbps10, &[]);
+    assert_eq!(
+        refuse(&mut engine),
+        Err(RwaError::Blocked { candidates: 4 })
+    );
+    let runs = engine.dijkstra_runs();
+    let allocs = allocs_during(|| assert!(refuse(&mut engine).is_err()));
+    assert_eq!(allocs, 0);
+    assert_eq!(engine.dijkstra_runs(), 2 * runs);
 }
 
 #[test]

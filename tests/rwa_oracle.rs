@@ -18,15 +18,24 @@
 //! order's tie-breaks and the spur exclusion rule decide the result); the
 //! `#[ignore]`d soak runs `lambda-cold`'s 600-ROADM shape in release
 //! (`cargo test --release --test rwa_oracle -- --ignored`).
+//!
+//! A plan reads Yen's candidates one at a time and caches only the prefix
+//! it read, under the same `(a, b, k)` key a query uses. Fixed NSFNET
+//! cases run before the random ones for the orders the random driver
+//! rarely reaches: a query after a plan, a cached prefix whose every path
+//! has gone dark, and a refusal that must still count all `k`
+//! candidates. The prefix property the lazy search rests on, and the
+//! Dijkstra count, are checked last.
 
 #[path = "support/reference_rwa.rs"]
 mod reference;
 
 use griphon::connection::Resources;
-use griphon::rwa::{PathEngine, RegionMap, RwaConfig};
+use griphon::rwa::{PathEngine, RegionMap, RwaConfig, RwaError};
 use griphon::{ConnectionId, Controller, ControllerConfig, CustomerId, RequestError};
 use photonic::{
-    generate, ChannelGrid, FiberId, GeneratorConfig, LineRate, PhotonicNetwork, ReachModel, RoadmId,
+    generate, ChannelGrid, FiberId, GeneratorConfig, LineRate, PhotonicNetwork, ReachModel,
+    RoadmId, TransponderId,
 };
 use proptest::prelude::*;
 use simcore::DataRate;
@@ -87,6 +96,16 @@ impl Bench {
         }
         // One region and no backbone: valid, and it admits every node.
         Bench::new(net, RegionMap::new(vec![0; n]), nodes)
+    }
+
+    /// The NSFNET backbone as one region, and its Seattle → Princeton
+    /// pair, which has more than `k_paths` candidates.
+    fn nsfnet() -> (Bench, RoadmId, RoadmId) {
+        let net = PhotonicNetwork::nsfnet(8, LineRate::Gbps10, 3);
+        let nodes: Vec<RoadmId> = net.roadm_ids().collect();
+        let (a, b) = (nodes[0], net.roadm_by_name("Princeton").unwrap());
+        let map = RegionMap::new(vec![0; nodes.len()]);
+        (Bench::new(net, map, nodes), a, b)
     }
 
     fn new(net: PhotonicNetwork, map: RegionMap, nodes: Vec<RoadmId>) -> Bench {
@@ -221,6 +240,38 @@ impl Bench {
         }
     }
 
+    /// Every cached engine's `(hits, misses)`.
+    fn assert_cache_stats(&self, want: (u64, u64)) {
+        for (e, use_cache) in &self.engines {
+            let want = if *use_cache { want } else { (0, 0) };
+            assert_eq!(e.cache_stats(), want, "{e:?}");
+        }
+    }
+
+    /// For `1 ≤ i ≤ k ≤ 8`, the first `i` paths of a `k`-path search are
+    /// the `i`-path search, on every uncached engine and the reference;
+    /// and each engine's search runs exactly one Dijkstra, plus one per
+    /// hop of every accepted path it spurred from (all but the last when
+    /// `k` came back).
+    fn check_prefixes(&mut self, a: RoadmId, b: RoadmId) {
+        let net = &self.ctl.net;
+        for (e, _) in self.engines.iter_mut().filter(|(_, cached)| !cached) {
+            let searches: Vec<Vec<Vec<FiberId>>> = (1..=8)
+                .map(|k| {
+                    let before = e.dijkstra_runs();
+                    let paths = e.k_shortest_paths(net, a, b, k, false);
+                    let spurred = &paths[..paths.len().min(k - 1)];
+                    let hops: usize = spurred.iter().map(Vec::len).sum();
+                    assert_eq!(e.dijkstra_runs() - before, 1 + hops as u64, "{a}→{b} k={k}");
+                    paths
+                })
+                .collect();
+            assert_prefixes(&searches, a, b);
+        }
+        let reference: Vec<_> = (1..=8).map(|k| self.reference.yen(net, a, b, k)).collect();
+        assert_prefixes(&reference, a, b);
+    }
+
     /// Apply one operation and compare what it returned.
     fn step(&mut self, kind: u8, arg: u64) {
         let (a, b) = self.pair(arg);
@@ -252,9 +303,11 @@ impl Bench {
             8 => self.release(arg),
             9 => self.cut(arg),
             10 => self.repair(arg),
-            // Ask again for a pair just asked for: the cache's hit path.
+            // Plan, then ask for a pair just asked for: the cache's hit
+            // path, on an entry a plan may have left incomplete.
             _ => {
                 let (a, b) = self.pair(arg % 4);
+                self.plan(a, b, RwaConfig::default(), &[]);
                 self.query(a, b, 4);
             }
         }
@@ -281,17 +334,105 @@ impl Bench {
     }
 }
 
+/// `searches[k - 1]` is a `k`-path search; each one's first `i` paths are
+/// the `i`-path search.
+fn assert_prefixes(searches: &[Vec<Vec<FiberId>>], a: RoadmId, b: RoadmId) {
+    for (k, long) in (1..).zip(searches) {
+        for (i, short) in (1..=k).zip(searches) {
+            assert_eq!(&long[..i.min(long.len())], short, "{a}→{b} i={i} k={k}");
+        }
+    }
+}
+
+/// Occupy every wavelength of fibre `f` at its `a` end, as a channel
+/// still being configured does.
+fn fill(net: &mut PhotonicNetwork, f: FiberId) {
+    let (end, channels) = (net.fiber(f).a, net.grid.wavelengths());
+    let degree = net.roadm(end).degree_to(f).unwrap();
+    let roadm = net.roadm_mut(end);
+    for w in channels {
+        let port = roadm.add_port();
+        roadm.attach_transponder(port, TransponderId::new(u32::MAX - u32::from(w.0)));
+        roadm.connect_add_drop(port, w, degree).unwrap();
+    }
+}
+
+/// A plan caches a prefix under the key a query uses: a query after it
+/// must search past the prefix, and a plan after a query reads the
+/// query's whole entry.
+fn plans_and_queries_share_entries() {
+    let (mut bench, a, b) = Bench::nsfnet();
+    let cfg = RwaConfig::default();
+    assert_eq!(bench.reference.yen(&bench.ctl.net, a, b, 4).len(), 4);
+    bench.plan(a, b, cfg, &[]);
+    bench.query(a, b, cfg.k_paths);
+    bench.query(b, a, cfg.k_paths);
+    bench.plan(b, a, cfg, &[]);
+    bench.assert_cache_stats((2, 2));
+}
+
+/// A hit whose cached paths all fail searches on: fill the first
+/// candidate's wavelengths after a plan cached it alone.
+fn a_hit_searches_past_a_failed_prefix() {
+    let (mut bench, a, b) = Bench::nsfnet();
+    let cfg = RwaConfig::default();
+    bench.plan(a, b, cfg, &[]);
+    let paths = bench.reference.yen(&bench.ctl.net, a, b, 2);
+    let only_first = paths[0].iter().find(|f| !paths[1].contains(f)).unwrap();
+    fill(&mut bench.ctl.net, *only_first);
+    let net = &bench.ctl.net;
+    let want = bench
+        .reference
+        .plan_wavelength(net, &cfg, a, b, LineRate::Gbps10, &[])
+        .unwrap();
+    assert_ne!(
+        want.path, paths[0],
+        "the plan must take candidate 1 or later"
+    );
+    bench.plan(a, b, cfg, &[]);
+    bench.assert_cache_stats((1, 1));
+}
+
+/// With no transponder left at one end, a refusal still counts every
+/// candidate of the full search, though the cache holds one.
+fn a_refusal_counts_every_candidate() {
+    let (mut bench, a, b) = Bench::nsfnet();
+    let cfg = RwaConfig::default();
+    bench.plan(a, b, cfg, &[]);
+    for i in 0..8 {
+        bench.claim(a, bench.nodes[1 + i]);
+    }
+    let net = &bench.ctl.net;
+    assert!(net.first_idle_ot_at(a, LineRate::Gbps10).is_none());
+    let want = bench
+        .reference
+        .plan_wavelength(net, &cfg, a, b, LineRate::Gbps10, &[]);
+    assert_eq!(want, Err(RwaError::Blocked { candidates: 4 }));
+    bench.plan(a, b, cfg, &[]);
+    bench.assert_cache_stats((1, 1));
+}
+
+/// Any interleaving on a generated plant, compared after every call;
+/// the fixed cases first.
+#[test]
+fn path_engine_matches_the_reference_planner() {
+    plans_and_queries_share_entries();
+    a_hit_searches_past_a_failed_prefix();
+    a_refusal_counts_every_candidate();
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+        fn path_engine_matches_the_reference_planner(
+            seed in any::<u64>(),
+            ops in prop::collection::vec((any::<u8>(), any::<u64>()), 1..200),
+        ) {
+            Bench::generated(&GeneratorConfig::with_target_roadms(100, seed), false).drive(ops);
+        }
+    }
+    path_engine_matches_the_reference_planner();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
-
-    /// Any interleaving on a generated plant, compared after every call.
-    #[test]
-    fn path_engine_matches_the_reference_planner(
-        seed in any::<u64>(),
-        ops in prop::collection::vec((any::<u8>(), any::<u64>()), 1..200),
-    ) {
-        Bench::generated(&GeneratorConfig::with_target_roadms(100, seed), false).drive(ops);
-    }
 
     /// The same on a small mesh whose candidates tie on metres and hops.
     #[test]
@@ -302,6 +443,78 @@ proptest! {
     ) {
         Bench::ties(n, seed).drive(ops);
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The prefix property and the eager Dijkstra count on generated
+    /// plants.
+    #[test]
+    fn yen_prefixes_are_searches_on_generated_plants(
+        seed in any::<u64>(),
+        pairs in prop::collection::vec(any::<u64>(), 1..6),
+    ) {
+        let mut bench = Bench::generated(&GeneratorConfig::with_target_roadms(100, seed), false);
+        for arg in pairs {
+            let (a, b) = bench.pair(arg);
+            bench.check_prefixes(a, b);
+        }
+    }
+
+    /// The same on meshes whose candidates tie on metres and hops.
+    #[test]
+    fn yen_prefixes_are_searches_on_ties(
+        n in 8usize..30,
+        seed in any::<u64>(),
+        pairs in prop::collection::vec(any::<u64>(), 1..6),
+    ) {
+        let mut bench = Bench::ties(n, seed);
+        for arg in pairs {
+            let (a, b) = bench.pair(arg);
+            bench.check_prefixes(a, b);
+        }
+    }
+}
+
+/// On an idle plant of `lambda-cold`'s shape (100 ROADMs, eight
+/// transponders a node, interior endpoints) every cold plan's first
+/// candidate passes: 200 plans between distinct pairs run 200 Dijkstra
+/// searches, and each takes the shortest path.
+#[test]
+fn a_cold_plan_whose_first_candidate_passes_runs_one_search() {
+    let plant = generate(&GeneratorConfig {
+        ots_per_node: 8,
+        ..GeneratorConfig::with_target_roadms(100, 0xB0D11)
+    });
+    let nodes: Vec<RoadmId> = plant.interior.iter().flatten().copied().collect();
+    let mut engines = [PathEngine::new(), PathEngine::new()];
+    for e in &mut engines {
+        e.install_region_map(&plant.net, RegionMap::new(plant.region_of.clone()))
+            .unwrap();
+    }
+    let [engine, shortest] = &mut engines;
+    let mut rng = TestRng::deterministic("rwa_oracle::cold_plans");
+    let mut pairs = Vec::new();
+    while pairs.len() < 200 {
+        let n = nodes.len() as u64;
+        let (a, b) = (nodes[rng.below(n) as usize], nodes[rng.below(n) as usize]);
+        if a != b && !pairs.contains(&(a, b)) {
+            pairs.push((a, b));
+        }
+    }
+    let cfg = RwaConfig::default();
+    for &(a, b) in &pairs {
+        let plan = engine
+            .plan_wavelength(&plant.net, &cfg, a, b, LineRate::Gbps10, &[])
+            .unwrap();
+        assert_eq!(
+            plan.path,
+            shortest.k_shortest_paths(&plant.net, a, b, 1, false)[0]
+        );
+    }
+    assert_eq!(engine.cache_stats(), (0, 200));
+    assert_eq!(engine.dijkstra_runs(), 200);
 }
 
 /// `lambda-cold`'s shape: uniform interior endpoints on 600 ROADMs with
