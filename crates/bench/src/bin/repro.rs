@@ -9,7 +9,8 @@
 //! place, `griphon_bench::registry`; usage, `--list`, and dispatch are
 //! all derived from that table so they can never disagree. See
 //! `EXPERIMENTS.md` for each target's output recorded against the
-//! paper's numbers.
+//! paper's numbers. A failed gate prints the target, the cell and what
+//! differed, and exits 1.
 
 use griphon_bench::registry;
 
@@ -21,7 +22,13 @@ fn main() {
         return;
     }
     match registry::find(target) {
-        Some(t) => println!("{}", (t.run)()),
+        Some(t) => match (t.run)() {
+            Ok(text) => println!("{text}"),
+            Err(e) => {
+                eprintln!("{e}");
+                std::process::exit(1);
+            }
+        },
         None => {
             eprintln!("unknown target {target:?}; targets:\n{}", registry::usage());
             eprintln!("(repro --list describes each)");

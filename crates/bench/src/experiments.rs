@@ -15,6 +15,7 @@ use photonic::power::IterationPolicy;
 use photonic::{EmsProfile, EqualizationModel, LineRate, PhotonicNetwork, TestbedIds};
 use simcore::{DataRate, DataSize, SimDuration, SimRng, SimTime};
 
+use crate::harness::parallel_cells;
 use crate::table;
 
 /// A jitter-free controller on the Fig. 4 testbed.
@@ -36,65 +37,6 @@ pub fn jittered_testbed(ots: usize, seed: u64) -> (Controller, TestbedIds) {
         ..ControllerConfig::default()
     };
     (Controller::new(net, cfg), ids)
-}
-
-/// Worker-thread count for [`parallel_cells`]: the `REPRO_THREADS` env
-/// override wins (CI pins it for reproducible sharding), else the
-/// machine's available parallelism. WAL decode reads the same override,
-/// so [`decode_threads`](griphon::durability::decode_threads) defines it.
-pub fn repro_threads() -> usize {
-    griphon::durability::decode_threads()
-}
-
-/// Fan independent experiment cells across OS threads, preserving input
-/// order in the output. Each cell is moved into exactly one worker, so a
-/// cell that builds its own [`Controller`] shares nothing with its
-/// neighbours; results are identical to a sequential `map` because every
-/// cell carries its own seed/config and the output slot is fixed up
-/// front. Workers get cells round-robin; thread count is capped at
-/// [`repro_threads`] (the `REPRO_THREADS` override, else available
-/// parallelism).
-pub fn parallel_cells<C, R, F>(cells: Vec<C>, f: F) -> Vec<R>
-where
-    C: Send,
-    R: Send,
-    F: Fn(C) -> R + Sync,
-{
-    parallel_cells_with(repro_threads(), cells, f)
-}
-
-/// [`parallel_cells`] with an explicit thread count instead of the
-/// `REPRO_THREADS` override — what the sharded-vs-unsharded equivalence
-/// tests use to compare 1/2/8 workers without racing on process-global
-/// environment variables.
-pub fn parallel_cells_with<C, R, F>(threads: usize, cells: Vec<C>, f: F) -> Vec<R>
-where
-    C: Send,
-    R: Send,
-    F: Fn(C) -> R + Sync,
-{
-    let threads = threads.max(1).min(cells.len().max(1));
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(cells.len());
-    slots.resize_with(cells.len(), || None);
-    let mut work: Vec<Vec<(&mut Option<R>, C)>> = Vec::new();
-    work.resize_with(threads, Vec::new);
-    for (i, pair) in slots.iter_mut().zip(cells).enumerate() {
-        work[i % threads].push(pair);
-    }
-    let f = &f;
-    std::thread::scope(|s| {
-        for lot in work {
-            s.spawn(move || {
-                for (slot, cell) in lot {
-                    *slot = Some(f(cell));
-                }
-            });
-        }
-    });
-    slots
-        .into_iter()
-        .map(|r| r.expect("worker filled slot"))
-        .collect()
 }
 
 /// One `measure_setup` iteration: an independent (seed, route) cell that
@@ -1307,37 +1249,6 @@ pub fn fig4() -> String {
     )
 }
 
-/// Every experiment, in order — the `repro all` target. Each experiment
-/// is an independent cell (own controllers, own seeds), so the whole
-/// sweep fans out across threads; output order is fixed regardless of
-/// completion order.
-pub fn all() -> String {
-    let cells: Vec<fn() -> String> = vec![
-        table1,
-        table2,
-        || fig_layers(false),
-        || fig_layers(true),
-        fig3,
-        fig4,
-        e1_teardown,
-        e2_restoration,
-        e2b_parallelism,
-        e3_maintenance,
-        e4_composite,
-        e5_bulk,
-        e5b_full_mesh,
-        fig6,
-        fig7,
-        e6_grooming,
-        e7_ablation,
-        e8_protection,
-        e9_planning,
-        e10_sla,
-        perf,
-    ];
-    parallel_cells(cells, |f| f()).join("\n\n")
-}
-
 /// Planning-latency profile: drive a wavelength churn workload plus a
 /// restoration event on NSFNET and report the controller's wall-clock
 /// `plan_wavelength` percentiles and route-cache effectiveness. Unlike
@@ -1410,14 +1321,6 @@ pub fn perf() -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_cells_preserves_order_and_values() {
-        // Order must match input order even with more cells than threads.
-        let out = parallel_cells((0..100u64).collect(), |i| i * 3);
-        assert_eq!(out, (0..100u64).map(|i| i * 3).collect::<Vec<_>>());
-        assert!(parallel_cells(Vec::<u64>::new(), |i| i).is_empty());
-    }
 
     #[test]
     fn parallel_sweep_matches_sequential_sweep() {

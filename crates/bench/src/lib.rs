@@ -1,7 +1,8 @@
 //! Benchmark and reproduction harness for the GRIPhoN workspace.
 //!
 //! The `repro` binary regenerates every table and figure of the paper
-//! (see `DESIGN.md` §3 for the experiment index).
+//! (see `DESIGN.md` §3 for the experiment index); its artifact targets
+//! are [`harness::Experiment`]s.
 
 #![deny(missing_docs)]
 
@@ -9,6 +10,7 @@ use serde::Serialize;
 
 pub mod experiments;
 pub mod ha_target;
+pub mod harness;
 pub mod measure_target;
 pub mod noc_target;
 pub mod registry;

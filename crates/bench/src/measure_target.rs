@@ -16,15 +16,16 @@
 //!
 //! Each scenario runs [`MeasuredBodPolicy`] in all three sizing modes —
 //! `Fixed` (the blind baseline), `Estimated` (the measurement feedback
-//! loop), `Oracle` (perfect knowledge, the regret reference) — twice:
-//! observability off, then on. Per `(scenario, mode)` the controller
-//! `state_digest_crc()` must be byte-identical on/off (measurement is
-//! pure observation), every estimate histogram's exemplars must resolve
-//! into the tail sampler's retained probe traces (asserted inside
-//! `Prober::finish`), the bounded span recorder must never drop, and no
-//! probe may be lost at the bottleneck — the CI grep gates pin all
-//! three. In the stationary scenario the estimation-aware plan must
-//! beat the fixed-size plan on regret.
+//! loop), `Oracle` (perfect knowledge, the regret reference). Each
+//! scenario is a [`harness`](crate::harness) point, each mode a cell
+//! whose observer is the measurement plane: the harness runs it off,
+//! then on, and requires a byte-identical controller
+//! `state_digest_crc()` (measurement is pure observation) and zero span
+//! drops. The target gates the rest: the same score and outcome on and
+//! off, exemplars that resolve into the tail sampler's retained probe
+//! traces (asserted inside `Prober::finish`), no probe lost at the
+//! bottleneck, and — in the stationary scenario — the estimation-aware
+//! plan beating the fixed-size plan on regret.
 //!
 //! `SCALE_SWEEP=reduced` runs the three-scenario CI subset; the
 //! scenario definitions themselves never change with the sweep, so the
@@ -38,7 +39,9 @@ use photonic::{EmsProfile, EqualizationModel, PhotonicNetwork};
 use serde::Serialize;
 use simcore::{Crc32c, DataRate, DataSize, SimDuration, SimTime};
 
-use crate::experiments::{parallel_cells_with, repro_threads};
+use crate::harness::{
+    self, ensure, CellRun, Ctx, Experiment, Finished, GateError, Identity, PointRun, Runs, Sweep,
+};
 
 /// Shared-path bottleneck capacity.
 const CAPACITY_GBPS: u64 = 40;
@@ -50,7 +53,7 @@ const TICK_SECS: u64 = 60;
 const NOISE_NS: f64 = 200.0;
 
 /// One cross-traffic regime the sweep drives.
-struct Scenario {
+pub struct Scenario {
     /// Row label, path label, and seed source.
     name: &'static str,
     /// Receive-timestamp noise σ (ns) for this row.
@@ -140,7 +143,7 @@ const FULL_SCENARIOS: &[Scenario] = &[
 const REDUCED_NAMES: &[&str] = &["stationary", "adversarial-square", "diurnal"];
 
 /// Deterministic per-scenario seed (FNV-1a over the name) — shared with
-/// the test hooks, identical for the on and off runs of a cell.
+/// `tests/measured_oracle.rs`, identical for the on and off runs of a cell.
 pub fn point_seed(name: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in name.bytes() {
@@ -274,8 +277,7 @@ pub struct MeasureReport {
     pub scenarios: Vec<ScenarioRow>,
 }
 
-/// All six cells of one scenario, run in the given order:
-/// `(mode, observability)` for every mode, off first.
+/// The sizing modes, one cell each.
 const MODES: &[MeasuredMode] = &[
     MeasuredMode::Fixed,
     MeasuredMode::Estimated,
@@ -290,72 +292,163 @@ fn mode_name(m: MeasuredMode) -> &'static str {
     }
 }
 
-/// Run a scenario's full mode × observability grid and fold it into a
-/// report row, asserting the per-cell on/off digest identity, the zero
-/// probe-drop gate, and the recorder's no-drop invariant.
-fn run_scenario(s: &Scenario, threads: usize, out: &mut String) -> (ScenarioRow, String) {
-    let grid: Vec<(MeasuredMode, bool)> = MODES
-        .iter()
-        .flat_map(|&m| [(m, false), (m, true)])
-        .collect();
-    let runs = parallel_cells_with(threads, grid, |(mode, obs)| run_cell(s, mode, obs));
+/// `repro measure`: one point per cross-traffic regime, one cell per
+/// sizing mode; the observer is the measurement plane.
+pub struct Measure;
 
+impl Experiment for Measure {
+    const NAME: &'static str = "measure";
+    const IDENTITY: Identity = Identity::Observer;
+    const SWEEPS: bool = true;
+    type Point = &'static Scenario;
+    type Cell = MeasuredMode;
+    type Out = MeasuredRun;
+    type Report = MeasureReport;
+
+    fn points(&self, sweep: Sweep) -> Vec<&'static Scenario> {
+        FULL_SCENARIOS
+            .iter()
+            .filter(|s| sweep == Sweep::Full || REDUCED_NAMES.contains(&s.name))
+            .collect()
+    }
+
+    fn probe(&self) -> &'static Scenario {
+        &FULL_SCENARIOS[0]
+    }
+
+    fn cells(&self, _: &&'static Scenario) -> Vec<MeasuredMode> {
+        MODES.to_vec()
+    }
+
+    fn label(&self, s: &&'static Scenario, mode: &MeasuredMode) -> String {
+        format!("{}/{}", s.name, mode_name(*mode))
+    }
+
+    /// One `(scenario, mode)` cell with the given observability; gates
+    /// zero probe drops at the bottleneck and, observed, a surviving
+    /// exemplar on the estimate histogram.
+    fn run(
+        &self,
+        s: &&'static Scenario,
+        &mode: &MeasuredMode,
+        observability: bool,
+    ) -> Result<CellRun<MeasuredRun>, String> {
+        let (digest, run) = run_cell(s, mode, observability);
+        let m = &run.measure;
+        ensure(m.probes_dropped == 0, || {
+            format!("{} probes were dropped at the bottleneck", m.probes_dropped)
+        })?;
+        ensure(!observability || m.trains == 0 || m.exemplars >= 1, || {
+            "no exemplar survived on the estimate histogram".into()
+        })?;
+        Ok(CellRun {
+            digest,
+            text: m.families.expose(),
+            drops: m.span_dropped,
+            out: run,
+        })
+    }
+
+    fn finish(&self, ctx: &Ctx, runs: Runs<Self>) -> Result<Finished<MeasureReport>, GateError> {
+        let mut out = String::new();
+        let mut rows = Vec::new();
+        let mut exposition = String::new();
+        for r in &runs {
+            let (row, estimated) = scenario_row(r)?;
+            out.push_str(&format!(
+                "[{:<18}] err raw {:.2}% smooth {:.2}% of {CAPACITY_GBPS} G | \
+                 regret fixed {:+.1} est {:+.1} | up {} down {} | \
+                 {} trains / {} probes | digest crc 0x{:08x}\n",
+                row.name,
+                row.mean_raw_error_pct,
+                row.mean_smooth_error_pct,
+                row.regret_fixed,
+                row.regret_estimated,
+                row.upgrades,
+                row.downgrades,
+                row.trains,
+                row.probes_sent,
+                row.digest_crc,
+            ));
+            if rows.is_empty() {
+                // The golden: the stationary scenario's estimated-mode
+                // metric families (estimate and error histograms with
+                // exemplars, probe counters, sampler gauges).
+                exposition = format!(
+                    "# measurement plane: stationary shared path, estimated mode\n{estimated}"
+                );
+            }
+            rows.push(row);
+        }
+        // The paper's pitch in one line: sizing from the estimate must
+        // beat sizing blind where estimation is exact.
+        let stationary = rows
+            .iter()
+            .find(|r| r.name == "stationary")
+            .expect("every sweep contains the stationary scenario");
+        harness::check(
+            stationary.regret_estimated < stationary.regret_fixed,
+            Self::NAME,
+            "stationary",
+            || {
+                format!(
+                    "estimation-aware BoD lost to fixed sizing on regret: {:+.2} vs {:+.2}",
+                    stationary.regret_estimated, stationary.regret_fixed
+                )
+            },
+        )?;
+        out.push_str(&format!("probe drops: 0 across {} scenarios\n", rows.len()));
+        let report = MeasureReport {
+            header: ctx.header.clone(),
+            benchmark: "measure".into(),
+            sweep: ctx.sweep.label().into(),
+            threads: ctx.threads,
+            capacity_gbps: CAPACITY_GBPS as f64,
+            horizon_hours: HORIZON_HOURS,
+            tick_secs: TICK_SECS,
+            scenarios: rows,
+        };
+        Ok(Finished {
+            report,
+            summary: out,
+            files: vec![(EXPOSITION_FILE, exposition.clone())],
+            goldens: vec![("measure_exposition.txt", exposition)],
+        })
+    }
+}
+
+/// The exposition file written beside `BENCH_measure.json`.
+const EXPOSITION_FILE: &str = "measure_exposition.txt";
+
+/// Fold a scenario's mode runs into a report row, gating that
+/// observability moved neither score nor outcome; returns the row and
+/// the estimated run's exposition.
+fn scenario_row(
+    r: &PointRun<&'static Scenario, MeasuredMode, MeasuredRun>,
+) -> Result<(ScenarioRow, String), GateError> {
+    let s = r.point;
     let mut crc = Crc32c::new();
-    let mut by_mode: Vec<(&'static str, &MeasuredRun)> = Vec::new();
-    for (pair, chunk) in MODES.iter().zip(runs.chunks(2)) {
-        let (digest_off, off) = &chunk[0];
-        let (digest_on, on) = &chunk[1];
-        assert_eq!(
-            digest_off,
-            digest_on,
-            "{}/{}: measurement observability changed controller state",
-            s.name,
-            mode_name(*pair)
-        );
-        assert_eq!(
-            on.score.to_bits(),
-            off.score.to_bits(),
-            "{}/{}: observability changed the policy score",
-            s.name,
-            mode_name(*pair)
-        );
-        assert_eq!(on.outcome, off.outcome);
-        assert_eq!(
-            on.measure.span_dropped, 0,
-            "{}: span recorder dropped",
-            s.name
-        );
-        assert_eq!(
-            on.measure.probes_dropped + off.measure.probes_dropped,
-            0,
-            "{}/{}: probes were dropped at the bottleneck",
-            s.name,
-            mode_name(*pair)
-        );
-        assert!(
-            on.measure.trains == 0 || on.measure.exemplars >= 1,
-            "{}/{}: no exemplar survived on the estimate histogram",
-            s.name,
-            mode_name(*pair)
-        );
-        crc.update(&digest_off.to_le_bytes());
-        by_mode.push((mode_name(*pair), on));
+    for ((mode, off), on) in r.cells.iter().zip(&r.reference).zip(&r.main) {
+        harness::check(
+            on.out.score.to_bits() == off.out.score.to_bits() && on.out.outcome == off.out.outcome,
+            Measure::NAME,
+            Measure.label(&s, mode),
+            || {
+                format!(
+                    "observability changed the policy: score {} vs {}",
+                    off.out.score, on.out.score
+                )
+            },
+        )?;
+        crc.update(&off.digest.to_le_bytes());
     }
     let digest_crc = crc.finish();
-
-    let est = by_mode
-        .iter()
-        .find(|(n, _)| *n == "estimated")
-        .expect("grid contains the estimated mode")
-        .1;
-    let score_of = |name: &str| {
-        by_mode
-            .iter()
-            .find(|(n, _)| *n == name)
-            .expect("grid covers every mode")
-            .1
-            .score
+    let run_of = |m: MeasuredMode| {
+        let i = MODES.iter().position(|&x| x == m).expect("every mode runs");
+        &r.main[i].out
     };
+    let est = run_of(MeasuredMode::Estimated);
+    let score_of = |m: MeasuredMode| run_of(m).score;
     let cap = CAPACITY_GBPS as f64;
     let n = est.measure.samples.len().max(1) as f64;
     let mean_raw = est
@@ -382,7 +475,11 @@ fn run_scenario(s: &Scenario, threads: usize, out: &mut String) -> (ScenarioRow,
         .iter()
         .map(|p| (p.smooth_gbps - p.true_gbps).abs() / cap * 100.0)
         .fold(0.0f64, f64::max);
-
+    let (fixed, estimated, oracle) = (
+        score_of(MeasuredMode::Fixed),
+        score_of(MeasuredMode::Estimated),
+        score_of(MeasuredMode::Oracle),
+    );
     let row = ScenarioRow {
         name: s.name.to_string(),
         noise_ns: s.noise_ns,
@@ -392,147 +489,16 @@ fn run_scenario(s: &Scenario, threads: usize, out: &mut String) -> (ScenarioRow,
         mean_raw_error_pct: mean_raw,
         mean_smooth_error_pct: mean_smooth,
         max_smooth_error_pct: max_smooth,
-        score_fixed: score_of("fixed"),
-        score_estimated: score_of("estimated"),
-        score_oracle: score_of("oracle"),
-        regret_fixed: score_of("fixed") - score_of("oracle"),
-        regret_estimated: score_of("estimated") - score_of("oracle"),
+        score_fixed: fixed,
+        score_estimated: estimated,
+        score_oracle: oracle,
+        regret_fixed: fixed - oracle,
+        regret_estimated: estimated - oracle,
         upgrades: est.upgrades,
         downgrades: est.downgrades,
         under_delivery_ticks: est.under_delivery_ticks,
         exemplars: est.measure.exemplars,
         digest_crc,
     };
-    out.push_str(&format!(
-        "[{:<18}] err raw {:.2}% smooth {:.2}% of {CAPACITY_GBPS} G | \
-         regret fixed {:+.1} est {:+.1} | up {} down {} | \
-         {} trains / {} probes | \
-         measurement on/off digests: identical (crc 0x{:08x})\n",
-        row.name,
-        row.mean_raw_error_pct,
-        row.mean_smooth_error_pct,
-        row.regret_fixed,
-        row.regret_estimated,
-        row.upgrades,
-        row.downgrades,
-        row.trains,
-        row.probes_sent,
-        row.digest_crc,
-    ));
-    (row, est.measure.families.expose())
-}
-
-/// Per-cell digests for the stationary mode grid, observability on or
-/// off — the on/off byte-identity hook for `tests/determinism.rs`.
-pub fn measure_digests(threads: usize, observability: bool) -> Vec<u32> {
-    let s = &FULL_SCENARIOS[0];
-    let grid: Vec<MeasuredMode> = MODES.to_vec();
-    parallel_cells_with(threads, grid, |mode| run_cell(s, mode, observability).0)
-}
-
-/// Per-cell digests plus the estimated run's exposition for the
-/// stationary scenario — the thread-determinism hook: the pair must be
-/// identical for any worker count.
-pub fn measure_fingerprint(threads: usize) -> (Vec<u32>, String) {
-    let s = &FULL_SCENARIOS[0];
-    let grid: Vec<MeasuredMode> = MODES.to_vec();
-    let runs = parallel_cells_with(threads, grid, |mode| run_cell(s, mode, true));
-    let digests = runs.iter().map(|(d, _)| *d).collect();
-    let exposition = runs
-        .iter()
-        .zip(MODES)
-        .find(|(_, m)| matches!(m, MeasuredMode::Estimated))
-        .expect("grid contains the estimated mode")
-        .0
-         .1
-        .measure
-        .families
-        .expose();
-    (digests, exposition)
-}
-
-/// The deterministic exposition the golden file pins: the stationary
-/// scenario's estimated-mode metric families (estimate and error
-/// histograms with exemplars, probe counters, sampler gauges). No wall
-/// clock anywhere, so the bytes are a pure function of the seeds.
-fn compose_exposition(stationary: &str) -> String {
-    format!("# measurement plane: stationary shared path, estimated mode\n{stationary}")
-}
-
-/// Recompute the golden exposition from scratch — the hook
-/// `tests/measure_golden.rs` compares against
-/// `tests/golden/measure_exposition.txt`.
-pub fn golden_exposition() -> String {
-    let (_, run) = run_cell(&FULL_SCENARIOS[0], MeasuredMode::Estimated, true);
-    compose_exposition(&run.measure.families.expose())
-}
-
-/// Run the sweep, write `BENCH_measure.json` and the exposition, and
-/// return the summary text.
-pub fn emit(bench_path: &str, exposition_path: &str) -> String {
-    let reduced = std::env::var("SCALE_SWEEP").as_deref() == Ok("reduced");
-    let sweep: Vec<&Scenario> = FULL_SCENARIOS
-        .iter()
-        .filter(|s| !reduced || REDUCED_NAMES.contains(&s.name))
-        .collect();
-    let threads = repro_threads();
-    let mut out = String::new();
-    let mut expositions = Vec::new();
-    let rows: Vec<ScenarioRow> = sweep
-        .iter()
-        .map(|s| {
-            let (row, exp) = run_scenario(s, threads, &mut out);
-            expositions.push(exp);
-            row
-        })
-        .collect();
-
-    // The paper's pitch in one line: sizing from the estimate must beat
-    // sizing blind where estimation is exact.
-    let stationary = rows
-        .iter()
-        .find(|r| r.name == "stationary")
-        .expect("every sweep contains the stationary scenario");
-    assert!(
-        stationary.regret_estimated < stationary.regret_fixed,
-        "estimation-aware BoD lost to fixed sizing on regret: {:+.2} vs {:+.2}",
-        stationary.regret_estimated,
-        stationary.regret_fixed,
-    );
-    let dropped: u64 = rows.iter().map(|r| r.probes_dropped).sum();
-    assert_eq!(dropped, 0, "the sweep dropped probes at the bottleneck");
-    out.push_str(&format!(
-        "probe drops: {dropped} across {} scenarios\n",
-        rows.len()
-    ));
-
-    // The estimation pipeline must not care how cells are packed onto
-    // workers: identical digests and exposition bytes for 1/2/8
-    // threads on the stationary grid.
-    let base = measure_fingerprint(1);
-    for th in [2usize, 8] {
-        assert_eq!(
-            measure_fingerprint(th),
-            base,
-            "measurement plane diverged at {th} threads"
-        );
-    }
-    out.push_str("measurement plane deterministic across 1/2/8 threads: identical\n");
-
-    let exposition = compose_exposition(&expositions[0]);
-    std::fs::write(exposition_path, &exposition).expect("write measure exposition");
-
-    let report = MeasureReport {
-        header: crate::BenchHeader::new("measure", if reduced { "reduced" } else { "full" }),
-        benchmark: "measure".into(),
-        sweep: if reduced { "reduced" } else { "full" }.into(),
-        threads,
-        capacity_gbps: CAPACITY_GBPS as f64,
-        horizon_hours: HORIZON_HOURS,
-        tick_secs: TICK_SECS,
-        scenarios: rows,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(bench_path, &json).expect("write BENCH_measure.json");
-    format!("wrote {bench_path} + {exposition_path}\n{out}")
+    Ok((row, est.measure.families.expose()))
 }

@@ -12,7 +12,7 @@
 //!    hitting a transcontinental wavelength), a maintenance window and a
 //!    calendar booking.
 //!
-//! For each it prints the NOC dashboard and **asserts** — not logs —
+//! For each it prints the NOC dashboard and **gates** — not logs —
 //! that every secondary alarm was suppressed against a root-cause
 //! domain (100 % attribution, zero unattributed), that the detection →
 //! localization → restoration-start latency chain matches the detection
@@ -21,10 +21,17 @@
 //! `noc_exposition.txt` and a machine-readable summary to
 //! `BENCH_noc.json`; both are golden-filed and byte-identical across
 //! runs.
+//!
+//! Each scenario is one [`harness`](crate::harness) cell whose observer
+//! is the NOC: the harness replays it with the NOC off and on and
+//! requires the same transcript and state digest.
 
 use serde::Serialize;
-use simcore::SimTime;
+use simcore::{Crc32c, SimTime};
 
+use crate::harness::{
+    self, ensure, CellRun, Ctx, Experiment, Finished, GateError, Identity, Runs, Sweep,
+};
 use crate::scenario::{self, ScenarioSpec};
 
 /// The paper's testbed outage scenario, embedded so the bench runs from
@@ -66,8 +73,6 @@ pub const SCRAPE_SECS: u64 = 60;
 
 /// One replayed scenario with its NOC state extracted.
 pub struct Outcome {
-    /// Scenario name (section header in the exposition file).
-    pub name: &'static str,
     /// NOC text dashboard (root-cause domains + latency chains).
     pub dashboard: String,
     /// Prometheus-style exposition of every scraped family.
@@ -80,8 +85,6 @@ pub struct Outcome {
     pub suppressed: u64,
     /// Secondary alarms that resolved to no root (must be 0).
     pub unattributed: u64,
-    /// Trace / span ring drop warnings (must be empty).
-    pub warnings: Vec<String>,
 }
 
 /// One root-cause domain in `BENCH_noc.json`.
@@ -139,208 +142,177 @@ fn secs_since(t: Option<SimTime>, t0: SimTime) -> Option<f64> {
     t.map(|t| t.saturating_since(t0).as_secs_f64())
 }
 
-/// Replay one scenario JSON with the NOC on and extract its state.
-fn run_one(name: &'static str, json: &str) -> Outcome {
-    let mut spec: ScenarioSpec =
-        serde_json::from_str(json).unwrap_or_else(|e| panic!("{name}: bad scenario JSON: {e}"));
-    spec.noc_scrape_secs = Some(SCRAPE_SECS);
-    let (_, ctl) =
-        scenario::run_with(&spec).unwrap_or_else(|e| panic!("{name}: scenario failed: {e}"));
-    let mut warnings = Vec::new();
-    if let Some(w) = ctl.trace.drop_warning() {
-        warnings.push(format!("{name}: {w}"));
+/// A replayed scenario: name, JSON, and the root-cause domains its
+/// faults must open.
+type Case = (&'static str, &'static str, usize);
+
+/// `repro noc`: one cell per scenario; the observer is the NOC.
+pub struct Noc;
+
+impl Experiment for Noc {
+    const NAME: &'static str = "noc";
+    const IDENTITY: Identity = Identity::Observer;
+    const SWEEPS: bool = false;
+    type Point = ();
+    type Cell = Case;
+    type Out = Outcome;
+    type Report = NocReport;
+
+    fn points(&self, _: Sweep) -> Vec<()> {
+        vec![()]
     }
-    if let Some(w) = ctl.spans.drop_warning() {
-        warnings.push(format!("{name}: {w}"));
+
+    fn probe(&self) {}
+
+    fn cells(&self, _: &()) -> Vec<Case> {
+        vec![
+            ("testbed_outage", TESTBED_OUTAGE, 1),
+            ("backbone_week_faults", BACKBONE_WEEK_FAULTS, 2),
+        ]
     }
-    let domains = ctl
-        .noc
-        .domains()
-        .map(|(cause, d)| DomainSummary {
-            cause: cause.to_string(),
-            injected_secs: d.injected_at.saturating_since(SimTime::ZERO).as_secs_f64(),
-            detect_secs: secs_since(d.first_alarm_at, d.injected_at),
-            localize_secs: secs_since(d.localized_at, d.injected_at),
-            restore_start_secs: secs_since(d.restoration_started_at, d.injected_at),
-            suppressed: d.suppressed,
+
+    fn label(&self, _: &(), cell: &Case) -> String {
+        cell.0.to_string()
+    }
+
+    /// Replay one scenario with the NOC on or off and extract its state;
+    /// with the NOC on, check its correlation outcome. Every claim the
+    /// dashboard makes is gated here.
+    fn run(&self, _: &(), &(_, json, roots): &Case, noc: bool) -> Result<CellRun<Outcome>, String> {
+        let mut spec: ScenarioSpec =
+            serde_json::from_str(json).map_err(|e| format!("bad scenario JSON: {e}"))?;
+        spec.noc_scrape_secs = noc.then_some(SCRAPE_SECS);
+        let (text, ctl) = scenario::run_with(&spec).map_err(|e| format!("scenario failed: {e}"))?;
+        let domains = ctl
+            .noc
+            .domains()
+            .map(|(cause, d)| DomainSummary {
+                cause: cause.to_string(),
+                injected_secs: d.injected_at.saturating_since(SimTime::ZERO).as_secs_f64(),
+                detect_secs: secs_since(d.first_alarm_at, d.injected_at),
+                localize_secs: secs_since(d.localized_at, d.injected_at),
+                restore_start_secs: secs_since(d.restoration_started_at, d.injected_at),
+                suppressed: d.suppressed,
+            })
+            .collect();
+        let o = Outcome {
+            dashboard: ctl.noc.dashboard(),
+            exposition: ctl.noc.families().expose(),
+            domains,
+            scrapes: ctl.noc.scrapes(),
+            suppressed: ctl.noc.suppressed_total(),
+            unattributed: ctl.noc.unattributed(),
+        };
+        if noc {
+            check_outcome(&o, roots)?;
+        }
+        let mut crc = Crc32c::new();
+        crc.update(text.as_bytes());
+        crc.update(ctl.state_digest().as_bytes());
+        Ok(CellRun {
+            digest: crc.finish(),
+            text: o.exposition.clone(),
+            drops: ctl.trace.dropped() + ctl.spans.dropped(),
+            out: o,
         })
-        .collect();
-    Outcome {
-        name,
-        dashboard: ctl.noc.dashboard(),
-        exposition: ctl.noc.families().expose(),
-        domains,
-        scrapes: ctl.noc.scrapes(),
-        suppressed: ctl.noc.suppressed_total(),
-        unattributed: ctl.noc.unattributed(),
-        warnings,
+    }
+
+    fn finish(&self, ctx: &Ctx, runs: Runs<Self>) -> Result<Finished<NocReport>, GateError> {
+        let p = runs.into_iter().next().expect("one point");
+        let mut exposition = String::new();
+        let mut scenarios = Vec::new();
+        let mut summary = String::from(
+            "NOC — multi-layer telemetry + cross-layer alarm correlation\n\
+             (every dashboard row is gated: 100 % secondary-alarm attribution,\n \
+             latency chain per the detection model, zero ring drops)\n",
+        );
+        let mut series = 0;
+        for (&(name, _, _), run) in p.cells.iter().zip(p.main) {
+            let o = run.out;
+            exposition.push_str(&format!("# scenario: {name}\n"));
+            exposition.push_str(&o.exposition);
+            series += o.exposition.lines().filter(|l| !l.starts_with('#')).count();
+            summary.push_str(&format!("\n── {name} ──\n{}", o.dashboard));
+            scenarios.push(ScenarioReport {
+                name: name.to_string(),
+                scrapes: o.scrapes,
+                root_causes: o.domains.len() as u64,
+                suppressed: o.suppressed,
+                unattributed: o.unattributed,
+                // check_outcome gated every secondary alarm attributed.
+                attribution_pct: 100.0,
+                domains: o.domains,
+            });
+        }
+        summary.push_str(&format!(
+            "\n{} scenario(s), {} scrapes @ {} s cadence, {} exposed series",
+            scenarios.len(),
+            scenarios.iter().map(|s| s.scrapes).sum::<u64>(),
+            SCRAPE_SECS,
+            series,
+        ));
+        let report = NocReport {
+            header: ctx.header.clone(),
+            benchmark: "noc".to_string(),
+            scrape_secs: SCRAPE_SECS,
+            scenarios,
+            exposition_file: EXPOSITION_FILE.to_string(),
+        };
+        let json = harness::json(&report);
+        Ok(Finished {
+            report,
+            summary,
+            files: vec![(EXPOSITION_FILE, exposition.clone())],
+            goldens: vec![("noc_exposition.txt", exposition), ("noc_bench.json", json)],
+        })
     }
 }
 
-/// Both scenarios, in a fixed deterministic order.
-pub fn outcomes() -> Vec<Outcome> {
-    vec![
-        run_one("testbed_outage", TESTBED_OUTAGE),
-        run_one("backbone_week_faults", BACKBONE_WEEK_FAULTS),
-    ]
-}
+/// The exposition file written beside `BENCH_noc.json`.
+const EXPOSITION_FILE: &str = "noc_exposition.txt";
 
-/// Check one scenario's correlation outcome. Every claim the dashboard
-/// makes is asserted here; `repro noc` aborts rather than print a
-/// dashboard the numbers don't back.
-fn check_outcome(o: &Outcome, expected_roots: usize) {
-    assert!(
-        o.warnings.is_empty(),
-        "{}: trace/scrape rings dropped data: {:?}",
-        o.name,
-        o.warnings
-    );
-    assert!(o.scrapes > 0, "{}: the scrape engine never ran", o.name);
-    assert_eq!(
-        o.domains.len(),
-        expected_roots,
-        "{}: expected {expected_roots} root-cause domain(s)",
-        o.name
-    );
+/// Check one scenario's correlation outcome.
+fn check_outcome(o: &Outcome, expected_roots: usize) -> Result<(), String> {
+    ensure(o.scrapes > 0, || "the scrape engine never ran".into())?;
+    ensure(o.domains.len() == expected_roots, || {
+        format!(
+            "expected {expected_roots} root-cause domain(s), found {}",
+            o.domains.len()
+        )
+    })?;
     // 100 % secondary-alarm attribution: every symptom suppressed
     // against a root, none left dangling.
-    assert_eq!(
-        o.unattributed, 0,
-        "{}: {} secondary alarm(s) escaped correlation",
-        o.name, o.unattributed
-    );
-    assert!(
-        o.suppressed > 0,
-        "{}: the cascade produced no secondary alarms to suppress",
-        o.name
-    );
+    ensure(o.unattributed == 0, || {
+        format!("{} secondary alarm(s) escaped correlation", o.unattributed)
+    })?;
+    ensure(o.suppressed > 0, || {
+        "the cascade produced no secondary alarms to suppress".into()
+    })?;
     for d in &o.domains {
         // Detection leads localization: the 50 ms per-span LOS beats the
         // 500 ms span telemetry that names the fiber.
-        let detect = d
-            .detect_secs
-            .unwrap_or_else(|| panic!("{}: {} never detected", o.name, d.cause));
-        let localize = d
-            .localize_secs
-            .unwrap_or_else(|| panic!("{}: {} never localized", o.name, d.cause));
-        assert!(
-            detect <= localize,
-            "{}: {} localized before first alarm",
-            o.name,
-            d.cause
-        );
-        assert!(
+        let (Some(detect), Some(localize)) = (d.detect_secs, d.localize_secs) else {
+            return Err(format!("{} never detected or localized", d.cause));
+        };
+        ensure(
             (detect - 0.05).abs() < 1e-9 && (localize - 0.5).abs() < 1e-9,
-            "{}: {} latency chain {detect}/{localize} disagrees with the detection model",
-            o.name,
-            d.cause
-        );
-        assert!(
-            d.suppressed > 0,
-            "{}: {} suppressed nothing",
-            o.name,
-            d.cause
-        );
+            || {
+                format!(
+                    "{} latency chain {detect}/{localize} disagrees with the detection model",
+                    d.cause
+                )
+            },
+        )?;
+        ensure(d.suppressed > 0, || {
+            format!("{} suppressed nothing", d.cause)
+        })?;
     }
     // At least one domain must reach restoration (unprotected circuits
     // crossed every injected cut in both scenarios).
-    assert!(
+    ensure(
         o.domains.iter().any(|d| d.restore_start_secs.is_some()),
-        "{}: no restoration was attributed to any root cause",
-        o.name
-    );
-}
-
-/// Run both scenarios, verify correlation, and build the report plus the
-/// concatenated exposition text.
-pub fn build(outcomes: &[Outcome]) -> (NocReport, String) {
-    let expected_roots = [1usize, 2];
-    let mut exposition = String::new();
-    let mut scenarios = Vec::new();
-    for (o, roots) in outcomes.iter().zip(expected_roots) {
-        check_outcome(o, roots);
-        exposition.push_str(&format!("# scenario: {}\n", o.name));
-        exposition.push_str(&o.exposition);
-        let denom = o.suppressed + o.unattributed;
-        scenarios.push(ScenarioReport {
-            name: o.name.to_string(),
-            scrapes: o.scrapes,
-            root_causes: o.domains.len() as u64,
-            suppressed: o.suppressed,
-            unattributed: o.unattributed,
-            attribution_pct: if denom == 0 {
-                100.0
-            } else {
-                100.0 * o.suppressed as f64 / denom as f64
-            },
-            domains: o
-                .domains
-                .iter()
-                .map(|d| DomainSummary {
-                    cause: d.cause.clone(),
-                    injected_secs: d.injected_secs,
-                    detect_secs: d.detect_secs,
-                    localize_secs: d.localize_secs,
-                    restore_start_secs: d.restore_start_secs,
-                    suppressed: d.suppressed,
-                })
-                .collect(),
-        });
-    }
-    for s in &scenarios {
-        assert!(
-            (s.attribution_pct - 100.0).abs() < f64::EPSILON,
-            "{}: attribution below 100 %",
-            s.name
-        );
-    }
-    let report = NocReport {
-        header: crate::BenchHeader::new("noc", "default"),
-        benchmark: "noc".to_string(),
-        scrape_secs: SCRAPE_SECS,
-        scenarios,
-        exposition_file: String::new(),
-    };
-    (report, exposition)
-}
-
-/// Render the human-readable summary: one dashboard per scenario.
-fn render(report: &NocReport, outcomes: &[Outcome]) -> String {
-    let mut out = String::from(
-        "NOC — multi-layer telemetry + cross-layer alarm correlation\n\
-         (every dashboard row is asserted: 100 % secondary-alarm attribution,\n\
-          latency chain per the detection model, zero ring drops)\n",
-    );
-    for o in outcomes {
-        out.push_str(&format!("\n── {} ──\n", o.name));
-        out.push_str(&o.dashboard);
-    }
-    let series: usize = outcomes
-        .iter()
-        .map(|o| o.exposition.lines().filter(|l| !l.starts_with('#')).count())
-        .sum();
-    out.push_str(&format!(
-        "\n{} scenario(s), {} scrapes @ {} s cadence, {} exposed series",
-        report.scenarios.len(),
-        report.scenarios.iter().map(|s| s.scrapes).sum::<u64>(),
-        report.scrape_secs,
-        series,
-    ));
-    out
-}
-
-/// Run both scenarios, write `BENCH_noc.json` and `noc_exposition.txt`,
-/// and return the human-readable summary.
-pub fn emit(bench_path: &str, exposition_path: &str) -> String {
-    let outcomes = outcomes();
-    let (mut report, exposition) = build(&outcomes);
-    report.exposition_file = exposition_path.to_string();
-    std::fs::write(exposition_path, &exposition).expect("write exposition");
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(bench_path, &json).expect("write BENCH_noc.json");
-    let mut out = render(&report, &outcomes);
-    out.push_str(&format!("\nwrote {bench_path} and {exposition_path}"));
-    out
+        || "no restoration was attributed to any root cause".into(),
+    )
 }
 
 #[cfg(test)]
@@ -349,14 +321,13 @@ mod tests {
 
     #[test]
     fn both_scenarios_attribute_every_secondary_alarm() {
-        let outcomes = outcomes();
-        let (report, exposition) = build(&outcomes);
-        assert_eq!(report.scenarios.len(), 2);
-        for s in &report.scenarios {
+        let done = harness::run(&Noc, Sweep::Full, 2).unwrap();
+        assert_eq!(done.report.scenarios.len(), 2);
+        for s in &done.report.scenarios {
             assert_eq!(s.unattributed, 0, "{}", s.name);
-            assert!((s.attribution_pct - 100.0).abs() < f64::EPSILON);
         }
         // The exposition covers every layer of the stack.
+        let exposition = &done.files[0].1;
         for family in [
             "noc_degree_lit_lambdas",
             "noc_degree_fragmentation",
@@ -371,15 +342,5 @@ mod tests {
         ] {
             assert!(exposition.contains(family), "exposition lacks {family}");
         }
-    }
-
-    #[test]
-    fn two_runs_are_byte_identical() {
-        let a = build(&outcomes());
-        let b = build(&outcomes());
-        assert_eq!(a.1, b.1, "exposition must be deterministic");
-        let ja = serde_json::to_string_pretty(&a.0).unwrap();
-        let jb = serde_json::to_string_pretty(&b.0).unwrap();
-        assert_eq!(ja, jb, "BENCH_noc.json must be deterministic");
     }
 }

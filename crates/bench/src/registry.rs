@@ -2,11 +2,12 @@
 //!
 //! Every target — its name, one-line description, and runner — lives in
 //! one table. The `repro` binary derives its usage text, its `--list`
-//! output, and its dispatch from this table, so a target added here can
-//! never drift out of the help text (the bug that hid `perf` and
-//! `e5b-full-mesh` from the usage strings).
+//! output, its dispatch and `repro all` from this table, so a target
+//! added here can never drift out of the help text (the bug that hid
+//! `perf` and `e5b-full-mesh` from the usage strings) or out of `all`.
 
 use crate::experiments as exp;
+use crate::harness::{self, GateError};
 
 /// Category a target belongs to — `--list` groups by these, in the
 /// order they are declared here.
@@ -46,6 +47,13 @@ impl Category {
             Category::Service => "service",
         }
     }
+
+    /// Whether this category's targets are harness experiments that
+    /// write `BENCH_*.json` artifacts; the others print paper tables,
+    /// and `repro all` runs them.
+    pub fn writes_artifacts(self) -> bool {
+        !matches!(self, Category::Paper | Category::Perf | Category::Economics)
+    }
 }
 
 /// Every category, in the order `--list` prints its sections.
@@ -68,8 +76,8 @@ pub struct Target {
     pub about: &'static str,
     /// Section this target is listed under.
     pub category: Category,
-    /// Runner; returns the text to print.
-    pub run: fn() -> String,
+    /// Runner; returns the text to print, or the gate that failed.
+    pub run: fn() -> Result<String, GateError>,
 }
 
 /// Every target, in the order usage and `--list` present them.
@@ -78,212 +86,191 @@ pub const TARGETS: &[Target] = &[
         name: "table1",
         about: "Table 1 — BoD vision vs today's reality vs GRIPhoN, quantified",
         category: Category::Paper,
-        run: exp::table1,
+        run: || Ok(exp::table1()),
     },
     Target {
         name: "table2",
         about: "Table 2 — wavelength setup time vs path length (1/2/3 hops)",
         category: Category::Paper,
-        run: exp::table2,
+        run: || Ok(exp::table2()),
     },
     Target {
         name: "fig1",
         about: "Fig. 1 — current services and layers (W-DCS/SONET/DWDM)",
         category: Category::Paper,
-        run: fig1,
+        run: || Ok(exp::fig_layers(false)),
     },
     Target {
         name: "fig2",
         about: "Fig. 2 — future services and layers (OTN/DWDM BoD)",
         category: Category::Paper,
-        run: fig2,
+        run: || Ok(exp::fig_layers(true)),
     },
     Target {
         name: "fig3",
         about: "Fig. 3 — BoD architecture walk-through (λ and OTN paths)",
         category: Category::Paper,
-        run: exp::fig3,
+        run: || Ok(exp::fig3()),
     },
     Target {
         name: "fig4",
         about: "Fig. 4 — the four-ROADM testbed, rendered and checked",
         category: Category::Paper,
-        run: exp::fig4,
-    },
-    Target {
-        name: "fig6",
-        about: "Fig. 6 — one week of two-DC replication: cost per policy",
-        category: Category::Economics,
-        run: exp::fig6,
-    },
-    Target {
-        name: "fig7",
-        about: "Fig. 7 — weekly cost vs offered bulk load",
-        category: Category::Economics,
-        run: exp::fig7,
+        run: || Ok(exp::fig4()),
     },
     Target {
         name: "e1-teardown",
         about: "E1 — §3 prose timings: setup range, teardown",
         category: Category::Paper,
-        run: exp::e1_teardown,
+        run: || Ok(exp::e1_teardown()),
     },
     Target {
         name: "e2-restoration",
         about: "E2 — restoration after a fiber cut",
         category: Category::Paper,
-        run: exp::e2_restoration,
+        run: || Ok(exp::e2_restoration()),
     },
     Target {
         name: "e2b-parallelism",
         about: "E2b — EMS parallelism ablation",
         category: Category::Paper,
-        run: exp::e2b_parallelism,
+        run: || Ok(exp::e2b_parallelism()),
     },
     Target {
         name: "e3-maintenance",
         about: "E3 — maintenance hit: bridge-and-roll vs cold reroute",
         category: Category::Paper,
-        run: exp::e3_maintenance,
+        run: || Ok(exp::e3_maintenance()),
     },
     Target {
         name: "e4-composite",
         about: "E4 — composite BoD: 12 G = 10G λ + 2×1G OTN",
         category: Category::Paper,
-        run: exp::e4_composite,
+        run: || Ok(exp::e4_composite()),
     },
     Target {
         name: "e5-bulk",
         about: "E5 — one week of bulk replication: BoD vs static vs S&F",
         category: Category::Paper,
-        run: exp::e5_bulk,
+        run: || Ok(exp::e5_bulk()),
     },
     Target {
         name: "e5b-full-mesh",
         about: "E5b — full-mesh replication, three DCs, one carrier",
         category: Category::Paper,
-        run: exp::e5b_full_mesh,
+        run: || Ok(exp::e5b_full_mesh()),
+    },
+    Target {
+        name: "fig6",
+        about: "Fig. 6 — one week of two-DC replication: cost per policy",
+        category: Category::Economics,
+        run: || Ok(exp::fig6()),
+    },
+    Target {
+        name: "fig7",
+        about: "Fig. 7 — weekly cost vs offered bulk load",
+        category: Category::Economics,
+        run: || Ok(exp::fig7()),
     },
     Target {
         name: "e6-grooming",
         about: "E6 — grooming: OTN switching vs muxponder-only",
         category: Category::Paper,
-        run: exp::e6_grooming,
+        run: || Ok(exp::e6_grooming()),
     },
     Target {
         name: "e7-ablation",
         about: "E7 — setup time vs hops under control-plane ablations",
         category: Category::Paper,
-        run: exp::e7_ablation,
+        run: || Ok(exp::e7_ablation()),
     },
     Target {
         name: "e8-protection",
         about: "E8 — 1+1 protection vs restoration: footprint, outage",
         category: Category::Paper,
-        run: exp::e8_protection,
+        run: || Ok(exp::e8_protection()),
     },
     Target {
         name: "e9-planning",
         about: "E9 — transponder-pool blocking: Erlang-B vs simulation",
         category: Category::Paper,
-        run: exp::e9_planning,
+        run: || Ok(exp::e9_planning()),
     },
     Target {
         name: "e10-sla",
         about: "E10 — a month of fiber cuts: availability, auto vs manual",
         category: Category::Paper,
-        run: exp::e10_sla,
+        run: || Ok(exp::e10_sla()),
     },
     Target {
         name: "perf",
         about: "engine performance counters (route cache, CSR sweeps)",
         category: Category::Perf,
-        run: exp::perf,
+        run: || Ok(exp::perf()),
     },
     Target {
         name: "all",
         about: "every target above, plus fig6, fig7 and perf",
         category: Category::Paper,
-        run: exp::all,
+        run: all,
     },
     Target {
         name: "trace",
         about: "writes BENCH_trace.json + BENCH_trace_chrome.json",
         category: Category::Observability,
-        run: trace,
+        run: || harness::emit(&crate::trace_target::Trace),
     },
     Target {
         name: "noc",
         about: "writes BENCH_noc.json + noc_exposition.txt",
         category: Category::Observability,
-        run: noc,
+        run: || harness::emit(&crate::noc_target::Noc),
     },
     Target {
         name: "slo",
         about: "writes BENCH_slo.json + slo_exposition.txt (error budgets, burn alerts, exemplars)",
         category: Category::Observability,
-        run: slo,
+        run: || harness::emit(&crate::slo_target::Slo),
     },
     Target {
         name: "measure",
         about: "writes BENCH_measure.json + measure_exposition.txt (probing, estimation, regret)",
         category: Category::Measurement,
-        run: measure,
+        run: || harness::emit(&crate::measure_target::Measure),
     },
     Target {
         name: "ha",
         about: "writes BENCH_ha.json (WAL, snapshots, crash-point failover)",
         category: Category::Durability,
-        run: ha,
+        run: || harness::emit(&crate::ha_target::Ha),
     },
     Target {
         name: "scale",
         about: "writes BENCH_scale.json (plant-size sweep, sharded RWA, digests)",
         category: Category::Scale,
-        run: scale,
+        run: || harness::emit(&crate::scale_target::Scale),
     },
     Target {
         name: "serve",
         about: "writes BENCH_serve.json (intent API server: fleet × load sweep, fairness)",
         category: Category::Service,
-        run: serve,
+        run: || harness::emit(&crate::serve_target::Serve),
     },
 ];
 
-fn fig1() -> String {
-    exp::fig_layers(false)
-}
-
-fn fig2() -> String {
-    exp::fig_layers(true)
-}
-
-fn trace() -> String {
-    crate::trace_target::emit("BENCH_trace.json", "BENCH_trace_chrome.json")
-}
-
-fn noc() -> String {
-    crate::noc_target::emit("BENCH_noc.json", "noc_exposition.txt")
-}
-
-fn slo() -> String {
-    crate::slo_target::emit("BENCH_slo.json", "slo_exposition.txt")
-}
-
-fn measure() -> String {
-    crate::measure_target::emit("BENCH_measure.json", "measure_exposition.txt")
-}
-
-fn ha() -> String {
-    crate::ha_target::emit("BENCH_ha.json")
-}
-
-fn scale() -> String {
-    crate::scale_target::emit("BENCH_scale.json")
-}
-
-fn serve() -> String {
-    crate::serve_target::emit("BENCH_serve.json")
+/// `repro all`: every paper, economics and perf target, in table order.
+/// Each is an independent cell (own controllers, own seeds), so the
+/// sweep fans out across threads; output order is fixed regardless of
+/// completion order.
+fn all() -> Result<String, GateError> {
+    let targets: Vec<&Target> = TARGETS
+        .iter()
+        .filter(|t| !t.category.writes_artifacts() && t.name != "all")
+        .collect();
+    let texts: Result<Vec<String>, GateError> = harness::parallel_cells(targets, |t| (t.run)())
+        .into_iter()
+        .collect();
+    Ok(texts?.join("\n\n"))
 }
 
 /// Look up a target by name.

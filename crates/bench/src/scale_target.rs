@@ -1,27 +1,26 @@
 //! `repro scale` — the continental-scale sweep (`BENCH_scale.json`).
 //!
 //! Sweeps generated plants from paper scale to continental scale
-//! (14 → 100 → 300 → 600 ROADMs by default; `SCALE_SWEEP=reduced` runs
-//! 14 → 100 → 200 for CI), driving every point twice through the same
-//! per-region workload cells:
+//! (14 → 100 → 300 → 600 ROADMs; `SCALE_SWEEP=reduced` runs
+//! 14 → 100 → 200 for CI). Each point is a [`harness`](crate::harness)
+//! point whose cells are its regions; the harness drives every point
+//! twice through the same cells:
 //!
 //! - **unsharded** — all cells executed on one thread;
-//! - **sharded** — the same cells fanned across
-//!   [`repro_threads`] workers.
+//! - **sharded** — the same cells fanned across `REPRO_THREADS` workers.
 //!
 //! Each cell owns a full controller over the shared plant (region map
 //! installed, admission group-committed in waves through
-//! `journal_batch`) and returns its `state_digest_crc()`, so the merge
-//! is deterministic and the two runs must produce **byte-identical
-//! digests for every cell** — asserted unconditionally at every sweep
-//! point, and printed as the `digests: identical` lines CI greps.
+//! `journal_batch`) and returns its `state_digest_crc()`, so the two
+//! runs must produce **byte-identical digests for every cell** — the
+//! harness's shard gate, at every sweep point.
 //!
 //! Per point the report records per-intent setup-latency p50/p95/p99
 //! (host wall clock around `request_wavelength`, measured on the
 //! unsharded run so core contention cannot skew percentiles),
 //! intents/sec for both runs, route-cache hit/miss/eviction counters,
-//! and the estimated memory footprint. The final gate asserts p99 at the
-//! largest point stays within 10× the smallest point — the evidence that
+//! and the estimated memory footprint. The target's own gate holds p99
+//! at the largest point within 10× the smallest point — the evidence that
 //! region-restricted search, the u128 masks, the per-node equipment
 //! indices and the bounded route cache keep the hot path sub-linear in
 //! plant size.
@@ -33,12 +32,14 @@ use serde::Serialize;
 use simcore::metrics::LatencyRecorder;
 use simcore::{DataRate, SimRng};
 
-use crate::experiments::{parallel_cells_with, repro_threads};
+use crate::harness::{
+    self, CellRun, Ctx, Experiment, Finished, GateError, Identity, PointRun, Runs, Sweep,
+};
 
 /// The default sweep: paper scale to continental scale.
-const FULL_SWEEP: &[usize] = &[14, 100, 300, 600];
+pub(crate) const FULL_SWEEP: &[usize] = &[14, 100, 300, 600];
 /// The `SCALE_SWEEP=reduced` sweep CI runs on every push.
-const REDUCED_SWEEP: &[usize] = &[14, 100, 200];
+pub(crate) const REDUCED_SWEEP: &[usize] = &[14, 100, 200];
 
 /// Hot endpoint pairs per workload cell. Carrier traffic is skewed —
 /// most demand connects a few popular PoPs — and the repeat rate is what
@@ -125,14 +126,14 @@ pub struct ScaleReport {
 
 /// One workload cell: a region's intent list, driven against the cell's
 /// own controller over the (shared, cloned) plant.
-struct Cell {
-    region: usize,
-    intents: Vec<(RoadmId, RoadmId)>,
+pub struct Cell {
+    pub(crate) region: usize,
+    pub(crate) intents: Vec<(RoadmId, RoadmId)>,
 }
 
 /// What a cell run returns: the digest, its latency samples, and the
 /// cache/footprint counters the report aggregates.
-struct CellOutcome {
+pub struct CellOutcome {
     digest: u32,
     latencies_ns: Vec<u64>,
     accepted: usize,
@@ -142,18 +143,24 @@ struct CellOutcome {
     span_dropped: u64,
 }
 
-/// Deterministic per-region intent lists: `HOT_PAIRS` endpoint pairs
+/// Deterministic per-region intent lists: `hot_pairs` endpoint pairs
 /// (three quarters intra-region, the rest crossing to a deterministic
-/// peer region), repeated across `WAVES` admission waves.
-fn build_cells(plant: &GeneratedPlant, seed: u64) -> Vec<Cell> {
+/// peer region), repeated to `intents` intents. `repro slo` drives the
+/// same shape, lighter.
+pub(crate) fn hot_pair_cells(
+    plant: &GeneratedPlant,
+    seed: u64,
+    hot_pairs: usize,
+    intents: usize,
+) -> Vec<Cell> {
     let regions = plant.interior.len();
     (0..regions)
         .map(|r| {
             let mut rng = SimRng::new(seed).fork(r as u64 + 1);
             let mine = &plant.interior[r];
             let peer = &plant.interior[(r + 1) % regions];
-            let mut pairs: Vec<(RoadmId, RoadmId)> = Vec::with_capacity(HOT_PAIRS);
-            for p in 0..HOT_PAIRS {
+            let mut pairs: Vec<(RoadmId, RoadmId)> = Vec::with_capacity(hot_pairs);
+            for p in 0..hot_pairs {
                 let a = *rng.choose(mine);
                 let b = if p % 4 == 3 {
                     *rng.choose(peer)
@@ -168,9 +175,7 @@ fn build_cells(plant: &GeneratedPlant, seed: u64) -> Vec<Cell> {
                     pairs.push((a, b));
                 }
             }
-            let intents = (0..WAVES * WAVE_INTENTS)
-                .map(|i| pairs[i % HOT_PAIRS])
-                .collect();
+            let intents = (0..intents).map(|i| pairs[i % hot_pairs]).collect();
             Cell { region: r, intents }
         })
         .collect()
@@ -234,100 +239,173 @@ fn run_cell(plant: &GeneratedPlant, cell: &Cell, seed: u64) -> CellOutcome {
     }
 }
 
-/// Digest identity between two per-cell outcome sets, and the combined
-/// CRC the report publishes.
-fn digests_identical(unsharded: &[u32], sharded: &[u32]) -> (bool, u32) {
-    let mut crc = simcore::Crc32c::new();
-    for d in unsharded {
-        crc.update(&d.to_le_bytes());
-    }
-    (unsharded == sharded, crc.finish())
+/// One sweep point: a generated plant and its seed.
+pub struct Plant {
+    pub(crate) seed: u64,
+    pub(crate) plant: GeneratedPlant,
 }
 
-/// Run one sweep point; panics if sharded and unsharded digests differ.
-fn run_point(target: usize, threads: usize, out: &mut String) -> ScalePoint {
-    let seed = 0xC0FF_EE00u64 + target as u64;
+/// The plant of `target` ROADMs (8 OTs a node) generated from `seed`.
+pub(crate) fn plant(target: usize, seed: u64) -> Plant {
     let cfg = GeneratorConfig {
         ots_per_node: 8,
         ..GeneratorConfig::with_target_roadms(target, seed)
     };
-    let plant = generate(&cfg);
-    let cells = build_cells(&plant, seed);
-    let intents = cells.iter().map(|c| c.intents.len()).sum::<usize>();
+    Plant {
+        seed,
+        plant: generate(&cfg),
+    }
+}
 
-    let t0 = std::time::Instant::now();
-    let unsharded = parallel_cells_with(1, cells.iter().collect(), |c| run_cell(&plant, c, seed));
-    let unsharded_secs = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let sharded = parallel_cells_with(threads, cells.iter().collect(), |c| {
-        run_cell(&plant, c, seed)
-    });
-    let sharded_secs = t1.elapsed().as_secs_f64();
+fn point_seed(target: usize) -> u64 {
+    0xC0FF_EE00u64 + target as u64
+}
 
-    let du: Vec<u32> = unsharded.iter().map(|o| o.digest).collect();
-    let ds: Vec<u32> = sharded.iter().map(|o| o.digest).collect();
-    let (identical, combined) = digests_identical(&du, &ds);
-    assert!(
-        identical,
-        "sharded vs unsharded digests diverged at {target} ROADMs: {du:x?} vs {ds:x?}"
-    );
+/// The gate on p99(largest) / p99(smallest).
+const MAX_RATIO: f64 = 10.0;
 
+/// `repro scale`: one point per plant size, one cell per region; the
+/// harness runs every point on one worker and sharded.
+pub struct Scale;
+
+impl Experiment for Scale {
+    const NAME: &'static str = "scale";
+    const IDENTITY: Identity = Identity::Shard;
+    const SWEEPS: bool = true;
+    type Point = Plant;
+    type Cell = Cell;
+    type Out = CellOutcome;
+    type Report = ScaleReport;
+
+    fn points(&self, sweep: Sweep) -> Vec<Plant> {
+        let sizes = match sweep {
+            Sweep::Full => FULL_SWEEP,
+            Sweep::Reduced => REDUCED_SWEEP,
+        };
+        sizes.iter().map(|&t| plant(t, point_seed(t))).collect()
+    }
+
+    fn probe(&self) -> Plant {
+        plant(100, point_seed(100))
+    }
+
+    fn cells(&self, p: &Plant) -> Vec<Cell> {
+        hot_pair_cells(&p.plant, p.seed, HOT_PAIRS, WAVES * WAVE_INTENTS)
+    }
+
+    fn label(&self, p: &Plant, cell: &Cell) -> String {
+        format!(
+            "{} roadms / region {}",
+            p.plant.net.roadm_count(),
+            cell.region
+        )
+    }
+
+    fn run(&self, p: &Plant, cell: &Cell, _: bool) -> Result<CellRun<CellOutcome>, String> {
+        let o = run_cell(&p.plant, cell, p.seed);
+        Ok(CellRun {
+            digest: o.digest,
+            text: String::new(),
+            drops: o.trace_dropped + o.span_dropped,
+            out: o,
+        })
+    }
+
+    fn finish(&self, ctx: &Ctx, runs: Runs<Self>) -> Result<Finished<ScaleReport>, GateError> {
+        let mut out = String::new();
+        let points: Vec<ScalePoint> = runs
+            .iter()
+            .map(|r| point(r, ctx.threads, &mut out))
+            .collect();
+        let first = points.first().expect("sweep is non-empty");
+        let last = points.last().expect("sweep is non-empty");
+        let ratio = last.setup_p99_ns as f64 / first.setup_p99_ns.max(1) as f64;
+        out.push_str(&format!(
+            "p99 scaling {} vs {} roadms: {ratio:.2}x (limit {MAX_RATIO:.0}x)\n",
+            last.roadms, first.roadms
+        ));
+        harness::check(
+            ratio <= MAX_RATIO,
+            Self::NAME,
+            format!("{} roadms", last.roadms),
+            || {
+                format!(
+                    "p99 setup latency grew {ratio:.2}x from {} to {} ROADMs (limit {MAX_RATIO}x) — \
+                     the hot paths are no longer sub-linear in plant size",
+                    first.roadms, last.roadms
+                )
+            },
+        )?;
+        let report = ScaleReport {
+            header: ctx.header.clone(),
+            benchmark: "scale_sweep".into(),
+            sweep: ctx.sweep.label().into(),
+            threads: ctx.threads,
+            points,
+            p99_ratio_vs_smallest: ratio,
+            max_allowed_p99_ratio: MAX_RATIO,
+        };
+        Ok(Finished {
+            report,
+            summary: out,
+            files: Vec::new(),
+            goldens: Vec::new(),
+        })
+    }
+}
+
+/// Fold one point's unsharded (reference) and sharded (main) runs into
+/// its report row; latency percentiles come from the unsharded run so
+/// core contention cannot skew them.
+fn point(r: &PointRun<Plant, Cell, CellOutcome>, threads: usize, out: &mut String) -> ScalePoint {
+    let net = &r.point.plant.net;
+    let unsharded: Vec<&CellOutcome> = r.reference.iter().map(|c| &c.out).collect();
+    let intents = r.cells.iter().map(|c| c.intents.len()).sum::<usize>();
+    let mut crc = simcore::Crc32c::new();
     let mut all = LatencyRecorder::new();
     for o in &unsharded {
+        crc.update(&o.digest.to_le_bytes());
         for &ns in &o.latencies_ns {
             all.record_ns(ns);
         }
     }
-    let cache_hits: u64 = unsharded.iter().map(|o| o.cache.hits).sum();
-    let cache_misses: u64 = unsharded.iter().map(|o| o.cache.misses).sum();
-    let cache_evictions: u64 = unsharded.iter().map(|o| o.cache.evictions).sum();
-    let cache_entries: usize = unsharded.iter().map(|o| o.cache.entries).sum();
-    let cache_capacity: usize = unsharded.iter().map(|o| o.cache.capacity).sum();
-    let accepted: usize = unsharded.iter().map(|o| o.accepted).sum();
-    let trace_dropped: u64 = unsharded.iter().map(|o| o.trace_dropped).sum::<u64>()
-        + sharded.iter().map(|o| o.trace_dropped).sum::<u64>();
-    let span_dropped: u64 = unsharded.iter().map(|o| o.span_dropped).sum::<u64>()
-        + sharded.iter().map(|o| o.span_dropped).sum::<u64>();
-    assert_eq!(
-        (trace_dropped, span_dropped),
-        (0, 0),
-        "telemetry silently saturated at {target} ROADMs: \
-         {trace_dropped} trace events / {span_dropped} spans dropped"
-    );
+    let combined = crc.finish();
+    let sum = |f: fn(&CellOutcome) -> u64| unsharded.iter().map(|o| f(o)).sum::<u64>();
+    let (cache_hits, cache_misses) = (sum(|o| o.cache.hits), sum(|o| o.cache.misses));
     let point = ScalePoint {
-        roadms: plant.net.roadm_count(),
-        fibers: plant.net.fiber_count(),
-        spans: plant.net.span_count(),
-        channels: plant.net.grid.channels,
-        regions: plant.interior.len(),
+        roadms: net.roadm_count(),
+        fibers: net.fiber_count(),
+        spans: net.span_count(),
+        channels: net.grid.channels,
+        regions: r.point.plant.interior.len(),
         intents,
-        accepted,
+        accepted: sum(|o| o.accepted as u64) as usize,
         setup_p50_ns: all.p50_ns(),
         setup_p95_ns: all.p95_ns(),
         setup_p99_ns: all.p99_ns(),
-        unsharded_intents_per_sec: intents as f64 / unsharded_secs.max(1e-9),
-        sharded_intents_per_sec: intents as f64 / sharded_secs.max(1e-9),
+        unsharded_intents_per_sec: intents as f64 / r.reference_secs.max(1e-9),
+        sharded_intents_per_sec: intents as f64 / r.main_secs.max(1e-9),
         shard_threads: threads,
         cache_hits,
         cache_misses,
-        cache_evictions,
+        cache_evictions: sum(|o| o.cache.evictions),
         cache_hit_rate: if cache_hits + cache_misses == 0 {
             0.0
         } else {
             cache_hits as f64 / (cache_hits + cache_misses) as f64
         },
-        cache_entries,
-        cache_capacity,
-        trace_dropped,
-        span_dropped,
+        cache_entries: sum(|o| o.cache.entries as u64) as usize,
+        cache_capacity: sum(|o| o.cache.capacity as u64) as usize,
+        trace_dropped: 0,
+        span_dropped: 0,
         memory_bytes: unsharded.iter().map(|o| o.memory_bytes).max().unwrap_or(0),
         combined_digest_crc: combined,
-        sharded_identical: identical,
+        sharded_identical: true,
     };
     out.push_str(&format!(
         "[{:>3} roadms] {} fibers / {} spans / {} regions | p50 {} µs p99 {} µs | \
          {:.0}→{:.0} intents/s ({} threads) | cache {:.0}% hit | {:.1} MiB | \
-         telemetry drops: 0 | sharded vs unsharded digests: identical (crc 0x{:08x})\n",
+         digest crc 0x{:08x}\n",
         point.roadms,
         point.fibers,
         point.spans,
@@ -342,57 +420,4 @@ fn run_point(target: usize, threads: usize, out: &mut String) -> ScalePoint {
         combined,
     ));
     point
-}
-
-/// The per-cell digests for a generated plant at `target` ROADMs driven
-/// with `threads` workers — the hook `tests/determinism.rs` uses to
-/// assert digest identity across `REPRO_THREADS` ∈ {1, 2, 8} without
-/// touching environment variables.
-pub fn shard_digests(target: usize, seed: u64, threads: usize) -> Vec<u32> {
-    let plant = generate(&GeneratorConfig::with_target_roadms(target, seed));
-    let cells = build_cells(&plant, seed);
-    parallel_cells_with(threads, cells.iter().collect(), |c| {
-        run_cell(&plant, c, seed).digest
-    })
-}
-
-/// Run the sweep, write `BENCH_scale.json`, and return the summary text.
-pub fn emit(path: &str) -> String {
-    let reduced = std::env::var("SCALE_SWEEP").as_deref() == Ok("reduced");
-    let sweep = if reduced { REDUCED_SWEEP } else { FULL_SWEEP };
-    let threads = repro_threads();
-    let mut out = String::new();
-    let points: Vec<ScalePoint> = sweep
-        .iter()
-        .map(|&t| run_point(t, threads, &mut out))
-        .collect();
-
-    let first = points.first().expect("sweep is non-empty");
-    let last = points.last().expect("sweep is non-empty");
-    let ratio = last.setup_p99_ns as f64 / first.setup_p99_ns.max(1) as f64;
-    const MAX_RATIO: f64 = 10.0;
-    out.push_str(&format!(
-        "p99 scaling {} vs {} roadms: {ratio:.2}x (limit {MAX_RATIO:.0}x)\n",
-        last.roadms, first.roadms
-    ));
-    assert!(
-        ratio <= MAX_RATIO,
-        "p99 setup latency grew {ratio:.2}x from {} to {} ROADMs (limit {MAX_RATIO}x) — \
-         the hot paths are no longer sub-linear in plant size",
-        first.roadms,
-        last.roadms
-    );
-
-    let report = ScaleReport {
-        header: crate::BenchHeader::new("scale", if reduced { "reduced" } else { "full" }),
-        benchmark: "scale_sweep".into(),
-        sweep: if reduced { "reduced" } else { "full" }.into(),
-        threads,
-        points,
-        p99_ratio_vs_smallest: ratio,
-        max_allowed_p99_ratio: MAX_RATIO,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(path, &json).expect("write BENCH_scale.json");
-    format!("wrote {path}\n{out}")
 }

@@ -10,8 +10,8 @@
 //! and priority drains batched into `Controller::journal_batch` with a
 //! WAL attached — the durability boundary at the API edge.
 //!
-//! Three properties are asserted unconditionally at every cell, and
-//! printed as the lines CI greps:
+//! Each grid cell is a [`harness`](crate::harness) cell. Three
+//! properties are gated at every one:
 //!
 //! - **server-on/off digest identity** — replaying the admitted-intent
 //!   stream against a bare controller yields a byte-identical
@@ -23,15 +23,16 @@
 //!   configured capacities; overload sheds with 503s instead of
 //!   growing memory.
 //!
-//! A separate fairness pair (100k × 1×, abuser on vs off) asserts the
+//! A fairness pair (the 100k × 1× cell and one more cell with an abuser
+//! overlay) gates the
 //! limiter isolates an abusive flooder without collateral damage: the
 //! well-behaved fleet keeps ≥ 97% of its admissions and the abuser is
 //! almost entirely rate-limited.
 //!
 //! All latencies in the report are **sim time** (arrival → hand-off),
-//! so `build()` is a pure function of the embedded config and is
-//! golden-filed by `tests/serve_golden.rs`; only the intents/sec column
-//! in the summary text is host wall clock.
+//! so the reduced grid plus the fairness pair is a pure function of the
+//! embedded config, golden-filed as `tests/golden/serve_bench.json`;
+//! only the `host_intents_per_sec` column is host wall clock.
 
 use griphon::WalConfig;
 use northbound::{
@@ -41,7 +42,9 @@ use northbound::{
 use serde::Serialize;
 use simcore::metrics::LatencyRecorder;
 
-use crate::experiments::{parallel_cells_with, repro_threads};
+use crate::harness::{
+    self, ensure, CellRun, Ctx, Experiment, Finished, GateError, Identity, Runs, Sweep,
+};
 
 /// Fleet sizes of the default sweep.
 const FULL_FLEETS: &[u64] = &[10_000, 100_000, 1_000_000];
@@ -207,12 +210,28 @@ pub struct ServeReport {
     pub fairness: FairnessReport,
 }
 
-/// Run one grid cell end to end: generate the fleet, run the server
-/// (WAL attached), replay the admitted stream, and assert the
-/// invariants. Pure function of `(tenants, load, abuser)`.
-fn run_cell(tenants: u64, load: f64, abuser: Option<AbuserConfig>) -> ServeOutcome {
+/// One cell: fleet size, offered-load multiplier, abuser overlay on.
+type ServeCell = (u64, f64, bool);
+
+/// What a cell hands to the report beside its grid row.
+pub struct ServeOut {
+    point: ServePoint,
+    host_secs: f64,
+    well_admitted: u64,
+    abusive_admitted: u64,
+    free_rate_limited: u64,
+}
+
+/// Run one cell end to end: generate the fleet, run the server (WAL
+/// attached), replay the admitted stream on a bare controller, and gate
+/// the edge's invariants. Pure function of the cell but for `host_secs`.
+fn run_cell(&(tenants, load, abuser): &ServeCell) -> Result<CellRun<ServeOut>, String> {
+    let t0 = std::time::Instant::now();
     let mut cfg = fleet_config(tenants, load);
-    cfg.abuser = abuser;
+    cfg.abuser = abuser.then_some(AbuserConfig {
+        tenant: ABUSER_TENANT,
+        rate_per_sec: ABUSER_RATE_PER_SEC,
+    });
     let dir = TenantDirectory::new(cfg.tenants, cfg.seed);
     let requests = generate_fleet(&cfg, &dir);
     let mut bed = build_testbed(ROADMS, cfg.pairs, cfg.seed);
@@ -223,24 +242,50 @@ fn run_cell(tenants: u64, load: f64, abuser: Option<AbuserConfig>) -> ServeOutco
     let mut server = ApiServer::new(bed, dir, ServerConfig::default());
     server.run(&requests, cfg.horizon);
     let outcome = server.finish();
-    assert_eq!(
-        outcome.offered,
-        requests.len() as u64,
-        "request accounting leak at {tenants}×{load}"
+    ensure(outcome.offered == requests.len() as u64, || {
+        format!(
+            "request accounting leak: {} offered of {} requests",
+            outcome.offered,
+            requests.len()
+        )
+    })?;
+    ensure(outcome.controller_refusals == 0, || {
+        format!(
+            "the edge admitted {} intents the controller refused",
+            outcome.controller_refusals
+        )
+    })?;
+    let replay = replay_admitted(
+        build_testbed(ROADMS, cfg.pairs, cfg.seed),
+        &outcome.admitted,
+        cfg.horizon,
     );
-    assert_eq!(
-        outcome.controller_refusals, 0,
-        "the edge admitted an intent the controller refused at {tenants}×{load}"
-    );
-    outcome
-}
-
-/// Replay `outcome`'s admitted stream on a bare testbed and return the
-/// server-off digest.
-fn replay_digest(tenants: u64, load: f64, outcome: &ServeOutcome) -> u32 {
-    let cfg = fleet_config(tenants, load);
-    let bed = build_testbed(ROADMS, cfg.pairs, cfg.seed);
-    replay_admitted(bed, &outcome.admitted, cfg.horizon)
+    ensure(outcome.digest_crc == replay, || {
+        format!(
+            "server-on vs replay digests differ: {:#010x} vs {replay:#010x}",
+            outcome.digest_crc
+        )
+    })?;
+    let caps = ServerConfig::default().queue_capacity;
+    for (hw, cap) in outcome.queue_high_water.iter().zip(caps) {
+        ensure(*hw <= cap, || {
+            format!("queue high water {hw} exceeded capacity {cap}")
+        })?;
+    }
+    let well_admitted = outcome.admitted.iter().filter(|a| !a.abusive).count() as u64;
+    let point = build_point(tenants, load, &outcome, replay);
+    Ok(CellRun {
+        digest: outcome.digest_crc,
+        text: harness::json(&point),
+        drops: outcome.span_dropped + outcome.trace_dropped,
+        out: ServeOut {
+            point,
+            host_secs: t0.elapsed().as_secs_f64(),
+            well_admitted,
+            abusive_admitted: outcome.admitted.len() as u64 - well_admitted,
+            free_rate_limited: outcome.rate_limited_per_tier[2],
+        },
+    })
 }
 
 fn tier_latency(samples: &[u64]) -> TierLatency {
@@ -256,22 +301,6 @@ fn tier_latency(samples: &[u64]) -> TierLatency {
 }
 
 fn build_point(tenants: u64, load: f64, outcome: &ServeOutcome, off_digest: u32) -> ServePoint {
-    assert_eq!(
-        outcome.digest_crc, off_digest,
-        "server-on vs replay digests diverged at {tenants} tenants × {load}x"
-    );
-    let dropped = outcome.span_dropped + outcome.trace_dropped;
-    assert_eq!(
-        dropped, 0,
-        "telemetry silently saturated at {tenants} tenants × {load}x"
-    );
-    let caps = ServerConfig::default().queue_capacity;
-    for (hw, cap) in outcome.queue_high_water.iter().zip(caps) {
-        assert!(
-            *hw <= cap,
-            "queue high water {hw} exceeded capacity {cap} at {tenants}×{load}"
-        );
-    }
     let labels = ["premium", "standard", "free"];
     let tiers: [TierRow; 3] = std::array::from_fn(|i| {
         let offered = outcome.admitted_per_tier[i]
@@ -317,21 +346,14 @@ fn build_point(tenants: u64, load: f64, outcome: &ServeOutcome, off_digest: u32)
         exemplars: outcome.exemplars,
         server_on_digest_crc: outcome.digest_crc,
         replay_digest_crc: off_digest,
-        telemetry_dropped: dropped,
+        telemetry_dropped: 0,
     }
 }
 
-fn run_point(tenants: u64, load: f64) -> ServePoint {
-    let outcome = run_cell(tenants, load, None);
-    let off = replay_digest(tenants, load, &outcome);
-    build_point(tenants, load, &outcome, off)
-}
-
 fn point_summary(p: &ServePoint) -> String {
-    format!
-        ("[{:>9} tenants x {:>3}x] offered {:>5} admitted {:>4} | p99 prem/std/free {} / {} / {} ms | \
-         shed {:>4} | queues bounded (hw {}/{}/{}) | telemetry drops: 0 | \
-         server-on vs replay digests: identical (crc 0x{:08x})\n",
+    format!(
+        "[{:>9} tenants x {:>3}x] offered {:>5} admitted {:>4} | p99 prem/std/free {} / {} / {} ms | \
+         shed {:>4} | queue hw {}/{}/{} | digest crc 0x{:08x}\n",
         p.tenants,
         p.load,
         p.offered,
@@ -347,118 +369,143 @@ fn point_summary(p: &ServePoint) -> String {
     )
 }
 
-/// Run the fairness pair and gate abuser isolation.
-fn run_fairness() -> FairnessReport {
-    let abuser = AbuserConfig {
-        tenant: ABUSER_TENANT,
-        rate_per_sec: ABUSER_RATE_PER_SEC,
-    };
-    let load = 1.0;
-    let without = run_cell(FAIRNESS_FLEET, load, None);
-    let with = run_cell(FAIRNESS_FLEET, load, Some(abuser));
-
-    let well = |o: &ServeOutcome| o.admitted.iter().filter(|a| !a.abusive).count() as u64;
-    let well_with = well(&with);
-    let well_without = well(&without);
-    let abuser_admitted = with.admitted.len() as u64 - well_with;
+/// The fairness pair — the 100k × 1× grid cell and the same cell with
+/// the abuser — and its gate.
+fn fairness(without: &ServeOut, with: &ServeOut) -> Result<FairnessReport, String> {
     // The abuser is free-tier: everything it gets past its own token
     // bucket is a leak bounded by burst + refill over the horizon.
-    let retention = well_with as f64 / well_without.max(1) as f64;
-    assert!(
-        retention >= MIN_FAIRNESS_RETENTION,
-        "abuser caused collateral damage: well-behaved admissions fell to \
-         {retention:.3} of the abuser-off run (floor {MIN_FAIRNESS_RETENTION})"
-    );
-    let abuser_offered =
-        (ABUSER_RATE_PER_SEC * FleetConfig::default().horizon.as_secs_f64()) as u64;
-    assert!(
-        abuser_admitted <= 16,
-        "the limiter leaked {abuser_admitted} abusive admissions"
-    );
-    FairnessReport {
+    let retention = with.well_admitted as f64 / without.well_admitted.max(1) as f64;
+    ensure(retention >= MIN_FAIRNESS_RETENTION, || {
+        format!(
+            "abuser caused collateral damage: well-behaved admissions fell to \
+             {retention:.3} of the abuser-off run (floor {MIN_FAIRNESS_RETENTION})"
+        )
+    })?;
+    ensure(with.abusive_admitted <= 16, || {
+        format!(
+            "the limiter leaked {} abusive admissions",
+            with.abusive_admitted
+        )
+    })?;
+    Ok(FairnessReport {
         tenants: FAIRNESS_FLEET,
         abuser_tenant: ABUSER_TENANT,
         abuser_rate_per_sec: ABUSER_RATE_PER_SEC,
-        abuser_offered,
-        abuser_admitted,
-        abuser_rate_limited: with.rate_limited_per_tier[2]
-            .saturating_sub(without.rate_limited_per_tier[2]),
-        well_admitted_with_abuser: well_with,
-        well_admitted_without_abuser: well_without,
+        abuser_offered: (ABUSER_RATE_PER_SEC * FleetConfig::default().horizon.as_secs_f64()) as u64,
+        abuser_admitted: with.abusive_admitted,
+        abuser_rate_limited: with
+            .free_rate_limited
+            .saturating_sub(without.free_rate_limited),
+        well_admitted_with_abuser: with.well_admitted,
+        well_admitted_without_abuser: without.well_admitted,
         retention,
-    }
-}
-
-/// Server-on digests for a small grid driven with `threads` workers —
-/// the hook `tests/determinism.rs` uses to assert digest identity
-/// across `REPRO_THREADS` ∈ {1, 2, 8}.
-pub fn serve_fingerprint(threads: usize) -> Vec<u32> {
-    let grid: Vec<(u64, f64)> = vec![(10_000, 0.5), (10_000, 4.0)];
-    parallel_cells_with(threads, grid, |(tenants, load)| {
-        run_cell(tenants, load, None).digest_crc
     })
 }
 
-/// Recompute the golden document from scratch — always the reduced
-/// grid, independent of `SCALE_SWEEP`; `tests/serve_golden.rs` compares
-/// it against `tests/golden/serve_bench.json`.
-pub fn build() -> ServeGolden {
-    let grid: Vec<(u64, f64)> = REDUCED_FLEETS
-        .iter()
-        .flat_map(|&t| LOADS.iter().map(move |&l| (t, l)))
-        .collect();
-    let points = parallel_cells_with(repro_threads(), grid, |(t, l)| run_point(t, l));
-    ServeGolden {
-        points,
-        fairness: run_fairness(),
-    }
-}
+/// `repro serve`: one point, the fleet × load grid plus the abuser
+/// cell; no observer — the server-on vs replay identity is a cell gate.
+pub struct Serve;
 
-/// Run the sweep, write `BENCH_serve.json`, and return the summary text.
-pub fn emit(path: &str) -> String {
-    let reduced = std::env::var("SCALE_SWEEP").as_deref() == Ok("reduced");
-    let fleets = if reduced { REDUCED_FLEETS } else { FULL_FLEETS };
-    let threads = repro_threads();
-    let grid: Vec<(u64, f64)> = fleets
-        .iter()
-        .flat_map(|&t| LOADS.iter().map(move |&l| (t, l)))
-        .collect();
-    let timed = parallel_cells_with(threads, grid, |(t, l)| {
-        let t0 = std::time::Instant::now();
-        let point = run_point(t, l);
-        (point, t0.elapsed().as_secs_f64())
-    });
-    let mut out = String::new();
-    let mut points = Vec::with_capacity(timed.len());
-    let mut host = Vec::with_capacity(timed.len());
-    for (point, secs) in timed {
-        out.push_str(&point_summary(&point));
-        host.push(point.offered as f64 / secs.max(1e-9));
-        points.push(point);
-    }
-    let fairness = run_fairness();
-    out.push_str(&format!(
-        "fairness [{} tenants, abuser {}@{}r/s]: well-behaved retained {:.1}% \
-         (floor {:.0}%), abuser admitted {} of {} offered\n",
-        fairness.tenants,
-        fairness.abuser_tenant,
-        fairness.abuser_rate_per_sec,
-        fairness.retention * 100.0,
-        MIN_FAIRNESS_RETENTION * 100.0,
-        fairness.abuser_admitted,
-        fairness.abuser_offered,
-    ));
+impl Experiment for Serve {
+    const NAME: &'static str = "serve";
+    const IDENTITY: Identity = Identity::Threads;
+    const SWEEPS: bool = true;
+    type Point = Vec<ServeCell>;
+    type Cell = ServeCell;
+    type Out = ServeOut;
+    type Report = ServeReport;
 
-    let report = ServeReport {
-        header: crate::BenchHeader::new("serve", if reduced { "reduced" } else { "full" }),
-        benchmark: "serve_sweep".into(),
-        sweep: if reduced { "reduced" } else { "full" }.into(),
-        threads,
-        points,
-        host_intents_per_sec: host,
-        fairness,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(path, &json).expect("write BENCH_serve.json");
-    format!("wrote {path}\n{out}")
+    fn points(&self, sweep: Sweep) -> Vec<Vec<ServeCell>> {
+        let fleets = match sweep {
+            Sweep::Full => FULL_FLEETS,
+            Sweep::Reduced => REDUCED_FLEETS,
+        };
+        let mut cells: Vec<ServeCell> = fleets
+            .iter()
+            .flat_map(|&t| LOADS.iter().map(move |&l| (t, l, false)))
+            .collect();
+        cells.push((FAIRNESS_FLEET, 1.0, true));
+        vec![cells]
+    }
+
+    fn probe(&self) -> Vec<ServeCell> {
+        vec![(10_000, 0.5, false), (10_000, 4.0, false)]
+    }
+
+    fn cells(&self, point: &Vec<ServeCell>) -> Vec<ServeCell> {
+        point.clone()
+    }
+
+    fn label(&self, _: &Vec<ServeCell>, &(tenants, load, abuser): &ServeCell) -> String {
+        let overlay = if abuser { " + abuser" } else { "" };
+        format!("{tenants} tenants x {load}{overlay}")
+    }
+
+    fn run(
+        &self,
+        _: &Vec<ServeCell>,
+        cell: &ServeCell,
+        _: bool,
+    ) -> Result<CellRun<ServeOut>, String> {
+        run_cell(cell)
+    }
+
+    fn finish(&self, ctx: &Ctx, runs: Runs<Self>) -> Result<Finished<ServeReport>, GateError> {
+        let run = runs.into_iter().next().expect("one point");
+        let mut grid = Vec::new();
+        let mut abuser = None;
+        let mut baseline = None;
+        for (&(tenants, load, with_abuser), cell) in run.cells.iter().zip(run.main) {
+            if with_abuser {
+                abuser = Some(cell.out);
+            } else {
+                if (tenants, load) == (FAIRNESS_FLEET, 1.0) {
+                    baseline = Some(grid.len());
+                }
+                grid.push(cell.out);
+            }
+        }
+        let (abuser, baseline) = (
+            abuser.expect("the grid carries the abuser cell"),
+            baseline.expect("the grid carries the fairness fleet at 1x"),
+        );
+        let fairness = fairness(&grid[baseline], &abuser)
+            .map_err(|e| GateError::new(Self::NAME, "fairness pair", e))?;
+        let mut out: String = grid.iter().map(|o| point_summary(&o.point)).collect();
+        out.push_str(&format!(
+            "fairness [{} tenants, abuser {}@{}r/s]: well-behaved retained {:.1}% \
+             (floor {:.0}%), abuser admitted {} of {} offered\n",
+            fairness.tenants,
+            fairness.abuser_tenant,
+            fairness.abuser_rate_per_sec,
+            fairness.retention * 100.0,
+            MIN_FAIRNESS_RETENTION * 100.0,
+            fairness.abuser_admitted,
+            fairness.abuser_offered,
+        ));
+        let host_intents_per_sec = grid
+            .iter()
+            .map(|o| o.point.offered as f64 / o.host_secs.max(1e-9))
+            .collect();
+        let points: Vec<ServePoint> = grid.into_iter().map(|o| o.point).collect();
+        let golden = ServeGolden {
+            points: points.clone(),
+            fairness: fairness.clone(),
+        };
+        let report = ServeReport {
+            header: ctx.header.clone(),
+            benchmark: "serve_sweep".into(),
+            sweep: ctx.sweep.label().into(),
+            threads: ctx.threads,
+            points,
+            host_intents_per_sec,
+            fairness,
+        };
+        Ok(Finished {
+            report,
+            summary: out,
+            files: Vec::new(),
+            goldens: vec![("serve_bench.json", harness::json(&golden) + "\n")],
+        })
+    }
 }

@@ -10,13 +10,15 @@
 //!   window) so the bounded recorder never silently saturates;
 //! - a per-cell `FamilyRegistry` with an exemplar-carrying setup-latency
 //!   histogram (exemplar `span_id`s must resolve into the sampler's
-//!   retained trace set — asserted per cell);
+//!   retained trace set — gated per cell);
 //! - route-cache counters exported into the cell registry, so the fleet
 //!   exposition carries them per region;
 //! - every cell absorbed into one [`TelemetryRollup`] keyed by region,
 //!   and a fleet [`SloEngine`] evaluated into per-region error budgets.
 //!
-//! Every point runs telemetry-off first and asserts per-cell
+//! Each point is a [`harness`](crate::harness) point whose cells are its
+//! regions and whose observer is the telemetry stack: the harness runs
+//! every point telemetry-off first and requires per-cell
 //! `state_digest_crc()` equality with the telemetry-on run — observing
 //! the fleet must not change it. The wall-clock delta between the two
 //! runs is the measured telemetry overhead (reported, never golden).
@@ -35,21 +37,17 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use griphon::rwa::RegionMap;
 use griphon::{Controller, ControllerConfig, RootCause, SloEngine, SloSpec, TelemetryRollup};
-use photonic::{generate, GeneratedPlant, GeneratorConfig, LineRate, RoadmId};
+use photonic::LineRate;
 use serde::Serialize;
 use simcore::metrics::FamilyRegistry;
-use simcore::{
-    DataRate, SimDuration, SimRng, SimTime, TailSampleConfig, TailSampleStats, TailSampler,
+use simcore::{DataRate, SimDuration, SimTime, TailSampleConfig, TailSampleStats, TailSampler};
+
+use crate::harness::{
+    ensure, CellRun, Ctx, Experiment, Finished, GateError, Identity, PointRun, Runs, Sweep,
 };
-
-use crate::experiments::{parallel_cells_with, repro_threads};
 use crate::noc_target::BACKBONE_WEEK_FAULTS;
+use crate::scale_target::{hot_pair_cells, plant, Cell, Plant, FULL_SWEEP, REDUCED_SWEEP};
 use crate::scenario::{self, ScenarioSpec};
-
-/// The default sweep: paper scale to continental scale.
-const FULL_SWEEP: &[usize] = &[14, 100, 300, 600];
-/// The `SCALE_SWEEP=reduced` sweep CI runs on every push.
-const REDUCED_SWEEP: &[usize] = &[14, 100, 200];
 
 /// Hot endpoint pairs / waves / intents per wave. Lighter than the
 /// scale sweep (the point here is the telemetry plane, not raw
@@ -97,77 +95,37 @@ fn week_specs() -> Vec<SloSpec> {
     ]
 }
 
-/// Deterministic per-point seed, shared with the test hooks.
-pub fn point_seed(target: usize) -> u64 {
+fn point_seed(target: usize) -> u64 {
     0x510C_0DE0u64 + target as u64
 }
 
-/// One workload cell: a region's intent list.
-struct Cell {
-    region: usize,
-    intents: Vec<(RoadmId, RoadmId)>,
-}
-
 /// What a telemetry-on cell run carries back to the rollup.
-struct CellTelemetry {
+pub struct CellTelemetry {
     families: FamilyRegistry,
     /// `(end, duration)` of every completed `conn.setup` root, in
     /// drain order.
     setups: Vec<(SimTime, SimDuration)>,
     sampler: TailSampleStats,
     exemplars: usize,
-    span_dropped: u64,
-}
-
-/// One cell run: the digest always, the telemetry only when enabled.
-struct CellRun {
-    digest: u32,
-    telemetry: Option<CellTelemetry>,
-}
-
-/// Same skewed hot-pair construction as the scale sweep, fewer intents.
-fn build_cells(plant: &GeneratedPlant, seed: u64) -> Vec<Cell> {
-    let regions = plant.interior.len();
-    (0..regions)
-        .map(|r| {
-            let mut rng = SimRng::new(seed).fork(r as u64 + 1);
-            let mine = &plant.interior[r];
-            let peer = &plant.interior[(r + 1) % regions];
-            let mut pairs: Vec<(RoadmId, RoadmId)> = Vec::with_capacity(HOT_PAIRS);
-            for p in 0..HOT_PAIRS {
-                let a = *rng.choose(mine);
-                let b = if p % 4 == 3 {
-                    *rng.choose(peer)
-                } else {
-                    *rng.choose(mine)
-                };
-                if a == b {
-                    pairs.push((a, plant.gateways[r]));
-                } else {
-                    pairs.push((a, b));
-                }
-            }
-            let intents = (0..WAVES * WAVE_INTENTS)
-                .map(|i| pairs[i % HOT_PAIRS])
-                .collect();
-            Cell { region: r, intents }
-        })
-        .collect()
 }
 
 /// Run one cell with or without telemetry. Pure function of
 /// `(plant, cell, seed, telemetry)`; the digest must not depend on the
-/// `telemetry` flag — that is the point's on/off identity assert.
-fn run_cell(plant: &GeneratedPlant, cell: &Cell, seed: u64, telemetry: bool) -> CellRun {
-    let cell_seed = seed ^ (cell.region as u64) << 32;
+/// `telemetry` flag — that is the harness's on/off identity gate.
+fn run_cell(
+    plant: &Plant,
+    cell: &Cell,
+    telemetry: bool,
+) -> Result<CellRun<Option<CellTelemetry>>, String> {
+    let cell_seed = plant.seed ^ (cell.region as u64) << 32;
     let cfg = ControllerConfig {
         seed: cell_seed,
         ems: photonic::EmsProfile::calibrated_deterministic(),
         equalization: photonic::EqualizationModel::calibrated_deterministic(),
         ..ControllerConfig::default()
     };
-    let mut ctl = Controller::new(plant.net.clone(), cfg);
-    ctl.install_region_map(RegionMap::new(plant.region_of.clone()))
+    let mut ctl = Controller::new(plant.plant.net.clone(), cfg);
+    ctl.install_region_map(RegionMap::new(plant.plant.region_of.clone()))
         .expect("generated plants satisfy the single-gateway invariant");
     let customer = ctl.register_tenant("slo", DataRate::from_gbps(1_000_000));
     if telemetry {
@@ -212,79 +170,81 @@ fn run_cell(plant: &GeneratedPlant, cell: &Cell, seed: u64, telemetry: bool) -> 
         }
     }
     let digest = ctl.state_digest_crc();
-    let telemetry = telemetry.then(|| {
-        let span_dropped = ctl.spans.dropped();
-        let mut families = FamilyRegistry::new();
-        {
-            let h = families.histogram("slo_setup_seconds", &[]);
-            h.enable_exemplars(cell_seed, EXEMPLAR_CAPACITY);
-            for &(_, d) in &setups {
-                h.record(d.as_secs_f64());
-            }
+    let drops = ctl.spans.dropped() + ctl.trace.dropped();
+    if !telemetry {
+        return Ok(CellRun {
+            drops,
+            ..CellRun::new(digest, None)
+        });
+    }
+    let mut families = FamilyRegistry::new();
+    {
+        let h = families.histogram("slo_setup_seconds", &[]);
+        h.enable_exemplars(cell_seed, EXEMPLAR_CAPACITY);
+        for &(_, d) in &setups {
+            h.record(d.as_secs_f64());
         }
-        let stats = sampler.stats();
-        let kept: BTreeSet<u64> = sampler.kept_root_ids().into_iter().collect();
-        let spans = sampler.into_spans();
-        {
-            // Link exemplars only from traces the sampler retained, so
-            // every exemplar's span_id resolves to a kept trace.
-            let h = families.histogram("slo_setup_seconds", &[]);
-            for s in spans
-                .iter()
-                .filter(|s| s.parent.is_none() && s.name == "conn.setup")
-            {
-                if let Some(d) = s.duration() {
-                    h.link_exemplar(d.as_secs_f64(), s.id.index() as u64, &[]);
-                }
-            }
-        }
-        let exemplar_ids: Vec<u64> = families
-            .get_histogram("slo_setup_seconds", &[])
-            .expect("histogram was just created")
-            .exemplars()
+    }
+    let stats = sampler.stats();
+    let kept: BTreeSet<u64> = sampler.kept_root_ids().into_iter().collect();
+    let spans = sampler.into_spans();
+    {
+        // Link exemplars only from traces the sampler retained, so
+        // every exemplar's span_id resolves to a kept trace.
+        let h = families.histogram("slo_setup_seconds", &[]);
+        for s in spans
             .iter()
-            .map(|e| e.span_id)
-            .collect();
-        for id in &exemplar_ids {
-            assert!(
-                kept.contains(id),
-                "exemplar span_id {id} does not resolve to a sampled trace"
-            );
+            .filter(|s| s.parent.is_none() && s.name == "conn.setup")
+        {
+            if let Some(d) = s.duration() {
+                h.link_exemplar(d.as_secs_f64(), s.id.index() as u64, &[]);
+            }
         }
-        families
-            .counter("slo_setups_total", &[])
-            .add(setups.len() as u64);
-        families
-            .gauge("slo_sampler_roots_seen", &[])
-            .set(stats.roots_seen as f64);
-        families
-            .gauge("slo_sampler_roots_kept", &[])
-            .set(stats.roots_kept as f64);
-        ctl.export_route_cache_metrics(&mut families);
-        CellTelemetry {
+    }
+    let exemplar_ids: Vec<u64> = families
+        .get_histogram("slo_setup_seconds", &[])
+        .expect("histogram was just created")
+        .exemplars()
+        .iter()
+        .map(|e| e.span_id)
+        .collect();
+    for id in &exemplar_ids {
+        ensure(kept.contains(id), || {
+            format!("exemplar span_id {id} does not resolve to a sampled trace")
+        })?;
+    }
+    families
+        .counter("slo_setups_total", &[])
+        .add(setups.len() as u64);
+    families
+        .gauge("slo_sampler_roots_seen", &[])
+        .set(stats.roots_seen as f64);
+    families
+        .gauge("slo_sampler_roots_kept", &[])
+        .set(stats.roots_kept as f64);
+    ctl.export_route_cache_metrics(&mut families);
+    Ok(CellRun {
+        digest,
+        text: families.expose(),
+        drops,
+        out: Some(CellTelemetry {
             families,
             setups,
             sampler: stats,
             exemplars: exemplar_ids.len(),
-            span_dropped,
-        }
-    });
-    CellRun { digest, telemetry }
+        }),
+    })
 }
 
-/// Fold one telemetry-on outcome set into the fleet view: the rollup
-/// (cells relabelled by region, route cache and sampler gauges
-/// included) plus an SLO engine fed every region's setup stream, with
-/// the engine's budget/burn gauges absorbed back into the rollup.
-fn fleet_of(cells: &[Cell], on: &[CellRun]) -> (TelemetryRollup, SloEngine, SimTime) {
+/// Fold one telemetry-on run into the fleet view: the rollup (cells
+/// relabelled by region, route cache and sampler gauges included) plus
+/// an SLO engine fed every region's setup stream, with the engine's
+/// budget/burn gauges absorbed back into the rollup.
+fn fleet_of(cells: &[Cell], on: &[&CellTelemetry]) -> (TelemetryRollup, SloEngine, SimTime) {
     let mut rollup = TelemetryRollup::new();
     let mut engine = SloEngine::new(fleet_specs());
     let mut sim_end = SimTime::ZERO;
-    for (cell, run) in cells.iter().zip(on) {
-        let tel = run
-            .telemetry
-            .as_ref()
-            .expect("fleet_of consumes telemetry-on outcomes");
+    for (cell, tel) in cells.iter().zip(on) {
         let region = format!("region{}", cell.region);
         rollup.absorb(&region, &tel.families);
         let mut stream = tel.setups.clone();
@@ -331,7 +291,7 @@ pub struct SloPoint {
     pub on_secs: f64,
     /// Measured telemetry overhead, percent of the off run.
     pub overhead_pct: f64,
-    /// CRC-32C over the per-cell digests (identical on/off — asserted).
+    /// CRC-32C over the per-cell digests (identical on/off — gated).
     pub digest_crc: u32,
 }
 
@@ -390,47 +350,107 @@ pub struct SloReport {
     pub week: WeekSummary,
 }
 
-/// Run one sweep point; panics if telemetry changes any cell digest.
-fn run_point(target: usize, threads: usize, out: &mut String) -> (SloPoint, String) {
-    let seed = point_seed(target);
-    let cfg = GeneratorConfig {
-        ots_per_node: 8,
-        ..GeneratorConfig::with_target_roadms(target, seed)
-    };
-    let plant = generate(&cfg);
-    let cells = build_cells(&plant, seed);
+/// `repro slo`: one point per plant size, one cell per region; the
+/// observer is the telemetry stack. The fault week runs in `finish`.
+pub struct Slo;
 
-    let t0 = std::time::Instant::now();
-    let off = parallel_cells_with(threads, cells.iter().collect(), |c| {
-        run_cell(&plant, c, seed, false)
-    });
-    let off_secs = t0.elapsed().as_secs_f64();
-    let t1 = std::time::Instant::now();
-    let on = parallel_cells_with(threads, cells.iter().collect(), |c| {
-        run_cell(&plant, c, seed, true)
-    });
-    let on_secs = t1.elapsed().as_secs_f64();
+impl Experiment for Slo {
+    const NAME: &'static str = "slo";
+    const IDENTITY: Identity = Identity::Observer;
+    const SWEEPS: bool = true;
+    type Point = Plant;
+    type Cell = Cell;
+    type Out = Option<CellTelemetry>;
+    type Report = SloReport;
 
-    let d_off: Vec<u32> = off.iter().map(|r| r.digest).collect();
-    let d_on: Vec<u32> = on.iter().map(|r| r.digest).collect();
-    assert_eq!(
-        d_off, d_on,
-        "telemetry changed controller outcomes at {target} ROADMs"
-    );
+    fn points(&self, sweep: Sweep) -> Vec<Plant> {
+        let sizes = match sweep {
+            Sweep::Full => FULL_SWEEP,
+            Sweep::Reduced => REDUCED_SWEEP,
+        };
+        sizes.iter().map(|&t| plant(t, point_seed(t))).collect()
+    }
+
+    fn probe(&self) -> Plant {
+        plant(100, point_seed(100))
+    }
+
+    fn cells(&self, p: &Plant) -> Vec<Cell> {
+        hot_pair_cells(&p.plant, p.seed, HOT_PAIRS, WAVES * WAVE_INTENTS)
+    }
+
+    fn label(&self, p: &Plant, cell: &Cell) -> String {
+        format!(
+            "{} roadms / region {}",
+            p.plant.net.roadm_count(),
+            cell.region
+        )
+    }
+
+    fn run(&self, p: &Plant, cell: &Cell, telemetry: bool) -> Result<CellRun<Self::Out>, String> {
+        run_cell(p, cell, telemetry)
+    }
+
+    fn finish(&self, ctx: &Ctx, runs: Runs<Self>) -> Result<Finished<SloReport>, GateError> {
+        let mut out = String::new();
+        let mut expositions = Vec::new();
+        let points: Vec<SloPoint> = runs
+            .iter()
+            .map(|r| {
+                let (p, exposition) = point(r, &mut out);
+                expositions.push(exposition);
+                p
+            })
+            .collect();
+        let (week_reg, week, week_text) =
+            run_week().map_err(|e| GateError::new(Self::NAME, "nsfnet fault week", e))?;
+        out.push_str(&week_text);
+        let exposition = format!(
+            "# fleet rollup: 14-roadm sweep point\n{}\
+             # fleet rollup: nsfnet fault week\n{}",
+            expositions[0],
+            week_reg.expose()
+        );
+        let report = SloReport {
+            header: ctx.header.clone(),
+            benchmark: "slo".into(),
+            sweep: ctx.sweep.label().into(),
+            threads: ctx.threads,
+            specs: fleet_specs()
+                .iter()
+                .chain(week_specs().iter())
+                .map(|s| (s.name.to_string(), s.objective, s.threshold_secs))
+                .collect(),
+            points,
+            week,
+        };
+        Ok(Finished {
+            report,
+            summary: out,
+            files: vec![(EXPOSITION_FILE, exposition.clone())],
+            goldens: vec![("slo_exposition.txt", exposition)],
+        })
+    }
+}
+
+/// The exposition file written beside `BENCH_slo.json`: the smallest
+/// sweep point's fleet rollup plus the fault week's registry. No wall
+/// clock anywhere, so the bytes are a pure function of the seeds.
+const EXPOSITION_FILE: &str = "slo_exposition.txt";
+
+/// Fold one point's runs into its report row and fleet exposition.
+fn point(r: &PointRun<Plant, Cell, Option<CellTelemetry>>, out: &mut String) -> (SloPoint, String) {
+    let on: Vec<&CellTelemetry> = r
+        .main
+        .iter()
+        .map(|c| c.out.as_ref().expect("telemetry-on run"))
+        .collect();
     let mut crc = simcore::Crc32c::new();
-    for d in &d_off {
-        crc.update(&d.to_le_bytes());
+    for c in &r.reference {
+        crc.update(&c.digest.to_le_bytes());
     }
     let digest_crc = crc.finish();
-    for run in &on {
-        let tel = run.telemetry.as_ref().expect("telemetry-on run");
-        assert_eq!(
-            tel.span_dropped, 0,
-            "span recorder silently saturated at {target} ROADMs"
-        );
-    }
-
-    let (rollup, engine, sim_end) = fleet_of(&cells, &on);
+    let (rollup, engine, sim_end) = fleet_of(&r.cells, &on);
     let statuses = engine.evaluate(sim_end);
     let setups: u64 = statuses.iter().map(|s| s.events).sum();
     let bad_setups: u64 = statuses.iter().map(|s| s.bad).sum();
@@ -438,24 +458,20 @@ fn run_point(target: usize, threads: usize, out: &mut String) -> (SloPoint, Stri
         .iter()
         .map(|s| s.budget_remaining)
         .fold(1.0f64, f64::min);
-    fn tel(r: &CellRun) -> &CellTelemetry {
-        r.telemetry.as_ref().expect("on run")
-    }
-    let exemplars: usize = on.iter().map(|r| tel(r).exemplars).sum();
-    let sum =
-        |f: fn(&TailSampleStats) -> u64| -> u64 { on.iter().map(|r| f(&tel(r).sampler)).sum() };
+    let sum = |f: fn(&TailSampleStats) -> u64| -> u64 { on.iter().map(|t| f(&t.sampler)).sum() };
+    let (off_secs, on_secs) = (r.reference_secs, r.main_secs);
     let overhead_pct = if off_secs > 0.0 {
         100.0 * (on_secs - off_secs) / off_secs
     } else {
         0.0
     };
     let point = SloPoint {
-        roadms: plant.net.roadm_count(),
-        regions: cells.len(),
+        roadms: r.point.plant.net.roadm_count(),
+        regions: r.cells.len(),
         setups,
         bad_setups,
         worst_budget_remaining: worst_budget,
-        exemplars,
+        exemplars: on.iter().map(|t| t.exemplars).sum(),
         sampler_roots_seen: sum(|s| s.roots_seen),
         sampler_roots_kept: sum(|s| s.roots_kept),
         sampler_violators_kept: sum(|s| s.violators_kept),
@@ -469,7 +485,7 @@ fn run_point(target: usize, threads: usize, out: &mut String) -> (SloPoint, Stri
     out.push_str(&format!(
         "[{:>3} roadms] {} regions | {} setups, {} over {:.0}s | worst budget {:+.2} | \
          {} exemplars | sampler kept {}/{} roots | overhead {:+.1}% | \
-         telemetry on/off digests: identical (crc 0x{:08x})\n",
+         digest crc 0x{:08x}\n",
         point.roadms,
         point.regions,
         point.setups,
@@ -483,38 +499,6 @@ fn run_point(target: usize, threads: usize, out: &mut String) -> (SloPoint, Stri
         point.digest_crc,
     ));
     (point, rollup.expose())
-}
-
-/// Per-cell digests plus the fleet exposition for one point — the hook
-/// `tests/determinism.rs` and the thread-determinism gate use: the pair
-/// must be identical for any worker count.
-pub fn fleet_fingerprint(target: usize, seed: u64, threads: usize) -> (Vec<u32>, String) {
-    let cfg = GeneratorConfig {
-        ots_per_node: 8,
-        ..GeneratorConfig::with_target_roadms(target, seed)
-    };
-    let plant = generate(&cfg);
-    let cells = build_cells(&plant, seed);
-    let on = parallel_cells_with(threads, cells.iter().collect(), |c| {
-        run_cell(&plant, c, seed, true)
-    });
-    let digests = on.iter().map(|r| r.digest).collect();
-    let (rollup, _, _) = fleet_of(&cells, &on);
-    (digests, rollup.expose())
-}
-
-/// Per-cell digests with telemetry on or off — the on/off byte-identity
-/// hook for `tests/determinism.rs`.
-pub fn telemetry_digests(target: usize, seed: u64, threads: usize, telemetry: bool) -> Vec<u32> {
-    let cfg = GeneratorConfig {
-        ots_per_node: 8,
-        ..GeneratorConfig::with_target_roadms(target, seed)
-    };
-    let plant = generate(&cfg);
-    let cells = build_cells(&plant, seed);
-    parallel_cells_with(threads, cells.iter().collect(), |c| {
-        run_cell(&plant, c, seed, telemetry).digest
-    })
 }
 
 /// Exact per-connection outage intervals, reconstructed at scenario
@@ -533,7 +517,7 @@ struct OutageTrack {
 /// Drive the NSFNET fault week and evaluate the week SLO catalogue.
 /// Returns the week's global registry (SLA gauges + SLO gauges + alert
 /// counters), the summary block, and the human-readable alert lines.
-fn run_week() -> (FamilyRegistry, WeekSummary, String) {
+fn run_week() -> Result<(FamilyRegistry, WeekSummary, String), String> {
     let mut spec: ScenarioSpec =
         serde_json::from_str(BACKBONE_WEEK_FAULTS).expect("week scenario parses");
     spec.noc_scrape_secs = Some(crate::noc_target::SCRAPE_SECS);
@@ -638,12 +622,15 @@ fn run_week() -> (FamilyRegistry, WeekSummary, String) {
     }
     let pages = alerts.iter().filter(|a| a.severity == "page").count();
     let tickets = alerts.len() - pages;
-    assert!(pages >= 1, "the week's fiber cuts must page: {alerts:?}");
-    assert_eq!(
-        attributed,
-        alerts.len(),
-        "every week alert must attribute to an open fault domain"
-    );
+    ensure(pages >= 1, || {
+        format!("the week's fiber cuts must page: {alerts:?}")
+    })?;
+    ensure(attributed == alerts.len(), || {
+        format!(
+            "{attributed} of {} week alerts attribute to an open fault domain",
+            alerts.len()
+        )
+    })?;
 
     // SLA gauges per tenant, SLO gauges per stream — the week half of
     // the fleet exposition.
@@ -653,11 +640,12 @@ fn run_week() -> (FamilyRegistry, WeekSummary, String) {
         availability = availability.min(report.aggregate);
         report.export(name, &mut global);
     }
-    assert!(
-        availability > 0.999 && availability < 1.0,
-        "two ~66 s restorations over a week should land just under \
-         four nines, got {availability}"
-    );
+    ensure(availability > 0.999 && availability < 1.0, || {
+        format!(
+            "two ~66 s restorations over a week should land just under \
+             four nines, got {availability}"
+        )
+    })?;
     engine.export(week_end, &mut global);
 
     let budgets = engine
@@ -690,80 +678,5 @@ fn run_week() -> (FamilyRegistry, WeekSummary, String) {
         availability,
         week.availability_nines,
     ));
-    (global, week, text)
-}
-
-/// The deterministic exposition text the golden file pins: the smallest
-/// sweep point's fleet rollup plus the fault week's registry. No wall
-/// clock anywhere, so the bytes are a pure function of the seeds.
-fn compose_exposition(point14: &str, week: &str) -> String {
-    format!(
-        "# fleet rollup: 14-roadm sweep point\n{point14}\
-         # fleet rollup: nsfnet fault week\n{week}"
-    )
-}
-
-/// Recompute the golden exposition from scratch — the hook
-/// `tests/slo_golden.rs` compares against `tests/golden/slo_exposition.txt`.
-pub fn golden_exposition() -> String {
-    let (_, point14) = fleet_fingerprint(14, point_seed(14), repro_threads());
-    let (week_reg, _, _) = run_week();
-    compose_exposition(&point14, &week_reg.expose())
-}
-
-/// Run the sweep + week, write `BENCH_slo.json` and the exposition, and
-/// return the summary text.
-pub fn emit(bench_path: &str, exposition_path: &str) -> String {
-    let reduced = std::env::var("SCALE_SWEEP").as_deref() == Ok("reduced");
-    let sweep = if reduced { REDUCED_SWEEP } else { FULL_SWEEP };
-    let threads = repro_threads();
-    let mut out = String::new();
-    let mut expositions = Vec::new();
-    let points: Vec<SloPoint> = sweep
-        .iter()
-        .map(|&t| {
-            let (p, exp) = run_point(t, threads, &mut out);
-            expositions.push(exp);
-            p
-        })
-        .collect();
-
-    // The sampler/rollup pipeline must not care how cells are packed
-    // onto workers: same digests, byte-identical exposition for 1/2/8
-    // threads at the probe point.
-    let probe = sweep[1];
-    let base = fleet_fingerprint(probe, point_seed(probe), 1);
-    for th in [2usize, 8] {
-        assert_eq!(
-            fleet_fingerprint(probe, point_seed(probe), th),
-            base,
-            "fleet telemetry diverged at {th} threads"
-        );
-    }
-    out.push_str(&format!(
-        "sampler + rollup at {probe} roadms deterministic across 1/2/8 threads: identical\n"
-    ));
-
-    let (week_reg, week, week_text) = run_week();
-    out.push_str(&week_text);
-
-    let exposition = compose_exposition(&expositions[0], &week_reg.expose());
-    std::fs::write(exposition_path, &exposition).expect("write slo exposition");
-
-    let report = SloReport {
-        header: crate::BenchHeader::new("slo", if reduced { "reduced" } else { "full" }),
-        benchmark: "slo".into(),
-        sweep: if reduced { "reduced" } else { "full" }.into(),
-        threads,
-        specs: fleet_specs()
-            .iter()
-            .chain(week_specs().iter())
-            .map(|s| (s.name.to_string(), s.objective, s.threshold_secs))
-            .collect(),
-        points,
-        week,
-    };
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(bench_path, &json).expect("write BENCH_slo.json");
-    format!("wrote {bench_path} and {exposition_path}\n{out}")
+    Ok((global, week, text))
 }

@@ -18,6 +18,12 @@
 //! per-hop-count rows reproduce Table 2's shape (EMS + optical settling
 //! dominate; latency grows superlinearly with hop count; setup ≫
 //! teardown) from the same draws that drove the simulation.
+//!
+//! Each scenario is one [`harness`](crate::harness) cell whose observer
+//! is the span recorder: the harness runs it with spans off and on and
+//! requires equal state digests, runs it on 1/2/8 workers, and fails the
+//! run on any dropped span. The Chrome trace is the golden
+//! (`tests/golden/trace_chrome.json`).
 
 use std::collections::BTreeMap;
 
@@ -27,6 +33,9 @@ use serde::Serialize;
 use simcore::span::{self, RootRollup};
 use simcore::{DataRate, SimDuration, Span};
 
+use crate::harness::{
+    ensure, CellRun, Ctx, Experiment, Finished, GateError, Identity, Runs, Sweep,
+};
 use crate::table;
 
 /// Paper Table 2 means (seconds) at 1/2/3 hops, for the side-by-side
@@ -45,13 +54,13 @@ pub struct Scenario {
     /// entry a root span of that name must exist whose phase sum equals
     /// the reported duration exactly.
     pub reported: Vec<(&'static str, SimDuration)>,
-    /// Ring-drop warnings surfaced by the scenario's controller.
-    pub warnings: Vec<String>,
-    /// Spans the bounded recorder refused (0 in a healthy run).
-    pub dropped: u64,
 }
 
-fn traced_testbed(ots: usize) -> (Controller, TestbedIds) {
+/// A scenario body: drives a controller (spans on or off) and returns
+/// it with the latencies it reported.
+type Body = fn(bool) -> (Controller, Vec<(&'static str, SimDuration)>);
+
+fn traced_testbed(ots: usize, spans: bool) -> (Controller, TestbedIds) {
     let (net, ids) = PhotonicNetwork::testbed(ots);
     let cfg = ControllerConfig {
         ems: EmsProfile::calibrated_deterministic(),
@@ -59,42 +68,18 @@ fn traced_testbed(ots: usize) -> (Controller, TestbedIds) {
         ..ControllerConfig::default()
     };
     let mut ctl = Controller::new(net, cfg);
-    ctl.spans.set_enabled(true);
+    ctl.spans.set_enabled(spans);
     (ctl, ids)
-}
-
-fn drain(ctl: &mut Controller, name: &'static str) -> (Vec<Span>, Vec<String>, u64) {
-    let mut warnings = Vec::new();
-    if let Some(w) = ctl.spans.drop_warning() {
-        warnings.push(format!("{name}: {w}"));
-    }
-    if let Some(w) = ctl.trace.drop_warning() {
-        warnings.push(format!("{name}: {w}"));
-    }
-    (ctl.spans.take_spans(), warnings, ctl.spans.dropped())
 }
 
 /// One wavelength setup + teardown along a pinned `hops`-hop route on
 /// the Fig. 4 testbed (routes pinned exactly as the paper pinned paths
 /// I–IV, I–III–IV, I–II–III–IV: by removing the shorter alternatives).
-pub fn setup_scenario(hops: usize) -> Scenario {
-    let name: &'static str = match hops {
-        1 => "setup-1hop",
-        2 => "setup-2hop",
-        3 => "setup-3hop",
-        _ => panic!("testbed offers 1-3 hop routes"),
-    };
-    let (mut ctl, ids) = traced_testbed(4);
-    match hops {
-        1 => {}
-        2 => {
-            ctl.net.fiber_mut(ids.f_i_iv).cut_at(0);
-        }
-        3 => {
-            ctl.net.fiber_mut(ids.f_i_iv).cut_at(0);
-            ctl.net.fiber_mut(ids.f_i_iii).cut_at(0);
-        }
-        _ => unreachable!(),
+fn setup_scenario(hops: usize, spans: bool) -> (Controller, Vec<(&'static str, SimDuration)>) {
+    let (mut ctl, ids) = traced_testbed(4, spans);
+    let cuts = [ids.f_i_iv, ids.f_i_iii];
+    for &f in &cuts[..hops - 1] {
+        ctl.net.fiber_mut(f).cut_at(0);
     }
     let csp = ctl.tenants.register("lab", DataRate::from_gbps(100));
     let id = ctl
@@ -108,20 +93,16 @@ pub fn setup_scenario(hops: usize) -> Scenario {
     ctl.request_teardown(id).unwrap();
     ctl.run_until_idle();
     let teardown = ctl.now().since(t0);
-    let (spans, warnings, dropped) = drain(&mut ctl, name);
-    Scenario {
-        name,
-        spans,
-        reported: vec![("conn.setup", setup), ("conn.teardown", teardown)],
-        warnings,
-        dropped,
-    }
+    (
+        ctl,
+        vec![("conn.setup", setup), ("conn.teardown", teardown)],
+    )
 }
 
 /// A fiber cut hitting two circuits: serialized restorations whose
 /// second root carries genuine EMS queue wait.
-pub fn restoration_scenario() -> Scenario {
-    let (mut ctl, ids) = traced_testbed(8);
+fn restoration_scenario(spans: bool) -> (Controller, Vec<(&'static str, SimDuration)>) {
+    let (mut ctl, ids) = traced_testbed(8, spans);
     let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
     for _ in 0..2 {
         ctl.request_wavelength(csp, ids.i, ids.iv, LineRate::Gbps10)
@@ -130,20 +111,13 @@ pub fn restoration_scenario() -> Scenario {
     ctl.run_until_idle();
     ctl.inject_fiber_cut(ids.f_i_iv, 0);
     ctl.run_until_idle();
-    let (spans, warnings, dropped) = drain(&mut ctl, "restoration");
-    Scenario {
-        name: "restoration",
-        spans,
-        reported: Vec::new(),
-        warnings,
-        dropped,
-    }
+    (ctl, Vec::new())
 }
 
 /// OTN layer: trunk turn-up, a groomed sub-wavelength circuit, and its
 /// electronic teardown — the "seconds, not a minute" contrast.
-pub fn otn_scenario() -> Scenario {
-    let (mut ctl, ids) = traced_testbed(8);
+fn otn_scenario(spans: bool) -> (Controller, Vec<(&'static str, SimDuration)>) {
+    let (mut ctl, ids) = traced_testbed(8, spans);
     ctl.add_otn_switch(ids.i, DataRate::from_gbps(320));
     ctl.add_otn_switch(ids.iv, DataRate::from_gbps(320));
     ctl.provision_trunk(ids.i, ids.iv, LineRate::Gbps10)
@@ -158,20 +132,13 @@ pub fn otn_scenario() -> Scenario {
     let sub_setup = ctl.now().since(t0);
     ctl.request_teardown(sub).unwrap();
     ctl.run_until_idle();
-    let (spans, warnings, dropped) = drain(&mut ctl, "otn");
-    Scenario {
-        name: "otn",
-        spans,
-        reported: vec![("conn.subwl_setup", sub_setup)],
-        warnings,
-        dropped,
-    }
+    (ctl, vec![("conn.subwl_setup", sub_setup)])
 }
 
 /// The cloud scheduler ordering and releasing wavelengths against a
 /// bulk-replication backlog: policy decisions as instant spans alongside
 /// the setup workflows they trigger.
-pub fn policy_scenario() -> Scenario {
+fn policy_scenario(spans: bool) -> (Controller, Vec<(&'static str, SimDuration)>) {
     use cloud::scheduler::BodPolicy;
     use cloud::workload::{WorkloadConfig, WorkloadGenerator};
 
@@ -188,7 +155,7 @@ pub fn policy_scenario() -> Scenario {
         cloud::DataCenterId::new(1),
         horizon,
     );
-    let (mut ctl, ids) = traced_testbed(10);
+    let (mut ctl, ids) = traced_testbed(10, spans);
     let csp = ctl.tenants.register("acme", DataRate::from_gbps(400));
     let _ = BodPolicy {
         max_rate: DataRate::from_gbps(40),
@@ -199,27 +166,94 @@ pub fn policy_scenario() -> Scenario {
     // Close any workflow still in flight at the horizon so every span
     // stream the exporter sees is well-formed.
     ctl.run_until_idle();
-    let (spans, warnings, dropped) = drain(&mut ctl, "policy");
-    Scenario {
-        name: "policy",
-        spans,
-        reported: Vec::new(),
-        warnings,
-        dropped,
+    (ctl, Vec::new())
+}
+
+/// Every scenario, in a fixed deterministic order.
+fn bodies() -> Vec<(&'static str, Body)> {
+    vec![
+        ("setup-1hop", |s| setup_scenario(1, s)),
+        ("setup-2hop", |s| setup_scenario(2, s)),
+        ("setup-3hop", |s| setup_scenario(3, s)),
+        ("restoration", restoration_scenario),
+        ("otn", otn_scenario),
+        ("policy", policy_scenario),
+    ]
+}
+
+/// `repro trace`: one cell per scenario; the observer is the span
+/// recorder.
+pub struct Trace;
+
+impl Experiment for Trace {
+    const NAME: &'static str = "trace";
+    const IDENTITY: Identity = Identity::Observer;
+    const SWEEPS: bool = false;
+    type Point = ();
+    type Cell = (&'static str, Body);
+    type Out = Scenario;
+    type Report = TraceReport;
+
+    fn points(&self, _: Sweep) -> Vec<()> {
+        vec![()]
+    }
+
+    fn probe(&self) {}
+
+    fn cells(&self, _: &()) -> Vec<Self::Cell> {
+        bodies()
+    }
+
+    fn label(&self, _: &(), cell: &Self::Cell) -> String {
+        cell.0.to_string()
+    }
+
+    fn run(
+        &self,
+        _: &(),
+        &(name, body): &Self::Cell,
+        spans: bool,
+    ) -> Result<CellRun<Scenario>, String> {
+        let (mut ctl, reported) = body(spans);
+        let drops = ctl.spans.dropped() + ctl.trace.dropped();
+        let s = Scenario {
+            name,
+            spans: ctl.spans.take_spans(),
+            reported,
+        };
+        if spans {
+            check_scenario(&s)?;
+        }
+        Ok(CellRun {
+            digest: ctl.state_digest_crc(),
+            text: span::chrome_trace(&[(name, &s.spans)]),
+            drops,
+            out: s,
+        })
+    }
+
+    fn finish(&self, ctx: &Ctx, runs: Runs<Self>) -> Result<Finished<TraceReport>, GateError> {
+        let scenarios: Vec<Scenario> = runs
+            .into_iter()
+            .flat_map(|p| p.main)
+            .map(|c| c.out)
+            .collect();
+        let (mut report, chrome) =
+            build(ctx, &scenarios).map_err(|e| GateError::new(Self::NAME, "table2", e))?;
+        report.chrome_trace_file = CHROME_FILE.to_string();
+        check_chrome_trace(&chrome, report.spans_recorded)
+            .map_err(|e| GateError::new(Self::NAME, "chrome trace", e))?;
+        Ok(Finished {
+            summary: render(&report, scenarios.len()),
+            report,
+            files: vec![(CHROME_FILE, chrome.clone())],
+            goldens: vec![("trace_chrome.json", chrome)],
+        })
     }
 }
 
-/// All scenarios, in a fixed deterministic order.
-pub fn scenarios() -> Vec<Scenario> {
-    vec![
-        setup_scenario(1),
-        setup_scenario(2),
-        setup_scenario(3),
-        restoration_scenario(),
-        otn_scenario(),
-        policy_scenario(),
-    ]
-}
+/// The Chrome trace-event file written beside `BENCH_trace.json`.
+const CHROME_FILE: &str = "BENCH_trace_chrome.json";
 
 /// Per-hop-count row of the mechanistic Table 2 regeneration.
 #[derive(Serialize)]
@@ -282,32 +316,27 @@ fn single_rollup(spans: &[Span], root: &str) -> Option<RootRollup> {
 /// Cross-check one scenario: the span stream is well-formed, and for
 /// every controller-reported latency a root span exists whose phases
 /// tile it exactly.
-fn check_scenario(s: &Scenario) {
-    span::validate(&s.spans).unwrap_or_else(|e| panic!("{}: invalid span stream: {e}", s.name));
+fn check_scenario(s: &Scenario) -> Result<(), String> {
+    span::validate(&s.spans).map_err(|e| format!("invalid span stream: {e}"))?;
     for (root_name, reported) in &s.reported {
-        let r = single_rollup(&s.spans, root_name)
-            .unwrap_or_else(|| panic!("{}: no {root_name} root span", s.name));
+        let r = single_rollup(&s.spans, root_name).ok_or(format!("no {root_name} root span"))?;
         let per_root_total = SimDuration::from_nanos(r.total.as_nanos() / r.count);
-        assert_eq!(
-            per_root_total, *reported,
-            "{}: {root_name} root span disagrees with the controller's reported latency",
-            s.name
-        );
-        assert_eq!(
-            r.phase_sum(),
-            r.total,
-            "{}: {root_name} phases do not tile the workflow",
-            s.name
-        );
+        if per_root_total != *reported {
+            return Err(format!(
+                "{root_name} root span {per_root_total} disagrees with the controller's \
+                 reported {reported}"
+            ));
+        }
+        if r.phase_sum() != r.total {
+            return Err(format!("{root_name} phases do not tile the workflow"));
+        }
     }
+    Ok(())
 }
 
-/// Build the report and the Chrome trace from a set of scenarios.
-pub fn build(scenarios: &[Scenario]) -> (TraceReport, String) {
-    for s in scenarios {
-        check_scenario(s);
-    }
-
+/// Build the report and the Chrome trace from the scenarios, gating
+/// Table 2's shape and the §3 ordering setup ≫ teardown ≫ sub-λ setup.
+fn build(ctx: &Ctx, scenarios: &[Scenario]) -> Result<(TraceReport, String), String> {
     // ── mechanistic Table 2: conn.setup rollups grouped by hop count ──
     let mut by_hops: BTreeMap<u64, RootRollup> = BTreeMap::new();
     for s in scenarios {
@@ -349,17 +378,16 @@ pub fn build(scenarios: &[Scenario]) -> (TraceReport, String) {
     // (b) growth is superlinear and carried by the equalization phase,
     // (c) EMS bookkeeping + optical settling dominate the total.
     for w in table2.windows(2) {
-        assert!(
-            w[1].total_secs > w[0].total_secs,
-            "setup latency must grow with hop count"
-        );
+        ensure(w[1].total_secs > w[0].total_secs, || {
+            "setup latency must grow with hop count".into()
+        })?;
     }
     if table2.len() >= 3 {
         let eq = |r: &HopRow| r.phases_secs.get("phase.equalize").copied().unwrap_or(0.0);
-        assert!(
+        ensure(
             eq(&table2[2]) - eq(&table2[1]) > eq(&table2[1]) - eq(&table2[0]),
-            "equalization increments must grow (superlinear in hops)"
-        );
+            || "equalization increments must grow (superlinear in hops)".into(),
+        )?;
     }
     for r in &table2 {
         let slow = [
@@ -371,12 +399,12 @@ pub fn build(scenarios: &[Scenario]) -> (TraceReport, String) {
         .iter()
         .filter_map(|k| r.phases_secs.get(*k))
         .sum::<f64>();
-        assert!(
-            slow > 0.7 * r.total_secs,
-            "EMS + optical settling must dominate ({}h: {slow:.2}/{:.2})",
-            r.hops,
-            r.total_secs
-        );
+        ensure(slow > 0.7 * r.total_secs, || {
+            format!(
+                "EMS + optical settling must dominate ({}h: {slow:.2}/{:.2})",
+                r.hops, r.total_secs
+            )
+        })?;
     }
 
     // ── teardown, sub-λ, restoration, policy aggregates ───────────────
@@ -411,27 +439,22 @@ pub fn build(scenarios: &[Scenario]) -> (TraceReport, String) {
     }
     let teardown_secs = mean_secs(td_total, td_count);
     let subwl_setup_secs = mean_secs(subwl_total, subwl_count);
-    assert!(
-        td_count > 0 && subwl_count > 0,
-        "scenarios must cover teardown and OTN"
-    );
+    ensure(td_count > 0 && subwl_count > 0, || {
+        "scenarios must cover teardown and OTN".into()
+    })?;
     // Setup ≫ teardown ≫ electronic sub-λ setup (paper §3 and §1).
-    assert!(
-        table2[0].total_secs > 5.0 * teardown_secs,
-        "setup must dwarf teardown"
-    );
-    assert!(
-        subwl_setup_secs < teardown_secs,
-        "electronic OTN setup must be faster than optical teardown"
-    );
-    assert!(
-        policy_decisions > 0,
-        "policy scenario must record scheduler decisions"
-    );
-    assert!(
-        queue_wait >= SimDuration::from_secs(60),
-        "serialized restoration must expose ≥ one setup of queue wait"
-    );
+    ensure(table2[0].total_secs > 5.0 * teardown_secs, || {
+        "setup must dwarf teardown".into()
+    })?;
+    ensure(subwl_setup_secs < teardown_secs, || {
+        "electronic OTN setup must be faster than optical teardown".into()
+    })?;
+    ensure(policy_decisions > 0, || {
+        "policy scenario must record scheduler decisions".into()
+    })?;
+    ensure(queue_wait >= SimDuration::from_secs(60), || {
+        "serialized restoration must expose ≥ one setup of queue wait".into()
+    })?;
 
     // ── Chrome trace export ───────────────────────────────────────────
     let groups: Vec<(&str, &[Span])> = scenarios
@@ -442,7 +465,7 @@ pub fn build(scenarios: &[Scenario]) -> (TraceReport, String) {
 
     let spans_recorded = scenarios.iter().map(|s| s.spans.len() as u64).sum();
     let report = TraceReport {
-        header: crate::BenchHeader::new("trace", "default"),
+        header: ctx.header.clone(),
         benchmark: "trace".to_string(),
         table2,
         teardown_secs,
@@ -450,14 +473,14 @@ pub fn build(scenarios: &[Scenario]) -> (TraceReport, String) {
         restore_queue_wait_secs: secs(queue_wait),
         policy_decisions,
         spans_recorded,
-        spans_dropped: scenarios.iter().map(|s| s.dropped).sum(),
+        spans_dropped: 0,
         chrome_trace_file: String::new(),
     };
-    (report, chrome)
+    Ok((report, chrome))
 }
 
 /// Render the human-readable summary table.
-fn render(report: &TraceReport, scenarios: &[Scenario]) -> String {
+fn render(report: &TraceReport, scenarios: usize) -> String {
     let phase_cols = [
         ("phase.session", "session"),
         ("phase.fxc", "fxc"),
@@ -486,29 +509,20 @@ fn render(report: &TraceReport, scenarios: &[Scenario]) -> String {
             row
         })
         .collect();
-    let mut out = format!(
+    format!(
         "TRACE — mechanistic Table 2: per-phase setup seconds by hop count\n\
-         (every row aggregated from spans; phase sums tile the measured totals exactly)\n{}",
-        table::render(&headers, &rows)
-    );
-    out.push_str(&format!(
-        "\nteardown {:.2} s mean | sub-λ (OTN) setup {:.2} s mean | \
+         (every row aggregated from spans; phase sums tile the measured totals exactly)\n{}\n\
+         teardown {:.2} s mean | sub-λ (OTN) setup {:.2} s mean | \
          longest restoration queue wait {:.1} s | {} policy decision spans\n\
          {} spans across {} scenarios",
+        table::render(&headers, &rows),
         report.teardown_secs,
         report.subwl_setup_secs,
         report.restore_queue_wait_secs,
         report.policy_decisions,
         report.spans_recorded,
-        scenarios.len(),
-    ));
-    for s in scenarios {
-        for w in &s.warnings {
-            out.push('\n');
-            out.push_str(w);
-        }
-    }
-    out
+        scenarios,
+    )
 }
 
 /// Minimal typed view of a Chrome trace, used to re-parse the exporter's
@@ -534,58 +548,39 @@ struct ChromeEvent {
 /// Parse a Chrome trace and check the invariants the viewer relies on:
 /// valid JSON, one complete ("X") event per recorded span, and a
 /// numeric `ts`/`dur` pair on every one of them.
-pub fn check_chrome_trace(chrome: &str, expected_spans: u64) {
+fn check_chrome_trace(chrome: &str, expected_spans: u64) -> Result<(), String> {
     let parsed: ChromeTrace =
-        serde_json::from_str(chrome).expect("chrome trace must be valid JSON");
-    let complete = parsed.trace_events.iter().filter(|e| e.ph == "X").count() as u64;
-    assert_eq!(
-        complete, expected_spans,
-        "every span must appear exactly once as a complete event"
-    );
-    for e in &parsed.trace_events {
-        if e.ph == "X" {
-            assert!(
-                e.ts.is_some() && e.dur.is_some(),
-                "complete events must carry matching ts/dur"
-            );
-        }
-    }
-}
-
-/// Run every scenario, write `BENCH_trace.json` and the Chrome trace
-/// file, and return the human-readable summary.
-pub fn emit(bench_path: &str, chrome_path: &str) -> String {
-    let scenarios = scenarios();
-    let (mut report, chrome) = build(&scenarios);
-    report.chrome_trace_file = chrome_path.to_string();
-    check_chrome_trace(&chrome, report.spans_recorded);
-    std::fs::write(chrome_path, &chrome).expect("write chrome trace");
-    let json = serde_json::to_string_pretty(&report).expect("report serialises");
-    std::fs::write(bench_path, &json).expect("write BENCH_trace.json");
-    let mut out = render(&report, &scenarios);
-    out.push_str(&format!("\nwrote {bench_path} and {chrome_path}"));
-    out
+        serde_json::from_str(chrome).map_err(|e| format!("not valid JSON: {e}"))?;
+    let complete: Vec<&ChromeEvent> = parsed.trace_events.iter().filter(|e| e.ph == "X").collect();
+    ensure(complete.len() as u64 == expected_spans, || {
+        format!(
+            "{} complete events for {expected_spans} spans",
+            complete.len()
+        )
+    })?;
+    ensure(
+        complete.iter().all(|e| e.ts.is_some() && e.dur.is_some()),
+        || "a complete event lacks ts/dur".into(),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness;
 
     #[test]
     fn setup_scenario_phase_sums_match_controller_reports() {
-        // check_scenario (inside build) asserts the tiling invariant;
-        // here just make sure the 1-hop scenario hits Table 2 row 1.
-        let s = setup_scenario(1);
-        check_scenario(&s);
-        let (_, setup) = (&s.reported[0].0, s.reported[0].1);
+        let run = Trace.run(&(), &bodies()[0], true).unwrap();
+        let setup = run.out.reported[0].1;
         assert!((setup.as_secs_f64() - PAPER_SETUP_SECS[0]).abs() < 0.01);
-        assert!(s.warnings.is_empty());
+        assert_eq!(run.drops, 0);
     }
 
     #[test]
     fn report_reproduces_table2_shape() {
-        let scenarios = scenarios();
-        let (report, chrome) = build(&scenarios);
+        let done = harness::run(&Trace, harness::Sweep::Full, 2).unwrap();
+        let report = done.report;
         assert_eq!(report.table2.len(), 3);
         for (r, paper) in report.table2.iter().zip(PAPER_SETUP_SECS) {
             assert!(
@@ -596,14 +591,6 @@ mod tests {
             );
             assert!((r.phase_sum_secs - r.total_secs).abs() < 1e-9);
         }
-        check_chrome_trace(&chrome, report.spans_recorded);
         assert!(report.spans_recorded > 100);
-    }
-
-    #[test]
-    fn two_runs_are_byte_identical() {
-        let a = build(&scenarios()).1;
-        let b = build(&scenarios()).1;
-        assert_eq!(a, b, "chrome trace must be deterministic");
     }
 }

@@ -750,11 +750,6 @@ impl Controller {
         self.switch_at.get(&node).copied()
     }
 
-    /// The controller's EMS latency model (read-only).
-    pub fn ems_profile(&self) -> &EmsProfile {
-        self.ems.profile()
-    }
-
     /// The configuration this controller runs with.
     pub fn config(&self) -> &ControllerConfig {
         &self.cfg

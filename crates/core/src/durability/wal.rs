@@ -28,7 +28,7 @@
 //! guess ([`WalError`]).
 
 use simcore::codec::{frame_into, read_frame, CodecError, Crc32c, Decoder, Encoder, Frame};
-use simcore::{DataRate, SimTime};
+use simcore::SimTime;
 
 use otn::ClientSignal;
 use photonic::LineRate;
@@ -526,11 +526,6 @@ impl Intent {
             t => return Err(CodecError::BadTag(t)),
         })
     }
-}
-
-/// Convenience: a [`DataRate`] from an encoded bps field.
-pub fn rate_from_bps(bps: u64) -> DataRate {
-    DataRate::from_bps(bps)
 }
 
 /// One decoded log record.

@@ -24,7 +24,6 @@
 //!   augmentation, using bridge-and-roll so the move is hitless.
 
 use photonic::{EmsCommand, FiberId};
-use simcore::SimDuration;
 
 use crate::connection::{ConnState, ConnectionId, ConnectionKind, Resources};
 use crate::controller::{Controller, RequestError, WorkflowKind};
@@ -409,14 +408,6 @@ impl Controller {
         }
         self.journal_depth -= 1;
         (started, km)
-    }
-
-    /// Total service hit recorded for a connection's moves so far —
-    /// convenience for experiments.
-    pub fn recorded_hit(&self) -> Option<SimDuration> {
-        self.metrics
-            .get_histogram("maintenance.hit_ms")
-            .map(|h| SimDuration::from_secs_f64(h.sum() / 1e3))
     }
 }
 

@@ -209,14 +209,6 @@ impl OtnSwitch {
         LinePortId::from_index(self.lines.len() - 1)
     }
 
-    /// Number of client ports.
-    pub fn client_port_count(&self) -> usize {
-        self.clients.len()
-    }
-    /// Number of line ports.
-    pub fn line_port_count(&self) -> usize {
-        self.lines.len()
-    }
     /// Active cross-connect count.
     pub fn xc_count(&self) -> usize {
         self.xcs.len()

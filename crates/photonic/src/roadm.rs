@@ -221,11 +221,6 @@ impl Roadm {
         p.attached = Some(ot);
     }
 
-    /// The transponder plugged into `port`, if any.
-    pub fn transponder_at(&self, port: PortId) -> Option<TransponderId> {
-        self.ports.get(port.index()).and_then(|p| p.attached)
-    }
-
     /// Ports with no active configuration whose constraints allow
     /// `(wavelength, degree)` — what the controller searches when picking
     /// an OT for a new connection.

@@ -247,13 +247,6 @@ impl PhotonicNetwork {
         id
     }
 
-    /// Install a 4×10G→40G muxponder.
-    pub fn add_muxponder(&mut self) -> MuxponderId {
-        let id = MuxponderId::from_index(self.muxponders.len());
-        self.muxponders.push(Muxponder::new(id));
-        id
-    }
-
     // ── element access ──────────────────────────────────────────────
 
     /// Read a node.
@@ -310,10 +303,6 @@ impl PhotonicNetwork {
     /// Read a muxponder.
     pub fn muxponder(&self, id: MuxponderId) -> &Muxponder {
         &self.muxponders[id.index()]
-    }
-    /// Mutate a muxponder.
-    pub fn muxponder_mut(&mut self, id: MuxponderId) -> &mut Muxponder {
-        &mut self.muxponders[id.index()]
     }
 
     /// A node's display name.

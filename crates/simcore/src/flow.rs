@@ -23,12 +23,6 @@ use crate::time::{SimDuration, SimTime};
 /// Pico-tokens per token: the internal fixed-point scale.
 const PT_PER_TOKEN: u128 = 1_000_000_000_000;
 
-/// Millitokens per token.
-const MT_PER_TOKEN: u128 = 1_000;
-
-/// Nanoseconds per second, as u128 for the refill arithmetic.
-const NS_PER_SEC: u128 = 1_000_000_000;
-
 /// Why a [`TokenBucket::try_take`] was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RateLimited {
@@ -113,14 +107,6 @@ impl TokenBucket {
     /// The configured refill rate in millitokens per second.
     pub fn rate_millitokens_per_sec(&self) -> u64 {
         self.rate_mt_per_s
-    }
-
-    /// Tokens the bucket can hand out over `window` starting now from a
-    /// full bucket: `burst + rate × window`, the admission ceiling the
-    /// shadow-model proptest checks against.
-    pub fn ceiling_over(&self, window: SimDuration) -> u64 {
-        let refill_mt = self.rate_mt_per_s as u128 * window.as_nanos() as u128 / NS_PER_SEC;
-        self.burst_tokens() + (refill_mt / MT_PER_TOKEN) as u64
     }
 }
 

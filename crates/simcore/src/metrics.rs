@@ -252,11 +252,6 @@ impl Histogram {
         self.exemplars = Some(Box::new(ExemplarReservoir::new(seed, capacity)));
     }
 
-    /// Is an exemplar reservoir attached?
-    pub fn exemplars_enabled(&self) -> bool {
-        self.exemplars.is_some()
-    }
-
     /// Record an observation *and* offer it to the exemplar reservoir
     /// (a no-op link when exemplars are not enabled).
     pub fn record_linked(&mut self, v: f64, span_id: u64, labels: &[(&str, &str)]) {
@@ -607,10 +602,6 @@ impl MetricsRegistry {
     /// Read a histogram if it exists.
     pub fn get_histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-    /// Read a time series if it exists.
-    pub fn get_series(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
     }
     /// Read a gauge if it exists.
     pub fn get_gauge(&self, name: &str) -> Option<&Gauge> {
