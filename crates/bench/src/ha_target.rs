@@ -11,7 +11,7 @@
 //!
 //! * WAL on and WAL off produce byte-identical scenario transcripts and
 //!   state digests (journaling is observation, not behavior) — each
-//!   scenario is one [`harness`](crate::harness) cell whose observer is
+//!   scenario is one [`crate::harness`] cell whose observer is
 //!   the WAL, so the harness compares the two runs;
 //! * at every crash point, snapshot-based recovery and full-log replay
 //!   reconstruct byte-identical controllers, and a clean (un-torn)
@@ -28,7 +28,7 @@
 //! not O(history).
 
 use serde::Serialize;
-use simcore::{Crc32c, SimTime};
+use simcore::SimTime;
 
 use griphon::durability::recovery::replay;
 use griphon::{
@@ -39,7 +39,7 @@ use crate::harness::{
     self, ensure, CellRun, Ctx, Experiment, Finished, GateError, Identity, Runs, Sweep,
 };
 use crate::noc_target::{BACKBONE_WEEK_FAULTS, TESTBED_OUTAGE};
-use crate::scenario::{self, ScenarioSpec};
+use crate::scenario::{self, transcript_digest, ScenarioSpec};
 
 /// Ship log records to the standby every this many scenario barriers,
 /// so the standby realistically lags the primary at most crash points.
@@ -160,15 +160,6 @@ struct HaRun {
     log_bytes: usize,
 }
 
-/// CRC-32C over a scenario transcript and a state digest: what the
-/// WAL-off and WAL-on runs of one scenario must agree on.
-fn transcript_digest(text: &str, state: &str) -> u32 {
-    let mut crc = Crc32c::new();
-    crc.update(text.as_bytes());
-    crc.update(state.as_bytes());
-    crc.finish()
-}
-
 /// Drive one scenario with the WAL on, a snapshot store and standby
 /// shipping; returns the run and its transcript digest.
 fn run_journaled(spec: ScenarioSpec) -> Result<(HaRun, u32), String> {
@@ -203,9 +194,7 @@ fn run_journaled(spec: ScenarioSpec) -> Result<(HaRun, u32), String> {
     let journal = primary.take_journal().expect("journal enabled");
     let log_bytes = journal.total_bytes();
     let (records, report) = Wal::decode(journal.segments()).expect("full log decodes");
-    ensure(report.torn_bytes == 0, || {
-        "flushed log cannot be torn".into()
-    })?;
+    ensure!(report.torn_bytes == 0, "flushed log cannot be torn");
     let run = HaRun {
         spec,
         reference_digest,
@@ -244,55 +233,40 @@ fn ms(d: simcore::SimDuration) -> f64 {
 /// report block. Consumes the run (the warm standby is promoted once,
 /// at the clean crash).
 fn crash_schedule(name: &str, run: HaRun) -> Result<ScenarioHa, String> {
-    let HaRun {
-        spec,
-        reference_digest,
-        target,
-        segments,
-        records,
-        store,
-        standby,
-        log_bytes,
-    } = run;
     let cfg = FailoverConfig::default();
     let empty = SnapshotStore::new(0);
-    let standby_applied = standby.applied();
+    let standby_applied = run.standby.applied();
 
     let mut crashes = Vec::new();
-    for cut in crash_offsets(log_bytes, CRASH_POINTS) {
-        let surviving = Wal::truncate_segments(&segments, cut);
+    for cut in crash_offsets(run.log_bytes, CRASH_POINTS) {
+        let surviving = Wal::truncate_segments(&run.segments, cut);
         let recover_from = |store: &SnapshotStore| {
             recover(
-                || scenario::genesis(&spec),
+                || scenario::genesis(&run.spec),
                 &surviving,
                 store,
-                target,
+                run.target,
                 WalConfig::default(),
             )
             .map_err(|e| format!("recovery at cut {cut} failed: {e}"))
         };
-        let snap_path = recover_from(&store)?;
+        let snap_path = recover_from(&run.store)?;
         let full_replay = recover_from(&empty)?;
 
         // The durability contract: both paths reconstruct the same bytes.
         let digest = snap_path.controller.state_digest();
         let replayed = full_replay.controller.state_digest();
-        ensure(digest == replayed, || {
-            format!(
-                "snapshot recovery diverged from full replay at cut {cut}: {}",
-                harness::first_difference(&digest, &replayed)
-            )
-        })?;
-        if cut == log_bytes {
-            ensure(
-                digest == reference_digest && !snap_path.rolled_back_tail,
-                || {
-                    format!(
-                        "clean recovery diverged from the lost primary: {}",
-                        harness::first_difference(&digest, &reference_digest)
-                    )
-                },
-            )?;
+        ensure!(
+            digest == replayed,
+            "snapshot recovery diverged from full replay at cut {cut}: {}",
+            harness::first_difference(&digest, &replayed)
+        );
+        if cut == run.log_bytes {
+            ensure!(
+                digest == run.reference_digest && !snap_path.rolled_back_tail,
+                "clean recovery diverged from the lost primary: {}",
+                harness::first_difference(&digest, &run.reference_digest)
+            );
         }
 
         let survived = snap_path.snapshot_seq.unwrap_or(0) + snap_path.replayed;
@@ -319,20 +293,20 @@ fn crash_schedule(name: &str, run: HaRun) -> Result<ScenarioHa, String> {
         });
     }
     let torn_tails = crashes.iter().filter(|c| c.rolled_back_tail).count() as u64;
-    ensure(torn_tails > 0, || "schedule never tore a record".into())?;
+    ensure!(torn_tails > 0, "schedule never tore a record");
 
     // The warm standby takes over at the clean crash: its promoted state
     // must equal cold recovery's (and therefore the primary's).
-    let warm = standby
-        .promote(&records, target, WalConfig::default())
+    let warm = run
+        .standby
+        .promote(&run.records, run.target, WalConfig::default())
         .map_err(|e| format!("warm takeover failed: {e}"))?;
     let warm_digest = warm.state_digest();
-    ensure(warm_digest == reference_digest, || {
-        format!(
-            "warm standby takeover diverged from the primary: {}",
-            harness::first_difference(&warm_digest, &reference_digest)
-        )
-    })?;
+    ensure!(
+        warm_digest == run.reference_digest,
+        "warm standby takeover diverged from the primary: {}",
+        harness::first_difference(&warm_digest, &run.reference_digest)
+    );
 
     let edges = [1510.0, 1530.0, 1550.0, 1600.0, 1700.0, 10_000.0];
     let serving_ms_hist = edges
@@ -345,10 +319,10 @@ fn crash_schedule(name: &str, run: HaRun) -> Result<ScenarioHa, String> {
 
     Ok(ScenarioHa {
         name: name.to_string(),
-        log_records: records.len() as u64,
-        log_bytes,
-        log_segments: segments.len(),
-        snapshots: store.snapshots().len(),
+        log_records: run.records.len() as u64,
+        log_bytes: run.log_bytes,
+        log_segments: run.segments.len(),
+        snapshots: run.store.snapshots().len(),
         standby_applied,
         crash_points: crashes.len() as u64,
         recovered_identical: crashes.len() as u64,
@@ -384,16 +358,15 @@ fn cadence_sweep(run: &HaRun) -> Result<Vec<CadencePoint>, String> {
             WalConfig::default(),
         )
         .map_err(|e| format!("cadence {cadence} recovery: {e}"))?;
-        ensure(
+        ensure!(
             outcome.controller.state_digest() == run.reference_digest,
-            || format!("cadence {cadence} recovery diverged"),
-        )?;
-        ensure(outcome.replayed < cadence.max(1), || {
-            format!(
-                "cadence {cadence} replayed {} records — tail not bounded",
-                outcome.replayed
-            )
-        })?;
+            "cadence {cadence} recovery diverged"
+        );
+        ensure!(
+            outcome.replayed < cadence.max(1),
+            "cadence {cadence} replayed {} records — tail not bounded",
+            outcome.replayed
+        );
         points.push(CadencePoint {
             cadence,
             snapshots: store.snapshots().len(),
@@ -414,7 +387,6 @@ pub struct Ha;
 impl Experiment for Ha {
     const NAME: &'static str = "ha";
     const IDENTITY: Identity = Identity::Observer;
-    const SWEEPS: bool = false;
     type Point = ();
     type Cell = Case;
     /// The scenario block and its cadence sweep; `None` with the WAL off.
@@ -424,8 +396,6 @@ impl Experiment for Ha {
     fn points(&self, _: Sweep) -> Vec<()> {
         vec![()]
     }
-
-    fn probe(&self) {}
 
     fn cells(&self, _: &()) -> Vec<Case> {
         vec![

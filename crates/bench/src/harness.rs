@@ -1,34 +1,22 @@
 //! The experiment harness behind every artifact target of `repro`.
 //!
 //! An artifact target (`trace`, `noc`, `ha`, `scale`, `slo`, `measure`,
-//! `serve`) is one value of [`Experiment`]. It supplies only:
+//! `serve`) is one [`Experiment`]. It supplies its sweep (points of the
+//! full and reduced profile, cells of each point), a cell function
+//! returning a [`CellRun`], and [`Experiment::finish`]: its own gates,
+//! the report, the side files and the golden bytes.
 //!
-//! - its sweep: the points of the full and the reduced profile, and the
-//!   cells of each point;
-//! - a cell function: one cell → [`CellRun`] (a state digest, the
-//!   cell's deterministic text, its telemetry drops, and whatever else
-//!   the report needs, host-time fields included);
-//! - [`Experiment::finish`]: its own gates over the runs, the report,
-//!   the files written beside it, and the golden bytes it pins.
-//!
-//! Everything else happens here, and only here:
-//!
-//! - `SCALE_SWEEP` and `REPRO_THREADS` are read once ([`Sweep::from_env`],
-//!   [`repro_threads`]);
-//! - cells are sharded through [`parallel_cells_with`];
-//! - every cell runs twice when the target has an observer (off, then
-//!   on) or a shard identity (one worker, then sharded), and the two
-//!   digests must agree ([`Identity`]);
-//! - the probe point runs on 1, 2 and 8 workers, and digests and texts
-//!   must agree ([`identity`]);
-//! - every run must report zero span, trace and scrape drops;
-//! - the [`BenchHeader`] is stamped and `BENCH_<target>.json` plus the
-//!   side files are written ([`emit`]).
-//!
-//! The golden files under `tests/golden/` are the `golden` bytes of a
-//! reduced run ([`goldens`]) — the same values the artifact files are
-//! rendered from, never a second code path. A failed gate is a
-//! [`GateError`] naming the target, the cell and both digests (or the
+//! Everything else happens here and only here: `SCALE_SWEEP` and
+//! `REPRO_THREADS` are read once; cells are sharded through
+//! [`parallel_cells_with`]; every cell runs twice when the target has an
+//! observer (off, then on) or a shard identity (one worker, then
+//! sharded) and the digests must agree; the probe point runs on 1, 2 and
+//! 8 workers and digests and texts must agree ([`identity`]); every run
+//! must drop no span, trace event or scrape; the [`BenchHeader`] is
+//! stamped and the artifacts written ([`emit`]). The goldens under
+//! `tests/golden/` are the golden bytes of a reduced run ([`goldens`]),
+//! rendered from the same values as the artifact files. A failed gate is
+//! a [`GateError`] naming the target, the cell and both digests (or the
 //! first differing line); `repro` prints it and exits 1.
 
 use std::fmt;
@@ -56,7 +44,7 @@ impl Sweep {
         }
     }
 
-    /// Label stamped into reports (`full` / `reduced`).
+    /// Label stamped into reports.
     pub fn label(self) -> &'static str {
         match self {
             Sweep::Full => "full",
@@ -117,12 +105,12 @@ where
         .collect()
 }
 
-/// What the reference run of a point varies against the main run.
+/// What a point's reference run varies against its main run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Identity {
-    /// Reference run with the observer off (telemetry, NOC, WAL, probing).
+    /// The observer off (spans, NOC, WAL, telemetry, probing).
     Observer,
-    /// Reference run on one worker; the main run is sharded.
+    /// One worker; the main run is sharded.
     Shard,
     /// No reference run; the 1/2/8-thread probe alone checks placement.
     Threads,
@@ -130,10 +118,10 @@ pub enum Identity {
 
 /// One cell's result.
 pub struct CellRun<O> {
-    /// Controller state digest: the identity gates compare it.
+    /// State digest: the identity gates compare it.
     pub digest: u32,
-    /// Deterministic text (an exposition, a report slice) that must not
-    /// depend on the worker count; empty when the cell has none.
+    /// Deterministic text (an exposition, a report row) that must not
+    /// depend on the worker count.
     pub text: String,
     /// Span, trace and scrape drops; any non-zero count fails the run.
     pub drops: u64,
@@ -163,23 +151,23 @@ pub struct PointRun<P, C, O> {
     pub main: Vec<CellRun<O>>,
     /// Host seconds of the main run.
     pub main_secs: f64,
-    /// The reference run ([`Identity`]); empty for [`Identity::Threads`].
+    /// The reference run; empty for [`Identity::Threads`].
     pub reference: Vec<CellRun<O>>,
     /// Host seconds of the reference run.
     pub reference_secs: f64,
 }
 
-/// The run-wide settings a target's `finish` sees.
+/// The run-wide settings `finish` sees.
 pub struct Ctx {
     /// The sweep profile.
     pub sweep: Sweep,
     /// Workers of the main run.
     pub threads: usize,
-    /// The header stamped onto the report.
+    /// The header to stamp onto the report.
     pub header: BenchHeader,
 }
 
-/// What a target's `finish` hands back.
+/// What `finish` hands back.
 pub struct Finished<R> {
     /// Written to `BENCH_<target>.json`.
     pub report: R,
@@ -187,11 +175,11 @@ pub struct Finished<R> {
     pub summary: String,
     /// Side files written beside the report: `(file name, bytes)`.
     pub files: Vec<(&'static str, String)>,
-    /// Golden files pinned by a reduced run: `(name under tests/golden, bytes)`.
+    /// `(name under tests/golden, bytes)`, meaningful for a reduced run.
     pub goldens: Vec<(&'static str, String)>,
 }
 
-/// A point and its runs, as `finish` receives them.
+/// Every point and its runs, as `finish` receives them.
 pub type Runs<E> =
     Vec<PointRun<<E as Experiment>::Point, <E as Experiment>::Cell, <E as Experiment>::Out>>;
 
@@ -201,10 +189,10 @@ pub trait Experiment: Sync {
     const NAME: &'static str;
     /// What the reference run varies.
     const IDENTITY: Identity;
-    /// Whether the sweep has a reduced profile (the header says
-    /// `default` otherwise).
-    const SWEEPS: bool;
-    /// A sweep point: what its cells share (a plant, a scenario).
+    /// Whether the sweep has a reduced profile (else the header says
+    /// `default`).
+    const SWEEPS: bool = false;
+    /// What a point's cells share (a plant, a scenario).
     type Point: Sync;
     /// One cell of a point.
     type Cell: Sync;
@@ -215,11 +203,13 @@ pub trait Experiment: Sync {
 
     /// The points of `sweep`, in run order.
     fn points(&self, sweep: Sweep) -> Vec<Self::Point>;
-    /// The point whose cells the 1/2/8-thread identity runs.
-    fn probe(&self) -> Self::Point;
+    /// The point the identity gates run; by default the first reduced one.
+    fn probe(&self) -> Self::Point {
+        self.points(Sweep::Reduced).swap_remove(0)
+    }
     /// The cells of `point`.
     fn cells(&self, point: &Self::Point) -> Vec<Self::Cell>;
-    /// Name of a cell in gate failures.
+    /// A cell's name in gate failures.
     fn label(&self, point: &Self::Point, cell: &Self::Cell) -> String;
     /// Run one cell; `observe` is false only in an [`Identity::Observer`]
     /// reference run. `Err` is a failed cell gate.
@@ -257,39 +247,28 @@ impl GateError {
 
 impl fmt::Display for GateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "repro {}: gate failed at {}: {}",
-            self.target, self.cell, self.detail
-        )
+        let GateError {
+            target,
+            cell,
+            detail,
+        } = self;
+        write!(f, "repro {target}: gate failed at {cell}: {detail}")
     }
 }
 
 impl std::error::Error for GateError {}
 
-/// `Err` naming `target` and `cell` unless `ok`.
-pub fn check(
-    ok: bool,
-    target: &'static str,
-    cell: impl Into<String>,
-    detail: impl FnOnce() -> String,
-) -> Result<(), GateError> {
-    if ok {
-        Ok(())
-    } else {
-        Err(GateError::new(target, cell, detail()))
-    }
+/// `return Err(format!(..))` unless the condition holds: a gate inside
+/// a cell or a report builder, whose caller names the cell.
+macro_rules! ensure {
+    ($ok:expr, $($detail:tt)+) => {
+        let ok: bool = $ok;
+        if !ok {
+            return Err(format!($($detail)+));
+        }
+    };
 }
-
-/// `Err(detail)` unless `ok`: a gate inside a cell or a report
-/// builder, which the caller names.
-pub fn ensure(ok: bool, detail: impl FnOnce() -> String) -> Result<(), String> {
-    if ok {
-        Ok(())
-    } else {
-        Err(detail())
-    }
-}
+pub(crate) use ensure;
 
 /// The report as written: pretty JSON, no trailing newline.
 pub fn json<R: Serialize>(report: &R) -> String {
@@ -300,43 +279,45 @@ pub fn json<R: Serialize>(report: &R) -> String {
 pub fn first_difference(a: &str, b: &str) -> String {
     let (mut la, mut lb) = (a.lines(), b.lines());
     for n in 1.. {
-        match (la.next(), lb.next()) {
-            (None, None) => break,
-            (x, y) if x == y => continue,
-            (x, y) => {
-                return format!(
-                    "line {n}: {:?} vs {:?}",
-                    x.unwrap_or("<end>"),
-                    y.unwrap_or("<end>")
-                )
-            }
+        let (x, y) = (la.next(), lb.next());
+        if x != y {
+            let (x, y) = (x.unwrap_or("<end>"), y.unwrap_or("<end>"));
+            return format!("line {n}: {x:?} vs {y:?}");
+        }
+        if x.is_none() {
+            break;
         }
     }
     "texts differ only in line endings".to_string()
 }
 
+/// A run's cells and its host seconds.
+type Timed<O> = (Vec<CellRun<O>>, f64);
+
 /// Run every cell of `point` on `threads` workers, failing on a cell
-/// gate or on any telemetry drop.
+/// gate or on any drop; returns the runs and their host seconds.
 fn run_cells<E: Experiment>(
     exp: &E,
     point: &E::Point,
     cells: &[E::Cell],
     threads: usize,
     observe: bool,
-) -> Result<Vec<CellRun<E::Out>>, GateError> {
+) -> Result<Timed<E::Out>, GateError> {
+    let t0 = Instant::now();
     let runs = parallel_cells_with(threads, cells.iter().collect(), |c| {
         exp.run(point, c, observe)
     });
+    let secs = t0.elapsed().as_secs_f64();
     let mut out = Vec::with_capacity(runs.len());
     for (cell, run) in cells.iter().zip(runs) {
-        let label = || exp.label(point, cell);
-        let run = run.map_err(|detail| GateError::new(E::NAME, label(), detail))?;
-        check(run.drops == 0, E::NAME, label(), || {
-            format!("{} span/trace/scrape records dropped", run.drops)
-        })?;
+        let gate = |detail| GateError::new(E::NAME, exp.label(point, cell), detail);
+        let run = run.map_err(gate)?;
+        if run.drops > 0 {
+            return Err(gate(format!("{} span/trace/scrape drops", run.drops)));
+        }
         out.push(run);
     }
-    Ok(out)
+    Ok((out, secs))
 }
 
 /// Require equal digests (and, with `texts`, equal texts) cell by cell.
@@ -350,37 +331,22 @@ fn compare<E: Experiment>(
     texts: bool,
 ) -> Result<(), GateError> {
     for ((cell, x), y) in cells.iter().zip(a).zip(b) {
-        check(
-            x.digest == y.digest,
-            E::NAME,
-            exp.label(point, cell),
-            || {
-                format!(
-                    "{what} digests differ: {:#010x} vs {:#010x}",
-                    x.digest, y.digest
-                )
-            },
-        )?;
-        if texts {
-            check(x.text == y.text, E::NAME, exp.label(point, cell), || {
-                format!(
-                    "{what} texts differ at {}",
-                    first_difference(&x.text, &y.text)
-                )
-            })?;
-        }
+        let detail = if x.digest != y.digest {
+            let (dx, dy) = (x.digest, y.digest);
+            format!("{what} digests differ: {dx:#010x} vs {dy:#010x}")
+        } else if texts && x.text != y.text {
+            let at = first_difference(&x.text, &y.text);
+            format!("{what} texts differ at {at}")
+        } else {
+            continue;
+        };
+        return Err(GateError::new(E::NAME, exp.label(point, cell), detail));
     }
     Ok(())
 }
 
-fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
-    let t0 = Instant::now();
-    let r = f();
-    (r, t0.elapsed().as_secs_f64())
-}
-
-/// Run `exp`'s `sweep` on `threads` workers: the reference and main run
-/// of every point, their identity gate, then the target's `finish`.
+/// Run `exp`'s `sweep` on `threads` workers: each point's reference and
+/// main run and their identity gate, then the target's `finish`.
 pub fn run<E: Experiment>(
     exp: &E,
     sweep: Sweep,
@@ -390,18 +356,16 @@ pub fn run<E: Experiment>(
     for point in exp.points(sweep) {
         let cells = exp.cells(&point);
         let (reference, reference_secs) = match E::IDENTITY {
-            Identity::Observer => timed(|| run_cells(exp, &point, &cells, threads, false)),
-            Identity::Shard => timed(|| run_cells(exp, &point, &cells, 1, true)),
-            Identity::Threads => (Ok(Vec::new()), 0.0),
+            Identity::Observer => run_cells(exp, &point, &cells, threads, false)?,
+            Identity::Shard => run_cells(exp, &point, &cells, 1, true)?,
+            Identity::Threads => (Vec::new(), 0.0),
         };
-        let reference = reference?;
-        let (main, main_secs) = timed(|| run_cells(exp, &point, &cells, threads, true));
-        let main = main?;
-        let what = match E::IDENTITY {
-            Identity::Observer => "observer off/on",
-            _ => "unsharded/sharded",
-        };
+        let (main, main_secs) = run_cells(exp, &point, &cells, threads, true)?;
         if !reference.is_empty() {
+            let what = match E::IDENTITY {
+                Identity::Observer => "observer off/on",
+                _ => "unsharded/sharded",
+            };
             compare(exp, &point, &cells, what, &reference, &main, false)?;
         }
         runs.push(PointRun {
@@ -413,28 +377,28 @@ pub fn run<E: Experiment>(
             reference_secs,
         });
     }
-    let sweep_label = if E::SWEEPS { sweep.label() } else { "default" };
+    let profile = if E::SWEEPS { sweep.label() } else { "default" };
     let ctx = Ctx {
         sweep,
         threads,
-        header: BenchHeader::new(E::NAME, sweep_label),
+        header: BenchHeader::new(E::NAME, profile),
     };
     exp.finish(&ctx, runs)
 }
 
-/// The identity gates over `exp`'s probe point: observer off/on (for an
-/// [`Identity::Observer`] target), then 1, 2 and 8 workers with equal
-/// digests and texts. Returns the number of probe cells.
+/// The identity gates over `exp`'s probe point: the observer off and on
+/// (for an [`Identity::Observer`] target), then 1, 2 and 8 workers with
+/// equal digests and texts. Returns the number of probe cells.
 pub fn identity<E: Experiment>(exp: &E) -> Result<usize, GateError> {
     let point = exp.probe();
     let cells = exp.cells(&point);
-    let base = run_cells(exp, &point, &cells, 1, true)?;
+    let (base, _) = run_cells(exp, &point, &cells, 1, true)?;
     if E::IDENTITY == Identity::Observer {
-        let off = run_cells(exp, &point, &cells, 2, false)?;
+        let (off, _) = run_cells(exp, &point, &cells, 2, false)?;
         compare(exp, &point, &cells, "observer off/on", &off, &base, false)?;
     }
     for threads in [2, 8] {
-        let other = run_cells(exp, &point, &cells, threads, true)?;
+        let (other, _) = run_cells(exp, &point, &cells, threads, true)?;
         let what = format!("1- vs {threads}-thread");
         compare(exp, &point, &cells, &what, &base, &other, true)?;
     }
@@ -447,8 +411,8 @@ pub fn goldens<E: Experiment>(exp: &E) -> Result<Vec<(&'static str, String)>, Ga
 }
 
 /// `repro <target>`: run the sweep `SCALE_SWEEP` selects on
-/// `REPRO_THREADS` workers, pass every gate, write `BENCH_<target>.json`
-/// and the side files, and return the summary.
+/// `REPRO_THREADS` workers and the identity gates, write
+/// `BENCH_<target>.json` and the side files, return the summary.
 pub fn emit<E: Experiment>(exp: &E) -> Result<String, GateError> {
     let done = run(exp, Sweep::from_env(), repro_threads())?;
     let probed = identity(exp)?;
@@ -459,16 +423,16 @@ pub fn emit<E: Experiment>(exp: &E) -> Result<String, GateError> {
         std::fs::write(name, bytes).expect("write artifact");
         wrote.push(name.to_string());
     }
-    let observer = match E::IDENTITY {
+    let reference = match E::IDENTITY {
         Identity::Observer => "observer off/on digests identical, ",
         Identity::Shard => "unsharded/sharded digests identical, ",
         Identity::Threads => "",
     };
+    let summary = done.summary.trim_end();
+    let wrote = wrote.join(", ");
     Ok(format!(
-        "{}\ngates: {observer}1/2/8-thread identical over {probed} probe cell(s), \
-         0 telemetry drops\nwrote {}",
-        done.summary.trim_end(),
-        wrote.join(", ")
+        "{summary}\ngates: {reference}1/2/8-thread identical over {probed} probe \
+         cell(s), 0 telemetry drops\nwrote {wrote}"
     ))
 }
 
@@ -476,17 +440,13 @@ pub fn emit<E: Experiment>(exp: &E) -> Result<String, GateError> {
 mod tests {
     use super::*;
 
-    /// A stub target: three cells; `drop_at` reports one dropped span,
-    /// `skew_at` changes its digest when the observer is off.
-    struct Stub {
-        drop_at: Option<u32>,
-        skew_at: Option<u32>,
-    }
+    /// Three cells; `drop_at` drops one span, `skew_at` moves its digest
+    /// with the observer off.
+    struct Stub(Option<u32>, Option<u32>);
 
     impl Experiment for Stub {
         const NAME: &'static str = "stub";
         const IDENTITY: Identity = Identity::Observer;
-        const SWEEPS: bool = false;
         type Point = ();
         type Cell = u32;
         type Out = ();
@@ -495,8 +455,6 @@ mod tests {
         fn points(&self, _: Sweep) -> Vec<()> {
             vec![()]
         }
-
-        fn probe(&self) {}
 
         fn cells(&self, _: &()) -> Vec<u32> {
             vec![0, 1, 2]
@@ -507,11 +465,11 @@ mod tests {
         }
 
         fn run(&self, _: &(), &cell: &u32, observe: bool) -> Result<CellRun<()>, String> {
-            let skew = !observe && self.skew_at == Some(cell);
-            Ok(CellRun {
-                drops: u64::from(self.drop_at == Some(cell)),
-                ..CellRun::new(cell * 7 + u32::from(skew), ())
-            })
+            let Stub(drop_at, skew_at) = *self;
+            let skew = !observe && skew_at == Some(cell);
+            let drops = u64::from(drop_at == Some(cell));
+            let run = CellRun::new(cell * 7 + u32::from(skew), ());
+            Ok(CellRun { drops, ..run })
         }
 
         fn finish(&self, ctx: &Ctx, runs: Runs<Self>) -> Result<Finished<Vec<u32>>, GateError> {
@@ -527,61 +485,38 @@ mod tests {
 
     #[test]
     fn a_clean_stub_passes_every_gate() {
-        let stub = Stub {
-            drop_at: None,
-            skew_at: None,
-        };
-        assert_eq!(run(&stub, Sweep::Full, 2).unwrap().report, vec![0, 7, 14]);
+        let stub = Stub(None, None);
+        assert_eq!(run(&stub, Sweep::Full, 2).unwrap().report, [0, 7, 14]);
         assert_eq!(identity(&stub).unwrap(), 3);
     }
 
     #[test]
     fn a_dropped_span_fails_naming_the_cell() {
-        let stub = Stub {
-            drop_at: Some(1),
-            skew_at: None,
-        };
-        let e = run(&stub, Sweep::Full, 2)
-            .err()
-            .expect("the drop gate fires");
+        let stub = Stub(Some(1), None);
+        let e = run(&stub, Sweep::Full, 2).err().expect("drop gate");
         assert_eq!((e.target, e.cell.as_str()), ("stub", "cell 1"));
-        assert!(e.detail.contains("1 span/trace/scrape records dropped"));
-        assert_eq!(identity(&stub).unwrap_err(), e);
+        assert_eq!(e.detail, "1 span/trace/scrape drops");
+        assert_eq!(identity(&stub), Err(e));
     }
 
     #[test]
     fn an_observer_that_moves_a_digest_fails_with_both_digests() {
-        let stub = Stub {
-            drop_at: None,
-            skew_at: Some(2),
-        };
-        let e = run(&stub, Sweep::Full, 2)
-            .err()
-            .expect("the on/off gate fires");
-        assert_eq!(e.cell, "cell 2");
-        assert!(
-            e.detail.contains("0x0000000f vs 0x0000000e"),
-            "{}",
-            e.detail
-        );
-        assert!(e
-            .to_string()
-            .starts_with("repro stub: gate failed at cell 2: "));
-        assert_eq!(identity(&stub).unwrap_err(), e);
+        let stub = Stub(None, Some(2));
+        let e = run(&stub, Sweep::Full, 2).err().expect("on/off gate");
+        let expected = "repro stub: gate failed at cell 2: \
+                        observer off/on digests differ: 0x0000000f vs 0x0000000e";
+        assert_eq!(e.to_string(), expected);
+        assert_eq!(identity(&stub), Err(e));
     }
 
     #[test]
     fn first_difference_names_the_line() {
-        assert_eq!(
-            first_difference("a\nb\nc", "a\nx\nc"),
-            "line 2: \"b\" vs \"x\""
-        );
-        assert_eq!(first_difference("a", "a\nb"), "line 2: \"<end>\" vs \"b\"");
+        assert_eq!(first_difference("a\nb", "a\nx"), r#"line 2: "b" vs "x""#);
+        assert_eq!(first_difference("a", "a\nb"), r#"line 2: "<end>" vs "b""#);
     }
 
     #[test]
-    fn parallel_cells_preserves_order_and_values() {
-        // Order must match input order even with more cells than threads.
+    fn parallel_cells_preserve_order_and_values() {
         let out = parallel_cells_with(3, (0..100u64).collect(), |i| i * 3);
         assert_eq!(out, (0..100u64).map(|i| i * 3).collect::<Vec<_>>());
         assert!(parallel_cells_with(3, Vec::<u64>::new(), |i| i).is_empty());

@@ -17,7 +17,7 @@
 //! Each scenario runs [`MeasuredBodPolicy`] in all three sizing modes —
 //! `Fixed` (the blind baseline), `Estimated` (the measurement feedback
 //! loop), `Oracle` (perfect knowledge, the regret reference). Each
-//! scenario is a [`harness`](crate::harness) point, each mode a cell
+//! scenario is a [`crate::harness`] point, each mode a cell
 //! whose observer is the measurement plane: the harness runs it off,
 //! then on, and requires a byte-identical controller
 //! `state_digest_crc()` (measurement is pure observation) and zero span
@@ -34,13 +34,13 @@
 
 use cloud::{BulkJob, DataCenterId, JobId, MeasuredBodPolicy, MeasuredMode, MeasuredRun};
 use griphon::controller::{Controller, ControllerConfig};
-use griphon::{CrossTraffic, ProbeConfig, ProbePath};
+use griphon::{AbSample, CrossTraffic, ProbeConfig, ProbePath};
 use photonic::{EmsProfile, EqualizationModel, PhotonicNetwork};
 use serde::Serialize;
 use simcore::{Crc32c, DataRate, DataSize, SimDuration, SimTime};
 
 use crate::harness::{
-    self, ensure, CellRun, Ctx, Experiment, Finished, GateError, Identity, PointRun, Runs, Sweep,
+    ensure, CellRun, Ctx, Experiment, Finished, GateError, Identity, PointRun, Runs, Sweep,
 };
 
 /// Shared-path bottleneck capacity.
@@ -302,7 +302,8 @@ impl Experiment for Measure {
     const SWEEPS: bool = true;
     type Point = &'static Scenario;
     type Cell = MeasuredMode;
-    type Out = MeasuredRun;
+    /// The controller's state digest and the policy run.
+    type Out = (u32, MeasuredRun);
     type Report = MeasureReport;
 
     fn points(&self, sweep: Sweep) -> Vec<&'static Scenario> {
@@ -310,10 +311,6 @@ impl Experiment for Measure {
             .iter()
             .filter(|s| sweep == Sweep::Full || REDUCED_NAMES.contains(&s.name))
             .collect()
-    }
-
-    fn probe(&self) -> &'static Scenario {
-        &FULL_SCENARIOS[0]
     }
 
     fn cells(&self, _: &&'static Scenario) -> Vec<MeasuredMode> {
@@ -324,28 +321,36 @@ impl Experiment for Measure {
         format!("{}/{}", s.name, mode_name(*mode))
     }
 
-    /// One `(scenario, mode)` cell with the given observability; gates
-    /// zero probe drops at the bottleneck and, observed, a surviving
-    /// exemplar on the estimate histogram.
+    /// One `(scenario, mode)` cell with the given observability. Its
+    /// digest covers the controller state, the score and the outcome, so
+    /// the harness's on/off gate holds all three. Gates zero probe drops
+    /// at the bottleneck and, observed, a surviving exemplar.
     fn run(
         &self,
         s: &&'static Scenario,
         &mode: &MeasuredMode,
         observability: bool,
-    ) -> Result<CellRun<MeasuredRun>, String> {
-        let (digest, run) = run_cell(s, mode, observability);
+    ) -> Result<CellRun<Self::Out>, String> {
+        let (state, run) = run_cell(s, mode, observability);
         let m = &run.measure;
-        ensure(m.probes_dropped == 0, || {
-            format!("{} probes were dropped at the bottleneck", m.probes_dropped)
-        })?;
-        ensure(!observability || m.trains == 0 || m.exemplars >= 1, || {
-            "no exemplar survived on the estimate histogram".into()
-        })?;
+        ensure!(
+            m.probes_dropped == 0,
+            "{} probes were dropped at the bottleneck",
+            m.probes_dropped
+        );
+        ensure!(
+            !observability || m.trains == 0 || m.exemplars >= 1,
+            "no exemplar survived on the estimate histogram"
+        );
+        let mut crc = Crc32c::new();
+        crc.update(&state.to_le_bytes());
+        crc.update(&run.score.to_bits().to_le_bytes());
+        crc.update(format!("{:?}", run.outcome).as_bytes());
         Ok(CellRun {
-            digest,
+            digest: crc.finish(),
             text: m.families.expose(),
             drops: m.span_dropped,
-            out: run,
+            out: (state, run),
         })
     }
 
@@ -354,7 +359,7 @@ impl Experiment for Measure {
         let mut rows = Vec::new();
         let mut exposition = String::new();
         for r in &runs {
-            let (row, estimated) = scenario_row(r)?;
+            let (row, estimated) = scenario_row(r);
             out.push_str(&format!(
                 "[{:<18}] err raw {:.2}% smooth {:.2}% of {CAPACITY_GBPS} G | \
                  regret fixed {:+.1} est {:+.1} | up {} down {} | \
@@ -386,17 +391,13 @@ impl Experiment for Measure {
             .iter()
             .find(|r| r.name == "stationary")
             .expect("every sweep contains the stationary scenario");
-        harness::check(
-            stationary.regret_estimated < stationary.regret_fixed,
-            Self::NAME,
-            "stationary",
-            || {
-                format!(
-                    "estimation-aware BoD lost to fixed sizing on regret: {:+.2} vs {:+.2}",
-                    stationary.regret_estimated, stationary.regret_fixed
-                )
-            },
-        )?;
+        if stationary.regret_estimated >= stationary.regret_fixed {
+            let detail = format!(
+                "estimation-aware BoD lost to fixed sizing on regret: {:+.2} vs {:+.2}",
+                stationary.regret_estimated, stationary.regret_fixed
+            );
+            return Err(GateError::new(Self::NAME, "stationary", detail));
+        }
         out.push_str(&format!("probe drops: 0 across {} scenarios\n", rows.len()));
         let report = MeasureReport {
             header: ctx.header.clone(),
@@ -420,61 +421,34 @@ impl Experiment for Measure {
 /// The exposition file written beside `BENCH_measure.json`.
 const EXPOSITION_FILE: &str = "measure_exposition.txt";
 
-/// Fold a scenario's mode runs into a report row, gating that
-/// observability moved neither score nor outcome; returns the row and
+/// Fold a scenario's mode runs into a report row; returns the row and
 /// the estimated run's exposition.
 fn scenario_row(
-    r: &PointRun<&'static Scenario, MeasuredMode, MeasuredRun>,
-) -> Result<(ScenarioRow, String), GateError> {
+    r: &PointRun<&'static Scenario, MeasuredMode, (u32, MeasuredRun)>,
+) -> (ScenarioRow, String) {
     let s = r.point;
     let mut crc = Crc32c::new();
-    for ((mode, off), on) in r.cells.iter().zip(&r.reference).zip(&r.main) {
-        harness::check(
-            on.out.score.to_bits() == off.out.score.to_bits() && on.out.outcome == off.out.outcome,
-            Measure::NAME,
-            Measure.label(&s, mode),
-            || {
-                format!(
-                    "observability changed the policy: score {} vs {}",
-                    off.out.score, on.out.score
-                )
-            },
-        )?;
-        crc.update(&off.digest.to_le_bytes());
+    for off in &r.reference {
+        crc.update(&off.out.0.to_le_bytes());
     }
     let digest_crc = crc.finish();
     let run_of = |m: MeasuredMode| {
         let i = MODES.iter().position(|&x| x == m).expect("every mode runs");
-        &r.main[i].out
+        &r.main[i].out.1
     };
     let est = run_of(MeasuredMode::Estimated);
     let score_of = |m: MeasuredMode| run_of(m).score;
-    let cap = CAPACITY_GBPS as f64;
-    let n = est.measure.samples.len().max(1) as f64;
-    let mean_raw = est
-        .measure
-        .samples
-        .iter()
-        .map(|p| (p.raw_gbps - p.true_gbps).abs())
-        .sum::<f64>()
-        / n
-        / cap
-        * 100.0;
-    let mean_smooth = est
-        .measure
-        .samples
-        .iter()
-        .map(|p| (p.smooth_gbps - p.true_gbps).abs())
-        .sum::<f64>()
-        / n
-        / cap
-        * 100.0;
-    let max_smooth = est
-        .measure
-        .samples
-        .iter()
-        .map(|p| (p.smooth_gbps - p.true_gbps).abs() / cap * 100.0)
-        .fold(0.0f64, f64::max);
+    // |estimate − true| per train, Gbps.
+    let dev = |f: fn(&AbSample) -> f64| {
+        est.measure
+            .samples
+            .iter()
+            .map(move |p| (f(p) - p.true_gbps).abs())
+    };
+    let (n, cap) = (
+        est.measure.samples.len().max(1) as f64,
+        CAPACITY_GBPS as f64,
+    );
     let (fixed, estimated, oracle) = (
         score_of(MeasuredMode::Fixed),
         score_of(MeasuredMode::Estimated),
@@ -486,9 +460,11 @@ fn scenario_row(
         trains: est.measure.trains,
         probes_sent: est.measure.probes_sent,
         probes_dropped: est.measure.probes_dropped,
-        mean_raw_error_pct: mean_raw,
-        mean_smooth_error_pct: mean_smooth,
-        max_smooth_error_pct: max_smooth,
+        mean_raw_error_pct: dev(|p| p.raw_gbps).sum::<f64>() / n / cap * 100.0,
+        mean_smooth_error_pct: dev(|p| p.smooth_gbps).sum::<f64>() / n / cap * 100.0,
+        max_smooth_error_pct: dev(|p| p.smooth_gbps)
+            .map(|e| e / cap * 100.0)
+            .fold(0.0f64, f64::max),
         score_fixed: fixed,
         score_estimated: estimated,
         score_oracle: oracle,
@@ -500,5 +476,5 @@ fn scenario_row(
         exemplars: est.measure.exemplars,
         digest_crc,
     };
-    Ok((row, est.measure.families.expose()))
+    (row, est.measure.families.expose())
 }

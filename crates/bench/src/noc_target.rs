@@ -22,17 +22,17 @@
 //! `BENCH_noc.json`; both are golden-filed and byte-identical across
 //! runs.
 //!
-//! Each scenario is one [`harness`](crate::harness) cell whose observer
+//! Each scenario is one [`crate::harness`] cell whose observer
 //! is the NOC: the harness replays it with the NOC off and on and
 //! requires the same transcript and state digest.
 
 use serde::Serialize;
-use simcore::{Crc32c, SimTime};
+use simcore::SimTime;
 
 use crate::harness::{
     self, ensure, CellRun, Ctx, Experiment, Finished, GateError, Identity, Runs, Sweep,
 };
-use crate::scenario::{self, ScenarioSpec};
+use crate::scenario::{self, transcript_digest, ScenarioSpec};
 
 /// The paper's testbed outage scenario, embedded so the bench runs from
 /// any working directory. Shared with `repro ha`.
@@ -70,22 +70,6 @@ pub const BACKBONE_WEEK_FAULTS: &str = r#"{
 
 /// Scrape cadence for both scenarios (seconds of sim time).
 pub const SCRAPE_SECS: u64 = 60;
-
-/// One replayed scenario with its NOC state extracted.
-pub struct Outcome {
-    /// NOC text dashboard (root-cause domains + latency chains).
-    pub dashboard: String,
-    /// Prometheus-style exposition of every scraped family.
-    pub exposition: String,
-    /// Per-domain summaries, in deterministic order.
-    pub domains: Vec<DomainSummary>,
-    /// Completed scrapes.
-    pub scrapes: u64,
-    /// Secondary alarms suppressed across all domains.
-    pub suppressed: u64,
-    /// Secondary alarms that resolved to no root (must be 0).
-    pub unattributed: u64,
-}
 
 /// One root-cause domain in `BENCH_noc.json`.
 #[derive(Serialize)]
@@ -152,17 +136,15 @@ pub struct Noc;
 impl Experiment for Noc {
     const NAME: &'static str = "noc";
     const IDENTITY: Identity = Identity::Observer;
-    const SWEEPS: bool = false;
     type Point = ();
     type Cell = Case;
-    type Out = Outcome;
+    /// The scenario's report block and its NOC dashboard.
+    type Out = (ScenarioReport, String);
     type Report = NocReport;
 
     fn points(&self, _: Sweep) -> Vec<()> {
         vec![()]
     }
-
-    fn probe(&self) {}
 
     fn cells(&self, _: &()) -> Vec<Case> {
         vec![
@@ -178,7 +160,12 @@ impl Experiment for Noc {
     /// Replay one scenario with the NOC on or off and extract its state;
     /// with the NOC on, check its correlation outcome. Every claim the
     /// dashboard makes is gated here.
-    fn run(&self, _: &(), &(_, json, roots): &Case, noc: bool) -> Result<CellRun<Outcome>, String> {
+    fn run(
+        &self,
+        _: &(),
+        &(name, json, roots): &Case,
+        noc: bool,
+    ) -> Result<CellRun<Self::Out>, String> {
         let mut spec: ScenarioSpec =
             serde_json::from_str(json).map_err(|e| format!("bad scenario JSON: {e}"))?;
         spec.noc_scrape_secs = noc.then_some(SCRAPE_SECS);
@@ -195,25 +182,24 @@ impl Experiment for Noc {
                 suppressed: d.suppressed,
             })
             .collect();
-        let o = Outcome {
-            dashboard: ctl.noc.dashboard(),
-            exposition: ctl.noc.families().expose(),
-            domains,
+        let report = ScenarioReport {
+            name: name.to_string(),
             scrapes: ctl.noc.scrapes(),
+            root_causes: ctl.noc.domains().count() as u64,
             suppressed: ctl.noc.suppressed_total(),
             unattributed: ctl.noc.unattributed(),
+            // check_outcome gates every secondary alarm attributed.
+            attribution_pct: 100.0,
+            domains,
         };
         if noc {
-            check_outcome(&o, roots)?;
+            check_outcome(&report, roots)?;
         }
-        let mut crc = Crc32c::new();
-        crc.update(text.as_bytes());
-        crc.update(ctl.state_digest().as_bytes());
         Ok(CellRun {
-            digest: crc.finish(),
-            text: o.exposition.clone(),
+            digest: transcript_digest(&text, &ctl.state_digest()),
+            text: ctl.noc.families().expose(),
             drops: ctl.trace.dropped() + ctl.spans.dropped(),
-            out: o,
+            out: (report, ctl.noc.dashboard()),
         })
     }
 
@@ -228,21 +214,11 @@ impl Experiment for Noc {
         );
         let mut series = 0;
         for (&(name, _, _), run) in p.cells.iter().zip(p.main) {
-            let o = run.out;
-            exposition.push_str(&format!("# scenario: {name}\n"));
-            exposition.push_str(&o.exposition);
-            series += o.exposition.lines().filter(|l| !l.starts_with('#')).count();
-            summary.push_str(&format!("\n── {name} ──\n{}", o.dashboard));
-            scenarios.push(ScenarioReport {
-                name: name.to_string(),
-                scrapes: o.scrapes,
-                root_causes: o.domains.len() as u64,
-                suppressed: o.suppressed,
-                unattributed: o.unattributed,
-                // check_outcome gated every secondary alarm attributed.
-                attribution_pct: 100.0,
-                domains: o.domains,
-            });
+            let (scenario, dashboard) = run.out;
+            exposition.push_str(&format!("# scenario: {name}\n{}", run.text));
+            series += run.text.lines().filter(|l| !l.starts_with('#')).count();
+            summary.push_str(&format!("\n── {name} ──\n{dashboard}"));
+            scenarios.push(scenario);
         }
         summary.push_str(&format!(
             "\n{} scenario(s), {} scrapes @ {} s cadence, {} exposed series",
@@ -272,47 +248,44 @@ impl Experiment for Noc {
 const EXPOSITION_FILE: &str = "noc_exposition.txt";
 
 /// Check one scenario's correlation outcome.
-fn check_outcome(o: &Outcome, expected_roots: usize) -> Result<(), String> {
-    ensure(o.scrapes > 0, || "the scrape engine never ran".into())?;
-    ensure(o.domains.len() == expected_roots, || {
-        format!(
-            "expected {expected_roots} root-cause domain(s), found {}",
-            o.domains.len()
-        )
-    })?;
+fn check_outcome(o: &ScenarioReport, expected_roots: usize) -> Result<(), String> {
+    ensure!(o.scrapes > 0, "the scrape engine never ran");
+    ensure!(
+        o.domains.len() == expected_roots,
+        "expected {expected_roots} root-cause domain(s), found {}",
+        o.domains.len()
+    );
     // 100 % secondary-alarm attribution: every symptom suppressed
     // against a root, none left dangling.
-    ensure(o.unattributed == 0, || {
-        format!("{} secondary alarm(s) escaped correlation", o.unattributed)
-    })?;
-    ensure(o.suppressed > 0, || {
-        "the cascade produced no secondary alarms to suppress".into()
-    })?;
+    ensure!(
+        o.unattributed == 0,
+        "{} secondary alarm(s) escaped correlation",
+        o.unattributed
+    );
+    ensure!(
+        o.suppressed > 0,
+        "the cascade produced no secondary alarms to suppress"
+    );
     for d in &o.domains {
         // Detection leads localization: the 50 ms per-span LOS beats the
         // 500 ms span telemetry that names the fiber.
         let (Some(detect), Some(localize)) = (d.detect_secs, d.localize_secs) else {
             return Err(format!("{} never detected or localized", d.cause));
         };
-        ensure(
+        ensure!(
             (detect - 0.05).abs() < 1e-9 && (localize - 0.5).abs() < 1e-9,
-            || {
-                format!(
-                    "{} latency chain {detect}/{localize} disagrees with the detection model",
-                    d.cause
-                )
-            },
-        )?;
-        ensure(d.suppressed > 0, || {
-            format!("{} suppressed nothing", d.cause)
-        })?;
+            "{} latency chain {detect}/{localize} disagrees with the detection model",
+            d.cause
+        );
+        ensure!(d.suppressed > 0, "{} suppressed nothing", d.cause);
     }
     // At least one domain must reach restoration (unprotected circuits
     // crossed every injected cut in both scenarios).
-    ensure(
+    ensure!(
         o.domains.iter().any(|d| d.restore_start_secs.is_some()),
-        || "no restoration was attributed to any root cause".into(),
-    )
+        "no restoration was attributed to any root cause"
+    );
+    Ok(())
 }
 
 #[cfg(test)]

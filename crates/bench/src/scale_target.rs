@@ -2,7 +2,7 @@
 //!
 //! Sweeps generated plants from paper scale to continental scale
 //! (14 → 100 → 300 → 600 ROADMs; `SCALE_SWEEP=reduced` runs
-//! 14 → 100 → 200 for CI). Each point is a [`harness`](crate::harness)
+//! 14 → 100 → 200 for CI). Each point is a [`crate::harness`]
 //! point whose cells are its regions; the harness drives every point
 //! twice through the same cells:
 //!
@@ -33,7 +33,7 @@ use simcore::metrics::LatencyRecorder;
 use simcore::{DataRate, SimRng};
 
 use crate::harness::{
-    self, CellRun, Ctx, Experiment, Finished, GateError, Identity, PointRun, Runs, Sweep,
+    CellRun, Ctx, Experiment, Finished, GateError, Identity, PointRun, Runs, Sweep,
 };
 
 /// The default sweep: paper scale to continental scale.
@@ -181,26 +181,39 @@ pub(crate) fn hot_pair_cells(
         .collect()
 }
 
-/// Run one cell to completion and return its outcome. Pure function of
-/// `(plant, cell, seed)` — thread placement cannot change it, which is
-/// exactly what the sharded-vs-unsharded digest assert verifies.
-fn run_cell(plant: &GeneratedPlant, cell: &Cell, seed: u64) -> CellOutcome {
+/// Drive one region cell on a fresh controller over the plant (region
+/// map installed, `tenant` registered, spans on when asked): admission
+/// waves of `wave_intents` intents, each group-committed through
+/// `journal_batch`, run, torn down and run again, with `after_wave`
+/// called after every wave. Returns the controller, the intents
+/// admitted and the host time of every request. A pure function of
+/// `(plant, cell)` but for the timings — thread placement cannot change
+/// it, which is what the harness's identity gates verify.
+pub(crate) fn drive_cell(
+    p: &Plant,
+    cell: &Cell,
+    tenant: &str,
+    wave_intents: usize,
+    spans: bool,
+    mut after_wave: impl FnMut(&mut Controller),
+) -> (Controller, usize, LatencyRecorder) {
     let cfg = ControllerConfig {
-        seed: seed ^ (cell.region as u64) << 32,
+        seed: p.seed ^ (cell.region as u64) << 32,
         ems: photonic::EmsProfile::calibrated_deterministic(),
         equalization: photonic::EqualizationModel::calibrated_deterministic(),
         ..ControllerConfig::default()
     };
-    let mut ctl = Controller::new(plant.net.clone(), cfg);
-    ctl.install_region_map(RegionMap::new(plant.region_of.clone()))
+    let mut ctl = Controller::new(p.plant.net.clone(), cfg);
+    ctl.install_region_map(RegionMap::new(p.plant.region_of.clone()))
         .expect("generated plants satisfy the single-gateway invariant");
-    let customer = ctl.register_tenant("scale", DataRate::from_gbps(1_000_000));
+    let customer = ctl.register_tenant(tenant, DataRate::from_gbps(1_000_000));
+    ctl.spans.set_enabled(spans);
     let mut recorder = LatencyRecorder::new();
     let mut accepted = 0usize;
-    for wave in cell.intents.chunks(WAVE_INTENTS) {
-        // Admission is one group-committed burst (PR 6 path): with a WAL
-        // attached this is one flush per wave; without one it still
-        // exercises the same batching surface.
+    for wave in cell.intents.chunks(wave_intents) {
+        // Admission is one group-committed burst: with a WAL attached
+        // this is one flush per wave; without one it still exercises the
+        // same batching surface.
         let (ids, _) = ctl.journal_batch(|c| {
             let mut ids = Vec::with_capacity(wave.len());
             for &(a, b) in wave {
@@ -221,7 +234,14 @@ fn run_cell(plant: &GeneratedPlant, cell: &Cell, seed: u64) -> CellOutcome {
             }
         });
         ctl.run_until_idle();
+        after_wave(&mut ctl);
     }
+    (ctl, accepted, recorder)
+}
+
+/// Run one cell and gather what the report aggregates.
+fn run_cell(p: &Plant, cell: &Cell) -> CellOutcome {
+    let (ctl, accepted, recorder) = drive_cell(p, cell, "scale", WAVE_INTENTS, false, |_| {});
     let mut memory = ctl.memory_footprint();
     let cache = ctl.route_cache_stats();
     memory.add(
@@ -302,7 +322,7 @@ impl Experiment for Scale {
     }
 
     fn run(&self, p: &Plant, cell: &Cell, _: bool) -> Result<CellRun<CellOutcome>, String> {
-        let o = run_cell(&p.plant, cell, p.seed);
+        let o = run_cell(p, cell);
         Ok(CellRun {
             digest: o.digest,
             text: String::new(),
@@ -324,18 +344,18 @@ impl Experiment for Scale {
             "p99 scaling {} vs {} roadms: {ratio:.2}x (limit {MAX_RATIO:.0}x)\n",
             last.roadms, first.roadms
         ));
-        harness::check(
-            ratio <= MAX_RATIO,
-            Self::NAME,
-            format!("{} roadms", last.roadms),
-            || {
-                format!(
-                    "p99 setup latency grew {ratio:.2}x from {} to {} ROADMs (limit {MAX_RATIO}x) — \
-                     the hot paths are no longer sub-linear in plant size",
-                    first.roadms, last.roadms
-                )
-            },
-        )?;
+        if ratio > MAX_RATIO {
+            let detail = format!(
+                "p99 setup latency grew {ratio:.2}x from {} to {} ROADMs (limit {MAX_RATIO}x) — \
+                 the hot paths are no longer sub-linear in plant size",
+                first.roadms, last.roadms
+            );
+            return Err(GateError::new(
+                Self::NAME,
+                format!("{} roadms", last.roadms),
+                detail,
+            ));
+        }
         let report = ScaleReport {
             header: ctx.header.clone(),
             benchmark: "scale_sweep".into(),

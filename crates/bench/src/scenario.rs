@@ -271,6 +271,16 @@ pub fn run_with(spec: &ScenarioSpec) -> Result<(String, Controller), ScenarioErr
     Ok((out, ctl))
 }
 
+/// CRC-32C over a scenario transcript and the controller's state digest:
+/// what two runs of one scenario with an observer off and on (the NOC,
+/// the WAL) must agree on.
+pub fn transcript_digest(text: &str, state: &str) -> u32 {
+    let mut crc = simcore::Crc32c::new();
+    crc.update(text.as_bytes());
+    crc.update(state.as_bytes());
+    crc.finish()
+}
+
 /// Build the genesis controller for a spec: plant, configuration, and
 /// NOC cadence — but none of the scenario's intents. Calling this twice
 /// with the same spec yields byte-identical controllers, which is what

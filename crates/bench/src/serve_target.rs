@@ -10,7 +10,7 @@
 //! and priority drains batched into `Controller::journal_batch` with a
 //! WAL attached — the durability boundary at the API edge.
 //!
-//! Each grid cell is a [`harness`](crate::harness) cell. Three
+//! Each grid cell is a [`crate::harness`] cell. Three
 //! properties are gated at every one:
 //!
 //! - **server-on/off digest identity** — replaying the admitted-intent
@@ -242,35 +242,30 @@ fn run_cell(&(tenants, load, abuser): &ServeCell) -> Result<CellRun<ServeOut>, S
     let mut server = ApiServer::new(bed, dir, ServerConfig::default());
     server.run(&requests, cfg.horizon);
     let outcome = server.finish();
-    ensure(outcome.offered == requests.len() as u64, || {
-        format!(
-            "request accounting leak: {} offered of {} requests",
-            outcome.offered,
-            requests.len()
-        )
-    })?;
-    ensure(outcome.controller_refusals == 0, || {
-        format!(
-            "the edge admitted {} intents the controller refused",
-            outcome.controller_refusals
-        )
-    })?;
+    ensure!(
+        outcome.offered == requests.len() as u64,
+        "request accounting leak: {} offered of {} requests",
+        outcome.offered,
+        requests.len()
+    );
+    ensure!(
+        outcome.controller_refusals == 0,
+        "the edge admitted {} intents the controller refused",
+        outcome.controller_refusals
+    );
     let replay = replay_admitted(
         build_testbed(ROADMS, cfg.pairs, cfg.seed),
         &outcome.admitted,
         cfg.horizon,
     );
-    ensure(outcome.digest_crc == replay, || {
-        format!(
-            "server-on vs replay digests differ: {:#010x} vs {replay:#010x}",
-            outcome.digest_crc
-        )
-    })?;
+    ensure!(
+        outcome.digest_crc == replay,
+        "server-on vs replay digests differ: {:#010x} vs {replay:#010x}",
+        outcome.digest_crc
+    );
     let caps = ServerConfig::default().queue_capacity;
     for (hw, cap) in outcome.queue_high_water.iter().zip(caps) {
-        ensure(*hw <= cap, || {
-            format!("queue high water {hw} exceeded capacity {cap}")
-        })?;
+        ensure!(*hw <= cap, "queue high water {hw} exceeded capacity {cap}");
     }
     let well_admitted = outcome.admitted.iter().filter(|a| !a.abusive).count() as u64;
     let point = build_point(tenants, load, &outcome, replay);
@@ -375,18 +370,16 @@ fn fairness(without: &ServeOut, with: &ServeOut) -> Result<FairnessReport, Strin
     // The abuser is free-tier: everything it gets past its own token
     // bucket is a leak bounded by burst + refill over the horizon.
     let retention = with.well_admitted as f64 / without.well_admitted.max(1) as f64;
-    ensure(retention >= MIN_FAIRNESS_RETENTION, || {
-        format!(
-            "abuser caused collateral damage: well-behaved admissions fell to \
+    ensure!(
+        retention >= MIN_FAIRNESS_RETENTION,
+        "abuser caused collateral damage: well-behaved admissions fell to \
              {retention:.3} of the abuser-off run (floor {MIN_FAIRNESS_RETENTION})"
-        )
-    })?;
-    ensure(with.abusive_admitted <= 16, || {
-        format!(
-            "the limiter leaked {} abusive admissions",
-            with.abusive_admitted
-        )
-    })?;
+    );
+    ensure!(
+        with.abusive_admitted <= 16,
+        "the limiter leaked {} abusive admissions",
+        with.abusive_admitted
+    );
     Ok(FairnessReport {
         tenants: FAIRNESS_FLEET,
         abuser_tenant: ABUSER_TENANT,
@@ -451,24 +444,16 @@ impl Experiment for Serve {
     }
 
     fn finish(&self, ctx: &Ctx, runs: Runs<Self>) -> Result<Finished<ServeReport>, GateError> {
+        // The abuser cell runs last (`points`); its baseline is the grid's
+        // fairness-fleet cell at 1x.
         let run = runs.into_iter().next().expect("one point");
-        let mut grid = Vec::new();
-        let mut abuser = None;
-        let mut baseline = None;
-        for (&(tenants, load, with_abuser), cell) in run.cells.iter().zip(run.main) {
-            if with_abuser {
-                abuser = Some(cell.out);
-            } else {
-                if (tenants, load) == (FAIRNESS_FLEET, 1.0) {
-                    baseline = Some(grid.len());
-                }
-                grid.push(cell.out);
-            }
-        }
-        let (abuser, baseline) = (
-            abuser.expect("the grid carries the abuser cell"),
-            baseline.expect("the grid carries the fairness fleet at 1x"),
-        );
+        let baseline = run
+            .cells
+            .iter()
+            .position(|c| *c == (FAIRNESS_FLEET, 1.0, false));
+        let mut grid: Vec<ServeOut> = run.main.into_iter().map(|c| c.out).collect();
+        let abuser = grid.pop().expect("the grid carries the abuser cell");
+        let baseline = baseline.expect("the grid carries the fairness fleet at 1x");
         let fairness = fairness(&grid[baseline], &abuser)
             .map_err(|e| GateError::new(Self::NAME, "fairness pair", e))?;
         let mut out: String = grid.iter().map(|o| point_summary(&o.point)).collect();

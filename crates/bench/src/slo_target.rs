@@ -16,7 +16,7 @@
 //! - every cell absorbed into one [`TelemetryRollup`] keyed by region,
 //!   and a fleet [`SloEngine`] evaluated into per-region error budgets.
 //!
-//! Each point is a [`harness`](crate::harness) point whose cells are its
+//! Each point is a [`crate::harness`] point whose cells are its
 //! regions and whose observer is the telemetry stack: the harness runs
 //! every point telemetry-off first and requires per-cell
 //! `state_digest_crc()` equality with the telemetry-on run — observing
@@ -35,18 +35,18 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use griphon::rwa::RegionMap;
-use griphon::{Controller, ControllerConfig, RootCause, SloEngine, SloSpec, TelemetryRollup};
-use photonic::LineRate;
+use griphon::{Controller, RootCause, SloEngine, SloSpec, TelemetryRollup};
 use serde::Serialize;
 use simcore::metrics::FamilyRegistry;
-use simcore::{DataRate, SimDuration, SimTime, TailSampleConfig, TailSampleStats, TailSampler};
+use simcore::{SimDuration, SimTime, TailSampleConfig, TailSampleStats, TailSampler};
 
 use crate::harness::{
     ensure, CellRun, Ctx, Experiment, Finished, GateError, Identity, PointRun, Runs, Sweep,
 };
 use crate::noc_target::BACKBONE_WEEK_FAULTS;
-use crate::scale_target::{hot_pair_cells, plant, Cell, Plant, FULL_SWEEP, REDUCED_SWEEP};
+use crate::scale_target::{
+    drive_cell, hot_pair_cells, plant, Cell, Plant, FULL_SWEEP, REDUCED_SWEEP,
+};
 use crate::scenario::{self, ScenarioSpec};
 
 /// Hot endpoint pairs / waves / intents per wave. Lighter than the
@@ -117,43 +117,13 @@ fn run_cell(
     cell: &Cell,
     telemetry: bool,
 ) -> Result<CellRun<Option<CellTelemetry>>, String> {
-    let cell_seed = plant.seed ^ (cell.region as u64) << 32;
-    let cfg = ControllerConfig {
-        seed: cell_seed,
-        ems: photonic::EmsProfile::calibrated_deterministic(),
-        equalization: photonic::EqualizationModel::calibrated_deterministic(),
-        ..ControllerConfig::default()
-    };
-    let mut ctl = Controller::new(plant.plant.net.clone(), cfg);
-    ctl.install_region_map(RegionMap::new(plant.plant.region_of.clone()))
-        .expect("generated plants satisfy the single-gateway invariant");
-    let customer = ctl.register_tenant("slo", DataRate::from_gbps(1_000_000));
-    if telemetry {
-        ctl.spans.set_enabled(true);
-    }
     let mut sampler = TailSampler::new(TailSampleConfig {
         window: SimDuration::from_mins(5),
         keep_slowest: KEEP_SLOWEST,
         slow_threshold: Some(SimDuration::from_secs_f64(SETUP_THRESHOLD_SECS)),
     });
     let mut setups: Vec<(SimTime, SimDuration)> = Vec::new();
-    for wave in cell.intents.chunks(WAVE_INTENTS) {
-        let (ids, _) = ctl.journal_batch(|c| {
-            let mut ids = Vec::with_capacity(wave.len());
-            for &(a, b) in wave {
-                if let Ok(id) = c.request_wavelength(customer, a, b, LineRate::Gbps10) {
-                    ids.push(id);
-                }
-            }
-            ids
-        });
-        ctl.run_until_idle();
-        let (_, _) = ctl.journal_batch(|c| {
-            for id in &ids {
-                let _ = c.request_teardown(*id);
-            }
-        });
-        ctl.run_until_idle();
+    let (ctl, _, _) = drive_cell(plant, cell, "slo", WAVE_INTENTS, telemetry, |ctl| {
         if telemetry {
             // Periodic drain, exactly the fleet-agent cadence: score
             // roots against the SLO, then let the tail sampler decide
@@ -168,7 +138,7 @@ fn run_cell(
             }
             sampler.ingest(&batch);
         }
-    }
+    });
     let digest = ctl.state_digest_crc();
     let drops = ctl.spans.dropped() + ctl.trace.dropped();
     if !telemetry {
@@ -180,7 +150,7 @@ fn run_cell(
     let mut families = FamilyRegistry::new();
     {
         let h = families.histogram("slo_setup_seconds", &[]);
-        h.enable_exemplars(cell_seed, EXEMPLAR_CAPACITY);
+        h.enable_exemplars(plant.seed ^ (cell.region as u64) << 32, EXEMPLAR_CAPACITY);
         for &(_, d) in &setups {
             h.record(d.as_secs_f64());
         }
@@ -209,9 +179,10 @@ fn run_cell(
         .map(|e| e.span_id)
         .collect();
     for id in &exemplar_ids {
-        ensure(kept.contains(id), || {
-            format!("exemplar span_id {id} does not resolve to a sampled trace")
-        })?;
+        ensure!(
+            kept.contains(id),
+            "exemplar span_id {id} does not resolve to a sampled trace"
+        );
     }
     families
         .counter("slo_setups_total", &[])
@@ -622,15 +593,12 @@ fn run_week() -> Result<(FamilyRegistry, WeekSummary, String), String> {
     }
     let pages = alerts.iter().filter(|a| a.severity == "page").count();
     let tickets = alerts.len() - pages;
-    ensure(pages >= 1, || {
-        format!("the week's fiber cuts must page: {alerts:?}")
-    })?;
-    ensure(attributed == alerts.len(), || {
-        format!(
-            "{attributed} of {} week alerts attribute to an open fault domain",
-            alerts.len()
-        )
-    })?;
+    ensure!(pages >= 1, "the week's fiber cuts must page: {alerts:?}");
+    ensure!(
+        attributed == alerts.len(),
+        "{attributed} of {} week alerts attribute to an open fault domain",
+        alerts.len()
+    );
 
     // SLA gauges per tenant, SLO gauges per stream — the week half of
     // the fleet exposition.
@@ -640,12 +608,11 @@ fn run_week() -> Result<(FamilyRegistry, WeekSummary, String), String> {
         availability = availability.min(report.aggregate);
         report.export(name, &mut global);
     }
-    ensure(availability > 0.999 && availability < 1.0, || {
-        format!(
-            "two ~66 s restorations over a week should land just under \
+    ensure!(
+        availability > 0.999 && availability < 1.0,
+        "two ~66 s restorations over a week should land just under \
              four nines, got {availability}"
-        )
-    })?;
+    );
     engine.export(week_end, &mut global);
 
     let budgets = engine

@@ -19,7 +19,7 @@
 //! dominate; latency grows superlinearly with hop count; setup ≫
 //! teardown) from the same draws that drove the simulation.
 //!
-//! Each scenario is one [`harness`](crate::harness) cell whose observer
+//! Each scenario is one [`crate::harness`] cell whose observer
 //! is the span recorder: the harness runs it with spans off and on and
 //! requires equal state digests, runs it on 1/2/8 workers, and fails the
 //! run on any dropped span. The Chrome trace is the golden
@@ -27,12 +27,13 @@
 
 use std::collections::BTreeMap;
 
-use griphon::controller::{Controller, ControllerConfig};
-use photonic::{EmsProfile, EqualizationModel, LineRate, PhotonicNetwork, TestbedIds};
+use griphon::controller::Controller;
+use photonic::{LineRate, TestbedIds};
 use serde::Serialize;
 use simcore::span::{self, RootRollup};
 use simcore::{DataRate, SimDuration, Span};
 
+use crate::experiments::quiet_testbed;
 use crate::harness::{
     ensure, CellRun, Ctx, Experiment, Finished, GateError, Identity, Runs, Sweep,
 };
@@ -61,13 +62,7 @@ pub struct Scenario {
 type Body = fn(bool) -> (Controller, Vec<(&'static str, SimDuration)>);
 
 fn traced_testbed(ots: usize, spans: bool) -> (Controller, TestbedIds) {
-    let (net, ids) = PhotonicNetwork::testbed(ots);
-    let cfg = ControllerConfig {
-        ems: EmsProfile::calibrated_deterministic(),
-        equalization: EqualizationModel::calibrated_deterministic(),
-        ..ControllerConfig::default()
-    };
-    let mut ctl = Controller::new(net, cfg);
+    let (mut ctl, ids) = quiet_testbed(ots);
     ctl.spans.set_enabled(spans);
     (ctl, ids)
 }
@@ -188,7 +183,6 @@ pub struct Trace;
 impl Experiment for Trace {
     const NAME: &'static str = "trace";
     const IDENTITY: Identity = Identity::Observer;
-    const SWEEPS: bool = false;
     type Point = ();
     type Cell = (&'static str, Body);
     type Out = Scenario;
@@ -197,8 +191,6 @@ impl Experiment for Trace {
     fn points(&self, _: Sweep) -> Vec<()> {
         vec![()]
     }
-
-    fn probe(&self) {}
 
     fn cells(&self, _: &()) -> Vec<Self::Cell> {
         bodies()
@@ -378,16 +370,17 @@ fn build(ctx: &Ctx, scenarios: &[Scenario]) -> Result<(TraceReport, String), Str
     // (b) growth is superlinear and carried by the equalization phase,
     // (c) EMS bookkeeping + optical settling dominate the total.
     for w in table2.windows(2) {
-        ensure(w[1].total_secs > w[0].total_secs, || {
-            "setup latency must grow with hop count".into()
-        })?;
+        ensure!(
+            w[1].total_secs > w[0].total_secs,
+            "setup latency must grow with hop count"
+        );
     }
     if table2.len() >= 3 {
         let eq = |r: &HopRow| r.phases_secs.get("phase.equalize").copied().unwrap_or(0.0);
-        ensure(
+        ensure!(
             eq(&table2[2]) - eq(&table2[1]) > eq(&table2[1]) - eq(&table2[0]),
-            || "equalization increments must grow (superlinear in hops)".into(),
-        )?;
+            "equalization increments must grow (superlinear in hops)"
+        );
     }
     for r in &table2 {
         let slow = [
@@ -399,12 +392,12 @@ fn build(ctx: &Ctx, scenarios: &[Scenario]) -> Result<(TraceReport, String), Str
         .iter()
         .filter_map(|k| r.phases_secs.get(*k))
         .sum::<f64>();
-        ensure(slow > 0.7 * r.total_secs, || {
-            format!(
-                "EMS + optical settling must dominate ({}h: {slow:.2}/{:.2})",
-                r.hops, r.total_secs
-            )
-        })?;
+        ensure!(
+            slow > 0.7 * r.total_secs,
+            "EMS + optical settling must dominate ({}h: {slow:.2}/{:.2})",
+            r.hops,
+            r.total_secs
+        );
     }
 
     // ── teardown, sub-λ, restoration, policy aggregates ───────────────
@@ -439,22 +432,27 @@ fn build(ctx: &Ctx, scenarios: &[Scenario]) -> Result<(TraceReport, String), Str
     }
     let teardown_secs = mean_secs(td_total, td_count);
     let subwl_setup_secs = mean_secs(subwl_total, subwl_count);
-    ensure(td_count > 0 && subwl_count > 0, || {
-        "scenarios must cover teardown and OTN".into()
-    })?;
+    ensure!(
+        td_count > 0 && subwl_count > 0,
+        "scenarios must cover teardown and OTN"
+    );
     // Setup ≫ teardown ≫ electronic sub-λ setup (paper §3 and §1).
-    ensure(table2[0].total_secs > 5.0 * teardown_secs, || {
-        "setup must dwarf teardown".into()
-    })?;
-    ensure(subwl_setup_secs < teardown_secs, || {
-        "electronic OTN setup must be faster than optical teardown".into()
-    })?;
-    ensure(policy_decisions > 0, || {
-        "policy scenario must record scheduler decisions".into()
-    })?;
-    ensure(queue_wait >= SimDuration::from_secs(60), || {
-        "serialized restoration must expose ≥ one setup of queue wait".into()
-    })?;
+    ensure!(
+        table2[0].total_secs > 5.0 * teardown_secs,
+        "setup must dwarf teardown"
+    );
+    ensure!(
+        subwl_setup_secs < teardown_secs,
+        "electronic OTN setup must be faster than optical teardown"
+    );
+    ensure!(
+        policy_decisions > 0,
+        "policy scenario must record scheduler decisions"
+    );
+    ensure!(
+        queue_wait >= SimDuration::from_secs(60),
+        "serialized restoration must expose ≥ one setup of queue wait"
+    );
 
     // ── Chrome trace export ───────────────────────────────────────────
     let groups: Vec<(&str, &[Span])> = scenarios
@@ -552,16 +550,16 @@ fn check_chrome_trace(chrome: &str, expected_spans: u64) -> Result<(), String> {
     let parsed: ChromeTrace =
         serde_json::from_str(chrome).map_err(|e| format!("not valid JSON: {e}"))?;
     let complete: Vec<&ChromeEvent> = parsed.trace_events.iter().filter(|e| e.ph == "X").collect();
-    ensure(complete.len() as u64 == expected_spans, || {
-        format!(
-            "{} complete events for {expected_spans} spans",
-            complete.len()
-        )
-    })?;
-    ensure(
+    ensure!(
+        complete.len() as u64 == expected_spans,
+        "{} complete events for {expected_spans} spans",
+        complete.len()
+    );
+    ensure!(
         complete.iter().all(|e| e.ts.is_some() && e.dur.is_some()),
-        || "a complete event lacks ts/dur".into(),
-    )
+        "a complete event lacks ts/dur"
+    );
+    Ok(())
 }
 
 #[cfg(test)]

@@ -16,10 +16,11 @@ use griphon_bench::{
     ha_target, measure_target, noc_target, serve_target, slo_target, trace_target,
 };
 
-type Goldens = Result<Vec<(&'static str, String)>, GateError>;
+/// Builds one target's goldens: `(name under tests/golden, bytes)`.
+type Build = fn() -> Result<Vec<(&'static str, String)>, GateError>;
 
 /// Every artifact target with goldens, and how to build them.
-const TARGETS: &[(&str, fn() -> Goldens)] = &[
+const TARGETS: &[(&str, Build)] = &[
     ("trace", || harness::goldens(&trace_target::Trace)),
     ("noc", || harness::goldens(&noc_target::Noc)),
     ("ha", || harness::goldens(&ha_target::Ha)),
