@@ -133,10 +133,6 @@ pub struct CadencePoint {
 /// The machine-readable report written to `BENCH_ha.json`.
 #[derive(Serialize)]
 pub struct HaReport {
-    /// Common `BENCH_*.json` header.
-    pub header: crate::BenchHeader,
-    /// Report name, fixed to `ha`.
-    pub benchmark: String,
     /// Shipping cadence (scenario barriers between standby syncs).
     pub sync_every_barriers: u64,
     /// Snapshot cadence (WAL records) for the crash-schedule runs.
@@ -446,14 +442,12 @@ impl Experiment for Ha {
             cadence_sweep.extend(cadence);
         }
         let report = HaReport {
-            header: ctx.header.clone(),
-            benchmark: "ha".to_string(),
             sync_every_barriers: SYNC_EVERY,
             snapshot_cadence: SNAPSHOT_CADENCE,
             scenarios,
             cadence_sweep,
         };
-        let json = harness::json(&report);
+        let json = harness::report_json::<Self>(ctx, &report);
         Ok(Finished {
             summary: render(&report),
             report,

@@ -22,7 +22,7 @@
 use std::fmt;
 use std::time::Instant;
 
-use serde::Serialize;
+use serde::{Content, Serialize};
 
 use crate::BenchHeader;
 
@@ -163,13 +163,12 @@ pub struct Ctx {
     pub sweep: Sweep,
     /// Workers of the main run.
     pub threads: usize,
-    /// The header to stamp onto the report.
-    pub header: BenchHeader,
 }
 
 /// What `finish` hands back.
 pub struct Finished<R> {
-    /// Written to `BENCH_<target>.json`.
+    /// Written to `BENCH_<target>.json` behind the harness's envelope
+    /// ([`report_json`]).
     pub report: R,
     /// Human-readable summary `repro` prints.
     pub summary: String,
@@ -189,8 +188,10 @@ pub trait Experiment: Sync {
     const NAME: &'static str;
     /// What the reference run varies.
     const IDENTITY: Identity;
-    /// Whether the sweep has a reduced profile (else the header says
-    /// `default`).
+    /// The report's `benchmark` field.
+    const BENCHMARK: &'static str = Self::NAME;
+    /// Whether the sweep has a reduced profile: the envelope then
+    /// carries `sweep` and `threads`, else the header says `default`.
     const SWEEPS: bool = false;
     /// What a point's cells share (a plant, a scenario).
     type Point: Sync;
@@ -198,7 +199,7 @@ pub trait Experiment: Sync {
     type Cell: Sync;
     /// What a cell returns besides its digest, text and drops.
     type Out: Send;
-    /// The `BENCH_<NAME>.json` document.
+    /// The target's own fields of `BENCH_<NAME>.json`: a struct.
     type Report: Serialize;
 
     /// The points of `sweep`, in run order.
@@ -270,9 +271,40 @@ macro_rules! ensure {
 }
 pub(crate) use ensure;
 
-/// The report as written: pretty JSON, no trailing newline.
-pub fn json<R: Serialize>(report: &R) -> String {
-    serde_json::to_string_pretty(report).expect("report serialises")
+/// Pretty JSON, no trailing newline.
+pub fn json<R: Serialize>(value: &R) -> String {
+    serde_json::to_string_pretty(value).expect("report serialises")
+}
+
+/// `BENCH_<target>.json` as written: the envelope — the [`BenchHeader`],
+/// the `benchmark` name and, for a sweeping target, the `sweep` and
+/// `threads` — then the report's own fields.
+pub fn report_json<E: Experiment>(ctx: &Ctx, report: &E::Report) -> String {
+    /// A value already in serde's data model.
+    struct Raw(Content);
+    impl Serialize for Raw {
+        fn serialize(&self) -> Content {
+            self.0.clone()
+        }
+    }
+    let profile = if E::SWEEPS {
+        ctx.sweep.label()
+    } else {
+        "default"
+    };
+    let mut fields = vec![
+        ("header", BenchHeader::new(E::NAME, profile).serialize()),
+        ("benchmark", E::BENCHMARK.serialize()),
+    ];
+    if E::SWEEPS {
+        fields.push(("sweep", profile.serialize()));
+        fields.push(("threads", ctx.threads.serialize()));
+    }
+    let Content::Map(own) = report.serialize() else {
+        panic!("a report serialises to a map");
+    };
+    let envelope = fields.into_iter().map(|(k, v)| (k.serialize(), v));
+    json(&Raw(Content::Map(envelope.chain(own).collect())))
 }
 
 /// The first line where `a` and `b` differ, for a gate message.
@@ -377,13 +409,7 @@ pub fn run<E: Experiment>(
             reference_secs,
         });
     }
-    let profile = if E::SWEEPS { sweep.label() } else { "default" };
-    let ctx = Ctx {
-        sweep,
-        threads,
-        header: BenchHeader::new(E::NAME, profile),
-    };
-    exp.finish(&ctx, runs)
+    exp.finish(&Ctx { sweep, threads }, runs)
 }
 
 /// The identity gates over `exp`'s probe point: the observer off and on
@@ -414,10 +440,14 @@ pub fn goldens<E: Experiment>(exp: &E) -> Result<Vec<(&'static str, String)>, Ga
 /// `REPRO_THREADS` workers and the identity gates, write
 /// `BENCH_<target>.json` and the side files, return the summary.
 pub fn emit<E: Experiment>(exp: &E) -> Result<String, GateError> {
-    let done = run(exp, Sweep::from_env(), repro_threads())?;
+    let ctx = Ctx {
+        sweep: Sweep::from_env(),
+        threads: repro_threads(),
+    };
+    let done = run(exp, ctx.sweep, ctx.threads)?;
     let probed = identity(exp)?;
     let bench = format!("BENCH_{}.json", E::NAME);
-    std::fs::write(&bench, json(&done.report)).expect("write report");
+    std::fs::write(&bench, report_json::<E>(&ctx, &done.report)).expect("write report");
     let mut wrote = vec![bench];
     for (name, bytes) in &done.files {
         std::fs::write(name, bytes).expect("write artifact");
@@ -472,8 +502,7 @@ mod tests {
             Ok(CellRun { drops, ..run })
         }
 
-        fn finish(&self, ctx: &Ctx, runs: Runs<Self>) -> Result<Finished<Vec<u32>>, GateError> {
-            assert_eq!(ctx.header.sweep, "default");
+        fn finish(&self, _: &Ctx, runs: Runs<Self>) -> Result<Finished<Vec<u32>>, GateError> {
             Ok(Finished {
                 report: runs[0].main.iter().map(|c| c.digest).collect(),
                 summary: String::new(),

@@ -168,7 +168,7 @@ fn jobs() -> Vec<BulkJob> {
 
 /// Run one `(scenario, mode, observability)` cell. Pure function of its
 /// arguments; the digest must not depend on `observability` — that is
-/// the per-cell identity assert.
+/// the harness's on/off gate.
 fn run_cell(s: &Scenario, mode: MeasuredMode, observability: bool) -> (u32, MeasuredRun) {
     let seed = point_seed(s.name);
     let horizon = SimDuration::from_hours(HORIZON_HOURS);
@@ -251,22 +251,14 @@ pub struct ScenarioRow {
     pub under_delivery_ticks: u64,
     /// Exemplars retained on the estimate histogram (estimated run).
     pub exemplars: usize,
-    /// CRC-32C over the scenario's per-cell digests (identical
-    /// on/off — asserted).
+    /// CRC-32C over the scenario's per-cell state digests (identical
+    /// on/off — gated).
     pub digest_crc: u32,
 }
 
 /// The `BENCH_measure.json` document.
 #[derive(Debug, Clone, Serialize)]
 pub struct MeasureReport {
-    /// Common `BENCH_*.json` header.
-    pub header: crate::BenchHeader,
-    /// Report identifier.
-    pub benchmark: String,
-    /// Sweep profile (`full` or `reduced`).
-    pub sweep: String,
-    /// Worker threads used for the cell fan-out.
-    pub threads: usize,
     /// Shared-path capacity (Gbps).
     pub capacity_gbps: f64,
     /// Policy horizon (hours).
@@ -354,7 +346,7 @@ impl Experiment for Measure {
         })
     }
 
-    fn finish(&self, ctx: &Ctx, runs: Runs<Self>) -> Result<Finished<MeasureReport>, GateError> {
+    fn finish(&self, _: &Ctx, runs: Runs<Self>) -> Result<Finished<MeasureReport>, GateError> {
         let mut out = String::new();
         let mut rows = Vec::new();
         let mut exposition = String::new();
@@ -400,10 +392,6 @@ impl Experiment for Measure {
         }
         out.push_str(&format!("probe drops: 0 across {} scenarios\n", rows.len()));
         let report = MeasureReport {
-            header: ctx.header.clone(),
-            benchmark: "measure".into(),
-            sweep: ctx.sweep.label().into(),
-            threads: ctx.threads,
             capacity_gbps: CAPACITY_GBPS as f64,
             horizon_hours: HORIZON_HOURS,
             tick_secs: TICK_SECS,

@@ -110,10 +110,6 @@ pub struct ScenarioReport {
 /// The machine-readable report written to `BENCH_noc.json`.
 #[derive(Serialize)]
 pub struct NocReport {
-    /// Common `BENCH_*.json` header.
-    pub header: crate::BenchHeader,
-    /// Report name, fixed to `noc`.
-    pub benchmark: String,
     /// Scrape cadence driving both scenarios (seconds).
     pub scrape_secs: u64,
     /// One block per replayed scenario.
@@ -228,13 +224,11 @@ impl Experiment for Noc {
             series,
         ));
         let report = NocReport {
-            header: ctx.header.clone(),
-            benchmark: "noc".to_string(),
             scrape_secs: SCRAPE_SECS,
             scenarios,
             exposition_file: EXPOSITION_FILE.to_string(),
         };
-        let json = harness::json(&report);
+        let json = harness::report_json::<Self>(ctx, &report);
         Ok(Finished {
             report,
             summary,

@@ -34,9 +34,18 @@ pub enum Category {
 }
 
 impl Category {
-    /// `--list` section header: the variant's name in lower case.
-    pub fn header(self) -> String {
-        format!("{self:?}").to_lowercase()
+    /// `--list` section header.
+    pub fn header(self) -> &'static str {
+        match self {
+            Category::Paper => "paper",
+            Category::Perf => "perf",
+            Category::Economics => "economics",
+            Category::Observability => "observability",
+            Category::Measurement => "measurement",
+            Category::Durability => "durability",
+            Category::Scale => "scale",
+            Category::Service => "service",
+        }
     }
 
     /// Whether this category's targets are harness experiments that

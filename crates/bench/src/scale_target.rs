@@ -108,14 +108,6 @@ pub struct ScalePoint {
 /// The `BENCH_scale.json` document.
 #[derive(Debug, Clone, Serialize)]
 pub struct ScaleReport {
-    /// Common `BENCH_*.json` header.
-    pub header: crate::BenchHeader,
-    /// Report identifier.
-    pub benchmark: String,
-    /// Sweep profile (`full` or `reduced`).
-    pub sweep: String,
-    /// Worker threads used for sharded runs.
-    pub threads: usize,
     /// One entry per plant size.
     pub points: Vec<ScalePoint>,
     /// p99(largest) / p99(smallest).
@@ -290,6 +282,7 @@ pub struct Scale;
 
 impl Experiment for Scale {
     const NAME: &'static str = "scale";
+    const BENCHMARK: &'static str = "scale_sweep";
     const IDENTITY: Identity = Identity::Shard;
     const SWEEPS: bool = true;
     type Point = Plant;
@@ -357,10 +350,6 @@ impl Experiment for Scale {
             ));
         }
         let report = ScaleReport {
-            header: ctx.header.clone(),
-            benchmark: "scale_sweep".into(),
-            sweep: ctx.sweep.label().into(),
-            threads: ctx.threads,
             points,
             p99_ratio_vs_smallest: ratio,
             max_allowed_p99_ratio: MAX_RATIO,

@@ -49,7 +49,7 @@ use crate::harness::{
 /// Fleet sizes of the default sweep.
 const FULL_FLEETS: &[u64] = &[10_000, 100_000, 1_000_000];
 /// The `SCALE_SWEEP=reduced` fleet sizes CI runs on every push (also
-/// the golden grid — `build()` always uses this one).
+/// the golden grid).
 const REDUCED_FLEETS: &[u64] = &[10_000, 100_000];
 /// Offered-load multipliers over the drain capacity.
 const LOADS: &[f64] = &[0.5, 1.0, 4.0];
@@ -193,14 +193,6 @@ pub struct ServeGolden {
 /// The `BENCH_serve.json` document.
 #[derive(Debug, Clone, Serialize)]
 pub struct ServeReport {
-    /// Common `BENCH_*.json` header.
-    pub header: crate::BenchHeader,
-    /// Report identifier.
-    pub benchmark: String,
-    /// Sweep profile (`full` or `reduced`).
-    pub sweep: String,
-    /// Worker threads the grid was fanned across.
-    pub threads: usize,
     /// One cell per grid point.
     pub points: Vec<ServePoint>,
     /// Host-wall-clock submit throughput per point, intents offered/sec
@@ -217,9 +209,8 @@ type ServeCell = (u64, f64, bool);
 pub struct ServeOut {
     point: ServePoint,
     host_secs: f64,
+    /// Admissions of tenants other than the abuser.
     well_admitted: u64,
-    abusive_admitted: u64,
-    free_rate_limited: u64,
 }
 
 /// Run one cell end to end: generate the fleet, run the server (WAL
@@ -277,8 +268,6 @@ fn run_cell(&(tenants, load, abuser): &ServeCell) -> Result<CellRun<ServeOut>, S
             point,
             host_secs: t0.elapsed().as_secs_f64(),
             well_admitted,
-            abusive_admitted: outcome.admitted.len() as u64 - well_admitted,
-            free_rate_limited: outcome.rate_limited_per_tier[2],
         },
     })
 }
@@ -375,20 +364,20 @@ fn fairness(without: &ServeOut, with: &ServeOut) -> Result<FairnessReport, Strin
         "abuser caused collateral damage: well-behaved admissions fell to \
              {retention:.3} of the abuser-off run (floor {MIN_FAIRNESS_RETENTION})"
     );
+    let abusive_admitted = with.point.admitted - with.well_admitted;
     ensure!(
-        with.abusive_admitted <= 16,
-        "the limiter leaked {} abusive admissions",
-        with.abusive_admitted
+        abusive_admitted <= 16,
+        "the limiter leaked {abusive_admitted} abusive admissions"
     );
     Ok(FairnessReport {
         tenants: FAIRNESS_FLEET,
         abuser_tenant: ABUSER_TENANT,
         abuser_rate_per_sec: ABUSER_RATE_PER_SEC,
         abuser_offered: (ABUSER_RATE_PER_SEC * FleetConfig::default().horizon.as_secs_f64()) as u64,
-        abuser_admitted: with.abusive_admitted,
-        abuser_rate_limited: with
-            .free_rate_limited
-            .saturating_sub(without.free_rate_limited),
+        abuser_admitted: abusive_admitted,
+        abuser_rate_limited: with.point.tiers[2]
+            .rate_limited
+            .saturating_sub(without.point.tiers[2].rate_limited),
         well_admitted_with_abuser: with.well_admitted,
         well_admitted_without_abuser: without.well_admitted,
         retention,
@@ -401,6 +390,7 @@ pub struct Serve;
 
 impl Experiment for Serve {
     const NAME: &'static str = "serve";
+    const BENCHMARK: &'static str = "serve_sweep";
     const IDENTITY: Identity = Identity::Threads;
     const SWEEPS: bool = true;
     type Point = Vec<ServeCell>;
@@ -443,7 +433,7 @@ impl Experiment for Serve {
         run_cell(cell)
     }
 
-    fn finish(&self, ctx: &Ctx, runs: Runs<Self>) -> Result<Finished<ServeReport>, GateError> {
+    fn finish(&self, _: &Ctx, runs: Runs<Self>) -> Result<Finished<ServeReport>, GateError> {
         // The abuser cell runs last (`points`); its baseline is the grid's
         // fairness-fleet cell at 1x.
         let run = runs.into_iter().next().expect("one point");
@@ -478,10 +468,6 @@ impl Experiment for Serve {
             fairness: fairness.clone(),
         };
         let report = ServeReport {
-            header: ctx.header.clone(),
-            benchmark: "serve_sweep".into(),
-            sweep: ctx.sweep.label().into(),
-            threads: ctx.threads,
             points,
             host_intents_per_sec,
             fairness,

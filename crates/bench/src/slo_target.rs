@@ -305,14 +305,6 @@ pub struct BudgetRow {
 /// The `BENCH_slo.json` document.
 #[derive(Debug, Clone, Serialize)]
 pub struct SloReport {
-    /// Common `BENCH_*.json` header.
-    pub header: crate::BenchHeader,
-    /// Report identifier.
-    pub benchmark: String,
-    /// Sweep profile (`full` or `reduced`).
-    pub sweep: String,
-    /// Worker threads used for the cell fan-out.
-    pub threads: usize,
     /// The SLO catalogue (name, objective, threshold seconds).
     pub specs: Vec<(String, f64, f64)>,
     /// One entry per plant size.
@@ -362,7 +354,7 @@ impl Experiment for Slo {
         run_cell(p, cell, telemetry)
     }
 
-    fn finish(&self, ctx: &Ctx, runs: Runs<Self>) -> Result<Finished<SloReport>, GateError> {
+    fn finish(&self, _: &Ctx, runs: Runs<Self>) -> Result<Finished<SloReport>, GateError> {
         let mut out = String::new();
         let mut expositions = Vec::new();
         let points: Vec<SloPoint> = runs
@@ -383,10 +375,6 @@ impl Experiment for Slo {
             week_reg.expose()
         );
         let report = SloReport {
-            header: ctx.header.clone(),
-            benchmark: "slo".into(),
-            sweep: ctx.sweep.label().into(),
-            threads: ctx.threads,
             specs: fleet_specs()
                 .iter()
                 .chain(week_specs().iter())

@@ -224,15 +224,14 @@ impl Experiment for Trace {
         })
     }
 
-    fn finish(&self, ctx: &Ctx, runs: Runs<Self>) -> Result<Finished<TraceReport>, GateError> {
+    fn finish(&self, _: &Ctx, runs: Runs<Self>) -> Result<Finished<TraceReport>, GateError> {
         let scenarios: Vec<Scenario> = runs
             .into_iter()
             .flat_map(|p| p.main)
             .map(|c| c.out)
             .collect();
-        let (mut report, chrome) =
-            build(ctx, &scenarios).map_err(|e| GateError::new(Self::NAME, "table2", e))?;
-        report.chrome_trace_file = CHROME_FILE.to_string();
+        let (report, chrome) =
+            build(&scenarios).map_err(|e| GateError::new(Self::NAME, "table2", e))?;
         check_chrome_trace(&chrome, report.spans_recorded)
             .map_err(|e| GateError::new(Self::NAME, "chrome trace", e))?;
         Ok(Finished {
@@ -267,10 +266,6 @@ pub struct HopRow {
 /// The machine-readable report written to `BENCH_trace.json`.
 #[derive(Serialize)]
 pub struct TraceReport {
-    /// Common `BENCH_*.json` header.
-    pub header: crate::BenchHeader,
-    /// Report name, fixed to `trace`.
-    pub benchmark: String,
     /// Mechanistic Table 2: per-phase setup breakdown by hop count.
     pub table2: Vec<HopRow>,
     /// Mean wavelength teardown seconds (paper: ≈10 s).
@@ -313,22 +308,22 @@ fn check_scenario(s: &Scenario) -> Result<(), String> {
     for (root_name, reported) in &s.reported {
         let r = single_rollup(&s.spans, root_name).ok_or(format!("no {root_name} root span"))?;
         let per_root_total = SimDuration::from_nanos(r.total.as_nanos() / r.count);
-        if per_root_total != *reported {
-            return Err(format!(
-                "{root_name} root span {per_root_total} disagrees with the controller's \
-                 reported {reported}"
-            ));
-        }
-        if r.phase_sum() != r.total {
-            return Err(format!("{root_name} phases do not tile the workflow"));
-        }
+        ensure!(
+            per_root_total == *reported,
+            "{root_name} root span {per_root_total} disagrees with the controller's \
+             reported {reported}"
+        );
+        ensure!(
+            r.phase_sum() == r.total,
+            "{root_name} phases do not tile the workflow"
+        );
     }
     Ok(())
 }
 
 /// Build the report and the Chrome trace from the scenarios, gating
 /// Table 2's shape and the §3 ordering setup ≫ teardown ≫ sub-λ setup.
-fn build(ctx: &Ctx, scenarios: &[Scenario]) -> Result<(TraceReport, String), String> {
+fn build(scenarios: &[Scenario]) -> Result<(TraceReport, String), String> {
     // ── mechanistic Table 2: conn.setup rollups grouped by hop count ──
     let mut by_hops: BTreeMap<u64, RootRollup> = BTreeMap::new();
     for s in scenarios {
@@ -463,8 +458,6 @@ fn build(ctx: &Ctx, scenarios: &[Scenario]) -> Result<(TraceReport, String), Str
 
     let spans_recorded = scenarios.iter().map(|s| s.spans.len() as u64).sum();
     let report = TraceReport {
-        header: ctx.header.clone(),
-        benchmark: "trace".to_string(),
         table2,
         teardown_secs,
         subwl_setup_secs,
@@ -472,7 +465,7 @@ fn build(ctx: &Ctx, scenarios: &[Scenario]) -> Result<(TraceReport, String), Str
         policy_decisions,
         spans_recorded,
         spans_dropped: 0,
-        chrome_trace_file: String::new(),
+        chrome_trace_file: CHROME_FILE.to_string(),
     };
     Ok((report, chrome))
 }
