@@ -39,23 +39,22 @@ pub fn jittered_testbed(ots: usize, seed: u64) -> (Controller, TestbedIds) {
     (Controller::new(net, cfg), ids)
 }
 
+/// Pin the testbed's I → IV route to `hops` hops by cutting the shorter
+/// alternatives, as the paper pinned paths I–IV, I–III–IV and
+/// I–II–III–IV.
+pub(crate) fn pin_route(ctl: &mut Controller, ids: &TestbedIds, hops: usize) {
+    assert!((1..=3).contains(&hops), "testbed offers 1–3 hop routes");
+    for &fiber in &[ids.f_i_iv, ids.f_i_iii][..hops - 1] {
+        ctl.net.fiber_mut(fiber).cut_at(0);
+    }
+}
+
 /// One `measure_setup` iteration: an independent (seed, route) cell that
 /// owns its controller end to end. Returns observed setup seconds.
 fn setup_cell(route_hops: usize, seed: u64) -> f64 {
     let (mut ctl, ids) = jittered_testbed(4, seed);
     let csp = ctl.tenants.register("lab", DataRate::from_gbps(100));
-    // Pin the route by cutting the shorter alternatives.
-    match route_hops {
-        1 => {}
-        2 => {
-            ctl.net.fiber_mut(ids.f_i_iv).cut_at(0);
-        }
-        3 => {
-            ctl.net.fiber_mut(ids.f_i_iv).cut_at(0);
-            ctl.net.fiber_mut(ids.f_i_iii).cut_at(0);
-        }
-        _ => panic!("testbed offers 1–3 hop routes"),
-    }
+    pin_route(&mut ctl, &ids, route_hops);
     let id = ctl
         .request_wavelength(csp, ids.i, ids.iv, LineRate::Gbps10)
         .expect("plannable");

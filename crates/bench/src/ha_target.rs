@@ -510,18 +510,4 @@ mod tests {
         assert!(cuts.contains(&797), "mid-record tear missing");
         assert!(cuts.windows(2).all(|w| w[0] < w[1]), "not sorted/deduped");
     }
-
-    #[test]
-    fn contract_holds() {
-        let a = harness::run(&Ha, Sweep::Full, 2).unwrap().report;
-        assert_eq!(a.scenarios.len(), 2);
-        for s in &a.scenarios {
-            assert_eq!(s.recovered_identical, s.crash_points);
-            assert!(s.warm_takeover_identical);
-            assert!(s.log_records > 0 && s.snapshots > 0);
-        }
-        for p in &a.cadence_sweep {
-            assert!(p.replayed_tail < p.cadence.max(1));
-        }
-    }
 }
