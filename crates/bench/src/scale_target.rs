@@ -123,16 +123,13 @@ pub struct Cell {
     pub(crate) intents: Vec<(RoadmId, RoadmId)>,
 }
 
-/// What a cell run returns: the digest, its latency samples, and the
-/// cache/footprint counters the report aggregates.
+/// What a cell run returns beside its digest: its latency samples and
+/// the cache/footprint counters the report aggregates.
 pub struct CellOutcome {
-    digest: u32,
     latencies_ns: Vec<u64>,
     accepted: usize,
     cache: griphon::RouteCacheStats,
     memory_bytes: u64,
-    trace_dropped: u64,
-    span_dropped: u64,
 }
 
 /// Deterministic per-region intent lists: `hot_pairs` endpoint pairs
@@ -232,7 +229,7 @@ pub(crate) fn drive_cell(
 }
 
 /// Run one cell and gather what the report aggregates.
-fn run_cell(p: &Plant, cell: &Cell) -> CellOutcome {
+fn run_cell(p: &Plant, cell: &Cell) -> CellRun<CellOutcome> {
     let (ctl, accepted, recorder) = drive_cell(p, cell, "scale", WAVE_INTENTS, false, |_| {});
     let mut memory = ctl.memory_footprint();
     let cache = ctl.route_cache_stats();
@@ -240,14 +237,16 @@ fn run_cell(p: &Plant, cell: &Cell) -> CellOutcome {
         "route cache",
         (cache.entries * 512) as u64, // rough per-entry estimate
     );
-    CellOutcome {
+    CellRun {
         digest: ctl.state_digest_crc(),
-        latencies_ns: recorder.samples_ns().to_vec(),
-        accepted,
-        cache,
-        memory_bytes: memory.total(),
-        trace_dropped: ctl.trace.dropped(),
-        span_dropped: ctl.spans.dropped(),
+        text: String::new(),
+        drops: ctl.trace.dropped() + ctl.spans.dropped(),
+        out: CellOutcome {
+            latencies_ns: recorder.samples_ns().to_vec(),
+            accepted,
+            cache,
+            memory_bytes: memory.total(),
+        },
     }
 }
 
@@ -315,13 +314,7 @@ impl Experiment for Scale {
     }
 
     fn run(&self, p: &Plant, cell: &Cell, _: bool) -> Result<CellRun<CellOutcome>, String> {
-        let o = run_cell(p, cell);
-        Ok(CellRun {
-            digest: o.digest,
-            text: String::new(),
-            drops: o.trace_dropped + o.span_dropped,
-            out: o,
-        })
+        Ok(run_cell(p, cell))
     }
 
     fn finish(&self, ctx: &Ctx, runs: Runs<Self>) -> Result<Finished<ScaleReport>, GateError> {
@@ -372,9 +365,9 @@ fn point(r: &PointRun<Plant, Cell, CellOutcome>, threads: usize, out: &mut Strin
     let intents = r.cells.iter().map(|c| c.intents.len()).sum::<usize>();
     let mut crc = simcore::Crc32c::new();
     let mut all = LatencyRecorder::new();
-    for o in &unsharded {
-        crc.update(&o.digest.to_le_bytes());
-        for &ns in &o.latencies_ns {
+    for c in &r.reference {
+        crc.update(&c.digest.to_le_bytes());
+        for &ns in &c.out.latencies_ns {
             all.record_ns(ns);
         }
     }
