@@ -37,9 +37,9 @@ use crate::harness::{
 };
 
 /// The default sweep: paper scale to continental scale.
-pub(crate) const FULL_SWEEP: &[usize] = &[14, 100, 300, 600];
+const FULL_SWEEP: &[usize] = &[14, 100, 300, 600];
 /// The `SCALE_SWEEP=reduced` sweep CI runs on every push.
-pub(crate) const REDUCED_SWEEP: &[usize] = &[14, 100, 200];
+const REDUCED_SWEEP: &[usize] = &[14, 100, 200];
 
 /// Hot endpoint pairs per workload cell. Carrier traffic is skewed —
 /// most demand connects a few popular PoPs — and the repeat rate is what
@@ -268,6 +268,25 @@ pub(crate) fn plant(target: usize, seed: u64) -> Plant {
     }
 }
 
+/// The plants of `sweep`, each generated from `seed(target)`: the
+/// plant-size axis `repro scale` and `repro slo` share.
+pub(crate) fn plants(sweep: Sweep, seed: fn(usize) -> u64) -> Vec<Plant> {
+    let sizes = match sweep {
+        Sweep::Full => FULL_SWEEP,
+        Sweep::Reduced => REDUCED_SWEEP,
+    };
+    sizes.iter().map(|&t| plant(t, seed(t))).collect()
+}
+
+/// A region cell's name in gate failures.
+pub(crate) fn region_label(p: &Plant, cell: &Cell) -> String {
+    format!(
+        "{} roadms / region {}",
+        p.plant.net.roadm_count(),
+        cell.region
+    )
+}
+
 fn point_seed(target: usize) -> u64 {
     0xC0FF_EE00u64 + target as u64
 }
@@ -290,11 +309,7 @@ impl Experiment for Scale {
     type Report = ScaleReport;
 
     fn points(&self, sweep: Sweep) -> Vec<Plant> {
-        let sizes = match sweep {
-            Sweep::Full => FULL_SWEEP,
-            Sweep::Reduced => REDUCED_SWEEP,
-        };
-        sizes.iter().map(|&t| plant(t, point_seed(t))).collect()
+        plants(sweep, point_seed)
     }
 
     fn probe(&self) -> Plant {
@@ -306,11 +321,7 @@ impl Experiment for Scale {
     }
 
     fn label(&self, p: &Plant, cell: &Cell) -> String {
-        format!(
-            "{} roadms / region {}",
-            p.plant.net.roadm_count(),
-            cell.region
-        )
+        region_label(p, cell)
     }
 
     fn run(&self, p: &Plant, cell: &Cell, _: bool) -> Result<CellRun<CellOutcome>, String> {

@@ -44,9 +44,7 @@ use crate::harness::{
     ensure, CellRun, Ctx, Experiment, Finished, GateError, Identity, PointRun, Runs, Sweep,
 };
 use crate::noc_target::BACKBONE_WEEK_FAULTS;
-use crate::scale_target::{
-    drive_cell, hot_pair_cells, plant, Cell, Plant, FULL_SWEEP, REDUCED_SWEEP,
-};
+use crate::scale_target::{drive_cell, hot_pair_cells, plant, plants, region_label, Cell, Plant};
 use crate::scenario::{self, ScenarioSpec};
 
 /// Hot endpoint pairs / waves / intents per wave. Lighter than the
@@ -327,11 +325,7 @@ impl Experiment for Slo {
     type Report = SloReport;
 
     fn points(&self, sweep: Sweep) -> Vec<Plant> {
-        let sizes = match sweep {
-            Sweep::Full => FULL_SWEEP,
-            Sweep::Reduced => REDUCED_SWEEP,
-        };
-        sizes.iter().map(|&t| plant(t, point_seed(t))).collect()
+        plants(sweep, point_seed)
     }
 
     fn probe(&self) -> Plant {
@@ -343,11 +337,7 @@ impl Experiment for Slo {
     }
 
     fn label(&self, p: &Plant, cell: &Cell) -> String {
-        format!(
-            "{} roadms / region {}",
-            p.plant.net.roadm_count(),
-            cell.region
-        )
+        region_label(p, cell)
     }
 
     fn run(&self, p: &Plant, cell: &Cell, telemetry: bool) -> Result<CellRun<Self::Out>, String> {
