@@ -157,8 +157,9 @@ struct HaRun {
 }
 
 /// Drive one scenario with the WAL on, a snapshot store and standby
-/// shipping; returns the run and its transcript digest.
-fn run_journaled(spec: ScenarioSpec) -> Result<(HaRun, u32), String> {
+/// shipping; returns the run, its transcript digest and the primary's
+/// trace and span drops.
+fn run_journaled(spec: ScenarioSpec) -> Result<(HaRun, u32, u64), String> {
     let mut primary = scenario::genesis(&spec);
     primary.enable_journal(WalConfig::default());
     let mut store = SnapshotStore::new(SNAPSHOT_CADENCE);
@@ -185,6 +186,7 @@ fn run_journaled(spec: ScenarioSpec) -> Result<(HaRun, u32), String> {
     };
     let reference_digest = primary.state_digest();
     let digest = transcript_digest(&text, &reference_digest);
+    let drops = primary.trace.dropped() + primary.spans.dropped();
 
     // Take the journal whole — the run owns its segments, no copy.
     let journal = primary.take_journal().expect("journal enabled");
@@ -201,7 +203,7 @@ fn run_journaled(spec: ScenarioSpec) -> Result<(HaRun, u32), String> {
         standby,
         log_bytes,
     };
-    Ok((run, digest))
+    Ok((run, digest, drops))
 }
 
 /// Deterministic crash schedule: `n` evenly spaced byte offsets over the
@@ -415,10 +417,12 @@ impl Experiment for Ha {
         if !wal {
             let (text, ctl) =
                 scenario::run_with(&spec).map_err(|e| format!("scenario failed: {e}"))?;
-            let digest = transcript_digest(&text, &ctl.state_digest());
-            return Ok(CellRun::new(digest, None));
+            return Ok(CellRun {
+                drops: ctl.trace.dropped() + ctl.spans.dropped(),
+                ..CellRun::new(transcript_digest(&text, &ctl.state_digest()), None)
+            });
         }
-        let (run, digest) = run_journaled(spec)?;
+        let (run, digest, drops) = run_journaled(spec)?;
         let cadence = if sweep {
             cadence_sweep(&run)?
         } else {
@@ -428,7 +432,7 @@ impl Experiment for Ha {
         Ok(CellRun {
             digest,
             text: harness::json(&scenario),
-            drops: 0,
+            drops,
             out: Some((scenario, cadence)),
         })
     }
