@@ -416,17 +416,34 @@ pub fn run<E: Experiment>(
 /// (for an [`Identity::Observer`] target), then 1, 2 and 8 workers with
 /// equal digests and texts. Returns the number of probe cells.
 pub fn identity<E: Experiment>(exp: &E) -> Result<usize, GateError> {
+    probe_gates(exp, true, true)
+}
+
+/// The observer off/on gate of [`identity`] alone (nothing beyond the
+/// zero-drop gate for a target without an observer).
+pub fn observer_identity<E: Experiment>(exp: &E) -> Result<usize, GateError> {
+    probe_gates(exp, true, false)
+}
+
+/// The 1/2/8-worker gate of [`identity`] alone.
+pub fn thread_identity<E: Experiment>(exp: &E) -> Result<usize, GateError> {
+    probe_gates(exp, false, true)
+}
+
+fn probe_gates<E: Experiment>(exp: &E, observer: bool, threads: bool) -> Result<usize, GateError> {
     let point = exp.probe();
     let cells = exp.cells(&point);
     let (base, _) = run_cells(exp, &point, &cells, 1, true)?;
-    if E::IDENTITY == Identity::Observer {
+    if observer && E::IDENTITY == Identity::Observer {
         let (off, _) = run_cells(exp, &point, &cells, 2, false)?;
         compare(exp, &point, &cells, "observer off/on", &off, &base, false)?;
     }
-    for threads in [2, 8] {
-        let (other, _) = run_cells(exp, &point, &cells, threads, true)?;
-        let what = format!("1- vs {threads}-thread");
-        compare(exp, &point, &cells, &what, &base, &other, true)?;
+    if threads {
+        for workers in [2, 8] {
+            let (other, _) = run_cells(exp, &point, &cells, workers, true)?;
+            let what = format!("1- vs {workers}-thread");
+            compare(exp, &point, &cells, &what, &base, &other, true)?;
+        }
     }
     Ok(cells.len())
 }
@@ -535,6 +552,8 @@ mod tests {
         let expected = "repro stub: gate failed at cell 2: \
                         observer off/on digests differ: 0x0000000f vs 0x0000000e";
         assert_eq!(e.to_string(), expected);
+        assert_eq!(observer_identity(&stub), Err(e.clone()));
+        assert_eq!(thread_identity(&stub), Ok(3));
         assert_eq!(identity(&stub), Err(e));
     }
 

@@ -1,62 +1,9 @@
-//! The artifact targets' golden files. Every deterministic artifact
-//! `repro` writes — expositions, the Chrome trace, sim-time-only
-//! reports — is rendered by the experiment harness from a reduced run
-//! (`griphon_bench::harness::goldens`). This test builds each target's
-//! goldens twice, requires the two builds to be byte-equal, and compares
-//! them with `tests/golden/*` byte for byte. `scale` pins no golden: its
-//! report is host time around sim-time digests, which
-//! `tests/determinism.rs` holds to the identity gates instead.
-//!
-//! If a change intentionally alters an artifact, regenerate every golden
-//! with `cargo test --release --test artifact_goldens -- --ignored regenerate`
-//! and review the diff.
+//! Checks that span every artifact target: the CI `repro` matrix
+//! names each of them, and the one regeneration path of their goldens
+//! (the `*_golden.rs` tests compare them; see `tests/support/goldens.rs`).
 
-use griphon_bench::harness::{self, GateError};
-use griphon_bench::{
-    ha_target, measure_target, noc_target, serve_target, slo_target, trace_target,
-};
-
-/// Builds one target's goldens: `(name under tests/golden, bytes)`.
-type Build = fn() -> Result<Vec<(&'static str, String)>, GateError>;
-
-/// Every artifact target with goldens, and how to build them.
-const TARGETS: &[(&str, Build)] = &[
-    ("trace", || harness::goldens(&trace_target::Trace)),
-    ("noc", || harness::goldens(&noc_target::Noc)),
-    ("ha", || harness::goldens(&ha_target::Ha)),
-    ("slo", || harness::goldens(&slo_target::Slo)),
-    ("measure", || harness::goldens(&measure_target::Measure)),
-    ("serve", || harness::goldens(&serve_target::Serve)),
-];
-
-fn golden_path(name: &str) -> String {
-    format!("{}/tests/golden/{name}", env!("CARGO_MANIFEST_DIR"))
-}
-
-#[test]
-fn artifacts_match_committed_goldens() {
-    for (target, build) in TARGETS {
-        let first = build().unwrap_or_else(|e| panic!("{e}"));
-        let second = build().unwrap_or_else(|e| panic!("{e}"));
-        assert!(!first.is_empty(), "{target} pins no golden");
-        for ((name, a), (_, b)) in first.iter().zip(&second) {
-            assert!(
-                a == b,
-                "{target}: two builds of {name} differ at {}",
-                harness::first_difference(a, b)
-            );
-            let golden = std::fs::read_to_string(golden_path(name))
-                .unwrap_or_else(|e| panic!("read tests/golden/{name}: {e}"));
-            assert!(
-                *a == golden,
-                "{target}: {name} drifted from tests/golden/{name} at {} — if the change \
-                 is intentional, regenerate with `cargo test --release --test \
-                 artifact_goldens -- --ignored regenerate`",
-                harness::first_difference(a, &golden)
-            );
-        }
-    }
-}
+#[path = "support/goldens.rs"]
+mod goldens;
 
 /// The CI `repro` matrix names exactly the registry's artifact targets,
 /// so a new target cannot silently miss CI.
@@ -90,9 +37,9 @@ fn ci_matrix_names_every_artifact_target() {
 #[test]
 #[ignore]
 fn regenerate() {
-    for (_, build) in TARGETS {
-        for (name, bytes) in build().unwrap_or_else(|e| panic!("{e}")) {
-            std::fs::write(golden_path(name), bytes).expect("write golden");
+    for (target, _) in goldens::TARGETS {
+        for (name, bytes) in goldens::build(target) {
+            std::fs::write(goldens::golden_path(name), bytes).expect("write golden");
         }
     }
 }

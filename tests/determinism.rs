@@ -3,6 +3,7 @@
 //! must agree event for event; changing the seed must change the jitter.
 
 use griphon::controller::{Controller, ControllerConfig};
+use griphon_bench::harness::{self, GateError};
 use photonic::{LineRate, PhotonicNetwork};
 use simcore::{DataRate, SimDuration};
 
@@ -254,28 +255,72 @@ fn api_server_is_observationally_passive() {
     );
 }
 
-/// Every artifact experiment passes the harness's identity gates on its
+/// `trace`, `noc` and `ha` pass the harness's identity gates on their
 /// probe cells: the observer off and on (spans for `trace`, the NOC,
-/// the WAL for `ha`, fleet telemetry for `slo`, the measurement plane)
-/// leaves every state digest alone, and 1, 2 and 8 workers give
-/// identical digests and cell texts (expositions, report rows) — for
-/// `scale`'s regions and `serve`'s grid as for the rest.
+/// the WAL for `ha`) leaves every state digest alone, and 1, 2 and 8
+/// workers give identical digests and cell texts. The other artifact
+/// targets' gates run in the tests below.
 #[test]
 fn artifact_experiments_pass_identity_gates() {
-    use griphon_bench::harness::identity;
-    use griphon_bench::{
-        ha_target, measure_target, noc_target, scale_target, serve_target, slo_target, trace_target,
-    };
-    let probed = [
-        identity(&trace_target::Trace),
-        identity(&noc_target::Noc),
-        identity(&ha_target::Ha),
-        identity(&scale_target::Scale),
-        identity(&slo_target::Slo),
-        identity(&measure_target::Measure),
-        identity(&serve_target::Serve),
-    ];
-    for cells in probed {
-        assert!(cells.unwrap_or_else(|e| panic!("{e}")) > 0);
-    }
+    use griphon_bench::{ha_target, noc_target, trace_target};
+    gate_passed(harness::identity(&trace_target::Trace));
+    gate_passed(harness::identity(&noc_target::Noc));
+    gate_passed(harness::identity(&ha_target::Ha));
+}
+
+/// Panic with the gate's message, or require at least one probe cell.
+fn gate_passed(cells: Result<usize, GateError>) {
+    assert!(cells.unwrap_or_else(|e| panic!("{e}")) > 0);
+}
+
+/// `scale`'s probe regions give identical digests and cell texts run
+/// on one worker (unsharded) and sharded over 2 and 8.
+#[test]
+fn sharded_execution_matches_unsharded_digests() {
+    gate_passed(harness::thread_identity(
+        &griphon_bench::scale_target::Scale,
+    ));
+}
+
+/// Fleet telemetry is pure observation: `slo`'s probe cells give the
+/// same state digests with telemetry on and off.
+#[test]
+fn telemetry_is_observationally_passive() {
+    gate_passed(harness::observer_identity(&griphon_bench::slo_target::Slo));
+}
+
+/// Tail sampling and the per-region rollup are pure functions of the
+/// ingested spans: `slo`'s cell digests and exposition texts are
+/// identical for 1, 2 and 8 workers.
+#[test]
+fn fleet_telemetry_is_thread_independent() {
+    gate_passed(harness::thread_identity(&griphon_bench::slo_target::Slo));
+}
+
+/// The measurement plane is pure observation: `measure`'s probe cells
+/// give the same state digests with probing on and off.
+#[test]
+fn measurement_is_observationally_passive() {
+    gate_passed(harness::observer_identity(
+        &griphon_bench::measure_target::Measure,
+    ));
+}
+
+/// Probing, estimation and the estimate exposition are pure functions
+/// of the seeds: `measure`'s cell digests and texts are identical for
+/// 1, 2 and 8 workers.
+#[test]
+fn measurement_plane_is_thread_independent() {
+    gate_passed(harness::thread_identity(
+        &griphon_bench::measure_target::Measure,
+    ));
+}
+
+/// The serve grid is pure scheduling: its probe cells' digests and
+/// report rows are identical for 1, 2 and 8 workers.
+#[test]
+fn serve_grid_is_thread_independent() {
+    gate_passed(harness::thread_identity(
+        &griphon_bench::serve_target::Serve,
+    ));
 }

@@ -1,24 +1,13 @@
 //! HA artifact determinism: the `repro ha` crash schedule is a pure
 //! function of the embedded scenarios (all latencies are sim time, no
 //! host wall clock), so `BENCH_ha.json` must be byte-identical across
-//! runs — and must match the committed golden file.
-//!
-//! If a controller change intentionally alters the log format, the
-//! crash schedule, or the failover model, regenerate with
-//! `cargo run -p griphon-bench --bin repro -- ha` and copy
-//! `BENCH_ha.json` over `tests/golden/ha_bench.json`.
+//! runs — and must match the committed golden file. Regenerate as
+//! `tests/support/goldens.rs` says.
 
-use griphon_bench::ha_target;
+#[path = "support/goldens.rs"]
+mod goldens;
 
 #[test]
 fn report_matches_committed_golden() {
-    let report = ha_target::build();
-    let json = serde_json::to_string_pretty(&report).unwrap();
-    let golden = include_str!("golden/ha_bench.json").trim_end();
-    assert_eq!(
-        json, golden,
-        "BENCH_ha.json drifted from tests/golden/ha_bench.json — if the \
-         change is intentional, regenerate with `cargo run -p griphon-bench \
-         --bin repro -- ha` and copy BENCH_ha.json over the golden file"
-    );
+    goldens::match_committed("ha", &goldens::two_builds_agree("ha"));
 }

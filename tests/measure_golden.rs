@@ -2,21 +2,13 @@
 //! measure` writes — the stationary scenario's estimated-mode metric
 //! families (estimate/error histograms with exemplars, probe counters,
 //! sampler gauges) — is a pure function of the fixed seeds and must
-//! match the committed golden byte for byte, whatever `REPRO_THREADS`
-//! or `SCALE_SWEEP` is.
-//!
-//! If a change intentionally alters the measurement telemetry (new
-//! metric, different probe config, sampler policy change), regenerate
-//! with `cargo run --release -p griphon-bench --bin repro -- measure`
-//! and copy `measure_exposition.txt` over
-//! `tests/golden/measure_exposition.txt`.
+//! match the committed golden byte for byte. Regenerate as
+//! `tests/support/goldens.rs` says.
+
+#[path = "support/goldens.rs"]
+mod goldens;
 
 #[test]
 fn exposition_matches_committed_golden() {
-    let exposition = griphon_bench::measure_target::golden_exposition();
-    let golden = include_str!("golden/measure_exposition.txt");
-    assert_eq!(
-        exposition, golden,
-        "measurement exposition drifted from tests/golden/measure_exposition.txt"
-    );
+    goldens::match_committed("measure", &goldens::two_builds_agree("measure"));
 }

@@ -1,44 +1,18 @@
 //! NOC artifact determinism: the `repro noc` scenarios are a pure
 //! function of their fixed seeds, so the Prometheus exposition and the
 //! machine-readable `BENCH_noc.json` must be byte-identical across runs
-//! — and must match the committed golden files.
-//!
-//! If a controller change intentionally alters the telemetry or the
-//! alarm cascade, regenerate with
-//! `cargo run -p griphon-bench --bin repro -- noc` and copy
-//! `noc_exposition.txt` over `tests/golden/noc_exposition.txt` and
-//! `BENCH_noc.json` over `tests/golden/noc_bench.json`.
+//! — and must match the committed golden files. Regenerate as
+//! `tests/support/goldens.rs` says.
 
-use griphon_bench::noc_target;
+#[path = "support/goldens.rs"]
+mod goldens;
 
 #[test]
 fn two_runs_produce_byte_identical_artifacts() {
-    let (ra, ea) = noc_target::build(&noc_target::outcomes());
-    let (rb, eb) = noc_target::build(&noc_target::outcomes());
-    assert_eq!(ea, eb, "exposition must be deterministic");
-    let ja = serde_json::to_string_pretty(&ra).unwrap();
-    let jb = serde_json::to_string_pretty(&rb).unwrap();
-    assert_eq!(ja, jb, "BENCH_noc.json must be deterministic");
+    goldens::two_builds_agree("noc");
 }
 
 #[test]
 fn artifacts_match_committed_goldens() {
-    let outcomes = noc_target::outcomes();
-    let (mut report, exposition) = noc_target::build(&outcomes);
-    report.exposition_file = "noc_exposition.txt".to_string();
-    let golden_expo = include_str!("golden/noc_exposition.txt");
-    assert_eq!(
-        exposition, golden_expo,
-        "exposition drifted from tests/golden/noc_exposition.txt — if the \
-         change is intentional, regenerate with `cargo run -p griphon-bench \
-         --bin repro -- noc` and copy noc_exposition.txt over the golden file"
-    );
-    let json = serde_json::to_string_pretty(&report).unwrap();
-    let golden_json = include_str!("golden/noc_bench.json").trim_end();
-    assert_eq!(
-        json, golden_json,
-        "BENCH_noc.json drifted from tests/golden/noc_bench.json — if the \
-         change is intentional, regenerate with `cargo run -p griphon-bench \
-         --bin repro -- noc` and copy BENCH_noc.json over the golden file"
-    );
+    goldens::match_committed("noc", &goldens::build("noc"));
 }

@@ -2,40 +2,13 @@
 //! the host intents/sec column is sim time (admission latencies are
 //! arrival → hand-off on the event clock), so the reduced grid plus the
 //! fairness pair is a pure function of the embedded configuration — and
-//! must match the committed golden file byte for byte.
-//!
-//! If a northbound change intentionally alters admission behaviour, the
-//! fleet generator, or the report shape, regenerate with
-//! `cargo test --test serve_golden -- --ignored regenerate` (writes the
-//! golden in place) or copy the `points`/`fairness` sections of a
-//! `SCALE_SWEEP=reduced` `BENCH_serve.json` run.
+//! must match the committed golden file byte for byte. Regenerate as
+//! `tests/support/goldens.rs` says.
 
-use griphon_bench::serve_target;
-
-const GOLDEN_PATH: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/serve_bench.json");
+#[path = "support/goldens.rs"]
+mod goldens;
 
 #[test]
 fn report_matches_committed_golden() {
-    let report = serve_target::build();
-    let json = serde_json::to_string_pretty(&report).unwrap();
-    let golden = std::fs::read_to_string(GOLDEN_PATH)
-        .expect("read tests/golden/serve_bench.json")
-        .trim_end()
-        .to_string();
-    assert_eq!(
-        json, golden,
-        "serve report drifted from tests/golden/serve_bench.json — if the \
-         change is intentional, regenerate with `cargo test --test \
-         serve_golden -- --ignored regenerate`"
-    );
-}
-
-/// Not a test: rewrites the golden file from the current tree. Run with
-/// `cargo test --test serve_golden -- --ignored regenerate`.
-#[test]
-#[ignore]
-fn regenerate() {
-    let report = serve_target::build();
-    let json = serde_json::to_string_pretty(&report).unwrap();
-    std::fs::write(GOLDEN_PATH, json + "\n").expect("write golden");
+    goldens::match_committed("serve", &goldens::two_builds_agree("serve"));
 }

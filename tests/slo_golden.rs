@@ -1,19 +1,13 @@
 //! Fleet SLO artifact determinism: the exposition `repro slo` writes is
 //! a pure function of the fixed seeds — the 14-ROADM sweep point's
 //! fleet rollup plus the NSFNET fault week's registry — and must match
-//! the committed golden byte for byte, whatever `REPRO_THREADS` is.
-//!
-//! If a change intentionally alters the fleet telemetry (new metric,
-//! different SLO catalogue, sampler policy change), regenerate with
-//! `cargo run --release -p griphon-bench --bin repro -- slo` and copy
-//! `slo_exposition.txt` over `tests/golden/slo_exposition.txt`.
+//! the committed golden byte for byte. Regenerate as
+//! `tests/support/goldens.rs` says.
+
+#[path = "support/goldens.rs"]
+mod goldens;
 
 #[test]
 fn exposition_matches_committed_golden() {
-    let exposition = griphon_bench::slo_target::golden_exposition();
-    let golden = include_str!("golden/slo_exposition.txt");
-    assert_eq!(
-        exposition, golden,
-        "fleet exposition drifted from tests/golden/slo_exposition.txt"
-    );
+    goldens::match_committed("slo", &goldens::two_builds_agree("slo"));
 }

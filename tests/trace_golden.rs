@@ -2,32 +2,17 @@
 //! function of their (fixed) seeds, so two runs must produce
 //! byte-identical span streams — and therefore byte-identical Chrome
 //! trace JSON — and the JSON must match the committed golden file.
-//!
-//! If a controller change intentionally alters the instrumented
-//! workflows, regenerate with
-//! `cargo run -p griphon-bench --bin repro -- trace` and copy
-//! `BENCH_trace_chrome.json` over `tests/golden/trace_chrome.json`.
+//! Regenerate as `tests/support/goldens.rs` says.
 
-use griphon_bench::trace_target;
+#[path = "support/goldens.rs"]
+mod goldens;
 
 #[test]
 fn two_runs_produce_byte_identical_chrome_traces() {
-    let first = trace_target::build(&trace_target::scenarios()).1;
-    let second = trace_target::build(&trace_target::scenarios()).1;
-    assert_eq!(first, second, "span streams must be deterministic");
+    goldens::two_builds_agree("trace");
 }
 
 #[test]
 fn chrome_trace_matches_committed_golden() {
-    let scenarios = trace_target::scenarios();
-    let (report, chrome) = trace_target::build(&scenarios);
-    trace_target::check_chrome_trace(&chrome, report.spans_recorded);
-    let golden = include_str!("golden/trace_chrome.json");
-    assert_eq!(
-        chrome, golden,
-        "chrome trace drifted from tests/golden/trace_chrome.json — if the \
-         change is intentional, regenerate with `cargo run -p griphon-bench \
-         --bin repro -- trace` and copy BENCH_trace_chrome.json over the \
-         golden file"
-    );
+    goldens::match_committed("trace", &goldens::build("trace"));
 }
