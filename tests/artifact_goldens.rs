@@ -1,5 +1,5 @@
 //! Checks that span every artifact target: the CI `repro` matrix
-//! names each of them, and the one regeneration path of their goldens
+//! names each of them, and the one regeneration path of every golden
 //! (the `*_golden.rs` tests compare them; see `tests/support/goldens.rs`).
 
 #[path = "support/goldens.rs"]
@@ -32,7 +32,9 @@ fn ci_matrix_names_every_artifact_target() {
     );
 }
 
-/// Not a test: rewrites every golden from the current tree. Run with
+/// Not a test: rewrites every golden from the current tree, the
+/// artifact goldens and the printed tables (`policies.txt`,
+/// `paper.txt`). Run with
 /// `cargo test --release --test artifact_goldens -- --ignored regenerate`.
 #[test]
 #[ignore]
@@ -41,5 +43,8 @@ fn regenerate() {
         for (name, bytes) in goldens::build(target) {
             std::fs::write(goldens::golden_path(name), bytes).expect("write golden");
         }
+    }
+    for (name, text) in goldens::TEXTS {
+        std::fs::write(goldens::golden_path(name), text()).expect("write golden");
     }
 }
