@@ -29,7 +29,6 @@
 //! [`crate::fault`].
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
 
 use simcore::{
     LatencyRecorder, MetricsRegistry, Scheduler, SimDuration, SimRng, SimTime, SpanId,
@@ -39,13 +38,14 @@ use simcore::{
 use otn::{OtnSwitch, XcId};
 use photonic::alarm::DetectionModel;
 use photonic::{
-    Alarm, DegreeId, EmsCommand, EmsLatencyModel, EmsProfile, EqualizationModel, FiberId, LineRate,
+    Alarm, DegreeId, EmsLatencyModel, EmsProfile, EqualizationModel, FiberId, LineRate,
     PhotonicNetwork, RoadmId,
 };
 
 use crate::connection::{ConnState, Connection, ConnectionId, ConnectionKind, Resources, TrunkId};
 use crate::rwa::{self, RwaConfig, RwaError, WavelengthPlan};
 use crate::tenant::{AdmissionError, CustomerId, TenantRegistry};
+use crate::workflow::{Owner, SETUP, SUBWL_TEARDOWN, TEARDOWN};
 
 /// Tunables of a controller instance.
 #[derive(Debug, Clone)]
@@ -216,134 +216,6 @@ pub enum Event {
     },
 }
 
-/// The per-command duration draws of one wavelength setup workflow.
-///
-/// Sampled once at admission by [`Controller::wavelength_setup_sample`].
-/// [`SetupSample::total`] — serial phases, each parallel command group
-/// contributing its max — drives the completion event, and the *same*
-/// draws feed the trace breakdown and the span tree, so every consumer
-/// sees one consistent timeline.
-#[derive(Debug, Clone)]
-pub(crate) struct SetupSample {
-    /// EMS provisioning-session bookkeeping.
-    pub session: SimDuration,
-    /// Client-side FXC switches (parallel pair).
-    pub fxc: [SimDuration; 2],
-    /// Per-node ROADM/WSS configuration (parallel; `hops + 1` entries).
-    pub roadm: Vec<SimDuration>,
-    /// Transponder laser tunes at both ends (parallel pair).
-    pub tune: [SimDuration; 2],
-    /// End-to-end path validation.
-    pub validate: SimDuration,
-    /// Power equalization (see `photonic::power`).
-    pub equalize: SimDuration,
-}
-
-impl SetupSample {
-    /// Duration the parallel FXC pair occupies.
-    pub fn fxc_max(&self) -> SimDuration {
-        self.fxc[0].max(self.fxc[1])
-    }
-
-    /// Duration the parallel per-node ROADM group occupies.
-    pub fn roadm_max(&self) -> SimDuration {
-        self.roadm.iter().copied().max().expect("at least one node")
-    }
-
-    /// Duration the parallel tune pair occupies.
-    pub fn tune_max(&self) -> SimDuration {
-        self.tune[0].max(self.tune[1])
-    }
-
-    /// End-to-end workflow duration.
-    pub fn total(&self) -> SimDuration {
-        self.session
-            + self.fxc_max()
-            + self.roadm_max()
-            + self.tune_max()
-            + self.validate
-            + self.equalize
-    }
-}
-
-impl fmt::Display for SetupSample {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "session={} fxc={} roadm={} tune={} validate={} equalize={}",
-            self.session,
-            self.fxc_max(),
-            self.roadm_max(),
-            self.tune_max(),
-            self.validate,
-            self.equalize
-        )
-    }
-}
-
-/// Per-command draws of a wavelength teardown workflow:
-/// session → (ROADM deconfigure ∥ OT release) → FXC.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct TeardownSample {
-    /// Teardown-order bookkeeping.
-    pub session: SimDuration,
-    /// ROADM/WSS deconfiguration (parallel with the laser release).
-    pub roadm_deconf: SimDuration,
-    /// Transponder laser release (parallel with the deconfigure).
-    pub ot_release: SimDuration,
-    /// Client-side FXC release.
-    pub fxc: SimDuration,
-}
-
-impl TeardownSample {
-    /// Duration the parallel deconfigure/release group occupies.
-    pub fn deconf_max(&self) -> SimDuration {
-        self.roadm_deconf.max(self.ot_release)
-    }
-
-    /// End-to-end workflow duration.
-    pub fn total(&self) -> SimDuration {
-        self.session + self.deconf_max() + self.fxc
-    }
-}
-
-/// Per-command draws of a sub-wavelength (OTN) setup workflow.
-#[derive(Debug, Clone)]
-pub(crate) struct SubwlSetupSample {
-    /// OTN order bookkeeping.
-    pub session: SimDuration,
-    /// Electronic cross-connects, one per switch (parallel).
-    pub xcs: Vec<SimDuration>,
-}
-
-impl SubwlSetupSample {
-    /// Duration the parallel cross-connect group occupies.
-    pub fn xc_max(&self) -> SimDuration {
-        self.xcs.iter().copied().max().expect("at least one switch")
-    }
-
-    /// End-to-end workflow duration.
-    pub fn total(&self) -> SimDuration {
-        self.session + self.xc_max()
-    }
-}
-
-/// Per-command draws of a sub-wavelength teardown workflow.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct SubwlTeardownSample {
-    /// OTN order bookkeeping.
-    pub session: SimDuration,
-    /// Cross-connect removal.
-    pub xc: SimDuration,
-}
-
-impl SubwlTeardownSample {
-    /// End-to-end workflow duration.
-    pub fn total(&self) -> SimDuration {
-        self.session + self.xc
-    }
-}
-
 /// An OTN trunk: a carrier-internal wavelength between two OTN switches.
 #[derive(Debug, Clone)]
 pub struct Trunk {
@@ -397,6 +269,9 @@ pub struct Controller {
     /// controller; see `simcore::span` for the determinism and overhead
     /// contracts.
     pub spans: SpanRecorder,
+    /// Scratch for the EMS command draws of the workflow being started
+    /// (see `crate::workflow`): reused by every workflow, not state.
+    pub(crate) draws: Vec<SimDuration>,
     /// Open workflow root spans awaiting their completion event.
     pub(crate) workflow_spans: BTreeMap<(ConnectionId, WorkflowKind), SpanId>,
     /// Open trunk provisioning/restoration root spans.
@@ -466,6 +341,7 @@ impl Controller {
             fxc_at: BTreeMap::new(),
             trace: TraceLog::default(),
             spans: SpanRecorder::default(),
+            draws: Vec::new(),
             workflow_spans: BTreeMap::new(),
             trunk_spans: BTreeMap::new(),
             restoration_enqueued_at: BTreeMap::new(),
@@ -795,26 +671,20 @@ impl Controller {
         let (hops, lambda) = (plan.hops(), plan.lambda);
         conn.resources = Some(Resources::Wavelength(plan));
         self.conns.insert(id, conn);
-        let sample = self.wavelength_setup_sample(hops);
-        let dur = sample.total();
+        let owner = Owner::Conn(id, WorkflowKind::Setup);
+        let attrs = [("hops", hops as u64), ("lambda", u64::from(lambda.0))];
+        let dur = self.start(owner, "conn.setup", &attrs, &[SETUP], hops);
         self.trace.emit(
             self.now(),
             "conn",
             format!(
-                "{id} setup started {}→{} λ{} hops={hops} eta={dur} [{sample}]",
+                "{id} setup started {}→{} λ{} hops={hops} eta={dur} [{}]",
                 self.net.name(from),
                 self.net.name(to),
                 lambda.0,
+                self.breakdown(SETUP, hops),
             ),
         );
-        let t0 = self.now();
-        let root = self.open_workflow_span(id, WorkflowKind::Setup, t0, "conn.setup");
-        if root.is_valid() {
-            self.spans.attr_u64(root, "hops", hops as u64);
-            self.spans.attr_u64(root, "lambda", u64::from(lambda.0));
-            self.emit_setup_spans(root, t0, &sample);
-        }
-        self.schedule_workflow(dur, id, WorkflowKind::Setup);
         Ok(id)
     }
 
@@ -832,326 +702,18 @@ impl Controller {
             }
             s => return Err(RequestError::BadState(id, s)),
         }
-        let is_subwl = matches!(conn.kind, ConnectionKind::SubWavelength { .. });
-        let t0 = self.now();
-        let dur = if is_subwl {
-            let s = self.subwavelength_teardown_sample();
-            let root = self.open_workflow_span(id, WorkflowKind::Teardown, t0, "conn.teardown");
-            self.emit_subwl_teardown_spans(root, t0, &s);
-            s.total()
-        } else {
-            let s = self.wavelength_teardown_sample();
-            let root = self.open_workflow_span(id, WorkflowKind::Teardown, t0, "conn.teardown");
-            self.emit_teardown_spans(root, t0, &s);
-            s.total()
+        let flow = match conn.kind {
+            ConnectionKind::SubWavelength { .. } => SUBWL_TEARDOWN,
+            _ => TEARDOWN,
         };
+        let owner = Owner::Conn(id, WorkflowKind::Teardown);
+        let dur = self.start(owner, "conn.teardown", &[], &[flow], 0);
         self.trace.emit(
             self.now(),
             "conn",
             format!("{id} teardown started eta={dur}"),
         );
-        self.schedule_workflow(dur, id, WorkflowKind::Teardown);
         Ok(())
-    }
-
-    // ── workflow durations ──────────────────────────────────────────
-
-    /// Sample the per-command durations of a wavelength setup workflow
-    /// for an `n`-hop path: session → FXC∥FXC → ROADM configs in
-    /// parallel → OT tunes in parallel → validate → equalize. The total
-    /// ([`SetupSample::total`]) drives the completion event; the same
-    /// draws feed the trace breakdown and the span tree.
-    pub(crate) fn wavelength_setup_sample(&mut self, hops: usize) -> SetupSample {
-        let session = self.ems.latency(EmsCommand::SetupSession, &mut self.rng);
-        let fxc = [
-            self.ems.latency(EmsCommand::FxcSwitch, &mut self.rng),
-            self.ems.latency(EmsCommand::FxcSwitch, &mut self.rng),
-        ];
-        let nodes = hops + 1;
-        let roadm = (0..nodes)
-            .map(|_| self.ems.latency(EmsCommand::RoadmConfigure, &mut self.rng))
-            .collect();
-        let tune = [
-            self.ems.latency(EmsCommand::OtTune, &mut self.rng),
-            self.ems.latency(EmsCommand::OtTune, &mut self.rng),
-        ];
-        let validate = self.ems.latency(EmsCommand::PathValidate, &mut self.rng);
-        let eq_model = self.cfg.equalization;
-        let equalize = eq_model.duration(hops, &mut self.rng);
-        SetupSample {
-            session,
-            fxc,
-            roadm,
-            tune,
-            validate,
-            equalize,
-        }
-    }
-
-    /// Sample a wavelength teardown workflow:
-    /// session → (ROADM deconfigs ∥ OT releases) → FXC.
-    pub(crate) fn wavelength_teardown_sample(&mut self) -> TeardownSample {
-        let session = self.ems.latency(EmsCommand::TeardownSession, &mut self.rng);
-        let roadm_deconf = self
-            .ems
-            .latency(EmsCommand::RoadmDeconfigure, &mut self.rng);
-        let ot_release = self.ems.latency(EmsCommand::OtRelease, &mut self.rng);
-        let fxc = self.ems.latency(EmsCommand::FxcSwitch, &mut self.rng);
-        TeardownSample {
-            session,
-            roadm_deconf,
-            ot_release,
-            fxc,
-        }
-    }
-
-    /// Sub-wavelength (OTN) setup: light session + parallel electronic
-    /// cross-connects, one per traversed switch.
-    pub(crate) fn subwavelength_setup_sample(&mut self, switches: usize) -> SubwlSetupSample {
-        let session = self.ems.latency(EmsCommand::OtnSession, &mut self.rng);
-        let xcs = (0..switches.max(1))
-            .map(|_| self.ems.latency(EmsCommand::OtnXconnect, &mut self.rng))
-            .collect();
-        SubwlSetupSample { session, xcs }
-    }
-
-    /// Sub-wavelength teardown: session + cross-connect removal.
-    pub(crate) fn subwavelength_teardown_sample(&mut self) -> SubwlTeardownSample {
-        let session = self.ems.latency(EmsCommand::OtnSession, &mut self.rng);
-        let xc = self
-            .ems
-            .latency(EmsCommand::OtnXconnectRemove, &mut self.rng);
-        SubwlTeardownSample { session, xc }
-    }
-
-    // ── span instrumentation ────────────────────────────────────────
-
-    /// Open a workflow root span at `start` and index it under
-    /// `(conn, kind)` so the matching `WorkflowDone` event closes it.
-    /// Returns [`SpanId::INVALID`] (a no-op id) when recording is off.
-    pub(crate) fn open_workflow_span(
-        &mut self,
-        conn: ConnectionId,
-        kind: WorkflowKind,
-        start: SimTime,
-        name: &'static str,
-    ) -> SpanId {
-        if !self.spans.is_enabled() {
-            return SpanId::INVALID;
-        }
-        let root = self.spans.open(start, "conn", name, None);
-        self.spans.attr_u64(root, "conn", u64::from(conn.raw()));
-        if root.is_valid() {
-            self.workflow_spans.insert((conn, kind), root);
-        }
-        root
-    }
-
-    /// Close the root span a `WorkflowDone { conn, kind }` event belongs
-    /// to, if one is open.
-    pub(crate) fn close_workflow_span(&mut self, conn: ConnectionId, kind: WorkflowKind) {
-        if let Some(root) = self.workflow_spans.remove(&(conn, kind)) {
-            let now = self.now();
-            self.spans.close(root, now);
-        }
-    }
-
-    /// Lay a setup workflow's phase and device-operation spans out under
-    /// `root`, starting at `t0`. Phases are sequential, each parallel
-    /// command group occupying its max sampled duration — the exact
-    /// arithmetic of [`SetupSample::total`] — so the phase spans tile
-    /// `[t0, t0 + total]` and per-phase sums reproduce the end-to-end
-    /// latency the controller reports. Each phase carries the time it
-    /// spent queued behind earlier commands (`queue_wait_ns`); device
-    /// operations under a phase start when the phase starts and show
-    /// their individual sampled execution times.
-    pub(crate) fn emit_setup_spans(&mut self, root: SpanId, t0: SimTime, s: &SetupSample) {
-        if !self.spans.is_enabled() || !root.is_valid() {
-            return;
-        }
-        let hops = s.roadm.len().saturating_sub(1).max(1);
-        let mut t = t0;
-        let phase = |spans: &mut SpanRecorder, t: SimTime, d: SimDuration, name| {
-            let ph = spans.record(t, t + d, "phase", name, Some(root));
-            spans.attr_u64(ph, "queue_wait_ns", t.since(t0).as_nanos());
-            ph
-        };
-        // EMS provisioning session (serial bookkeeping).
-        phase(&mut self.spans, t, s.session, "phase.session");
-        t += s.session;
-        // Client-side FXC pair, in parallel.
-        let ph = phase(&mut self.spans, t, s.fxc_max(), "phase.fxc");
-        for (i, d) in s.fxc.iter().enumerate() {
-            let op = self.spans.record(
-                t,
-                t + *d,
-                "device",
-                EmsCommand::FxcSwitch.span_name(),
-                Some(ph),
-            );
-            self.spans.attr_u64(op, "end", i as u64);
-        }
-        t += s.fxc_max();
-        // Per-node ROADM/WSS configuration, in parallel across nodes.
-        let ph = phase(&mut self.spans, t, s.roadm_max(), "phase.roadm");
-        for (i, d) in s.roadm.iter().enumerate() {
-            let op = self.spans.record(
-                t,
-                t + *d,
-                "device",
-                EmsCommand::RoadmConfigure.span_name(),
-                Some(ph),
-            );
-            self.spans.attr_u64(op, "node", i as u64);
-        }
-        t += s.roadm_max();
-        // Transponder laser tunes at both ends, in parallel.
-        let ph = phase(&mut self.spans, t, s.tune_max(), "phase.tune");
-        for (i, d) in s.tune.iter().enumerate() {
-            let op = self.spans.record(
-                t,
-                t + *d,
-                "device",
-                EmsCommand::OtTune.span_name(),
-                Some(ph),
-            );
-            self.spans.attr_u64(op, "end", i as u64);
-        }
-        t += s.tune_max();
-        // End-to-end validation (serial).
-        phase(&mut self.spans, t, s.validate, "phase.validate");
-        t += s.validate;
-        // Power equalization: per-iteration convergence rounds, each
-        // measuring and adjusting every hop (see photonic::power).
-        let ph = phase(&mut self.spans, t, s.equalize, "phase.equalize");
-        let mut it_t = t;
-        for (i, it_d) in self
-            .cfg
-            .equalization
-            .iteration_splits(hops, s.equalize)
-            .iter()
-            .enumerate()
-        {
-            let it = self
-                .spans
-                .record(it_t, it_t + *it_d, "device", "equalize.iter", Some(ph));
-            self.spans.attr_u64(it, "iter", i as u64);
-            let mut hop_t = it_t;
-            for (h, hop_d) in photonic::power::split_even(*it_d, hops).iter().enumerate() {
-                let op =
-                    self.spans
-                        .record(hop_t, hop_t + *hop_d, "device", "equalize.hop", Some(it));
-                self.spans.attr_u64(op, "hop", h as u64);
-                hop_t += *hop_d;
-            }
-            it_t += *it_d;
-        }
-    }
-
-    /// Teardown counterpart of [`Self::emit_setup_spans`]: session →
-    /// (WSS deconfigure ∥ laser release) → FXC, tiling `[t0, t0+total]`.
-    pub(crate) fn emit_teardown_spans(&mut self, root: SpanId, t0: SimTime, s: &TeardownSample) {
-        if !self.spans.is_enabled() || !root.is_valid() {
-            return;
-        }
-        let mut t = t0;
-        let ph = self
-            .spans
-            .record(t, t + s.session, "phase", "phase.session", Some(root));
-        self.spans.attr_u64(ph, "queue_wait_ns", 0);
-        t += s.session;
-        let ph = self.spans.record(
-            t,
-            t + s.deconf_max(),
-            "phase",
-            "phase.deconfigure",
-            Some(root),
-        );
-        self.spans
-            .attr_u64(ph, "queue_wait_ns", t.since(t0).as_nanos());
-        self.spans.record(
-            t,
-            t + s.roadm_deconf,
-            "device",
-            EmsCommand::RoadmDeconfigure.span_name(),
-            Some(ph),
-        );
-        self.spans.record(
-            t,
-            t + s.ot_release,
-            "device",
-            EmsCommand::OtRelease.span_name(),
-            Some(ph),
-        );
-        t += s.deconf_max();
-        let ph = self
-            .spans
-            .record(t, t + s.fxc, "phase", "phase.fxc", Some(root));
-        self.spans
-            .attr_u64(ph, "queue_wait_ns", t.since(t0).as_nanos());
-        self.spans.record(
-            t,
-            t + s.fxc,
-            "device",
-            EmsCommand::FxcSwitch.span_name(),
-            Some(ph),
-        );
-    }
-
-    /// Sub-wavelength setup spans: OTN session → parallel electronic
-    /// cross-connects, one per traversed switch.
-    pub(crate) fn emit_subwl_setup_spans(
-        &mut self,
-        root: SpanId,
-        t0: SimTime,
-        s: &SubwlSetupSample,
-    ) {
-        if !self.spans.is_enabled() || !root.is_valid() {
-            return;
-        }
-        self.spans
-            .record(t0, t0 + s.session, "phase", "phase.otn_session", Some(root));
-        let t = t0 + s.session;
-        let ph = self
-            .spans
-            .record(t, t + s.xc_max(), "phase", "phase.xconnect", Some(root));
-        self.spans
-            .attr_u64(ph, "queue_wait_ns", s.session.as_nanos());
-        for (i, d) in s.xcs.iter().enumerate() {
-            let op = self.spans.record(
-                t,
-                t + *d,
-                "device",
-                EmsCommand::OtnXconnect.span_name(),
-                Some(ph),
-            );
-            self.spans.attr_u64(op, "switch", i as u64);
-        }
-    }
-
-    /// Sub-wavelength teardown spans: OTN session → cross-connect removal.
-    pub(crate) fn emit_subwl_teardown_spans(
-        &mut self,
-        root: SpanId,
-        t0: SimTime,
-        s: &SubwlTeardownSample,
-    ) {
-        if !self.spans.is_enabled() || !root.is_valid() {
-            return;
-        }
-        self.spans
-            .record(t0, t0 + s.session, "phase", "phase.otn_session", Some(root));
-        let t = t0 + s.session;
-        let ph = self
-            .spans
-            .record(t, t + s.xc, "phase", "phase.xconnect", Some(root));
-        self.spans.record(
-            t,
-            t + s.xc,
-            "device",
-            EmsCommand::OtnXconnectRemove.span_name(),
-            Some(ph),
-        );
     }
 
     // ── plan claim / release ────────────────────────────────────────
@@ -1326,30 +888,6 @@ impl Controller {
         id
     }
 
-    /// Schedule a connection workflow's completion event and open it in
-    /// the in-flight EMS ledger — the single gate every device workflow
-    /// passes through, so recovery knows exactly what was outstanding.
-    pub(crate) fn schedule_workflow(
-        &mut self,
-        dur: SimDuration,
-        conn: ConnectionId,
-        kind: WorkflowKind,
-    ) {
-        self.workflows.begin(conn.raw(), kind.label());
-        self.sched
-            .schedule_after(dur, Event::WorkflowDone { conn, kind });
-    }
-
-    /// [`Self::schedule_workflow`] for trunk workflows.
-    pub(crate) fn schedule_trunk_workflow(&mut self, dur: SimDuration, trunk: TrunkId, ev: Event) {
-        let label = match ev {
-            Event::TrunkRestored { .. } => "trunk_restore",
-            _ => "trunk_provision",
-        };
-        self.workflows.begin(trunk.raw(), label);
-        self.sched.schedule_after(dur, ev);
-    }
-
     // ── event dispatch ──────────────────────────────────────────────
 
     fn handle(&mut self, ev: Event) {
@@ -1368,7 +906,9 @@ impl Controller {
         // Close the workflow's root span before any state checks so the
         // span stream stays well-formed even when a teardown or failure
         // raced the workflow and the completion is a no-op.
-        self.close_workflow_span(id, kind);
+        if let Some(root) = self.workflow_spans.remove(&(id, kind)) {
+            self.spans.close(root, self.sched.now());
+        }
         self.workflows.complete(id.raw(), kind.label());
         match kind {
             WorkflowKind::Setup => {
@@ -1504,6 +1044,7 @@ impl Controller {
             fxc_at: self.fxc_at.clone(),
             trace: self.trace.clone(),
             spans: self.spans.clone(),
+            draws: Vec::new(),
             workflow_spans: self.workflow_spans.clone(),
             trunk_spans: self.trunk_spans.clone(),
             restoration_enqueued_at: self.restoration_enqueued_at.clone(),

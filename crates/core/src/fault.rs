@@ -35,7 +35,8 @@ use photonic::alarm::{Alarm, AlarmKind, AlarmSeverity};
 use photonic::FiberId;
 
 use crate::connection::{ConnState, ConnectionId, Resources, TrunkId};
-use crate::controller::{Controller, Event, WorkflowKind};
+use crate::controller::{Controller, Event};
+use crate::workflow::{Owner, SETUP};
 
 impl Controller {
     /// Sever a fiber at `span`. The physical outage starts immediately;
@@ -314,45 +315,17 @@ impl Controller {
                         c.resources = Some(Resources::Wavelength(new_plan));
                         c.transition(ConnState::Restoring);
                     }
-                    let sample = self.wavelength_setup_sample(hops);
-                    let dur = sample.total();
-                    self.trace.emit(
-                        self.now(),
-                        "fault",
-                        format!("{id} restoration started eta={dur}"),
-                    );
-                    {
-                        let now = self.now();
-                        self.noc.on_restoration_started(now);
-                    }
-                    if self.spans.is_enabled() {
-                        // The root opens back at the enqueue instant so
-                        // the serialization delay behind earlier
-                        // restorations shows up as a queue-wait phase.
-                        let now = self.now();
-                        let start = enqueued_at.unwrap_or(now);
-                        let root = self.open_workflow_span(
-                            id,
-                            WorkflowKind::Restore,
-                            start,
-                            "conn.restore",
-                        );
-                        self.spans.attr_u64(root, "hops", hops as u64);
-                        if now > start {
-                            let qw = self.spans.record(
-                                start,
-                                now,
-                                "phase",
-                                "restore.queue_wait",
-                                Some(root),
-                            );
-                            self.spans
-                                .attr_u64(qw, "queue_wait_ns", now.since(start).as_nanos());
-                        }
-                        self.emit_setup_spans(root, now, &sample);
-                    }
+                    // The root opens back at the enqueue instant so the
+                    // serialization delay behind earlier restorations
+                    // shows up as a queue-wait phase.
+                    let now = self.now();
+                    let owner = Owner::Restore(id, enqueued_at.unwrap_or(now));
+                    let attrs = [("hops", hops as u64)];
+                    let dur = self.start(owner, "conn.restore", &attrs, &[SETUP], hops);
+                    self.trace
+                        .emit(now, "fault", format!("{id} restoration started eta={dur}"));
+                    self.noc.on_restoration_started(now);
                     self.restorations_in_flight += 1;
-                    self.schedule_workflow(dur, id, WorkflowKind::Restore);
                     return true;
                 }
                 Err(e) => {
@@ -409,23 +382,13 @@ impl Controller {
                 self.claim_plan(&new_plan);
                 let hops = new_plan.hops();
                 self.trunks[tid.index()].plan = new_plan;
-                let sample = self.wavelength_setup_sample(hops);
-                let dur = sample.total();
+                let owner = Owner::Trunk(tid, Event::TrunkRestored { trunk: tid });
+                let dur = self.start(owner, "otn.trunk_restore", &[], &[SETUP], hops);
                 self.trace.emit(
                     self.now(),
                     "fault",
                     format!("{tid} restoration started eta={dur}"),
                 );
-                if self.spans.is_enabled() {
-                    let t0 = self.now();
-                    let root = self.spans.open(t0, "otn", "otn.trunk_restore", None);
-                    self.spans.attr_u64(root, "trunk", u64::from(tid.raw()));
-                    self.emit_setup_spans(root, t0, &sample);
-                    if root.is_valid() {
-                        self.trunk_spans.insert(tid, root);
-                    }
-                }
-                self.schedule_trunk_workflow(dur, tid, Event::TrunkRestored { trunk: tid });
             }
             Err(e) => {
                 self.metrics.counter("fault.trunk_restore_blocked").incr();

@@ -69,6 +69,7 @@ pub mod rwa;
 pub mod sla;
 pub mod slo;
 pub mod tenant;
+mod workflow;
 
 pub use bod::{Bundle, BundleId, Decomposition};
 pub use calendar::{CalendarError, Reservation, ReservationId, ReservationState};

@@ -25,6 +25,7 @@ use crate::connection::{
 };
 use crate::controller::{Controller, Event, RequestError, Trunk, WorkflowKind};
 use crate::tenant::CustomerId;
+use crate::workflow::{Owner, SETUP, SUBWL_SETUP};
 
 impl Controller {
     /// Install an OTN switch at `node`. Returns its internal index.
@@ -83,8 +84,9 @@ impl Controller {
             line_b: (sb, lb),
             ready: false,
         });
-        let sample = self.wavelength_setup_sample(hops);
-        let dur = sample.total();
+        let owner = Owner::Trunk(id, Event::TrunkReady { trunk: id });
+        let attrs = [("hops", hops as u64)];
+        let dur = self.start(owner, "otn.trunk_setup", &attrs, &[SETUP], hops);
         self.trace.emit(
             self.now(),
             "otn",
@@ -94,17 +96,6 @@ impl Controller {
                 self.net.name(b)
             ),
         );
-        if self.spans.is_enabled() {
-            let t0 = self.now();
-            let root = self.spans.open(t0, "otn", "otn.trunk_setup", None);
-            self.spans.attr_u64(root, "trunk", u64::from(id.raw()));
-            self.spans.attr_u64(root, "hops", hops as u64);
-            self.emit_setup_spans(root, t0, &sample);
-            if root.is_valid() {
-                self.trunk_spans.insert(id, root);
-            }
-        }
-        self.schedule_trunk_workflow(dur, id, Event::TrunkReady { trunk: id });
         Ok(id)
     }
 
@@ -189,15 +180,10 @@ impl Controller {
             xcs,
         }));
         self.conns.insert(id, conn);
-        let switches = trunk_path.len() + 1;
-        let sample = self.subwavelength_setup_sample(switches);
-        let dur = sample.total();
-        let t0 = self.now();
-        let root = self.open_workflow_span(id, WorkflowKind::Setup, t0, "conn.subwl_setup");
-        if root.is_valid() {
-            self.spans.attr_u64(root, "trunks", trunk_path.len() as u64);
-            self.emit_subwl_setup_spans(root, t0, &sample);
-        }
+        let trunks = trunk_path.len();
+        let owner = Owner::Conn(id, WorkflowKind::Setup);
+        let attrs = [("trunks", trunks as u64)];
+        let dur = self.start(owner, "conn.subwl_setup", &attrs, &[SUBWL_SETUP], trunks);
         self.trace.emit(
             self.now(),
             "otn",
@@ -208,7 +194,6 @@ impl Controller {
                 trunk_path.len()
             ),
         );
-        self.schedule_workflow(dur, id, WorkflowKind::Setup);
         Ok(id)
     }
 

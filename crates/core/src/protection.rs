@@ -26,6 +26,7 @@ use crate::connection::{ConnState, Connection, ConnectionId, ConnectionKind, Res
 use crate::controller::{Controller, RequestError, WorkflowKind};
 use crate::rwa::{self, WavelengthPlan};
 use crate::tenant::CustomerId;
+use crate::workflow::{Owner, SETUP};
 
 /// Timing of the 1+1 selector.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -89,8 +90,9 @@ impl Controller {
             on_protect: false,
         });
         self.conns.insert(id, conn);
-        let sample = self.wavelength_setup_sample(longer);
-        let dur = sample.total();
+        let attrs = [("hops", longer as u64), ("protected", 1)];
+        let owner = Owner::Conn(id, WorkflowKind::Setup);
+        let dur = self.start(owner, "conn.setup", &attrs, &[SETUP], longer);
         self.trace.emit(
             self.now(),
             "conn",
@@ -100,14 +102,6 @@ impl Controller {
                 self.net.name(to)
             ),
         );
-        let t0 = self.now();
-        let root = self.open_workflow_span(id, WorkflowKind::Setup, t0, "conn.setup");
-        if root.is_valid() {
-            self.spans.attr_u64(root, "hops", longer as u64);
-            self.spans.attr_u64(root, "protected", 1);
-            self.emit_setup_spans(root, t0, &sample);
-        }
-        self.schedule_workflow(dur, id, WorkflowKind::Setup);
         Ok(id)
     }
 
