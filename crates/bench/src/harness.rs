@@ -37,7 +37,7 @@ pub enum Sweep {
 
 impl Sweep {
     /// The profile `SCALE_SWEEP` selects (`full` unless it is `reduced`).
-    pub fn from_env() -> Sweep {
+    fn from_env() -> Sweep {
         match std::env::var("SCALE_SWEEP").as_deref() {
             Ok("reduced") => Sweep::Reduced,
             _ => Sweep::Full,
@@ -57,11 +57,12 @@ impl Sweep {
 /// for reproducible sharding), else the machine's available
 /// parallelism. WAL decode reads the same override, so
 /// [`decode_threads`](griphon::durability::decode_threads) defines it.
-pub fn repro_threads() -> usize {
+fn repro_threads() -> usize {
     griphon::durability::decode_threads()
 }
 
-/// [`parallel_cells_with`] on [`repro_threads`] workers.
+/// [`parallel_cells_with`] on `REPRO_THREADS` workers (else the
+/// machine's available parallelism).
 pub fn parallel_cells<C, R, F>(cells: Vec<C>, f: F) -> Vec<R>
 where
     C: Send,

@@ -35,10 +35,11 @@
 use cloud::{BulkJob, DataCenterId, JobId, MeasuredBodPolicy, MeasuredMode, MeasuredRun};
 use griphon::controller::{Controller, ControllerConfig};
 use griphon::{AbSample, CrossTraffic, ProbeConfig, ProbePath};
-use photonic::{EmsProfile, EqualizationModel, PhotonicNetwork};
+use photonic::PhotonicNetwork;
 use serde::Serialize;
 use simcore::{Crc32c, DataRate, DataSize, SimDuration, SimTime};
 
+use crate::experiments::quiet_config;
 use crate::harness::{
     ensure, CellRun, Ctx, Experiment, Finished, GateError, Identity, PointRun, Runs, Sweep,
 };
@@ -177,9 +178,7 @@ fn run_cell(s: &Scenario, mode: MeasuredMode, observability: bool) -> (u32, Meas
         net,
         ControllerConfig {
             seed,
-            ems: EmsProfile::calibrated_deterministic(),
-            equalization: EqualizationModel::calibrated_deterministic(),
-            ..ControllerConfig::default()
+            ..quiet_config()
         },
     );
     let csp = ctl

@@ -86,127 +86,127 @@ pub const TARGETS: &[Target] = &[
         name: "table1",
         about: "Table 1 — BoD vision vs today's reality vs GRIPhoN, quantified",
         category: Category::Paper,
-        run: || Ok(exp::table1()),
+        run: exp::table1,
     },
     Target {
         name: "table2",
         about: "Table 2 — wavelength setup time vs path length (1/2/3 hops)",
         category: Category::Paper,
-        run: || Ok(exp::table2()),
+        run: exp::table2,
     },
     Target {
         name: "fig1",
         about: "Fig. 1 — current services and layers (W-DCS/SONET/DWDM)",
         category: Category::Paper,
-        run: || Ok(exp::fig_layers(false)),
+        run: || exp::fig_layers(false),
     },
     Target {
         name: "fig2",
         about: "Fig. 2 — future services and layers (OTN/DWDM BoD)",
         category: Category::Paper,
-        run: || Ok(exp::fig_layers(true)),
+        run: || exp::fig_layers(true),
     },
     Target {
         name: "fig3",
         about: "Fig. 3 — BoD architecture walk-through (λ and OTN paths)",
         category: Category::Paper,
-        run: || Ok(exp::fig3()),
+        run: exp::fig3,
     },
     Target {
         name: "fig4",
         about: "Fig. 4 — the four-ROADM testbed, rendered and checked",
         category: Category::Paper,
-        run: || Ok(exp::fig4()),
+        run: exp::fig4,
     },
     Target {
         name: "e1-teardown",
         about: "E1 — §3 prose timings: setup range, teardown",
         category: Category::Paper,
-        run: || Ok(exp::e1_teardown()),
+        run: exp::e1_teardown,
     },
     Target {
         name: "e2-restoration",
         about: "E2 — restoration after a fiber cut",
         category: Category::Paper,
-        run: || Ok(exp::e2_restoration()),
+        run: exp::e2_restoration,
     },
     Target {
         name: "e2b-parallelism",
         about: "E2b — EMS parallelism ablation",
         category: Category::Paper,
-        run: || Ok(exp::e2b_parallelism()),
+        run: exp::e2b_parallelism,
     },
     Target {
         name: "e3-maintenance",
         about: "E3 — maintenance hit: bridge-and-roll vs cold reroute",
         category: Category::Paper,
-        run: || Ok(exp::e3_maintenance()),
+        run: exp::e3_maintenance,
     },
     Target {
         name: "e4-composite",
         about: "E4 — composite BoD: 12 G = 10G λ + 2×1G OTN",
         category: Category::Paper,
-        run: || Ok(exp::e4_composite()),
+        run: exp::e4_composite,
     },
     Target {
         name: "e5-bulk",
         about: "E5 — one week of bulk replication: BoD vs static vs S&F",
         category: Category::Paper,
-        run: || Ok(exp::e5_bulk()),
+        run: exp::e5_bulk,
     },
     Target {
         name: "e5b-full-mesh",
         about: "E5b — full-mesh replication, three DCs, one carrier",
         category: Category::Paper,
-        run: || Ok(exp::e5b_full_mesh()),
+        run: exp::e5b_full_mesh,
     },
     Target {
         name: "fig6",
         about: "Fig. 6 — one week of two-DC replication: cost per policy",
         category: Category::Economics,
-        run: || Ok(exp::fig6()),
+        run: exp::fig6,
     },
     Target {
         name: "fig7",
         about: "Fig. 7 — weekly cost vs offered bulk load",
         category: Category::Economics,
-        run: || Ok(exp::fig7()),
+        run: exp::fig7,
     },
     Target {
         name: "e6-grooming",
         about: "E6 — grooming: OTN switching vs muxponder-only",
         category: Category::Paper,
-        run: || Ok(exp::e6_grooming()),
+        run: exp::e6_grooming,
     },
     Target {
         name: "e7-ablation",
         about: "E7 — setup time vs hops under control-plane ablations",
         category: Category::Paper,
-        run: || Ok(exp::e7_ablation()),
+        run: exp::e7_ablation,
     },
     Target {
         name: "e8-protection",
         about: "E8 — 1+1 protection vs restoration: footprint, outage",
         category: Category::Paper,
-        run: || Ok(exp::e8_protection()),
+        run: exp::e8_protection,
     },
     Target {
         name: "e9-planning",
         about: "E9 — transponder-pool blocking: Erlang-B vs simulation",
         category: Category::Paper,
-        run: || Ok(exp::e9_planning()),
+        run: exp::e9_planning,
     },
     Target {
         name: "e10-sla",
         about: "E10 — a month of fiber cuts: availability, auto vs manual",
         category: Category::Paper,
-        run: || Ok(exp::e10_sla()),
+        run: exp::e10_sla,
     },
     Target {
         name: "perf",
         about: "engine performance counters (route cache, CSR sweeps)",
         category: Category::Perf,
-        run: || Ok(exp::perf()),
+        run: exp::perf,
     },
     Target {
         name: "all",

@@ -222,6 +222,8 @@ pub enum ScenarioError {
     BadRate(u64),
     /// Two named nodes are not adjacent.
     NotAdjacent(String, String),
+    /// A node is listed twice in `otn_switches`.
+    DuplicateOtnSwitch(String),
 }
 
 impl std::fmt::Display for ScenarioError {
@@ -233,6 +235,7 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::UnknownOrder(i) => write!(f, "unknown order #{i}"),
             ScenarioError::BadRate(g) => write!(f, "unsupported rate {g} G"),
             ScenarioError::NotAdjacent(a, b) => write!(f, "{a} and {b} not adjacent"),
+            ScenarioError::DuplicateOtnSwitch(n) => write!(f, "OTN switch at {n:?} listed twice"),
         }
     }
 }
@@ -365,6 +368,11 @@ pub fn drive(
             .collect();
         for name in &spec.otn_switches {
             let n = node(ctl, name)?;
+            // Refused before the switch is journaled: a second switch on
+            // one node is not a state the controller can hold.
+            if ctl.otn_switch_at(n).is_some() {
+                return Err(ScenarioError::DuplicateOtnSwitch(name.clone()));
+            }
             ctl.add_otn_switch(n, DataRate::from_gbps(320));
         }
         for (a, b) in &spec.trunks {
@@ -629,6 +637,21 @@ mod tests {
         assert!(matches!(
             run_json(bad),
             Err(ScenarioError::UnknownNode(n)) if n == "X"
+        ));
+    }
+
+    #[test]
+    fn duplicate_otn_switch_rejected() {
+        let bad = r#"{
+            "topology": { "testbed": { "ots_per_node": 2 } },
+            "wal": true,
+            "tenants": [],
+            "otn_switches": ["I", "I"],
+            "events": []
+        }"#;
+        assert!(matches!(
+            run_json(bad),
+            Err(ScenarioError::DuplicateOtnSwitch(n)) if n == "I"
         ));
     }
 

@@ -33,15 +33,11 @@ use serde::Serialize;
 use simcore::span::{self, RootRollup};
 use simcore::{DataRate, SimDuration, Span};
 
-use crate::experiments::{pin_route, quiet_testbed};
+use crate::experiments::{order, pin_route, quiet_testbed, TABLE2_PAPER_SECS};
 use crate::harness::{
     ensure, CellRun, Ctx, Experiment, Finished, GateError, Identity, Runs, Sweep,
 };
 use crate::table;
-
-/// Paper Table 2 means (seconds) at 1/2/3 hops, for the side-by-side
-/// column. The breakdown itself is measured, never read from here.
-const PAPER_SETUP_SECS: [f64; 3] = [62.48, 65.67, 70.94];
 
 /// One traced scenario: its recorded span stream plus the end-to-end
 /// latencies the controller reported through its ordinary bookkeeping,
@@ -74,9 +70,7 @@ fn setup_scenario(hops: usize, spans: bool) -> (Controller, Vec<(&'static str, S
     let (mut ctl, ids) = traced_testbed(4, spans);
     pin_route(&mut ctl, &ids, hops);
     let csp = ctl.tenants.register("lab", DataRate::from_gbps(100));
-    let id = ctl
-        .request_wavelength(csp, ids.i, ids.iv, LineRate::Gbps10)
-        .expect("plannable");
+    let id = order(&mut ctl, csp, &ids);
     ctl.run_until_idle();
     let conn = ctl.connection(id).unwrap();
     assert_eq!(conn.wavelength_plan().unwrap().hops(), hops);
@@ -97,8 +91,7 @@ fn restoration_scenario(spans: bool) -> (Controller, Vec<(&'static str, SimDurat
     let (mut ctl, ids) = traced_testbed(8, spans);
     let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
     for _ in 0..2 {
-        ctl.request_wavelength(csp, ids.i, ids.iv, LineRate::Gbps10)
-            .unwrap();
+        order(&mut ctl, csp, &ids);
     }
     ctl.run_until_idle();
     ctl.inject_fiber_cut(ids.f_i_iv, 0);
@@ -149,12 +142,7 @@ fn policy_scenario(spans: bool) -> (Controller, Vec<(&'static str, SimDuration)>
     );
     let (mut ctl, ids) = traced_testbed(10, spans);
     let csp = ctl.tenants.register("acme", DataRate::from_gbps(400));
-    let _ = BodPolicy {
-        max_rate: DataRate::from_gbps(40),
-        drain_target: SimDuration::from_hours(1),
-        idle_release: SimDuration::from_mins(10),
-    }
-    .run(&mut ctl, csp, ids.i, ids.iv, jobs, horizon, tick);
+    let _ = BodPolicy::default().run(&mut ctl, csp, ids.i, ids.iv, jobs, horizon, tick);
     // Close any workflow still in flight at the horizon so every span
     // stream the exporter sees is well-formed.
     ctl.run_until_idle();
@@ -351,7 +339,7 @@ fn build(scenarios: &[Scenario]) -> Result<(TraceReport, String), String> {
                 count: r.count,
                 phase_sum_secs: mean_secs(r.phase_sum(), r.count),
                 total_secs: mean_secs(r.total, r.count),
-                paper_secs: PAPER_SETUP_SECS
+                paper_secs: TABLE2_PAPER_SECS
                     .get(r.group as usize - 1)
                     .copied()
                     .unwrap_or(f64::NAN),
@@ -369,7 +357,7 @@ fn build(scenarios: &[Scenario]) -> Result<(TraceReport, String), String> {
         "expected 1-3 hop rows, got {}",
         table2.len()
     );
-    for (r, paper) in table2.iter().zip(PAPER_SETUP_SECS) {
+    for (r, paper) in table2.iter().zip(TABLE2_PAPER_SECS) {
         ensure!(
             (r.total_secs - paper).abs() < 0.01,
             "{}h setup {:.3} s misses the paper's {paper} s",

@@ -5,20 +5,13 @@
 use cloud::replication::ReplicationPolicy;
 use cloud::scheduler::DeadlineBodPolicy;
 use cloud::{CspPortal, DataCenterSet};
-use griphon::controller::{Controller, ControllerConfig};
-use photonic::{EmsProfile, EqualizationModel, LineRate, PhotonicNetwork};
+use griphon::controller::Controller;
+use griphon_bench::experiments::quiet_testbed;
+use photonic::LineRate;
 use simcore::{DataRate, DataSize, SimDuration};
 
 fn carrier() -> (Controller, photonic::TestbedIds) {
-    let (net, ids) = PhotonicNetwork::testbed(10);
-    let mut ctl = Controller::new(
-        net,
-        ControllerConfig {
-            ems: EmsProfile::calibrated_deterministic(),
-            equalization: EqualizationModel::calibrated_deterministic(),
-            ..ControllerConfig::default()
-        },
-    );
+    let (mut ctl, ids) = quiet_testbed(10);
     ctl.add_otn_switch(ids.i, DataRate::from_gbps(320));
     ctl.add_otn_switch(ids.iv, DataRate::from_gbps(320));
     ctl.provision_trunk(ids.i, ids.iv, LineRate::Gbps10)

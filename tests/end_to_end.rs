@@ -4,25 +4,16 @@
 //! maintenance with bridge-and-roll, re-grooming, and an inventory
 //! snapshot at the end.
 
-use griphon::controller::{Controller, ControllerConfig};
 use griphon::{ConnState, InventorySnapshot};
+use griphon_bench::experiments::quiet_testbed;
 use otn::ClientSignal;
-use photonic::{EmsProfile, EqualizationModel, FiberState, LineRate, PhotonicNetwork};
+use photonic::{FiberState, LineRate};
 use simcore::{DataRate, SimDuration};
-
-fn quiet() -> ControllerConfig {
-    ControllerConfig {
-        ems: EmsProfile::calibrated_deterministic(),
-        equalization: EqualizationModel::calibrated_deterministic(),
-        ..ControllerConfig::default()
-    }
-}
 
 #[test]
 fn full_lifecycle_scenario() {
     // ── Phase 0: plant bring-up ─────────────────────────────────────
-    let (net, ids) = PhotonicNetwork::testbed(10);
-    let mut ctl = Controller::new(net, quiet());
+    let (mut ctl, ids) = quiet_testbed(10);
     ctl.add_otn_switch(ids.i, DataRate::from_gbps(320));
     ctl.add_otn_switch(ids.iii, DataRate::from_gbps(320));
     ctl.add_otn_switch(ids.iv, DataRate::from_gbps(320));
@@ -139,8 +130,7 @@ fn full_lifecycle_scenario() {
 
 #[test]
 fn customer_views_stay_isolated_through_faults() {
-    let (net, ids) = PhotonicNetwork::testbed(8);
-    let mut ctl = Controller::new(net, quiet());
+    let (mut ctl, ids) = quiet_testbed(8);
     let a = ctl.tenants.register("acme", DataRate::from_gbps(100));
     let b = ctl.tenants.register("bravo", DataRate::from_gbps(100));
     let ca = ctl
@@ -164,8 +154,7 @@ fn customer_views_stay_isolated_through_faults() {
 fn grooming_layers_compose_with_controller() {
     // Sub-wavelength circuits from three customers share one trunk; the
     // OTN switch's slot accounting must match the controller's view.
-    let (net, ids) = PhotonicNetwork::testbed(6);
-    let mut ctl = Controller::new(net, quiet());
+    let (mut ctl, ids) = quiet_testbed(6);
     ctl.add_otn_switch(ids.i, DataRate::from_gbps(320));
     ctl.add_otn_switch(ids.iv, DataRate::from_gbps(320));
     let trunk = ctl

@@ -14,8 +14,8 @@
 //! through both engines, and requires exact equality; the
 //! controller-backed policies also require the twin controllers to land
 //! in identical states. `fig6_and_fig7_cells_match_the_tick_oracle`
-//! rebuilds every cell of the two figures the same way and pins each
-//! rebuilt row to `tests/golden/policies.txt`.
+//! runs every cell of the two figures, from the figures' own set-up,
+//! the same way.
 
 #[path = "support/reference_policies.rs"]
 mod reference;
@@ -27,13 +27,10 @@ use proptest::prelude::*;
 use cloud::scheduler::{
     BodPolicy, DeadlineBodPolicy, MultiPairBod, PolicyOutcome, StaticLinePolicy, StoreForwardPolicy,
 };
-use cloud::{
-    BulkJob, CostModel, DataCenterId, JobId, RateProfile, WorkloadConfig, WorkloadGenerator,
-};
+use cloud::{BulkJob, DataCenterId, JobId, RateProfile};
 use griphon::controller::Controller;
 use griphon::CustomerId;
-use griphon_bench::experiments::quiet_testbed;
-use griphon_bench::table;
+use griphon_bench::experiments::{quiet_testbed, Week};
 use photonic::TestbedIds;
 use simcore::{DataRate, DataSize, SimDuration, SimTime};
 
@@ -452,135 +449,38 @@ fn multi_pair_bod_event_matches_tick_oracle() {
     multi_pair_bod_event_matches_tick_oracle();
 }
 
-/// Every cell of Fig. 6 (seed 611) and Fig. 7 (seed `700 + mins` per
-/// load), rebuilt with the figures' own configs: the drivers see the
-/// sampled interactive profile, the oracles the raw diurnal function
-/// (so a wrong sampling window fails), and the rows they render must be
-/// the committed ones — a parameter drifting in `experiments.rs` fails
-/// here or in `tests/policy_golden.rs`.
+/// Every cell of Fig. 6 and Fig. 7, built by the figures' own
+/// `experiments::Week`: the drivers see the sampled interactive profile,
+/// the oracles the raw diurnal curve (so a wrong sampling window fails),
+/// and each policy's outcome must equal its oracle's.
 #[test]
 fn fig6_and_fig7_cells_match_the_tick_oracle() {
-    let golden = include_str!("golden/policies.txt");
-    let horizon = SimDuration::from_hours(24 * 7);
-    let tick = SimDuration::from_secs(60);
-    let hours = horizon.as_secs_f64() / 3600.0;
-    let gen_ref = WorkloadGenerator::new(WorkloadConfig::default(), 0);
-    let diurnal = |t: SimTime| gen_ref.interactive_rate(t);
-    let interactive = RateProfile::sampled(
-        diurnal,
-        SimTime::ZERO + horizon + SimDuration::from_hours(17),
-        tick,
-    );
-    let static_line = StaticLinePolicy {
-        line: DataRate::from_gbps(40),
-    };
-    let snf = StoreForwardPolicy {
-        line: DataRate::from_gbps(10),
-        relays: 2,
-        relay_phase_hours: 8.0,
-    };
-    let bod = BodPolicy {
-        max_rate: DataRate::from_gbps(40),
-        drain_target: SimDuration::from_hours(1),
-        idle_release: SimDuration::from_mins(10),
-    };
-    // One week of jobs through all three policies, driver ≡ oracle.
-    let cell = |bulk_interarrival, bulk_max, seed| {
-        let cfg = WorkloadConfig {
-            bulk_interarrival,
-            bulk_max,
-            ..WorkloadConfig::default()
-        };
-        let jobs = WorkloadGenerator::new(cfg, seed).bulk_jobs(
-            DataCenterId::new(0),
-            DataCenterId::new(1),
-            horizon,
+    let fig7 =
+        Week::FIG7_LOADS_MINS.map(|mins| (format!("Fig. 7 at {mins} min"), Week::fig7(mins)));
+    for (cell, week) in std::iter::once(("Fig. 6".to_string(), Week::fig6())).chain(fig7) {
+        let (horizon, tick, jobs) = (Week::HORIZON, Week::TICK, &week.jobs);
+        let diurnal = &Week::diurnal;
+        assert_eq!(
+            week.static_line
+                .run(jobs.clone(), horizon, tick, &week.interactive),
+            reference::static_line(&week.static_line, jobs.clone(), horizon, tick, diurnal),
+            "static line, {cell}"
         );
-        let o_static = static_line.run(jobs.clone(), horizon, tick, &interactive);
-        let r_static = reference::static_line(&static_line, jobs.clone(), horizon, tick, &diurnal);
-        assert_eq!(o_static, r_static, "static line, seed {seed}");
-        let o_snf = snf.run(jobs.clone(), horizon, tick, &interactive);
-        let r_snf = reference::store_forward(&snf, jobs.clone(), horizon, tick, &diurnal);
-        assert_eq!(o_snf, r_snf, "store-and-forward, seed {seed}");
-        let o_bod = assert_twins(10, |ctl, csp, ids, oracle| {
+        assert_eq!(
+            week.store_forward
+                .run(jobs.clone(), horizon, tick, &week.interactive),
+            reference::store_forward(&week.store_forward, jobs.clone(), horizon, tick, diurnal),
+            "store-and-forward, {cell}"
+        );
+        assert_twins(10, |ctl, csp, ids, oracle| {
             let jobs = jobs.clone();
             if oracle {
-                reference::bod(&bod, ctl, csp, ids.i, ids.iv, jobs, horizon, tick)
+                reference::bod(&week.bod, ctl, csp, ids.i, ids.iv, jobs, horizon, tick)
             } else {
-                bod.run(ctl, csp, ids.i, ids.iv, jobs, horizon, tick)
+                week.bod.run(ctl, csp, ids.i, ids.iv, jobs, horizon, tick)
             }
         });
-        (jobs.len(), [o_static, o_snf, o_bod])
-    };
-    let assert_committed = |figure: &str, rendered: String| {
-        for row in rendered.lines() {
-            assert!(
-                golden.lines().any(|line| line == row),
-                "{figure}: rebuilt row not in tests/golden/policies.txt:\n{row}"
-            );
-        }
-        assert!(golden.contains(&rendered), "{figure}: rows out of order");
-    };
-    let cost = CostModel::default();
-
-    let (n, outcomes) = cell(
-        SimDuration::from_hours(4),
-        DataSize::from_terabytes(50),
-        611,
-    );
-    let names = [
-        ("static 40G line", false),
-        ("store-and-forward", false),
-        ("GRIPhoN BoD (≤40G)", true),
-    ];
-    let rows: Vec<Vec<String>> = names
-        .into_iter()
-        .zip(&outcomes)
-        .map(|((name, is_bod), o)| {
-            vec![
-                name.to_string(),
-                format!("{}/{n}", o.log.completed),
-                format!("{:.2} h", o.log.mean_completion_secs / 3600.0),
-                format!("{:.2} h", o.log.p95_completion_secs / 3600.0),
-                format!("{:.0} Gbps·h", o.gbps_hours),
-                format!("{:.0}", cost.outcome_cost(o, hours, is_bod)),
-            ]
-        })
-        .collect();
-    let headers = ["policy", "done", "mean compl", "p95 compl", "held", "cost"];
-    assert_committed("Fig. 6", table::render(&headers, &rows));
-
-    let rows: Vec<Vec<String>> = [720u64, 360, 180, 90, 45]
-        .into_iter()
-        .map(|mins| {
-            let (n, [s, f, b]) = cell(
-                SimDuration::from_mins(mins),
-                DataSize::from_terabytes(40),
-                700 + mins,
-            );
-            vec![
-                if mins % 60 == 0 {
-                    format!("{} h", mins / 60)
-                } else {
-                    format!("{mins} min")
-                },
-                n.to_string(),
-                format!("{:.0}", cost.outcome_cost(&s, hours, false)),
-                format!("{:.0}", cost.outcome_cost(&f, hours, false)),
-                format!("{:.0}", cost.outcome_cost(&b, hours, true)),
-                format!("{}/{n}", b.log.completed),
-            ]
-        })
-        .collect();
-    let headers = [
-        "interarrival",
-        "jobs",
-        "static 40G",
-        "store-fwd",
-        "BoD",
-        "BoD done",
-    ];
-    assert_committed("Fig. 7", table::render(&headers, &rows));
+    }
 }
 
 /// One full-mesh multi-pair run under the event engine.

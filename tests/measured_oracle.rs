@@ -21,8 +21,9 @@ mod reference;
 use cloud::{BulkJob, DataCenterId, JobId, MeasuredBodPolicy, MeasuredMode, MeasuredRun};
 use griphon::controller::{Controller, ControllerConfig};
 use griphon::{CrossTraffic, ProbeConfig, ProbePath};
+use griphon_bench::experiments::quiet_config;
 use griphon_bench::measure_target::point_seed;
-use photonic::{EmsProfile, EqualizationModel, PhotonicNetwork};
+use photonic::PhotonicNetwork;
 use proptest::prelude::*;
 use simcore::{DataRate, DataSize, SimDuration, SimTime};
 
@@ -52,9 +53,7 @@ fn run(cell: &Cell, reference: bool) -> (MeasuredRun, u32) {
         net,
         ControllerConfig {
             seed: cell.seed,
-            ems: EmsProfile::calibrated_deterministic(),
-            equalization: EqualizationModel::calibrated_deterministic(),
-            ..ControllerConfig::default()
+            ..quiet_config()
         },
     );
     let csp = ctl.tenants.register("csp", DataRate::from_gbps(400));

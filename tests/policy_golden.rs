@@ -2,8 +2,8 @@
 //! (static line, store-and-forward, BoD and deadline BoD over one week),
 //! E5b (three-pair multi-pair BoD on one carrier), Fig. 6 and Fig. 7.
 //! Every number in those tables comes out of `cloud::scheduler`;
-//! `tests/event_engine.rs` rebuilds each Fig. 6 and Fig. 7 row against
-//! the fixed-tick oracles and requires it in the same golden file.
+//! `tests/event_engine.rs` runs each Fig. 6 and Fig. 7 cell, from the
+//! figures' own set-up, against the fixed-tick oracles.
 //!
 //! If a change intentionally alters a policy, regenerate with
 //! `cargo test --release --test artifact_goldens -- --ignored regenerate`
