@@ -67,13 +67,6 @@ impl CostModel {
             self.leased_cost(outcome.peak_gbps, hours)
         }
     }
-
-    /// The utilization (fraction of time capacity is held) below which
-    /// BoD is cheaper than leasing the same rate flat, ignoring setup
-    /// fees.
-    pub fn bod_breakeven_utilization(&self) -> f64 {
-        self.leased_per_gbps_month / (730.0 * self.bod_per_gbps_hour)
-    }
 }
 
 #[cfg(test)]
@@ -88,12 +81,6 @@ mod tests {
             peak_gbps: peak,
             setups,
         }
-    }
-
-    #[test]
-    fn breakeven_matches_construction() {
-        let m = CostModel::default();
-        assert!((m.bod_breakeven_utilization() - 0.4).abs() < 1e-9);
     }
 
     #[test]

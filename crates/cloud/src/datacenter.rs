@@ -67,35 +67,9 @@ impl DataCenterSet {
         &self.sites[id.index()]
     }
 
-    /// Mutate a site.
-    pub fn get_mut(&mut self, id: DataCenterId) -> &mut DataCenter {
-        &mut self.sites[id.index()]
-    }
-
-    /// Number of sites.
-    pub fn len(&self) -> usize {
-        self.sites.len()
-    }
-
-    /// Is the fleet empty?
-    pub fn is_empty(&self) -> bool {
-        self.sites.is_empty()
-    }
-
     /// All sites.
     pub fn iter(&self) -> impl Iterator<Item = &DataCenter> {
         self.sites.iter()
-    }
-
-    /// All unordered site pairs — replication runs between each.
-    pub fn pairs(&self) -> Vec<(DataCenterId, DataCenterId)> {
-        let mut out = Vec::new();
-        for i in 0..self.sites.len() {
-            for j in i + 1..self.sites.len() {
-                out.push((DataCenterId::from_index(i), DataCenterId::from_index(j)));
-            }
-        }
-        out
     }
 }
 
@@ -104,22 +78,15 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fleet_and_pairs() {
+    fn fleet_lookup() {
         let mut dcs = DataCenterSet::new();
         let a = dcs.add("ashburn", RoadmId::new(0), DataRate::from_gbps(40));
         let b = dcs.add("dallas", RoadmId::new(1), DataRate::from_gbps(40));
         let c = dcs.add("sanjose", RoadmId::new(2), DataRate::from_gbps(40));
-        assert_eq!(dcs.len(), 3);
-        assert_eq!(dcs.pairs(), vec![(a, b), (a, c), (b, c)]);
-        assert_eq!(dcs.get(b).name, "dallas");
-        assert!(!dcs.is_empty());
-    }
-
-    #[test]
-    fn stored_content_grows() {
-        let mut dcs = DataCenterSet::new();
-        let a = dcs.add("a", RoadmId::new(0), DataRate::from_gbps(10));
-        dcs.get_mut(a).stored += DataSize::from_terabytes(5);
-        assert_eq!(dcs.get(a).stored, DataSize::from_terabytes(5));
+        assert_eq!(dcs.iter().count(), 3);
+        assert_eq!(
+            [a, b, c].map(|id| dcs.get(id).name.as_str()),
+            ["ashburn", "dallas", "sanjose"]
+        );
     }
 }

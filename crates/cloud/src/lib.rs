@@ -42,7 +42,7 @@ pub mod transfer;
 pub mod workload;
 
 pub use cost::CostModel;
-pub use datacenter::{DataCenter, DataCenterId, DataCenterSet};
+pub use datacenter::{DataCenterId, DataCenterSet};
 pub use portal::{CspPortal, PortalError};
 pub use profile::RateProfile;
 pub use replication::ReplicationPolicy;

@@ -4,10 +4,9 @@
 //! access pipe* terminated on NTE (the 10/40 G muxponder of the
 //! testbed). However elastic the core is, a site can never terminate
 //! more bandwidth than its pipe — so the portal enforces per-site
-//! admission *before* the carrier sees the order, tracks how many NTE
-//! client ports each bundle consumes, and keeps the books a CSP's
-//! operations team would keep (which bundles exist, to where, how much
-//! headroom each site has left).
+//! admission *before* the carrier sees the order, and keeps the books a
+//! CSP's operations team would keep (which bundles exist, to where, how
+//! much headroom each site has left).
 
 use std::collections::BTreeMap;
 
@@ -116,46 +115,6 @@ impl CspPortal {
         self.bundles.push((from, to, bundle));
         Ok(self.bundles.len() - 1)
     }
-
-    /// Release a previously placed order.
-    ///
-    /// # Panics
-    /// If the handle is stale (already released or out of range).
-    pub fn release(&mut self, ctl: &mut Controller, handle: usize) {
-        let (from, to, bundle) = self.bundles.remove(handle);
-        let delivered: DataRate = bundle
-            .members
-            .iter()
-            .filter_map(|m| ctl.connection(*m))
-            .map(|c| c.kind.rate())
-            .sum();
-        ctl.release_bundle(&bundle);
-        for site in [from, to] {
-            let c = self
-                .committed
-                .get_mut(&site)
-                .expect("committed entry exists");
-            *c = c.saturating_sub(delivered);
-        }
-    }
-
-    /// Live orders: `(from, to, bundle)`.
-    pub fn orders(&self) -> &[(DataCenterId, DataCenterId, Bundle)] {
-        &self.bundles
-    }
-
-    /// 10 G NTE client ports a site currently needs (one per 10 G of
-    /// committed bandwidth, rounded up — the muxponder arithmetic of
-    /// Fig. 4's premises).
-    pub fn nte_ports_needed(&self, site: DataCenterId) -> usize {
-        let committed = self.committed.get(&site).copied().unwrap_or(DataRate::ZERO);
-        (committed.bps() as usize).div_ceil(DataRate::from_gbps(10).bps() as usize)
-    }
-
-    /// 4-port muxponders a site needs for its committed bandwidth.
-    pub fn muxponders_needed(&self, site: DataCenterId) -> usize {
-        self.nte_ports_needed(site).div_ceil(4)
-    }
 }
 
 #[cfg(test)]
@@ -189,18 +148,12 @@ mod tests {
     #[test]
     fn order_commits_both_pipes() {
         let (mut ctl, mut portal, a, b) = setup();
-        let h = portal
+        portal
             .order(&mut ctl, a, b, DataRate::from_gbps(12))
             .unwrap();
         assert_eq!(portal.headroom(a), DataRate::from_gbps(28));
         assert_eq!(portal.headroom(b), DataRate::from_gbps(13));
-        assert_eq!(portal.orders().len(), 1);
-        ctl.run_until_idle();
-        portal.release(&mut ctl, h);
-        ctl.run_until_idle();
-        assert_eq!(portal.headroom(a), DataRate::from_gbps(40));
-        assert_eq!(portal.headroom(b), DataRate::from_gbps(25));
-        assert!(portal.orders().is_empty());
+        assert_eq!(portal.bundles.len(), 1);
     }
 
     #[test]
@@ -234,8 +187,6 @@ mod tests {
             .order(&mut ctl, a, b, DataRate::from_gbps(18))
             .unwrap();
         assert_eq!(portal.headroom(b), DataRate::from_gbps(5));
-        assert_eq!(portal.nte_ports_needed(b), 2);
-        assert_eq!(portal.muxponders_needed(b), 1);
     }
 
     #[test]
@@ -253,23 +204,6 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, PortalError::Carrier(_)));
         assert_eq!(portal.headroom(a), DataRate::from_gbps(40));
-        assert!(portal.orders().is_empty());
-    }
-
-    #[test]
-    fn nte_arithmetic() {
-        let (mut ctl, mut portal, a, b) = setup();
-        portal
-            .order(&mut ctl, a, b, DataRate::from_gbps(12))
-            .unwrap();
-        // 12 G committed → 2 × 10 G ports (ceil) → 1 muxponder.
-        assert_eq!(portal.nte_ports_needed(a), 2);
-        assert_eq!(portal.muxponders_needed(a), 1);
-        portal
-            .order(&mut ctl, a, b, DataRate::from_gbps(12))
-            .unwrap();
-        // 24 G → 3 ports… still 1 muxponder; a third order crosses.
-        assert_eq!(portal.nte_ports_needed(a), 3);
-        assert_eq!(portal.muxponders_needed(a), 1);
+        assert!(portal.bundles.is_empty());
     }
 }

@@ -21,7 +21,8 @@ pub struct RateProfile {
 
 impl RateProfile {
     /// A constant rate for all time.
-    pub fn flat(rate: DataRate) -> RateProfile {
+    #[cfg(test)]
+    pub(crate) fn flat(rate: DataRate) -> RateProfile {
         RateProfile {
             steps: vec![(SimTime::ZERO, rate)],
         }

@@ -56,12 +56,12 @@ impl Transfer {
     }
 
     /// Time from submission to completion (None while in flight).
-    pub fn completion_time(&self) -> Option<SimDuration> {
+    pub(crate) fn completion_time(&self) -> Option<SimDuration> {
         self.completed.map(|t| t.saturating_since(self.job.created))
     }
 
     /// Did it meet its deadline? `None` if it had none or is unfinished.
-    pub fn met_deadline(&self) -> Option<bool> {
+    pub(crate) fn met_deadline(&self) -> Option<bool> {
         match (self.job.deadline, self.completed) {
             (Some(d), Some(c)) => Some(c <= d),
             _ => None,

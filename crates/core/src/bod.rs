@@ -92,11 +92,6 @@ impl Decomposition {
             }
         }
     }
-
-    /// The bandwidth the decomposition delivers.
-    pub fn delivered(&self) -> DataRate {
-        DataRate::from_gbps(self.wavelengths_10g * 10 + self.otn_1g)
-    }
 }
 
 impl Controller {
@@ -236,7 +231,6 @@ mod tests {
                 otn_1g: 2
             }
         );
-        assert_eq!(d.delivered(), DataRate::from_gbps(12));
     }
 
     #[test]
@@ -249,7 +243,6 @@ mod tests {
                 otn_1g: 0
             }
         );
-        assert_eq!(d.delivered(), DataRate::from_gbps(20)); // over-delivery
     }
 
     #[test]

@@ -92,7 +92,7 @@ impl std::fmt::Display for CalendarError {
 impl std::error::Error for CalendarError {}
 
 /// Lead time before the window at which provisioning starts.
-pub const ACTIVATION_LEAD: SimDuration = SimDuration::from_secs(120);
+pub(crate) const ACTIVATION_LEAD: SimDuration = SimDuration::from_secs(120);
 
 impl Controller {
     /// Cap concurrent bookings between a node pair (defaults to 40 G per

@@ -192,14 +192,14 @@ impl Connection {
     }
 
     /// Record an outage beginning (idempotent while one is open).
-    pub fn outage_start(&mut self, at: SimTime) {
+    pub(crate) fn outage_start(&mut self, at: SimTime) {
         if self.outage_since.is_none() {
             self.outage_since = Some(at);
         }
     }
 
     /// Record the outage ending; accumulates into `outage_total`.
-    pub fn outage_end(&mut self, at: SimTime) {
+    pub(crate) fn outage_end(&mut self, at: SimTime) {
         if let Some(start) = self.outage_since.take() {
             self.outage_total += at.saturating_since(start);
         }

@@ -31,8 +31,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use simcore::{
-    LatencyRecorder, MetricsRegistry, Scheduler, SimDuration, SimRng, SimTime, SpanId,
-    SpanRecorder, TraceLog,
+    MetricsRegistry, Scheduler, SimDuration, SimRng, SimTime, SpanId, SpanRecorder, TraceLog,
 };
 
 use otn::{OtnSwitch, XcId};
@@ -148,7 +147,7 @@ impl From<RwaError> for RequestError {
 
 /// Workflow completion classes the event loop dispatches on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum WorkflowKind {
+pub(crate) enum WorkflowKind {
     /// Initial provisioning finished → Active.
     Setup,
     /// Teardown finished → Released.
@@ -179,7 +178,7 @@ impl WorkflowKind {
 
 /// Events flowing through the controller's scheduler.
 #[derive(Debug, Clone)]
-pub enum Event {
+pub(crate) enum Event {
     /// A provisioning/teardown/restore/bridge/roll workflow completed.
     WorkflowDone {
         /// The connection it belongs to.
@@ -289,10 +288,6 @@ pub struct Controller {
     /// The path-computation engine (route cache + Dijkstra scratch),
     /// shared by every planning call this controller makes.
     pub(crate) engine: rwa::PathEngine,
-    /// Wall-clock planning latency (host time, *not* simulated time).
-    /// Kept out of `metrics` so deterministic scenario reports stay
-    /// bit-identical across runs; read it via [`Controller::perf_summary`].
-    pub perf: LatencyRecorder,
     /// The write-ahead intent log, when durability is enabled
     /// ([`Controller::enable_journal`]). `None` costs nothing and the
     /// simulation outcome is byte-identical either way.
@@ -348,7 +343,6 @@ impl Controller {
             metrics: MetricsRegistry::new(),
             noc: crate::noc::Noc::new(),
             engine: rwa::PathEngine::new(),
-            perf: LatencyRecorder::new(),
             journal: None,
             journal_depth: 0,
             workflows: photonic::WorkflowLedger::default(),
@@ -372,7 +366,7 @@ impl Controller {
     /// Install an already-populated log (recovery reinstalls the
     /// surviving history so the replica keeps journaling where the
     /// primary left off).
-    pub fn install_journal(&mut self, wal: crate::durability::Wal) {
+    pub(crate) fn install_journal(&mut self, wal: crate::durability::Wal) {
         self.journal = Some(wal);
     }
 
@@ -417,7 +411,7 @@ impl Controller {
     pub fn journal_batch<T>(
         &mut self,
         f: impl FnOnce(&mut Self) -> T,
-    ) -> (T, Option<crate::durability::BatchCommit>) {
+    ) -> (T, Option<crate::durability::wal::BatchCommit>) {
         if let Some(w) = self.journal.as_mut() {
             w.begin_batch();
         }
@@ -434,7 +428,7 @@ impl Controller {
     }
 
     /// [`Self::register_tenant`] with an explicit restoration priority.
-    pub fn register_tenant_with_priority(
+    pub(crate) fn register_tenant_with_priority(
         &mut self,
         name: &str,
         quota: simcore::DataRate,
@@ -449,10 +443,9 @@ impl Controller {
     }
 
     /// Plan a wavelength connection through the controller's
-    /// [`rwa::PathEngine`], recording wall-clock planning latency in
-    /// [`Controller::perf`]. All internal planning goes through here so
-    /// the route cache and scratch buffers are shared and the percentiles
-    /// cover every call.
+    /// [`rwa::PathEngine`], recording an `rwa.plan` span when spans are
+    /// on. All internal planning goes through here so the route cache and
+    /// scratch buffers are shared and the spans cover every call.
     pub(crate) fn plan_wavelength(
         &mut self,
         from: RoadmId,
@@ -460,37 +453,25 @@ impl Controller {
         rate: photonic::LineRate,
         excluded: &[photonic::FiberId],
     ) -> Result<WavelengthPlan, RwaError> {
-        let t0 = std::time::Instant::now();
+        // Wall-clock readings are non-deterministic; the clock is read
+        // only under the explicit host-attrs opt-in (perf pipeline).
+        let t0 = self
+            .spans
+            .host_attrs_enabled()
+            .then(std::time::Instant::now);
         let r = self
             .engine
             .plan_wavelength(&self.net, &self.cfg.rwa, from, to, rate, excluded);
-        let host_ns = t0.elapsed().as_nanos() as u64;
-        self.perf.record_ns(host_ns);
+        let host_ns = t0.map(|t0| t0.elapsed().as_nanos() as u64);
         if self.spans.is_enabled() {
             let now = self.sched.now();
             let sp = self.spans.record(now, now, "plan", "rwa.plan", None);
             self.spans.attr_u64(sp, "ok", u64::from(r.is_ok()));
-            // Wall-clock readings are non-deterministic; they enter spans
-            // only under the explicit host-attrs opt-in (perf pipeline).
-            if self.spans.host_attrs_enabled() {
+            if let Some(host_ns) = host_ns {
                 self.spans.attr_u64(sp, "host_ns", host_ns);
             }
         }
         r
-    }
-
-    /// One-line wall-clock performance summary: planning-latency
-    /// percentiles and route-cache hit rate.
-    pub fn perf_summary(&self) -> String {
-        let s = self.engine.route_cache_stats();
-        format!(
-            "plan_wavelength {} | route-cache {} hits / {} misses / {} evictions ({} resident)",
-            self.perf.summary(),
-            s.hits,
-            s.misses,
-            s.evictions,
-            s.entries
-        )
     }
 
     /// Route-cache counters of the controller's path engine.
@@ -500,13 +481,13 @@ impl Controller {
     /// derived, host-local state — a failover replica replans cold with
     /// different hit counts while carrying identical persistent state.
     /// Exporters publish these through
-    /// [`rwa::PathEngine::export_cache_metrics`] instead.
+    /// `rwa::PathEngine::export_cache_metrics` instead.
     pub fn route_cache_stats(&self) -> rwa::RouteCacheStats {
         self.engine.route_cache_stats()
     }
 
     /// Publish the path engine's route-cache counters into a metrics
-    /// family registry (see [`rwa::PathEngine::export_cache_metrics`]).
+    /// family registry (see `rwa::PathEngine::export_cache_metrics`).
     pub fn export_route_cache_metrics(&self, reg: &mut simcore::metrics::FamilyRegistry) {
         self.engine.export_cache_metrics(reg);
     }
@@ -606,19 +587,9 @@ impl Controller {
         self.conns.values()
     }
 
-    /// Read a trunk.
-    pub fn trunk(&self, id: TrunkId) -> Option<&Trunk> {
-        self.trunks.get(id.index())
-    }
-
     /// All trunks.
     pub fn trunks(&self) -> &[Trunk] {
         &self.trunks
-    }
-
-    /// Read an OTN switch by internal index.
-    pub fn otn_switch(&self, idx: usize) -> &OtnSwitch {
-        &self.switches[idx]
     }
 
     /// The OTN switch index at a node, if one is installed.
@@ -836,7 +807,7 @@ impl Controller {
     }
 
     /// The client-side FXC at a PoP, created on first use.
-    pub fn fxc_at(&mut self, node: RoadmId) -> photonic::FxcId {
+    pub(crate) fn fxc_at(&mut self, node: RoadmId) -> photonic::FxcId {
         if let Some(id) = self.fxc_at.get(&node) {
             return *id;
         }
@@ -1002,7 +973,7 @@ impl Controller {
     }
 
     /// `(total, in use)` regen counts — inventory reporting.
-    pub fn regen_stats(&self) -> (usize, usize) {
+    pub(crate) fn regen_stats(&self) -> (usize, usize) {
         let total = self.net.regen_count();
         let used = self
             .net
@@ -1018,8 +989,7 @@ impl Controller {
     /// primitive. Persistent state — inventory, scheduler, RNG, tenants,
     /// traces, metrics — is cloned field by field; *derived* state is
     /// reset: the journal detaches (a replica journals independently),
-    /// the wall-clock perf recorder starts fresh (host time is not
-    /// state), and the path engine restarts cold (its route cache is
+    /// and the path engine restarts cold (its route cache is
     /// proven outcome-neutral by `tests/determinism.rs`).
     pub fn fork(&self) -> Controller {
         Controller {
@@ -1051,7 +1021,6 @@ impl Controller {
             metrics: self.metrics.clone(),
             noc: self.noc.clone(),
             engine: self.engine.fresh_like(),
-            perf: LatencyRecorder::new(),
             journal: None,
             journal_depth: 0,
             workflows: self.workflows.clone(),
@@ -1071,8 +1040,7 @@ impl Controller {
     /// observational or host-bound layers that are proven
     /// outcome-neutral: the NOC (its scrape values depend on event-loop
     /// boundaries replay need not reproduce), the span recorder, the
-    /// wall-clock perf recorder, the path-engine cache, and the journal
-    /// itself.
+    /// path-engine cache, and the journal itself.
     pub fn state_digest(&self) -> String {
         let mut out = String::new();
         self.write_state_digest(&mut out)

@@ -30,8 +30,6 @@ pub mod standby;
 pub mod wal;
 
 pub use recovery::{recover, RecoveryError, RecoveryOutcome};
-pub use snapshot::{Snapshot, SnapshotMeta, SnapshotStore, SNAPSHOT_VERSION};
-pub use standby::{FailoverConfig, FailoverReport, HaPair, StandbyController};
-pub use wal::{
-    decode_threads, BatchCommit, Intent, OpenReport, Wal, WalConfig, WalError, WalRecord,
-};
+pub use snapshot::{Snapshot, SnapshotStore};
+pub use standby::{FailoverConfig, HaPair, StandbyController};
+pub use wal::{decode_threads, Intent, Wal, WalConfig, WalRecord};

@@ -10,8 +10,8 @@
 //! schedule.
 //!
 //! A torn log tail is a *clean* crash: the final, never-acknowledged
-//! intent rolls back (the ledger counts it under
-//! [`photonic::WorkflowLedger::recovery_totals`]). Corruption, mid-log
+//! intent rolls back (the ledger counts it, and
+//! [`photonic::WorkflowLedger::dump`] prints the count). Corruption, mid-log
 //! tears, and semantically invalid records (an id no topology object
 //! backs) are typed [`RecoveryError`]s — recovery refuses to guess
 //! rather than diverging from the lost primary.
@@ -282,6 +282,8 @@ pub fn apply(ctl: &mut Controller, intent: &Intent) -> Result<(), String> {
             let _ = ctl.cancel_reservation(crate::ReservationId::new(*reservation));
         }
         Intent::SetBookingCapacity { a, b, cap_bps } => {
+            check("node", *a, nodes)?;
+            check("node", *b, nodes)?;
             ctl.set_booking_capacity(
                 RoadmId::new(*a),
                 RoadmId::new(*b),
@@ -351,4 +353,155 @@ fn checked_fibers(raw: &[u32], fibers: usize) -> Result<Vec<FiberId>, String> {
     raw.iter()
         .map(|&f| check("fiber", f, fibers).map(|()| FiberId::new(f)))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::controller::ControllerConfig;
+    use photonic::PhotonicNetwork;
+
+    /// Every intent that names a node, fibre, span or transponder, with
+    /// that id out of range on the four-node testbed: each checksum-clean
+    /// record must fail replay as a typed `Apply` error naming its `seq`.
+    #[test]
+    fn out_of_range_ids_are_typed_apply_errors() {
+        const BAD: u32 = 999;
+        let rate = crate::durability::wal::encode_rate(photonic::LineRate::Gbps10);
+        let cases: Vec<(&str, Intent)> = vec![
+            (
+                "node",
+                Intent::Wavelength {
+                    customer: 0,
+                    from: 0,
+                    to: BAD,
+                    rate,
+                },
+            ),
+            (
+                "node",
+                Intent::ProtectedWavelength {
+                    customer: 0,
+                    from: BAD,
+                    to: 1,
+                    rate,
+                },
+            ),
+            (
+                "node",
+                Intent::Subwavelength {
+                    customer: 0,
+                    from: 0,
+                    to: BAD,
+                    signal: 0,
+                },
+            ),
+            (
+                "node",
+                Intent::Bandwidth {
+                    customer: 0,
+                    from: BAD,
+                    to: 1,
+                    target_bps: 1,
+                },
+            ),
+            (
+                "node",
+                Intent::Reserve {
+                    customer: 0,
+                    from: 0,
+                    to: BAD,
+                    rate_bps: 1,
+                    start_ns: 0,
+                    end_ns: 1,
+                },
+            ),
+            (
+                "node",
+                Intent::SetBookingCapacity {
+                    a: 0,
+                    b: BAD,
+                    cap_bps: 1,
+                },
+            ),
+            (
+                "node",
+                Intent::SetBookingCapacity {
+                    a: BAD,
+                    b: 1,
+                    cap_bps: 1,
+                },
+            ),
+            (
+                "node",
+                Intent::AddOtnSwitch {
+                    node: BAD,
+                    fabric_bps: 1,
+                },
+            ),
+            ("node", Intent::ProvisionTrunk { a: 0, b: BAD, rate }),
+            ("node", Intent::StartNodeMaintenance { node: BAD }),
+            (
+                "fiber",
+                Intent::CutFiber {
+                    fiber: BAD,
+                    span: 0,
+                },
+            ),
+            (
+                "span",
+                Intent::CutFiber {
+                    fiber: 0,
+                    span: BAD,
+                },
+            ),
+            (
+                "fiber",
+                Intent::ScheduleRepair {
+                    fiber: BAD,
+                    after_ns: 1,
+                },
+            ),
+            ("fiber", Intent::StartFiberMaintenance { fiber: BAD }),
+            ("fiber", Intent::EndFiberMaintenance { fiber: BAD }),
+            (
+                "fiber",
+                Intent::BridgeRoll {
+                    conn: 0,
+                    excluded: vec![0, BAD],
+                },
+            ),
+            (
+                "fiber",
+                Intent::ColdReroute {
+                    conn: 0,
+                    excluded: vec![BAD],
+                },
+            ),
+            ("transponder", Intent::OtFailure { ot: BAD }),
+        ];
+        for (kind, bad) in cases {
+            let mut wal = Wal::new(WalConfig::default());
+            let tenant = Intent::RegisterTenant {
+                name: "acme".into(),
+                quota_bps: 1_000_000_000_000,
+                priority: 0,
+            };
+            wal.append(SimTime::ZERO, &tenant);
+            let seq = wal.append(SimTime::from_secs(1), &bad);
+            let (records, _) = Wal::decode(wal.segments()).expect("checksum-clean log");
+            let (net, _) = PhotonicNetwork::testbed(2);
+            let mut ctl = Controller::new(net, ControllerConfig::default());
+            match replay(&mut ctl, &records) {
+                Err(RecoveryError::Apply { seq: at, error }) => {
+                    assert_eq!(at, seq, "{bad:?}");
+                    assert!(
+                        error.starts_with(&format!("{kind} {BAD} ")),
+                        "{bad:?}: {error}"
+                    );
+                }
+                other => panic!("{bad:?} replayed as {other:?}"),
+            }
+        }
+    }
 }

@@ -1,7 +1,7 @@
 //! Versioned, checksummed controller snapshots.
 //!
 //! A snapshot is a deterministic [`Controller::fork`] of the primary plus
-//! a codec-encoded [`SnapshotMeta`] binding it to a log position: the
+//! a [`SnapshotMeta`] binding it to a log position: the
 //! sequence number of the next WAL record at capture time. Recovery
 //! restores the newest snapshot at or before the surviving log prefix
 //! and replays only the tail — bounding recovery time by the snapshot
@@ -12,18 +12,17 @@
 //! refused (the store was corrupted), and recovery falls back to an
 //! older snapshot or genesis.
 
-use simcore::codec::{frame, read_frame, CodecError, Decoder, Encoder, Frame};
 use simcore::SimTime;
 
 use crate::controller::Controller;
 
 /// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub(crate) const SNAPSHOT_VERSION: u32 = 1;
 
 /// Metadata binding a snapshot to a log position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SnapshotMeta {
-    /// Format version ([`SNAPSHOT_VERSION`]).
+    /// Format version (`SNAPSHOT_VERSION`).
     pub version: u32,
     /// Sequence number of the *next* WAL record at capture time — the
     /// snapshot reflects every record in `[0, seq)`.
@@ -32,49 +31,6 @@ pub struct SnapshotMeta {
     pub at: SimTime,
     /// CRC-32C of the captured state digest.
     pub state_crc: u32,
-}
-
-impl SnapshotMeta {
-    /// Canonical CRC-framed encoding.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.u32(self.version)
-            .u64(self.seq)
-            .u64(self.at.as_nanos())
-            .u32(self.state_crc);
-        frame(&e.finish())
-    }
-
-    /// Decode one framed [`SnapshotMeta`] from `buf`, verifying its
-    /// checksum.
-    pub fn decode(buf: &[u8]) -> Result<SnapshotMeta, CodecError> {
-        let mut pos = 0;
-        let payload = match read_frame(buf, &mut pos) {
-            Some(Frame::Ok(p)) => p,
-            Some(Frame::Torn { bytes }) => {
-                return Err(CodecError::Truncated {
-                    needed: 24,
-                    remaining: bytes,
-                })
-            }
-            Some(Frame::Corrupt { stored, .. }) => {
-                return Err(CodecError::BadLength(stored as u64))
-            }
-            None => {
-                return Err(CodecError::Truncated {
-                    needed: 8,
-                    remaining: 0,
-                })
-            }
-        };
-        let mut d = Decoder::new(payload);
-        Ok(SnapshotMeta {
-            version: d.u32()?,
-            seq: d.u64()?,
-            at: SimTime::from_nanos(d.u64()?),
-            state_crc: d.u32()?,
-        })
-    }
 }
 
 /// A captured controller state plus its metadata.
@@ -130,12 +86,6 @@ impl SnapshotStore {
         &self.snaps
     }
 
-    /// Capture a snapshot now, unconditionally.
-    pub fn capture(&mut self, ctl: &Controller) {
-        let seq = ctl.journal().map_or(0, |w| w.records());
-        self.snaps.push(Snapshot::capture(ctl, seq));
-    }
-
     /// Capture a snapshot bound to an explicit log position. Used by
     /// harnesses that rebuild a store offline by replaying a decoded
     /// log (where the replica has no journal of its own).
@@ -162,7 +112,7 @@ impl SnapshotStore {
     /// The newest verified snapshot covering at most `max_seq` records.
     /// Snapshots failing their checksum are skipped (fall back to an
     /// older one).
-    pub fn best_at_or_before(&self, max_seq: u64) -> Option<&Snapshot> {
+    pub(crate) fn best_at_or_before(&self, max_seq: u64) -> Option<&Snapshot> {
         self.snaps
             .iter()
             .rev()
@@ -179,30 +129,6 @@ mod tests {
     fn small_controller() -> Controller {
         let (net, _) = PhotonicNetwork::testbed(2);
         Controller::new(net, ControllerConfig::default())
-    }
-
-    #[test]
-    fn meta_roundtrip() {
-        let meta = SnapshotMeta {
-            version: SNAPSHOT_VERSION,
-            seq: 42,
-            at: SimTime::from_secs(1234),
-            state_crc: 0xDEAD_BEEF,
-        };
-        let buf = meta.encode();
-        assert_eq!(SnapshotMeta::decode(&buf).unwrap(), meta);
-    }
-
-    #[test]
-    fn meta_detects_truncation() {
-        let meta = SnapshotMeta {
-            version: SNAPSHOT_VERSION,
-            seq: 1,
-            at: SimTime::ZERO,
-            state_crc: 0,
-        };
-        let buf = meta.encode();
-        assert!(SnapshotMeta::decode(&buf[..buf.len() - 1]).is_err());
     }
 
     #[test]
@@ -256,9 +182,9 @@ mod tests {
         let mut ctl = small_controller();
         ctl.enable_journal(crate::durability::WalConfig::default());
         let mut store = SnapshotStore::new(0);
-        store.capture(&ctl); // seq 0
+        store.capture_at(&ctl, 0);
         ctl.register_tenant("a", simcore::DataRate::from_gbps(10));
-        store.capture(&ctl); // seq 1
+        store.capture_at(&ctl, 1);
         assert_eq!(store.best_at_or_before(0).unwrap().meta.seq, 0);
         assert_eq!(store.best_at_or_before(5).unwrap().meta.seq, 1);
         // Corrupt the newest snapshot: recovery falls back to the older.

@@ -90,12 +90,6 @@ impl StandbyController {
         self.applied
     }
 
-    /// Read the standby's state (e.g. to digest-compare against the
-    /// primary at a sync barrier).
-    pub fn state(&self) -> &Controller {
-        &self.state
-    }
-
     /// Apply every record past the already-consumed prefix. Returns how
     /// many were newly applied.
     pub fn catch_up(&mut self, records: &[WalRecord]) -> Result<u64, RecoveryError> {
@@ -164,21 +158,6 @@ impl HaPair {
             cfg,
             wal_cfg,
         }
-    }
-
-    /// Records currently in the primary's journal.
-    pub fn log_records(&self) -> u64 {
-        self.primary.journal().map_or(0, Wal::records)
-    }
-
-    /// Total bytes in the primary's journal.
-    pub fn log_bytes(&self) -> usize {
-        self.primary.journal().map_or(0, Wal::total_bytes)
-    }
-
-    /// Records the standby has consumed.
-    pub fn standby_applied(&self) -> u64 {
-        self.standby.applied()
     }
 
     /// A shipping barrier: snapshot if due, then stream new log records
@@ -321,7 +300,7 @@ mod tests {
         );
         drive(&mut pair);
         let target = SimTime::from_secs(120);
-        let total = pair.log_bytes();
+        let total = pair.primary.journal().map_or(0, Wal::total_bytes);
         let cut = total - 3; // tear the final record
         let segments = pair
             .primary

@@ -77,7 +77,7 @@ pub enum Intent {
         from: u32,
         /// Z-end node.
         to: u32,
-        /// Line rate tag (see [`encode_rate`]).
+        /// Line rate tag (see `encode_rate`).
         rate: u8,
     },
     /// Order a 1+1-protected wavelength.
@@ -99,7 +99,7 @@ pub enum Intent {
         from: u32,
         /// Z-end node.
         to: u32,
-        /// Client signal tag (see [`encode_signal`]).
+        /// Client signal tag (see `encode_signal`).
         signal: u8,
     },
     /// Order a composite BoD bundle.
@@ -226,7 +226,7 @@ pub enum Intent {
 }
 
 /// Encode a [`LineRate`] as a stable tag byte.
-pub fn encode_rate(rate: LineRate) -> u8 {
+pub(crate) fn encode_rate(rate: LineRate) -> u8 {
     match rate {
         LineRate::Gbps10 => 0,
         LineRate::Gbps40 => 1,
@@ -245,7 +245,7 @@ pub fn decode_rate(tag: u8) -> Result<LineRate, CodecError> {
 }
 
 /// Encode a [`ClientSignal`] as a stable tag byte.
-pub fn encode_signal(signal: ClientSignal) -> u8 {
+pub(crate) fn encode_signal(signal: ClientSignal) -> u8 {
     match signal {
         ClientSignal::GbE => 0,
         ClientSignal::TenGbE => 1,
@@ -256,7 +256,7 @@ pub fn encode_signal(signal: ClientSignal) -> u8 {
 }
 
 /// Decode a [`ClientSignal`] tag byte.
-pub fn decode_signal(tag: u8) -> Result<ClientSignal, CodecError> {
+pub(crate) fn decode_signal(tag: u8) -> Result<ClientSignal, CodecError> {
     match tag {
         0 => Ok(ClientSignal::GbE),
         1 => Ok(ClientSignal::TenGbE),
@@ -293,34 +293,6 @@ impl Intent {
             Intent::StartNodeMaintenance { .. } => 20,
             Intent::Regroom { .. } => 21,
             Intent::RegroomAll => 22,
-        }
-    }
-
-    /// Short label for statistics and traces.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Intent::RegisterTenant { .. } => "register_tenant",
-            Intent::Wavelength { .. } => "wavelength",
-            Intent::ProtectedWavelength { .. } => "protected_wavelength",
-            Intent::Subwavelength { .. } => "subwavelength",
-            Intent::Bandwidth { .. } => "bandwidth",
-            Intent::Teardown { .. } => "teardown",
-            Intent::ReleaseBundle { .. } => "release_bundle",
-            Intent::Reserve { .. } => "reserve",
-            Intent::CancelReservation { .. } => "cancel_reservation",
-            Intent::SetBookingCapacity { .. } => "set_booking_capacity",
-            Intent::AddOtnSwitch { .. } => "add_otn_switch",
-            Intent::ProvisionTrunk { .. } => "provision_trunk",
-            Intent::CutFiber { .. } => "cut_fiber",
-            Intent::ScheduleRepair { .. } => "schedule_repair",
-            Intent::OtFailure { .. } => "ot_failure",
-            Intent::BridgeRoll { .. } => "bridge_roll",
-            Intent::ColdReroute { .. } => "cold_reroute",
-            Intent::StartFiberMaintenance { .. } => "start_fiber_maintenance",
-            Intent::EndFiberMaintenance { .. } => "end_fiber_maintenance",
-            Intent::StartNodeMaintenance { .. } => "start_node_maintenance",
-            Intent::Regroom { .. } => "regroom",
-            Intent::RegroomAll => "regroom_all",
         }
     }
 
@@ -623,7 +595,7 @@ pub struct OpenReport {
     pub segments: usize,
 }
 
-/// Summary of one committed group batch (see [`Wal::commit_batch`]).
+/// Summary of one committed group batch (see `Wal::commit_batch`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BatchCommit {
     /// Sequence number of the batch's first record.
@@ -716,8 +688,8 @@ impl Wal {
     /// Steady state performs **zero heap allocations**: the record is
     /// encoded into a reusable scratch buffer and framed straight into
     /// the live segment ([`simcore::codec::frame_into`]). Inside an open
-    /// batch ([`Wal::begin_batch`]) the record is accepted (its sequence
-    /// number assigned) but flushed only at [`Wal::commit_batch`].
+    /// batch (`Wal::begin_batch`) the record is accepted (its sequence
+    /// number assigned) but flushed only at `Wal::commit_batch`.
     pub fn append(&mut self, at: SimTime, intent: &Intent) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -733,7 +705,7 @@ impl Wal {
     /// buffered, to be flushed as one contiguous byte run by
     /// [`Wal::commit_batch`]. Nested begin/commit pairs are collapsed
     /// into the outermost batch.
-    pub fn begin_batch(&mut self) {
+    pub(crate) fn begin_batch(&mut self) {
         self.batch_nesting += 1;
         if self.batch.is_none() {
             self.batch = Some(BatchState {
@@ -749,7 +721,7 @@ impl Wal {
     /// proven by `batch_commit_bytes_equal_single_appends`), appended in
     /// one pass, and covered by a single batch CRC over the whole
     /// appended run. Returns `None` while nested or with no batch open.
-    pub fn commit_batch(&mut self) -> Option<BatchCommit> {
+    pub(crate) fn commit_batch(&mut self) -> Option<BatchCommit> {
         if self.batch_nesting > 0 {
             self.batch_nesting -= 1;
         }
@@ -772,11 +744,6 @@ impl Wal {
             bytes,
             crc: crc.finish(),
         })
-    }
-
-    /// Records accepted into a batch but not yet flushed.
-    pub fn batch_pending(&self) -> u64 {
-        self.batch.as_ref().map_or(0, |b| b.pending.len() as u64)
     }
 
     /// Encode, frame, and write one record into the live segment (shared
@@ -1235,7 +1202,10 @@ mod tests {
             let seq = batched.append(SimTime::from_secs(i as u64), intent);
             assert_eq!(seq, i as u64, "seq assigned eagerly inside a batch");
         }
-        assert_eq!(batched.batch_pending(), intents.len() as u64);
+        assert_eq!(
+            batched.batch.as_ref().map(|b| b.pending.len()),
+            Some(intents.len())
+        );
         assert!(
             batched.segments().is_empty(),
             "nothing flushed until commit"

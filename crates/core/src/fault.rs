@@ -142,7 +142,7 @@ impl Controller {
     /// terminating on it loses light now; the EMS surfaces an equipment
     /// alarm after its polling interval, which triggers restoration on a
     /// healthy spare OT.
-    pub fn inject_ot_failure(&mut self, ot: photonic::TransponderId) {
+    pub(crate) fn inject_ot_failure(&mut self, ot: photonic::TransponderId) {
         self.journal_record(|| crate::durability::Intent::OtFailure { ot: ot.raw() });
         let now = self.now();
         self.net.transponder_mut(ot).fail();
@@ -542,7 +542,7 @@ impl Controller {
 
 impl crate::connection::Connection {
     /// Does this connection's active wavelength path cross `fiber`?
-    pub fn path_uses_fiber(&self, fiber: FiberId) -> bool {
+    pub(crate) fn path_uses_fiber(&self, fiber: FiberId) -> bool {
         match &self.resources {
             Some(Resources::Wavelength(p)) => p.path.contains(&fiber),
             _ => false,

@@ -21,7 +21,7 @@ use crate::tenant::CustomerId;
 
 /// A customer-visible connection row.
 #[derive(Debug, Clone, PartialEq)]
-pub struct CustomerConnectionView {
+pub(crate) struct CustomerConnectionView {
     /// The connection id (the customer's order handle).
     pub id: String,
     /// A-end site name.
@@ -38,7 +38,7 @@ pub struct CustomerConnectionView {
 
 impl Controller {
     /// Structured per-connection rows for one customer.
-    pub fn customer_rows(&self, customer: CustomerId) -> Vec<CustomerConnectionView> {
+    pub(crate) fn customer_rows(&self, customer: CustomerId) -> Vec<CustomerConnectionView> {
         self.connections()
             .filter(|c| c.customer == customer && !c.state.is_terminal())
             .map(|c| {

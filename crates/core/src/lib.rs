@@ -72,20 +72,18 @@ pub mod tenant;
 mod workflow;
 
 pub use bod::{Bundle, BundleId, Decomposition};
-pub use calendar::{CalendarError, Reservation, ReservationId, ReservationState};
+pub use calendar::{ReservationId, ReservationState};
 pub use connection::{ConnState, Connection, ConnectionId, ConnectionKind, TrunkId};
 pub use controller::{Controller, ControllerConfig, RequestError, Trunk};
 pub use durability::{
-    recover, FailoverConfig, FailoverReport, HaPair, Intent, RecoveryError, RecoveryOutcome,
-    Snapshot, SnapshotMeta, SnapshotStore, StandbyController, Wal, WalConfig, WalError, WalRecord,
+    recover, FailoverConfig, HaPair, Intent, RecoveryError, RecoveryOutcome, Snapshot,
+    SnapshotStore, StandbyController, Wal, WalConfig, WalRecord,
 };
 pub use inventory::InventorySnapshot;
-pub use layers::{Layer, LayerStack, ServiceCategory};
-pub use measure::{
-    AbEstimator, AbSample, CrossTraffic, MeasureOutcome, ProbeConfig, ProbePath, Prober,
-};
+pub use layers::{Layer, LayerStack};
+pub use measure::{AbSample, CrossTraffic, MeasureOutcome, ProbeConfig, ProbePath, Prober};
 pub use noc::{Noc, RootCause};
 pub use rwa::{RegionMap, RouteCacheStats, RwaConfig, RwaError, WavelengthPlan};
-pub use sla::{nines, nines_value, SlaReport, MAX_NINES};
-pub use slo::{BurnAlert, SloEngine, SloSpec, SloStatus, TelemetryRollup};
-pub use tenant::{CustomerId, TenantRegistry};
+pub use sla::nines;
+pub use slo::{SloEngine, SloSpec, TelemetryRollup};
+pub use tenant::CustomerId;

@@ -298,7 +298,7 @@ impl Controller {
     /// fibers. Returns the moved connections; terminating connections
     /// cannot be moved off their own endpoint and are returned in the
     /// second list for the operator to handle (customer notification).
-    pub fn start_node_maintenance(
+    pub(crate) fn start_node_maintenance(
         &mut self,
         node: photonic::RoadmId,
     ) -> Result<(Vec<ConnectionId>, Vec<ConnectionId>), RequestError> {
@@ -348,7 +348,7 @@ impl Controller {
     /// wavelength connection onto a shorter path. Returns
     /// `(migrations started, total km saved)`. Run after network
     /// augmentation ("additional routes between nodes will be added").
-    pub fn regroom_all(&mut self) -> (usize, f64) {
+    pub(crate) fn regroom_all(&mut self) -> (usize, f64) {
         self.journal_record(|| crate::durability::Intent::RegroomAll);
         let candidates: Vec<ConnectionId> = self
             .conns

@@ -51,7 +51,8 @@ pub struct CrossTraffic {
 
 impl CrossTraffic {
     /// A constant competing load.
-    pub fn flat(rate: DataRate) -> CrossTraffic {
+    #[cfg(test)]
+    pub(crate) fn flat(rate: DataRate) -> CrossTraffic {
         CrossTraffic {
             steps: vec![(SimTime::ZERO, rate)],
         }
@@ -78,7 +79,7 @@ impl CrossTraffic {
 
     /// Stable mgen-style UDP load: every `interval` the rate is redrawn
     /// uniformly within `±jitter_frac` of `mean`. `jitter_frac = 0`
-    /// degenerates to [`Self::flat`].
+    /// degenerates to a constant load.
     pub fn stationary(
         seed: u64,
         mean: DataRate,
@@ -198,7 +199,7 @@ impl CrossTraffic {
 
     /// Exact mean rate over `[a, b)` (integral of the step function,
     /// integer bit accounting).
-    pub fn mean_over(&self, a: SimTime, b: SimTime) -> DataRate {
+    pub(crate) fn mean_over(&self, a: SimTime, b: SimTime) -> DataRate {
         assert!(b > a, "mean_over of an empty interval");
         let mut bits: u128 = 0;
         let mut t = a;
@@ -215,7 +216,8 @@ impl CrossTraffic {
     }
 
     /// The largest step rate.
-    pub fn peak(&self) -> DataRate {
+    #[cfg(test)]
+    pub(crate) fn peak(&self) -> DataRate {
         self.steps
             .iter()
             .map(|&(_, r)| r)
@@ -277,7 +279,7 @@ impl Default for ProbeConfig {
 
 /// Exponentially-weighted available-bandwidth estimator.
 #[derive(Debug, Clone, Default)]
-pub struct AbEstimator {
+pub(crate) struct AbEstimator {
     alpha: f64,
     current_gbps: Option<f64>,
     trains: u64,
@@ -304,7 +306,7 @@ impl AbEstimator {
     }
 
     /// The smoothed estimate, if any train has completed.
-    pub fn estimate_gbps(&self) -> Option<f64> {
+    pub(crate) fn estimate_gbps(&self) -> Option<f64> {
         self.current_gbps
     }
 

@@ -178,11 +178,6 @@ impl Noc {
         self.enabled
     }
 
-    /// Scrape cadence (ZERO when disabled).
-    pub fn interval(&self) -> SimDuration {
-        self.interval
-    }
-
     /// Number of completed scrapes.
     pub fn scrapes(&self) -> u64 {
         self.scrapes
@@ -230,7 +225,7 @@ impl Noc {
     // ── fault-injection hooks (controller-facing) ───────────────────
 
     /// A physical fault was injected; open its root-cause domain.
-    pub fn on_fault_injected(&mut self, cause: RootCause, at: SimTime) {
+    pub(crate) fn on_fault_injected(&mut self, cause: RootCause, at: SimTime) {
         if !self.enabled {
             return;
         }
@@ -245,21 +240,21 @@ impl Noc {
 
     /// Inventory join: transponder `ot` was riding `fiber` when it was
     /// cut (its OT LOS will be attributed there).
-    pub fn hint_ot(&mut self, ot: u32, fiber: u32) {
+    pub(crate) fn hint_ot(&mut self, ot: u32, fiber: u32) {
         if self.enabled {
             self.ot_hint.insert(ot, fiber);
         }
     }
 
     /// Inventory join: OTN trunk `trunk` was riding `fiber`.
-    pub fn hint_trunk(&mut self, trunk: u32, fiber: u32) {
+    pub(crate) fn hint_trunk(&mut self, trunk: u32, fiber: u32) {
         if self.enabled {
             self.trunk_hint.insert(trunk, fiber);
         }
     }
 
     /// Inventory join: client port `(switch, port)` depended on `fiber`.
-    pub fn hint_client(&mut self, switch: u32, port: u32, fiber: u32) {
+    pub(crate) fn hint_client(&mut self, switch: u32, port: u32, fiber: u32) {
         if self.enabled {
             self.client_hint.insert((switch, port), fiber);
         }
@@ -287,7 +282,7 @@ impl Noc {
     /// The root-cause alarm itself arrived (FiberDown telemetry, OtFail
     /// equipment alarm). Records the detection and localization
     /// latencies relative to the injected fault.
-    pub fn on_root_alarm(&mut self, cause: RootCause, at: SimTime) {
+    pub(crate) fn on_root_alarm(&mut self, cause: RootCause, at: SimTime) {
         if !self.enabled {
             return;
         }
@@ -326,7 +321,12 @@ impl Noc {
     /// A secondary (symptom) alarm arrived, pre-resolved by the
     /// controller to its root cause (or `None` when no inventory join
     /// matched). Counts suppression or unattributed fallout.
-    pub fn on_symptom(&mut self, resolved: Option<RootCause>, kind: &'static str, at: SimTime) {
+    pub(crate) fn on_symptom(
+        &mut self,
+        resolved: Option<RootCause>,
+        kind: &'static str,
+        at: SimTime,
+    ) {
         if !self.enabled {
             return;
         }
@@ -358,7 +358,7 @@ impl Noc {
     /// yet seen a restoration start; records the injection →
     /// restoration-start latency that bounds the outage the SLA ledger
     /// will account.
-    pub fn on_restoration_started(&mut self, at: SimTime) {
+    pub(crate) fn on_restoration_started(&mut self, at: SimTime) {
         if !self.enabled {
             return;
         }

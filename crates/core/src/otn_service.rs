@@ -354,7 +354,7 @@ mod tests {
             other => panic!("unexpected resources {other:?}"),
         }
         // The transit switch at III carries a line-to-line xc.
-        let sw3 = ctl.otn_switch(ctl.otn_switch_at(ids.iii).unwrap());
+        let sw3 = &ctl.switches[ctl.otn_switch_at(ids.iii).unwrap()];
         assert_eq!(sw3.xc_count(), 1);
     }
 
@@ -400,7 +400,7 @@ mod tests {
             .unwrap();
         ctl.run_until_idle();
         // The I–III trunk rides the direct I–III fiber; cut it.
-        let trunk_path = ctl.trunk(TrunkId::new(0)).unwrap().plan.path.clone();
+        let trunk_path = ctl.trunks()[0].plan.path.clone();
         ctl.inject_fiber_cut(trunk_path[0], 0);
         assert_eq!(ctl.connection(id).unwrap().state, ConnState::Failed);
         ctl.run_until_idle();
@@ -408,12 +408,7 @@ mod tests {
         let conn = ctl.connection(id).unwrap();
         assert_eq!(conn.state, ConnState::Active);
         assert!(conn.outage_total > SimDuration::ZERO);
-        assert!(ctl.trunk(TrunkId::new(0)).unwrap().ready);
-        assert!(!ctl
-            .trunk(TrunkId::new(0))
-            .unwrap()
-            .plan
-            .path
-            .contains(&trunk_path[0]));
+        assert!(ctl.trunks()[0].ready);
+        assert!(!ctl.trunks()[0].plan.path.contains(&trunk_path[0]));
     }
 }

@@ -16,7 +16,7 @@
 //! - if *both* legs are down, the circuit is hard-failed until a repair
 //!   returns either leg, at which point service resumes immediately.
 //!
-//! The switchover constant lives in [`ProtectionTiming`].
+//! The switchover constant lives in `ProtectionTiming`.
 
 use simcore::SimDuration;
 
@@ -30,7 +30,7 @@ use crate::workflow::{Owner, SETUP};
 
 /// Timing of the 1+1 selector.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProtectionTiming {
+pub(crate) struct ProtectionTiming {
     /// Tail-end selector switch time after loss of the active leg
     /// (SONET-class APS budget: 50 ms).
     pub switchover: SimDuration,

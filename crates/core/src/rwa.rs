@@ -38,7 +38,7 @@ use photonic::{
 /// Region partition of a plant for region-restricted path search.
 ///
 /// Nodes are either interior to exactly one region or part of the
-/// backbone transit core ([`RegionMap::BACKBONE`]). The map is only
+/// backbone transit core (`RegionMap::BACKBONE`). The map is only
 /// *installed* after [`RegionMap::validate`] proves the single-gateway
 /// invariant: every region's interior touches the rest of the plant
 /// through exactly one backbone hub. Under that invariant a simple path
@@ -55,7 +55,7 @@ pub struct RegionMap {
 
 impl RegionMap {
     /// Region id of backbone transit hubs (members of every search).
-    pub const BACKBONE: u16 = u16::MAX;
+    pub(crate) const BACKBONE: u16 = u16::MAX;
 
     /// Wrap a per-node region assignment (one entry per ROADM index).
     pub fn new(region_of: Vec<u16>) -> RegionMap {
@@ -65,16 +65,6 @@ impl RegionMap {
     /// The region of a node.
     pub fn region(&self, n: RoadmId) -> u16 {
         self.region_of[n.index()]
-    }
-
-    /// Number of nodes covered.
-    pub fn len(&self) -> usize {
-        self.region_of.len()
-    }
-
-    /// True when the map covers no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.region_of.is_empty()
     }
 
     /// Is `node` admissible for a query between regions `ra` and `rb`?
@@ -576,8 +566,8 @@ impl Default for RwaConfig {
 /// engine serves one plant: two plants built by the same call sequence
 /// share epochs.
 ///
-/// The free functions [`k_shortest_paths`], [`plan_wavelength`] and
-/// [`disjoint_pair`] construct a throwaway engine per call; long-lived
+/// The free functions [`k_shortest_paths`] and [`plan_wavelength`]
+/// construct a throwaway engine per call; long-lived
 /// callers (the controller) own one and amortise the table, the scratch
 /// buffers and the cache across requests.
 #[derive(Default)]
@@ -869,7 +859,7 @@ impl PathEngine {
     /// (`rwa_route_cache_events_total{event=…}` counters plus
     /// `rwa_route_cache_entries` / `_capacity` gauges). Adds the current
     /// totals, so hand it a freshly scraped registry.
-    pub fn export_cache_metrics(&self, reg: &mut simcore::metrics::FamilyRegistry) {
+    pub(crate) fn export_cache_metrics(&self, reg: &mut simcore::metrics::FamilyRegistry) {
         let s = self.route_cache_stats();
         reg.counter("rwa_route_cache_events_total", &[("event", "hit")])
             .add(s.hits);
@@ -908,15 +898,10 @@ impl PathEngine {
         Ok(())
     }
 
-    /// The installed region partition, if any.
-    pub fn region_map(&self) -> Option<&RegionMap> {
-        self.region_map.as_ref()
-    }
-
     /// A cold twin: empty table, scratch and cache, same capacity bound
     /// and region partition. What controller fork/failover uses — derived
     /// engine state is rebuilt on demand, configuration carries over.
-    pub fn fresh_like(&self) -> PathEngine {
+    pub(crate) fn fresh_like(&self) -> PathEngine {
         PathEngine {
             cache: RouteCache {
                 capacity: self.cache.capacity,
@@ -1071,17 +1056,6 @@ pub fn plan_wavelength(
     PathEngine::new().plan_wavelength(net, cfg, from, to, rate, excluded)
 }
 
-/// Find a link-disjoint pair of paths (working, protect) between two
-/// nodes, or `None` if the topology cannot supply one.
-/// (Convenience wrapper over a throwaway [`PathEngine`].)
-pub fn disjoint_pair(
-    net: &PhotonicNetwork,
-    from: RoadmId,
-    to: RoadmId,
-) -> Option<(Vec<FiberId>, Vec<FiberId>)> {
-    PathEngine::new().disjoint_pair(net, from, to)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1222,7 +1196,9 @@ mod tests {
     #[test]
     fn disjoint_pair_on_testbed() {
         let (net, ids) = PhotonicNetwork::testbed(2);
-        let (w, p) = disjoint_pair(&net, ids.i, ids.iv).unwrap();
+        let (w, p) = PathEngine::new()
+            .disjoint_pair(&net, ids.i, ids.iv)
+            .unwrap();
         assert!(w.iter().all(|f| !p.contains(f)));
         assert_eq!(w, vec![ids.f_i_iv]);
     }
@@ -1233,7 +1209,7 @@ mod tests {
         let a = net.add_roadm("a");
         let b = net.add_roadm("b");
         net.link(a, b, 10.0).unwrap();
-        assert!(disjoint_pair(&net, a, b).is_none());
+        assert!(PathEngine::new().disjoint_pair(&net, a, b).is_none());
     }
 
     #[test]
@@ -1437,7 +1413,7 @@ mod tests {
         assert!(engine
             .install_region_map(&net, RegionMap::new(vec![0, 0, 1, 1]))
             .is_err());
-        assert!(engine.region_map().is_none());
+        assert!(engine.region_map.is_none());
     }
 
     #[test]
@@ -1458,7 +1434,7 @@ mod tests {
         let twin = engine.fresh_like();
         let s = twin.route_cache_stats();
         assert_eq!((s.hits, s.misses, s.entries, s.capacity), (0, 0, 0, 17));
-        assert!(twin.region_map().is_some());
+        assert!(twin.region_map.is_some());
     }
 
     #[test]

@@ -84,7 +84,10 @@ impl SlaReport {
 impl Controller {
     /// Availability of one connection as of now (None if it never
     /// activated).
-    pub fn connection_availability(&self, id: ConnectionId) -> Option<ConnectionAvailability> {
+    pub(crate) fn connection_availability(
+        &self,
+        id: ConnectionId,
+    ) -> Option<ConnectionAvailability> {
         let c = self.connection(id)?;
         let start = c.activated_at?;
         let now = self.now();
@@ -141,12 +144,12 @@ impl Controller {
 /// `1 − downtime/lifetime` has no resolution left, so higher values are
 /// reported as "at least nine" rather than as a meaningless magnitude
 /// (or the old `∞`, which JSON consumers could not parse).
-pub const MAX_NINES: f64 = 9.0;
+pub(crate) const MAX_NINES: f64 = 9.0;
 
 /// The availability's nine count as a finite float in `[0, MAX_NINES]`
 /// (0.9995 → 3.3; exactly 1.0 → `MAX_NINES`). This is the numeric form
 /// exported as the `sla_nines` gauge.
-pub fn nines_value(availability: f64) -> f64 {
+pub(crate) fn nines_value(availability: f64) -> f64 {
     if availability >= 1.0 {
         return MAX_NINES;
     }
@@ -157,7 +160,7 @@ pub fn nines_value(availability: f64) -> f64 {
 }
 
 /// Format an availability as "N nines" shorthand (e.g. 0.9995 → "3.3
-/// nines"). Values at or above the [`MAX_NINES`] measurement cap render
+/// nines"). Values at or above the `MAX_NINES` measurement cap render
 /// as "9.0+ nines".
 pub fn nines(availability: f64) -> String {
     let n = nines_value(availability);

@@ -34,20 +34,20 @@ use std::collections::BTreeMap;
 use simcore::{FamilyRegistry, SimDuration, SimTime};
 
 /// Fast multi-window pair (page severity): 5 minutes and 1 hour.
-pub const FAST_WINDOWS: (SimDuration, SimDuration) =
+pub(crate) const FAST_WINDOWS: (SimDuration, SimDuration) =
     (SimDuration::from_mins(5), SimDuration::from_hours(1));
 
 /// Slow multi-window pair (ticket severity): 6 hours and 3 days.
-pub const SLOW_WINDOWS: (SimDuration, SimDuration) =
+pub(crate) const SLOW_WINDOWS: (SimDuration, SimDuration) =
     (SimDuration::from_hours(6), SimDuration::from_hours(72));
 
 /// Burn rate both fast windows must exceed to page: consumes a 30-day
 /// budget in ~2 days.
-pub const FAST_BURN_THRESHOLD: f64 = 14.4;
+pub(crate) const FAST_BURN_THRESHOLD: f64 = 14.4;
 
 /// Burn rate both slow windows must exceed to file a ticket: exactly
 /// budget-neutral, i.e. any sustained overspend.
-pub const SLOW_BURN_THRESHOLD: f64 = 1.0;
+pub(crate) const SLOW_BURN_THRESHOLD: f64 = 1.0;
 
 /// One declarative service-level objective.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -127,11 +127,6 @@ impl SloEngine {
             streams: vec![BTreeMap::new(); specs.len()],
             specs,
         }
-    }
-
-    /// The declared objectives.
-    pub fn specs(&self) -> &[SloSpec] {
-        &self.specs
     }
 
     /// Every stream as `(spec index, scope, events)`, in `(spec, scope)`
@@ -356,16 +351,6 @@ impl TelemetryRollup {
         self.fleet.merge_from(reg);
     }
 
-    /// The combined fleet registry.
-    pub fn fleet(&self) -> &FamilyRegistry {
-        &self.fleet
-    }
-
-    /// Regions absorbed so far, in first-seen order.
-    pub fn regions(&self) -> &[String] {
-        &self.regions
-    }
-
     /// The fleet view as Prometheus-style exposition text.
     pub fn expose(&self) -> String {
         self.fleet.expose()
@@ -518,7 +503,7 @@ mod tests {
             .gauge("sla_availability", &[("customer", "acme")])
             .set(0.9999);
         roll.absorb_global(&global);
-        assert_eq!(roll.regions(), ["0".to_string(), "1".to_string()]);
+        assert_eq!(roll.regions, ["0".to_string(), "1".to_string()]);
         let exp = roll.expose();
         assert!(exp.contains("setup_total{region=\"0\"} 4"), "{exp}");
         assert!(exp.contains("setup_total{region=\"1\"} 2"), "{exp}");
@@ -526,7 +511,7 @@ mod tests {
             exp.contains("sla_availability{customer=\"acme\"} 0.9999"),
             "{exp}"
         );
-        assert_eq!(roll.fleet().counter_family_total("setup_total"), 6);
+        assert_eq!(roll.fleet.counter_family_total("setup_total"), 6);
     }
 
     #[test]

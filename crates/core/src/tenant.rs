@@ -67,7 +67,7 @@ impl std::error::Error for AdmissionError {}
 
 /// Restoration priority assigned when none is given (lower = restored
 /// first).
-pub const DEFAULT_PRIORITY: u8 = 100;
+pub(crate) const DEFAULT_PRIORITY: u8 = 100;
 
 /// The tenant table.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -89,7 +89,7 @@ impl TenantRegistry {
 
     /// Onboard a tenant with an explicit restoration priority
     /// (lower = restored first).
-    pub fn register_with_priority(
+    pub(crate) fn register_with_priority(
         &mut self,
         name: impl Into<String>,
         quota: DataRate,

@@ -22,7 +22,7 @@ pub enum Tier {
 
 impl Tier {
     /// All tiers in drain-priority order.
-    pub const ALL: [Tier; 3] = [Tier::Premium, Tier::Standard, Tier::Free];
+    pub(crate) const ALL: [Tier; 3] = [Tier::Premium, Tier::Standard, Tier::Free];
 
     /// Stable metric-label name.
     pub fn label(self) -> &'static str {
@@ -75,7 +75,7 @@ impl TenantDirectory {
     /// Tier of tenant `idx`: 1% premium, 9% standard, 90% free,
     /// interleaved by index so every tier spans the whole popularity
     /// range of the Zipf rank distribution.
-    pub fn tier_of(&self, idx: u64) -> Tier {
+    pub(crate) fn tier_of(&self, idx: u64) -> Tier {
         match idx % 100 {
             0 => Tier::Premium,
             1..=9 => Tier::Standard,
@@ -90,7 +90,7 @@ impl TenantDirectory {
 
     /// Authenticate a presented `(idx, token)` pair; `None` rejects
     /// unknown tenants and forged tokens alike.
-    pub fn authenticate(&self, idx: u64, token: u64) -> Option<Tier> {
+    pub(crate) fn authenticate(&self, idx: u64, token: u64) -> Option<Tier> {
         if idx >= self.fleet || token != self.token_for(idx) {
             return None;
         }

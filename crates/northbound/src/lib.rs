@@ -35,8 +35,6 @@ pub mod server;
 
 pub use directory::{TenantDirectory, Tier};
 pub use fleet::{generate as generate_fleet, AbuserConfig, FleetConfig, Request};
-pub use quota::{milli_gbps_hours, QuotaError, QuotaLedger, TierPolicy};
 pub use server::{
-    build_testbed, replay_admitted, AdmittedIntent, ApiServer, Rejection, ServeOutcome,
-    ServerConfig, SubmitOutcome, Testbed, SLO_ADMISSION, SLO_SHED,
+    build_testbed, replay_admitted, AdmittedIntent, ApiServer, ServeOutcome, ServerConfig, Testbed,
 };

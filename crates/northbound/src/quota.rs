@@ -7,8 +7,9 @@
 //!   exact milli-gbps-hour integer units (`rate_bps × secs / 3.6e9`).
 //!   Charged per tenant *and* against the tenant's tier aggregate, so a
 //!   tier full of modest tenants cannot collectively exhaust the plant.
-//! - **concurrent reservations** — outstanding bookings per tenant; the
-//!   cheap anti-hoarding cap.
+//! - **concurrent reservations** — bookings per tenant; the cheap
+//!   anti-hoarding cap. Nothing releases a booking yet, so the cap counts
+//!   every reservation a tenant was admitted over the whole run.
 //!
 //! State is lazy: only tenants that actually submit intents get a ledger
 //! entry, which keeps a million-tenant fleet's quota plane proportional
@@ -22,7 +23,7 @@ use crate::directory::Tier;
 ///
 /// `gbps·h = bps/1e9 × secs/3600`, so milli-units are
 /// `bps × secs / 3.6e9`, computed in u128 to avoid overflow.
-pub fn milli_gbps_hours(rate_bps: u64, secs: u64) -> u64 {
+pub(crate) fn milli_gbps_hours(rate_bps: u64, secs: u64) -> u64 {
     (rate_bps as u128 * secs as u128 / 3_600_000_000) as u64
 }
 
@@ -56,7 +57,7 @@ struct TenantUsage {
 
 /// The quota ledger: lazy per-tenant usage plus tier aggregates.
 #[derive(Debug, Clone)]
-pub struct QuotaLedger {
+pub(crate) struct QuotaLedger {
     policy: [TierPolicy; 3],
     tenants: HashMap<u64, TenantUsage>,
     tier_used_mgh: [u64; 3],
@@ -75,7 +76,7 @@ impl QuotaLedger {
     /// Charge tenant `idx` (of `tier`) for one reservation of
     /// `rate_bps` over `secs`. All-or-nothing: a refusal leaves every
     /// budget untouched.
-    pub fn charge(
+    pub(crate) fn charge(
         &mut self,
         idx: u64,
         tier: Tier,
@@ -100,38 +101,9 @@ impl QuotaLedger {
         Ok(())
     }
 
-    /// Return one concurrent slot (a reservation ended or was
-    /// cancelled). Consumed gbps-hours are *not* refunded — budget is
-    /// an allowance, not a deposit.
-    pub fn release(&mut self, idx: u64) {
-        if let Some(u) = self.tenants.get_mut(&idx) {
-            u.concurrent = u.concurrent.saturating_sub(1);
-        }
-    }
-
-    /// Milli-gbps-hours consumed by tenant `idx` so far.
-    pub fn tenant_used_mgh(&self, idx: u64) -> u64 {
-        self.tenants.get(&idx).map(|u| u.used_mgh).unwrap_or(0)
-    }
-
-    /// Outstanding reservations held by tenant `idx`.
-    pub fn tenant_concurrent(&self, idx: u64) -> u32 {
-        self.tenants.get(&idx).map(|u| u.concurrent).unwrap_or(0)
-    }
-
-    /// Milli-gbps-hours consumed by the whole tier.
-    pub fn tier_used_mgh(&self, tier: Tier) -> u64 {
-        self.tier_used_mgh[tier.index()]
-    }
-
     /// Tenants with ledger entries (the *active* population).
     pub fn active_tenants(&self) -> usize {
         self.tenants.len()
-    }
-
-    /// The policy for `tier`.
-    pub fn policy(&self, tier: Tier) -> TierPolicy {
-        self.policy[tier.index()]
     }
 }
 
@@ -141,41 +113,13 @@ mod quota_props {
     use crate::directory::Tier;
     use proptest::prelude::*;
 
-    /// `(kind, tenant, rate_gbps, secs)`: kind 0 is a release, anything
-    /// else a charge (3:1 charge-heavy mix).
-    type RawOp = (u64, u64, u64, u64);
-
-    #[derive(Debug, Clone, Copy)]
-    enum Op {
-        Charge {
-            tenant: u64,
-            rate_gbps: u64,
-            secs: u64,
-        },
-        Release {
-            tenant: u64,
-        },
+    /// One charge: `(tenant, rate_gbps, secs)`.
+    fn charge_op() -> impl Strategy<Value = (u64, u64, u64)> {
+        (0u64..8, 1u64..40, 60u64..7_200)
     }
 
-    fn decode(raw: &RawOp) -> Op {
-        let &(kind, tenant, rate_gbps, secs) = raw;
-        if kind == 0 {
-            Op::Release { tenant }
-        } else {
-            Op::Charge {
-                tenant,
-                rate_gbps,
-                secs,
-            }
-        }
-    }
-
-    fn ops(raw: &[RawOp]) -> Vec<Op> {
-        raw.iter().map(decode).collect()
-    }
-
-    fn raw_op() -> impl Strategy<Value = RawOp> {
-        (0u64..4, 0u64..8, 1u64..40, 60u64..7_200)
+    fn used_mgh(ledger: &QuotaLedger, tenant: u64) -> u64 {
+        ledger.tenants.get(&tenant).map_or(0, |u| u.used_mgh)
     }
 
     fn tight_policy() -> [TierPolicy; 3] {
@@ -193,8 +137,7 @@ mod quota_props {
         /// tenants — all checked against a shadow model that replays
         /// the same op sequence with plain arithmetic.
         #[test]
-        fn ledger_matches_shadow_model(raw in proptest::collection::vec(raw_op(), 1..120)) {
-            let ops = ops(&raw);
+        fn ledger_matches_shadow_model(ops in proptest::collection::vec(charge_op(), 1..120)) {
             let pol = tight_policy();
             let mut ledger = QuotaLedger::new(pol);
             // Shadow: (used_mgh, concurrent) per tenant, plus tier sum.
@@ -203,46 +146,33 @@ mod quota_props {
             let mut shadow_tier = 0u64;
             let tier = Tier::Free;
             let p = pol[tier.index()];
-            for o in &ops {
-                match *o {
-                    Op::Charge { tenant, rate_gbps, secs } => {
-                        let rate_bps = rate_gbps * 1_000_000_000;
-                        let cost = milli_gbps_hours(rate_bps, secs);
-                        let entry = shadow.entry(tenant).or_default();
-                        let expect = if entry.1 >= p.max_concurrent {
-                            Err(QuotaError::Concurrent)
-                        } else if entry.0 + cost > p.tenant_budget_mgh {
-                            Err(QuotaError::TenantBudget)
-                        } else if shadow_tier + cost > p.tier_budget_mgh {
-                            Err(QuotaError::TierBudget)
-                        } else {
-                            entry.0 += cost;
-                            entry.1 += 1;
-                            shadow_tier += cost;
-                            Ok(())
-                        };
-                        prop_assert_eq!(
-                            ledger.charge(tenant, tier, rate_bps, secs),
-                            expect
-                        );
-                    }
-                    Op::Release { tenant } => {
-                        if let Some(e) = shadow.get_mut(&tenant) {
-                            e.1 = e.1.saturating_sub(1);
-                        }
-                        ledger.release(tenant);
-                    }
-                }
+            for &(tenant, rate_gbps, secs) in &ops {
+                let rate_bps = rate_gbps * 1_000_000_000;
+                let cost = milli_gbps_hours(rate_bps, secs);
+                let entry = shadow.entry(tenant).or_default();
+                let expect = if entry.1 >= p.max_concurrent {
+                    Err(QuotaError::Concurrent)
+                } else if entry.0 + cost > p.tenant_budget_mgh {
+                    Err(QuotaError::TenantBudget)
+                } else if shadow_tier + cost > p.tier_budget_mgh {
+                    Err(QuotaError::TierBudget)
+                } else {
+                    entry.0 += cost;
+                    entry.1 += 1;
+                    shadow_tier += cost;
+                    Ok(())
+                };
+                prop_assert_eq!(ledger.charge(tenant, tier, rate_bps, secs), expect);
                 // Invariants hold after every op, not just at the end.
                 let mut sum = 0u64;
                 for (t, (used, conc)) in &shadow {
-                    prop_assert_eq!(ledger.tenant_used_mgh(*t), *used);
-                    prop_assert_eq!(ledger.tenant_concurrent(*t), *conc);
+                    prop_assert_eq!(used_mgh(&ledger, *t), *used);
+                    prop_assert_eq!(ledger.tenants[t].concurrent, *conc);
                     prop_assert!(*used <= p.tenant_budget_mgh);
                     prop_assert!(*conc <= p.max_concurrent);
                     sum += used;
                 }
-                prop_assert_eq!(ledger.tier_used_mgh(tier), sum);
+                prop_assert_eq!(ledger.tier_used_mgh[tier.index()], sum);
                 prop_assert!(sum <= p.tier_budget_mgh);
             }
         }
@@ -252,30 +182,23 @@ mod quota_props {
         /// for the request, the charge succeeds — regardless of what
         /// other tenants did before.
         #[test]
-        fn compliant_tenant_always_admits(raw in proptest::collection::vec(raw_op(), 0..80)) {
-            let ops = ops(&raw);
+        fn compliant_tenant_always_admits(ops in proptest::collection::vec(charge_op(), 0..80)) {
             let pol = tight_policy();
             let mut ledger = QuotaLedger::new(pol);
             let tier = Tier::Standard;
             let p = pol[tier.index()];
-            for o in &ops {
-                match *o {
-                    Op::Charge { tenant, rate_gbps, secs } => {
-                        // Background noise from tenants 0..8; tenant 99
-                        // is ours alone.
-                        let _ = ledger.charge(tenant, tier, rate_gbps * 1_000_000_000, secs);
-                    }
-                    Op::Release { tenant } => ledger.release(tenant),
-                }
+            for &(tenant, rate_gbps, secs) in &ops {
+                // Background noise from tenants 0..8; tenant 99 is ours
+                // alone.
+                let _ = ledger.charge(tenant, tier, rate_gbps * 1_000_000_000, secs);
             }
             // 1 Gbps × 36 s = 10 mgh: tiny but non-zero.
             let cost = milli_gbps_hours(1_000_000_000, 36);
             prop_assert!(cost > 0);
-            let fits = ledger.tenant_used_mgh(99) + cost <= p.tenant_budget_mgh
-                && ledger.tier_used_mgh(tier) + cost <= p.tier_budget_mgh;
+            let fits = used_mgh(&ledger, 99) + cost <= p.tenant_budget_mgh
+                && ledger.tier_used_mgh[tier.index()] + cost <= p.tier_budget_mgh;
             if fits {
                 prop_assert_eq!(ledger.charge(99, tier, 1_000_000_000, 36), Ok(()));
-                ledger.release(99);
             }
         }
     }
@@ -312,12 +235,12 @@ mod tests {
             Err(QuotaError::TenantBudget)
         );
         // The refusal charged nothing.
-        assert_eq!(q.tenant_used_mgh(1), 9_000);
-        assert_eq!(q.tenant_concurrent(1), 1);
+        assert_eq!(q.tenants[&1].used_mgh, 9_000);
+        assert_eq!(q.tenants[&1].concurrent, 1);
     }
 
     #[test]
-    fn concurrent_cap_and_release() {
+    fn concurrent_cap() {
         let mut q = QuotaLedger::new(policy());
         assert!(q.charge(5, Tier::Standard, 1_000_000_000, 60).is_ok());
         assert!(q.charge(5, Tier::Standard, 1_000_000_000, 60).is_ok());
@@ -325,8 +248,6 @@ mod tests {
             q.charge(5, Tier::Standard, 1_000_000_000, 60),
             Err(QuotaError::Concurrent)
         );
-        q.release(5);
-        assert!(q.charge(5, Tier::Standard, 1_000_000_000, 60).is_ok());
     }
 
     #[test]

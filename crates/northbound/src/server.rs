@@ -61,28 +61,6 @@ pub enum Rejection {
     },
 }
 
-impl Rejection {
-    /// HTTP-style status code.
-    pub fn status(&self) -> u16 {
-        match self {
-            Rejection::Unauthorized => 401,
-            Rejection::QuotaExhausted(_) => 403,
-            Rejection::RateLimited { .. } => 429,
-            Rejection::ShedLoad { .. } => 503,
-        }
-    }
-
-    /// Stable metric-label name.
-    pub fn label(&self) -> &'static str {
-        match self {
-            Rejection::Unauthorized => "unauthorized",
-            Rejection::QuotaExhausted(_) => "quota_exhausted",
-            Rejection::RateLimited { .. } => "rate_limited",
-            Rejection::ShedLoad { .. } => "shed_load",
-        }
-    }
-}
-
 /// What the server answered a submission with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitOutcome {
@@ -360,9 +338,9 @@ pub struct ApiServer {
 }
 
 /// SLO spec names the server feeds.
-pub const SLO_ADMISSION: &str = "api_admission_latency";
+pub(crate) const SLO_ADMISSION: &str = "api_admission_latency";
 /// Shed-rate SLO name.
-pub const SLO_SHED: &str = "api_shed_rate";
+pub(crate) const SLO_SHED: &str = "api_shed_rate";
 
 impl ApiServer {
     /// A server fronting `testbed` for the fleet described by `dir`.
@@ -804,11 +782,6 @@ impl ApiServer {
             families,
         }
     }
-
-    /// The tier-labeled metric families so far (NOC scrape surface).
-    pub fn families(&self) -> &FamilyRegistry {
-        &self.families
-    }
 }
 
 /// Replay an admitted-intent stream against a bare testbed controller —
@@ -940,7 +913,7 @@ mod tests {
         let testbed = build_testbed(14, 2, seed);
         let mut server = ApiServer::new(testbed, dir.clone(), ServerConfig::default());
         assert!(
-            server.families().is_empty(),
+            server.families.is_empty(),
             "no child exists before its first write"
         );
         server.horizon = SimTime::from_secs(60);
@@ -967,7 +940,7 @@ mod tests {
         // Only what was written is exposed: three outcomes, no latency
         // histogram (nothing drained), no southbound gauges.
         assert_eq!(
-            server.families().expose(),
+            server.families.expose(),
             "# TYPE api_requests_total counter\n\
              api_requests_total{outcome=\"accepted\",tier=\"free\"} 3\n\
              api_requests_total{outcome=\"rate_limited\",tier=\"free\"} 2\n\

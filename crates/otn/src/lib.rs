@@ -33,9 +33,9 @@ pub mod sonet;
 pub mod switch;
 pub mod wdcs;
 
-pub use grooming::{Demand, GroomingResult, MuxponderPacker, OtnGroomer};
+pub use grooming::{Demand, MuxponderPacker, OtnGroomer};
 pub use odu::{ClientSignal, OduRate};
 pub use restoration::{MeshRestoration, RestorationOutcome};
-pub use sonet::{SonetNetwork, SonetService, Sts};
+pub use sonet::SonetNetwork;
 pub use switch::{LinePortId, OtnSwitch, SwitchError, XcId};
-pub use wdcs::{Ds1, Ds1Circuit, WdcsNode};
+pub use wdcs::WdcsNode;

@@ -11,8 +11,8 @@
 //! round decimal gigabits (ODU0 is 1.244 Gbps on the wire), but the slot
 //! *counts* are exact, and slot counts are what grooming and switching
 //! arithmetic use. We expose both: [`OduRate::payload`] for bandwidth
-//! accounting against client demand, [`OduRate::ts_needed`] /
-//! [`OduRate::ts_capacity`] for slot arithmetic.
+//! accounting against client demand, [`OduRate::ts_needed`] for slot
+//! arithmetic.
 
 use serde::{Deserialize, Serialize};
 use simcore::DataRate;
@@ -42,15 +42,6 @@ pub enum OduRate {
 }
 
 impl OduRate {
-    /// All rates, ascending.
-    pub const ALL: [OduRate; 5] = [
-        OduRate::Odu0,
-        OduRate::Odu1,
-        OduRate::Odu2,
-        OduRate::Odu3,
-        OduRate::Odu4,
-    ];
-
     /// Approximate payload bandwidth of this container.
     pub fn payload(self) -> DataRate {
         match self {
@@ -92,17 +83,12 @@ impl OduRate {
 
     /// 1.25 G tributary slots this container *offers* when used as the
     /// high-order server layer of a wavelength.
-    pub fn ts_capacity(self) -> usize {
+    pub(crate) fn ts_capacity(self) -> usize {
         self.ts_needed()
     }
 
-    /// The smallest ODU whose payload fits `demand`, if any.
-    pub fn smallest_fitting(demand: DataRate) -> Option<OduRate> {
-        Self::ALL.into_iter().find(|o| o.payload() >= demand)
-    }
-
     /// The high-order ODU corresponding to a wavelength line rate.
-    pub fn for_line_rate(rate: crate::switch::WavelengthLineRate) -> OduRate {
+    pub(crate) fn for_line_rate(rate: crate::switch::WavelengthLineRate) -> OduRate {
         use photonic::LineRate::*;
         match rate.0 {
             Gbps10 => OduRate::Odu2,
@@ -193,33 +179,10 @@ mod tests {
 
     #[test]
     fn payloads_ascend() {
-        for pair in OduRate::ALL.windows(2) {
+        use OduRate::*;
+        for pair in [Odu0, Odu1, Odu2, Odu3, Odu4].windows(2) {
             assert!(pair[0].payload() < pair[1].payload());
         }
-    }
-
-    #[test]
-    fn smallest_fitting_respects_actual_payloads() {
-        // 1 GbE fits ODU0.
-        assert_eq!(
-            OduRate::smallest_fitting(DataRate::from_gbps(1)),
-            Some(OduRate::Odu0)
-        );
-        // 2.5 G does NOT fit ODU1 (payload 2.498 G) — needs ODU2.
-        assert_eq!(
-            OduRate::smallest_fitting(DataRate::from_mbps(2_500)),
-            Some(OduRate::Odu2)
-        );
-        // 10 G fits ODU2 (10.037 G payload).
-        assert_eq!(
-            OduRate::smallest_fitting(DataRate::from_gbps(10)),
-            Some(OduRate::Odu2)
-        );
-        assert_eq!(
-            OduRate::smallest_fitting(DataRate::from_gbps(40)),
-            Some(OduRate::Odu3)
-        );
-        assert_eq!(OduRate::smallest_fitting(DataRate::from_gbps(200)), None);
     }
 
     #[test]

@@ -6,16 +6,16 @@
 //! and circuit-based BoD fed from a dedicated access pipe. §1 notes
 //! today's BoD tops out "usually at rates ≤ 622 Mbps" (OC-12).
 //!
-//! This module implements that baseline: [`SonetNetwork`] provisions
-//! [`SonetService`]s (VCAT groups of STS-1s) quickly — electronic circuit
-//! switches reconfigure in seconds — but refuses anything above the
-//! OC-12 BoD ceiling, which is exactly the gap Table 1's first row
-//! records and GRIPhoN closes. Ring protection (UPSR) restores in 50 ms
-//! for protected services, the "low-data-rate services" restoration
-//! figure of §1 item 3.
+//! This module implements that baseline's admission: [`SonetNetwork`]
+//! provisions [`SonetService`]s (VCAT groups of STS-1s) against the
+//! access pipe but refuses anything above the OC-12 BoD ceiling, which is
+//! exactly the gap Table 1's first row records and GRIPhoN closes. A
+//! service records whether it is ring-protected; neither provisioning
+//! time nor the 50 ms UPSR switch is modelled here (the controller's 1+1
+//! switchover is `griphon::protection`).
 
 use serde::{Deserialize, Serialize};
-use simcore::{define_id, DataRate, SimDuration};
+use simcore::{define_id, DataRate};
 use std::fmt;
 
 define_id!(
@@ -31,15 +31,10 @@ pub struct Sts(pub u32);
 impl Sts {
     /// Payload rate of one STS-1 (SPE ≈ 49.5 Mbps usable; we use the
     /// 51.84 Mbps line figure consistently with carrier rate sheets).
-    pub const STS1_RATE: DataRate = DataRate::from_bps(51_840_000);
-
-    /// Aggregate rate of the group.
-    pub fn rate(self) -> DataRate {
-        DataRate::from_bps(Self::STS1_RATE.bps() * self.0 as u64)
-    }
+    pub(crate) const STS1_RATE: DataRate = DataRate::from_bps(51_840_000);
 
     /// Smallest group carrying `demand`, if it fits under `max` STS-1s.
-    pub fn group_for(demand: DataRate, max: Sts) -> Option<Sts> {
+    pub(crate) fn group_for(demand: DataRate, max: Sts) -> Option<Sts> {
         let n = demand.bps().div_ceil(Self::STS1_RATE.bps()) as u32;
         if n == 0 {
             Some(Sts(1)).filter(|s| s.0 <= max.0)
@@ -118,20 +113,8 @@ impl SonetNetwork {
         }
     }
 
-    /// How long provisioning takes: electronic DCS reconfiguration, per
-    /// §1 item 2 "achievable today … by re-configuring electronic circuit
-    /// switches" — seconds, not weeks.
-    pub fn provisioning_time(&self) -> SimDuration {
-        SimDuration::from_secs(5)
-    }
-
-    /// Protection switch time for UPSR-protected services.
-    pub fn protection_switch_time(&self) -> SimDuration {
-        SimDuration::from_millis(50)
-    }
-
     /// STS-1s currently committed.
-    pub fn sts_in_use(&self) -> Sts {
+    pub(crate) fn sts_in_use(&self) -> Sts {
         Sts(self.services.iter().map(|s| s.group.0).sum())
     }
 
@@ -158,36 +141,11 @@ impl SonetNetwork {
         self.services.push(svc.clone());
         Ok(svc)
     }
-
-    /// Release a service.
-    ///
-    /// # Panics
-    /// If the id is unknown.
-    pub fn release(&mut self, id: SonetServiceId) {
-        let i = self
-            .services
-            .iter()
-            .position(|s| s.id == id)
-            .unwrap_or_else(|| panic!("unknown service {id}"));
-        self.services.remove(i);
-    }
-
-    /// Active services.
-    pub fn services(&self) -> &[SonetService] {
-        &self.services
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sts_rates() {
-        assert_eq!(Sts(1).rate(), DataRate::from_bps(51_840_000));
-        // OC-12 ≈ 622 Mbps = 12 STS-1.
-        assert_eq!(Sts(12).rate(), DataRate::from_bps(622_080_000));
-    }
 
     #[test]
     fn group_sizing_rounds_up() {
@@ -229,22 +187,5 @@ mod tests {
             net.provision(DataRate::from_mbps(52), false),
             Err(SonetError::AccessPipeFull)
         );
-    }
-
-    #[test]
-    fn release_returns_capacity() {
-        let mut net = SonetNetwork::today();
-        let svc = net.provision(DataRate::from_mbps(622), true).unwrap();
-        assert_eq!(net.sts_in_use(), Sts(12));
-        net.release(svc.id);
-        assert_eq!(net.sts_in_use(), Sts(0));
-        assert!(net.services().is_empty());
-    }
-
-    #[test]
-    fn timings_match_paper() {
-        let net = SonetNetwork::today();
-        assert!(net.provisioning_time() < SimDuration::from_mins(1));
-        assert_eq!(net.protection_switch_time(), SimDuration::from_millis(50));
     }
 }

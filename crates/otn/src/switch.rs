@@ -52,11 +52,11 @@ define_id!(
 /// Newtype tying a line port to the photonic line rate backing it
 /// (used by [`OduRate::for_line_rate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct WavelengthLineRate(pub LineRate);
+pub(crate) struct WavelengthLineRate(pub LineRate);
 
 /// One endpoint of a cross-connect.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum XcEndpoint {
+pub(crate) enum XcEndpoint {
     /// A client port (the whole port).
     Client(ClientPortId),
     /// A set of tributary slots on a line port.
@@ -70,7 +70,7 @@ pub enum XcEndpoint {
 
 /// A low-order ODU cross-connect through the fabric.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CrossConnect {
+pub(crate) struct CrossConnect {
     /// This cross-connect's id.
     pub id: XcId,
     /// The low-order container being switched.
@@ -231,16 +231,11 @@ impl OtnSwitch {
     }
 
     /// Is the client port free?
-    pub fn client_free(&self, port: ClientPortId) -> bool {
+    pub(crate) fn client_free(&self, port: ClientPortId) -> bool {
         self.clients
             .get(port.index())
             .map(|c| c.xc.is_none())
             .unwrap_or(false)
-    }
-
-    /// The signal type a client port accepts.
-    pub fn client_signal(&self, port: ClientPortId) -> Option<ClientSignal> {
-        self.clients.get(port.index()).map(|c| c.signal)
     }
 
     /// Bandwidth currently switched through the fabric.
@@ -330,30 +325,6 @@ impl OtnSwitch {
         Ok(())
     }
 
-    /// Look a cross-connect up.
-    pub fn xc(&self, id: XcId) -> Option<&CrossConnect> {
-        self.xcs.get(&id)
-    }
-
-    /// All active cross-connects.
-    pub fn xcs(&self) -> impl Iterator<Item = &CrossConnect> {
-        self.xcs.values()
-    }
-
-    /// Cross-connects touching a line port (what a wavelength failure on
-    /// that port impacts).
-    pub fn xcs_on_line(&self, port: LinePortId) -> Vec<XcId> {
-        self.xcs
-            .values()
-            .filter(|x| {
-                [&x.a, &x.b]
-                    .iter()
-                    .any(|e| matches!(e, XcEndpoint::Line { port: p, .. } if *p == port))
-            })
-            .map(|x| x.id)
-            .collect()
-    }
-
     fn fresh_xc(&mut self) -> XcId {
         let id = XcId::new(self.next_xc);
         self.next_xc += 1;
@@ -429,7 +400,7 @@ mod tests {
         let xc = s.connect_client_to_line(c, l).unwrap();
         assert_eq!(s.free_ts(l), 7);
         assert!(!s.client_free(c));
-        assert_eq!(s.xc(xc).unwrap().rate, OduRate::Odu0);
+        assert_eq!(s.xcs[&xc].rate, OduRate::Odu0);
         s.disconnect(xc).unwrap();
         assert_eq!(s.free_ts(l), 8);
         assert!(s.client_free(c));
@@ -527,19 +498,6 @@ mod tests {
     }
 
     #[test]
-    fn xcs_on_line_finds_impacted() {
-        let mut s = switch();
-        let l1 = s.add_line_port(LineRate::Gbps10);
-        let l2 = s.add_line_port(LineRate::Gbps10);
-        let c = s.add_client_port(ClientSignal::GbE);
-        let x1 = s.connect_client_to_line(c, l1).unwrap();
-        let x2 = s.connect_line_to_line(l1, l2, OduRate::Odu0).unwrap();
-        let on_l1 = s.xcs_on_line(l1);
-        assert!(on_l1.contains(&x1) && on_l1.contains(&x2));
-        assert_eq!(s.xcs_on_line(l2), vec![x2]);
-    }
-
-    #[test]
     fn errors_on_unknown_ids() {
         let mut s = switch();
         let c = s.add_client_port(ClientSignal::GbE);
@@ -555,13 +513,5 @@ mod tests {
             s.disconnect(XcId::new(5)),
             Err(SwitchError::NoSuchXc(XcId::new(5)))
         );
-    }
-
-    #[test]
-    fn client_signal_lookup() {
-        let mut s = switch();
-        let c = s.add_client_port(ClientSignal::Oc48);
-        assert_eq!(s.client_signal(c), Some(ClientSignal::Oc48));
-        assert_eq!(s.client_signal(ClientPortId::new(5)), None);
     }
 }

@@ -26,17 +26,12 @@ pub struct Ds1(pub u32);
 
 impl Ds1 {
     /// The DS1 line rate (1.544 Mbps).
-    pub const RATE: DataRate = DataRate::from_bps(1_544_000);
+    pub(crate) const RATE: DataRate = DataRate::from_bps(1_544_000);
     /// DS1s per DS3 (the M13 multiplex: 28).
-    pub const PER_DS3: u32 = 28;
-
-    /// Aggregate rate of `n` DS1s.
-    pub fn rate(self) -> DataRate {
-        DataRate::from_bps(Self::RATE.bps() * self.0 as u64)
-    }
+    pub(crate) const PER_DS3: u32 = 28;
 
     /// The DS3 line rate (44.736 Mbps) — the W-DCS service ceiling.
-    pub const DS3_RATE: DataRate = DataRate::from_bps(44_736_000);
+    pub(crate) const DS3_RATE: DataRate = DataRate::from_bps(44_736_000);
 
     /// Smallest n×DS1 group carrying `demand`, if the demand stays below
     /// the DS3 *rate* (the W-DCS ceiling — faster demands move up a
@@ -44,7 +39,7 @@ impl Ds1 {
     /// DS1s, one more than a single DS3 carries, and is still a W-DCS
     /// service; whether the node has uplink capacity for it is the
     /// provisioning check, not the categorization.
-    pub fn group_for(demand: DataRate) -> Option<Ds1> {
+    pub(crate) fn group_for(demand: DataRate) -> Option<Ds1> {
         if demand.bps() >= Self::DS3_RATE.bps() {
             return None;
         }
@@ -132,28 +127,6 @@ impl WdcsNode {
         self.circuits.push(c.clone());
         Ok(c)
     }
-
-    /// Release a circuit.
-    ///
-    /// # Panics
-    /// If the id is unknown.
-    pub fn release(&mut self, id: Ds1CircuitId) {
-        let i = self
-            .circuits
-            .iter()
-            .position(|c| c.id == id)
-            .unwrap_or_else(|| panic!("unknown circuit {id}"));
-        self.circuits.remove(i);
-    }
-
-    /// Fill fraction of the uplinks.
-    pub fn fill(&self) -> f64 {
-        if self.capacity() == 0 {
-            0.0
-        } else {
-            self.in_use() as f64 / self.capacity() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -162,7 +135,6 @@ mod tests {
 
     #[test]
     fn rates_and_grouping() {
-        assert_eq!(Ds1(1).rate(), DataRate::from_bps(1_544_000));
         // 10 Mbps needs 7 DS1s.
         assert_eq!(Ds1::group_for(DataRate::from_mbps(10)), Some(Ds1(7)));
         // Zero demand still takes one channel.
@@ -176,10 +148,9 @@ mod tests {
     fn provisioning_against_uplinks() {
         let mut n = WdcsNode::new(1); // 28 DS1s
         assert_eq!(n.capacity(), 28);
-        let a = n.provision(DataRate::from_mbps(10)).unwrap(); // 7
-        let _b = n.provision(DataRate::from_mbps(30)).unwrap(); // 20
+        n.provision(DataRate::from_mbps(10)).unwrap(); // 7
+        n.provision(DataRate::from_mbps(30)).unwrap(); // 20
         assert_eq!(n.in_use(), 27);
-        assert!((n.fill() - 27.0 / 28.0).abs() < 1e-12);
         // 2 more DS1s won't fit.
         assert_eq!(
             n.provision(DataRate::from_mbps(3)),
@@ -188,8 +159,6 @@ mod tests {
         // But 1 will.
         n.provision(DataRate::from_mbps(1)).unwrap();
         assert_eq!(n.in_use(), 28);
-        n.release(a.id);
-        assert_eq!(n.in_use(), 21);
     }
 
     #[test]
@@ -199,11 +168,5 @@ mod tests {
             n.provision(DataRate::from_mbps(100)),
             Err(WdcsError::AboveDs3)
         );
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown circuit")]
-    fn release_unknown_panics() {
-        WdcsNode::new(1).release(Ds1CircuitId::new(9));
     }
 }

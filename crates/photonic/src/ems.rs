@@ -198,11 +198,6 @@ impl EmsLatencyModel {
         EmsLatencyModel { profile }
     }
 
-    /// The underlying profile.
-    pub fn profile(&self) -> &EmsProfile {
-        &self.profile
-    }
-
     /// Sample the duration of one command.
     pub fn latency(&self, cmd: EmsCommand, rng: &mut SimRng) -> SimDuration {
         let mean = self.profile.mean_secs(cmd);
@@ -266,11 +261,6 @@ impl WorkflowLedger {
         self.open.values().sum()
     }
 
-    /// Total workflows ever begun / completed.
-    pub fn totals(&self) -> (u64, u64) {
-        (self.begun, self.completed)
-    }
-
     /// Recovery re-issued `n` in-flight workflows by replaying their
     /// logged intents.
     pub fn mark_resumed(&mut self, n: u64) {
@@ -281,11 +271,6 @@ impl WorkflowLedger {
     /// executed, so no EMS state to undo).
     pub fn mark_rolled_back(&mut self, n: u64) {
         self.rolled_back += n;
-    }
-
-    /// `(resumed, rolled back)` recovery accounting.
-    pub fn recovery_totals(&self) -> (u64, u64) {
-        (self.resumed, self.rolled_back)
     }
 
     /// Canonical multi-line dump for state digests: open workflows in
@@ -322,7 +307,7 @@ mod tests {
         assert_eq!(l.open_count(), 2);
         // Unknown completion is ignored, not an underflow.
         l.complete(9, "conn.setup");
-        assert_eq!(l.totals(), (3, 1));
+        assert_eq!((l.begun, l.completed), (3, 1));
         let dump = l.dump();
         assert!(dump.contains("conn.setup entity=1 x1"), "{dump}");
         assert!(dump.contains("conn.teardown entity=2 x1"), "{dump}");

@@ -3,9 +3,9 @@
 //! A [`FiberLink`] is a bidirectional fiber *pair* between two ROADM nodes
 //! (the unit the paper's DWDM layer multiplexes wavelengths onto). Long
 //! links are divided into [`Span`]s separated by in-line EDFA amplifier
-//! huts, which matters twice: equalization time scales with the number of
-//! amplified spans, and a cut is located to a specific span by the fault
-//! localizer.
+//! huts, and a cut is located to a specific span by the fault localizer.
+//! (Equalization time scales with ROADM hops, not spans: see
+//! [`crate::power`].)
 
 use serde::{Deserialize, Serialize};
 use simcore::define_id;
@@ -29,17 +29,12 @@ pub struct Span {
 
 impl Span {
     /// A span with typical terrestrial loss.
-    pub fn of_km(length_km: f64) -> Span {
+    pub(crate) fn of_km(length_km: f64) -> Span {
         assert!(length_km > 0.0, "span length must be positive");
         Span {
             length_km,
             loss_db_per_km: 0.25,
         }
-    }
-
-    /// Total attenuation across the span.
-    pub fn loss_db(&self) -> f64 {
-        self.length_km * self.loss_db_per_km
     }
 }
 
@@ -91,7 +86,7 @@ impl FiberLink {
 
     /// Build a link of `total_km`, auto-split into ~80 km amplified spans
     /// (the standard EDFA hut spacing).
-    pub fn with_length(id: FiberId, a: RoadmId, b: RoadmId, total_km: f64) -> FiberLink {
+    pub(crate) fn with_length(id: FiberId, a: RoadmId, b: RoadmId, total_km: f64) -> FiberLink {
         assert!(total_km > 0.0, "fiber length must be positive");
         let n = (total_km / 80.0).ceil().max(1.0) as usize;
         let each = total_km / n as f64;
@@ -101,16 +96,6 @@ impl FiberLink {
     /// Total route length.
     pub fn length_km(&self) -> f64 {
         self.spans.iter().map(|s| s.length_km).sum()
-    }
-
-    /// Number of in-line amplifier sites (one between each pair of spans).
-    pub fn amplifier_count(&self) -> usize {
-        self.spans.len().saturating_sub(1)
-    }
-
-    /// Total fiber attenuation (compensated by the amplifiers).
-    pub fn total_loss_db(&self) -> f64 {
-        self.spans.iter().map(Span::loss_db).sum()
     }
 
     /// Is the link able to carry traffic?
@@ -175,18 +160,6 @@ mod tests {
         let l = link();
         assert_eq!(l.spans.len(), 3); // 200 km → 3 spans ≤ 80 km
         assert!((l.length_km() - 200.0).abs() < 1e-9);
-        assert_eq!(l.amplifier_count(), 2);
-    }
-
-    #[test]
-    fn loss_accumulates() {
-        let l = FiberLink::new(
-            FiberId::new(1),
-            RoadmId::new(0),
-            RoadmId::new(1),
-            vec![Span::of_km(100.0)],
-        );
-        assert!((l.total_loss_db() - 25.0).abs() < 1e-9);
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! (to ride the DWDM layer directly) or to an OTN switch port (to be
 //! groomed with other sub-wavelength signals).
 //!
-//! Port semantics: every [`FxcPort`] has a label describing what is
+//! Port semantics: every `FxcPort` has a label describing what is
 //! cabled to it; connecting two ports creates a bidirectional light path
 //! between those cables. Both the label vocabulary and the validation are
 //! deliberately open — the FXC itself cannot tell what it is switching,
@@ -32,7 +32,7 @@ define_id!(
 
 /// One FXC port and what is cabled into it.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FxcPort {
+pub(crate) struct FxcPort {
     /// Free-form description of the attached cable
     /// (e.g. `"access:dc1"`, `"ot:ot3"`, `"otn:sw0/p2"`).
     pub label: String,
@@ -95,14 +95,6 @@ impl Fxc {
     /// Number of ports.
     pub fn port_count(&self) -> usize {
         self.ports.len()
-    }
-
-    /// The port's label.
-    ///
-    /// # Panics
-    /// If out of range.
-    pub fn label(&self, port: usize) -> &str {
-        &self.ports[port].label
     }
 
     /// Find the first port whose label equals `label`.
@@ -233,7 +225,7 @@ mod tests {
         let f = fxc3();
         assert_eq!(f.port_by_label("ot:ot0"), Some(1));
         assert_eq!(f.port_by_label("nope"), None);
-        assert_eq!(f.label(2), "otn:sw0/p0");
+        assert_eq!(f.ports[2].label, "otn:sw0/p0");
         assert_eq!(f.port_count(), 3);
     }
 }

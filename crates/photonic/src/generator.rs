@@ -46,7 +46,7 @@ use crate::topology::PhotonicNetwork;
 
 /// Region id assigned to backbone hubs in [`GeneratedPlant::region_of`]:
 /// hubs belong to the transit core, not to any one region's interior.
-pub const REGION_BACKBONE: u16 = u16::MAX;
+pub(crate) const REGION_BACKBONE: u16 = u16::MAX;
 
 /// Shape and seed of a generated plant.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -147,7 +147,7 @@ impl GeneratorConfig {
 pub struct GeneratedPlant {
     /// The plant itself.
     pub net: PhotonicNetwork,
-    /// Region id per ROADM index ([`REGION_BACKBONE`] for hubs).
+    /// Region id per ROADM index (`REGION_BACKBONE` for hubs).
     pub region_of: Vec<u16>,
     /// Each region's transit gateway (its backbone hub), indexed by
     /// region id.

@@ -2,8 +2,8 @@
 //!
 //! Modern systems (per the paper, §2.1) carry 40–100 wavelengths per fiber
 //! pair on the ITU-T G.694.1 50 GHz C-band grid, each at 10–100 Gbps.
-//! [`Wavelength`] is a channel index into a [`ChannelGrid`]; the grid maps
-//! indices to physical frequencies for display and validates bounds.
+//! [`Wavelength`] is a channel index into a [`ChannelGrid`]; the grid
+//! bounds the indices a line system may light.
 
 use serde::{Deserialize, Serialize};
 use simcore::DataRate;
@@ -61,7 +61,7 @@ impl ChannelGrid {
     /// The 96-channel extended C-band grid used by the continental-scale
     /// generated plants (the high end of deployed 50 GHz systems; still
     /// comfortably inside the u128 occupancy-mask width).
-    pub const C_BAND_96: ChannelGrid = ChannelGrid {
+    pub(crate) const C_BAND_96: ChannelGrid = ChannelGrid {
         channels: 96,
         spacing_ghz: 50,
         first_freq_ghz: 191_700,
@@ -83,7 +83,7 @@ impl ChannelGrid {
     ///
     /// # Panics
     /// If the grid has more than 128 channels.
-    pub fn channel_mask(&self) -> u128 {
+    pub(crate) fn channel_mask(&self) -> u128 {
         assert!(
             self.channels <= 128,
             "{} channels exceed the u128 occupancy-mask width",
@@ -94,19 +94,6 @@ impl ChannelGrid {
         } else {
             (1u128 << self.channels) - 1
         }
-    }
-
-    /// Centre frequency of a channel in GHz.
-    ///
-    /// # Panics
-    /// If the wavelength is off-grid.
-    pub fn frequency_ghz(&self, w: Wavelength) -> u32 {
-        assert!(
-            self.contains(w),
-            "{w} is off-grid ({} channels)",
-            self.channels
-        );
-        self.first_freq_ghz + w.0 as u32 * self.spacing_ghz as u32
     }
 }
 
@@ -130,14 +117,6 @@ impl LineRate {
             LineRate::Gbps100 => DataRate::from_gbps(100),
         }
     }
-
-    /// All defined line rates, ascending.
-    pub const ALL: [LineRate; 3] = [LineRate::Gbps10, LineRate::Gbps40, LineRate::Gbps100];
-
-    /// Smallest line rate that can carry `demand`, if any.
-    pub fn smallest_fitting(demand: DataRate) -> Option<LineRate> {
-        Self::ALL.into_iter().find(|r| r.rate() >= demand)
-    }
 }
 
 impl fmt::Display for LineRate {
@@ -160,32 +139,9 @@ mod tests {
     }
 
     #[test]
-    fn frequencies_follow_spacing() {
-        let g = ChannelGrid::C_BAND_80;
-        assert_eq!(g.frequency_ghz(Wavelength(0)), 191_700);
-        assert_eq!(g.frequency_ghz(Wavelength(1)), 191_750);
-        assert_eq!(g.frequency_ghz(Wavelength(79)), 191_700 + 79 * 50);
-    }
-
-    #[test]
-    #[should_panic(expected = "off-grid")]
-    fn off_grid_frequency_panics() {
-        ChannelGrid::C_BAND_40.frequency_ghz(Wavelength(40));
-    }
-
-    #[test]
     fn line_rates() {
         assert_eq!(LineRate::Gbps10.rate(), DataRate::from_gbps(10));
         assert_eq!(LineRate::Gbps40.rate(), DataRate::from_gbps(40));
-        assert_eq!(
-            LineRate::smallest_fitting(DataRate::from_gbps(12)),
-            Some(LineRate::Gbps40)
-        );
-        assert_eq!(
-            LineRate::smallest_fitting(DataRate::from_gbps(10)),
-            Some(LineRate::Gbps10)
-        );
-        assert_eq!(LineRate::smallest_fitting(DataRate::from_gbps(400)), None);
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //! A behavioural model of the photonic layer GRIPhoN controls: fiber
 //! spans with amplifier chains, multi-degree ROADMs with colorless /
 //! non-directional add-drop, tunable optical transponders (OT), optical
-//! regenerators (REGEN), 4×10G→40G muxponders, client-side fiber
-//! cross-connects (FXC), and the vendor element-management systems (EMS)
-//! whose command latencies dominate the paper's Table 2.
+//! regenerators (REGEN), client-side fiber cross-connects (FXC), and the
+//! vendor element-management systems (EMS) whose command latencies
+//! dominate the paper's Table 2.
 //!
 //! ## What is modelled, and what is not
 //!
@@ -49,21 +49,17 @@ pub mod grid;
 pub mod power;
 pub mod reach;
 pub mod roadm;
-pub mod signal;
 pub mod topology;
 pub mod transponder;
 
 pub use alarm::{Alarm, AlarmKind, AlarmSeverity};
 pub use ems::{EmsCommand, EmsLatencyModel, EmsProfile, WorkflowLedger};
-pub use fiber::{FiberId, FiberLink, FiberState, Span};
-pub use fxc::{Fxc, FxcId, FxcPort};
-pub use generator::{generate, GeneratedPlant, GeneratorConfig, REGION_BACKBONE};
+pub use fiber::{FiberId, FiberState, Span};
+pub use fxc::FxcId;
+pub use generator::{generate, GeneratedPlant, GeneratorConfig};
 pub use grid::{ChannelGrid, LineRate, Wavelength};
 pub use power::EqualizationModel;
 pub use reach::ReachModel;
-pub use roadm::{AddDropPort, DegreeId, Roadm, RoadmError, RoadmId};
-pub use signal::{OtuFrame, SignalBudget};
-pub use topology::{PhotonicNetwork, TestbedIds, TopologyError};
-pub use transponder::{
-    Muxponder, MuxponderId, Regen, RegenId, Transponder, TransponderId, TransponderState,
-};
+pub use roadm::{DegreeId, Roadm, RoadmId};
+pub use topology::{PhotonicNetwork, TestbedIds};
+pub use transponder::{RegenId, Transponder, TransponderId, TransponderState};

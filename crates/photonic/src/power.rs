@@ -162,11 +162,6 @@ impl TransientModel {
     pub fn disturbs(&self, survivors: usize) -> bool {
         survivors > 0 && self.depth_db(survivors) > self.tolerance_db
     }
-
-    /// Minimum survivor count for hitless add/remove.
-    pub fn safe_survivor_count(&self) -> usize {
-        (self.worst_case_db / self.tolerance_db).ceil() as usize
-    }
 }
 
 #[cfg(test)]
@@ -251,6 +246,5 @@ mod tests {
         assert!(t.disturbs(1));
         assert!(!t.disturbs(6), "at tolerance, not above");
         assert!(!t.disturbs(0));
-        assert_eq!(t.safe_survivor_count(), 6);
     }
 }

@@ -40,17 +40,12 @@ impl Default for ReachModel {
 
 impl ReachModel {
     /// The reach budget for a rate.
-    pub fn reach_km(&self, rate: LineRate) -> f64 {
+    pub(crate) fn reach_km(&self, rate: LineRate) -> f64 {
         match rate {
             LineRate::Gbps10 => self.km_10g,
             LineRate::Gbps40 => self.km_40g,
             LineRate::Gbps100 => self.km_100g,
         }
-    }
-
-    /// Can a transparent (regen-free) segment of `km` carry `rate`?
-    pub fn segment_ok(&self, rate: LineRate, km: f64) -> bool {
-        km <= self.reach_km(rate)
     }
 
     /// Split a path (given per-hop lengths in km) into the fewest
@@ -112,8 +107,6 @@ mod tests {
     fn default_order() {
         let r = ReachModel::default();
         assert!(r.reach_km(LineRate::Gbps40) < r.reach_km(LineRate::Gbps10));
-        assert!(r.segment_ok(LineRate::Gbps10, 2_500.0));
-        assert!(!r.segment_ok(LineRate::Gbps10, 2_500.1));
     }
 
     #[test]

@@ -49,7 +49,7 @@ define_id!(
 
 /// One colorless/non-directional (or constrained) add/drop port.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct AddDropPort {
+pub(crate) struct AddDropPort {
     /// Which transponder's client fiber is plugged in here, if any.
     pub attached: Option<TransponderId>,
     /// `Some(λ)` pins the port to one wavelength (non-colorless systems).
@@ -101,7 +101,7 @@ impl std::error::Error for RoadmError {}
 
 /// What a wavelength on one degree is being used for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum LambdaUse {
+pub(crate) enum LambdaUse {
     /// Expressed through to another degree.
     Express {
         /// The other degree of the express connection.
@@ -168,7 +168,7 @@ impl Roadm {
 
     /// Add a port with legacy constraints (for ablation studies):
     /// `fixed_wavelength` makes it colored, `fixed_degree` directional.
-    pub fn add_constrained_port(
+    pub(crate) fn add_constrained_port(
         &mut self,
         fixed_wavelength: Option<Wavelength>,
         fixed_degree: Option<DegreeId>,
@@ -221,24 +221,6 @@ impl Roadm {
         p.attached = Some(ot);
     }
 
-    /// Ports with no active configuration whose constraints allow
-    /// `(wavelength, degree)` — what the controller searches when picking
-    /// an OT for a new connection.
-    pub fn free_ports_for(&self, w: Wavelength, d: DegreeId) -> Vec<PortId> {
-        self.ports
-            .iter()
-            .enumerate()
-            .filter(|(i, p)| {
-                let id = PortId::from_index(*i);
-                !self.port_config.contains_key(&id)
-                    && p.attached.is_some()
-                    && p.fixed_wavelength.is_none_or(|fw| fw == w)
-                    && p.fixed_degree.is_none_or(|fd| fd == d)
-            })
-            .map(|(i, _)| PortId::from_index(i))
-            .collect()
-    }
-
     /// Is `w` unused on degree `d`?
     pub fn lambda_free(&self, d: DegreeId, w: Wavelength) -> bool {
         let free = self.occupancy_mask(d) & (1u128 << w.index()) == 0;
@@ -248,7 +230,7 @@ impl Roadm {
 
     /// Occupancy bitmask of degree `d`: bit *i* set ⇔ channel *i* lit.
     /// An unknown degree reads as all-dark.
-    pub fn occupancy_mask(&self, d: DegreeId) -> u128 {
+    pub(crate) fn occupancy_mask(&self, d: DegreeId) -> u128 {
         self.degree_masks.get(d.index()).copied().unwrap_or(0)
     }
 
@@ -268,7 +250,7 @@ impl Roadm {
     }
 
     /// Current use of `(d, w)` if configured.
-    pub fn lambda_usage(&self, d: DegreeId, w: Wavelength) -> Option<LambdaUse> {
+    pub(crate) fn lambda_usage(&self, d: DegreeId, w: Wavelength) -> Option<LambdaUse> {
         self.lambda_use.get(&(d, w)).copied()
     }
 
@@ -369,11 +351,6 @@ impl Roadm {
         Ok(())
     }
 
-    /// The `(wavelength, degree)` a port is currently configured for.
-    pub fn port_configuration(&self, port: PortId) -> Option<(Wavelength, DegreeId)> {
-        self.port_config.get(&port).copied()
-    }
-
     /// Count of lit wavelengths on a degree (for equalization cost and
     /// utilization reporting).
     pub fn lit_count(&self, d: DegreeId) -> usize {
@@ -383,7 +360,9 @@ impl Roadm {
     }
 
     /// Every `(degree, wavelength, use)` currently configured.
-    pub fn configurations(&self) -> impl Iterator<Item = (DegreeId, Wavelength, LambdaUse)> + '_ {
+    pub(crate) fn configurations(
+        &self,
+    ) -> impl Iterator<Item = (DegreeId, Wavelength, LambdaUse)> + '_ {
         self.lambda_use.iter().map(|((d, w), u)| (*d, *w, *u))
     }
 
@@ -488,12 +467,12 @@ mod tests {
         let (mut r, d0, _, _, p) = three_degree();
         let w = Wavelength(10);
         r.connect_add_drop(p, w, d0).unwrap();
-        assert_eq!(r.port_configuration(p), Some((w, d0)));
+        assert_eq!(r.port_config.get(&p).copied(), Some((w, d0)));
         assert!(!r.lambda_free(d0, w));
         assert_eq!(r.lambda_usage(d0, w), Some(LambdaUse::AddDrop { port: p }));
         r.disconnect_add_drop(p).unwrap();
         assert!(r.lambda_free(d0, w));
-        assert_eq!(r.port_configuration(p), None);
+        assert_eq!(r.port_config.get(&p).copied(), None);
     }
 
     #[test]
@@ -539,24 +518,6 @@ mod tests {
             Err(RoadmError::PortWrongDegree(fixed, d0))
         );
         r.connect_add_drop(fixed, Wavelength(0), d1).unwrap();
-    }
-
-    #[test]
-    fn free_ports_respect_constraints_and_attachment() {
-        let (mut r, d0, d1, _, p) = three_degree();
-        let unattached = r.add_port();
-        let colored = r.add_constrained_port(Some(Wavelength(7)), None);
-        r.attach_transponder(colored, TransponderId::new(1));
-        let free = r.free_ports_for(Wavelength(7), d0);
-        assert!(free.contains(&p));
-        assert!(free.contains(&colored));
-        assert!(!free.contains(&unattached), "no OT attached");
-        let free8 = r.free_ports_for(Wavelength(8), d1);
-        assert!(free8.contains(&p));
-        assert!(!free8.contains(&colored));
-        // After configuring p it is no longer free.
-        r.connect_add_drop(p, Wavelength(7), d0).unwrap();
-        assert!(!r.free_ports_for(Wavelength(7), d0).contains(&p));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Optical transponders, regenerators and muxponders.
+//! Optical transponders and regenerators.
 //!
 //! - A [`Transponder`] (OT) converts a client-side signal to a tunable
 //!   line-side wavelength. Tuning the laser is the single slowest optical
@@ -6,11 +6,6 @@
 //! - A [`Regen`] is the standard back-to-back OT pair used when a path
 //!   exceeds optical reach; it also permits wavelength conversion at the
 //!   regeneration site.
-//! - A [`Muxponder`] aggregates four 10 G client ports onto a 40 G line
-//!   signal; the testbed uses one per customer premises as emulated
-//!   network-terminating equipment (NTE), and muxponders are also the
-//!   "today's reality" way of carrying sub-wavelength traffic that the
-//!   OTN layer's grooming is compared against (experiment E6).
 //!
 //! Transponders live at ROADM nodes and are shared between customers via
 //! the client-side FXC — "dynamic sharing of transponders … useful in
@@ -32,12 +27,6 @@ define_id!(
     /// Identifier of a regenerator (a back-to-back OT pair).
     RegenId,
     "regen"
-);
-
-define_id!(
-    /// Identifier of a muxponder.
-    MuxponderId,
-    "mxp"
 );
 
 /// Lifecycle of a transponder's line side.
@@ -128,16 +117,6 @@ impl Transponder {
         self.state = TransponderState::Failed;
     }
 
-    /// Replace failed hardware, returning the OT to the idle pool.
-    pub fn repair(&mut self) {
-        assert_eq!(
-            self.state,
-            TransponderState::Failed,
-            "repairing a healthy OT"
-        );
-        self.state = TransponderState::Idle;
-    }
-
     /// The wavelength currently lit, if active.
     pub fn wavelength(&self) -> Option<Wavelength> {
         match self.state {
@@ -184,59 +163,6 @@ impl Regen {
     /// Return the regen to the pool.
     pub fn release(&mut self) {
         self.in_use = false;
-    }
-}
-
-/// A 4×10G → 40G muxponder (also the testbed's emulated NTE).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Muxponder {
-    /// This muxponder's id.
-    pub id: MuxponderId,
-    /// Occupancy of the four 10 G client ports.
-    client_ports: [bool; 4],
-}
-
-impl Muxponder {
-    /// Client ports per muxponder.
-    pub const CLIENT_PORTS: usize = 4;
-    /// Rate of each client port.
-    pub const CLIENT_RATE: LineRate = LineRate::Gbps10;
-    /// Line-side rate.
-    pub const LINE_RATE: LineRate = LineRate::Gbps40;
-
-    /// A new muxponder with all client ports free.
-    pub fn new(id: MuxponderId) -> Muxponder {
-        Muxponder {
-            id,
-            client_ports: [false; 4],
-        }
-    }
-
-    /// Claim the first free client port, if any.
-    pub fn claim_port(&mut self) -> Option<usize> {
-        let i = self.client_ports.iter().position(|used| !used)?;
-        self.client_ports[i] = true;
-        Some(i)
-    }
-
-    /// Release a previously claimed client port.
-    ///
-    /// # Panics
-    /// If the port index is out of range or the port was not claimed.
-    pub fn release_port(&mut self, i: usize) {
-        assert!(self.client_ports[i], "port {i} was not claimed");
-        self.client_ports[i] = false;
-    }
-
-    /// Number of client ports currently in use.
-    pub fn ports_used(&self) -> usize {
-        self.client_ports.iter().filter(|u| **u).count()
-    }
-
-    /// Fraction of the 40 G line side actually filled by claimed clients —
-    /// the quantity muxponder-only grooming wastes and OTN recovers (E6).
-    pub fn fill_ratio(&self) -> f64 {
-        self.ports_used() as f64 / Self::CLIENT_PORTS as f64
     }
 }
 
@@ -290,20 +216,12 @@ mod tests {
     }
 
     #[test]
-    fn fail_sticks_until_repair() {
+    fn fail_survives_release() {
         let mut t = ot();
         t.fail();
         assert_eq!(t.state, TransponderState::Failed);
         t.release(); // release must not resurrect failed hardware
         assert_eq!(t.state, TransponderState::Failed);
-        t.repair();
-        assert!(t.is_idle());
-    }
-
-    #[test]
-    #[should_panic(expected = "healthy")]
-    fn repair_healthy_panics() {
-        ot().repair();
     }
 
     #[test]
@@ -322,28 +240,5 @@ mod tests {
         let mut r = Regen::new(RegenId::new(0), RoadmId::new(1), LineRate::Gbps10);
         r.claim();
         r.claim();
-    }
-
-    #[test]
-    fn muxponder_port_pool() {
-        let mut m = Muxponder::new(MuxponderId::new(0));
-        let a = m.claim_port().unwrap();
-        let b = m.claim_port().unwrap();
-        assert_ne!(a, b);
-        assert_eq!(m.ports_used(), 2);
-        assert!((m.fill_ratio() - 0.5).abs() < 1e-12);
-        m.release_port(a);
-        assert_eq!(m.ports_used(), 1);
-        // Freed port is reusable; pool exhausts at four.
-        m.claim_port().unwrap();
-        m.claim_port().unwrap();
-        m.claim_port().unwrap();
-        assert_eq!(m.claim_port(), None);
-    }
-
-    #[test]
-    #[should_panic(expected = "not claimed")]
-    fn muxponder_release_unclaimed_panics() {
-        Muxponder::new(MuxponderId::new(0)).release_port(2);
     }
 }

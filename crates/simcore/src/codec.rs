@@ -142,7 +142,6 @@ impl Default for Crc32c {
 #[derive(Debug, Default)]
 pub struct CrcWriter {
     crc: Crc32c,
-    bytes: u64,
 }
 
 impl CrcWriter {
@@ -155,17 +154,11 @@ impl CrcWriter {
     pub fn finish(&self) -> u32 {
         self.crc.finish()
     }
-
-    /// Bytes written so far.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
-    }
 }
 
 impl std::fmt::Write for CrcWriter {
     fn write_str(&mut self, s: &str) -> std::fmt::Result {
         self.crc.update(s.as_bytes());
-        self.bytes += s.len() as u64;
         Ok(())
     }
 }
@@ -366,9 +359,8 @@ pub enum Frame<'a> {
     },
 }
 
-/// Append `payload` framed as `[len u32][crc32c u32][payload]` to `out`
-/// — the zero-copy variant of [`frame`]: no intermediate `Vec`, bytes go
-/// straight into the caller's buffer.
+/// Append `payload` framed as `[len u32][crc32c u32][payload]` to `out`:
+/// no intermediate `Vec`, bytes go straight into the caller's buffer.
 pub fn frame_into(payload: &[u8], out: &mut Vec<u8>) {
     out.reserve(8 + payload.len());
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
@@ -376,8 +368,10 @@ pub fn frame_into(payload: &[u8], out: &mut Vec<u8>) {
     out.extend_from_slice(payload);
 }
 
-/// Wrap `payload` as `[len u32][crc32c u32][payload]`.
-pub fn frame(payload: &[u8]) -> Vec<u8> {
+/// Wrap `payload` as `[len u32][crc32c u32][payload]`: the frames the
+/// tests read back.
+#[cfg(test)]
+pub(crate) fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(8 + payload.len());
     frame_into(payload, &mut out);
     out
@@ -464,7 +458,6 @@ mod tests {
         let mut s = String::new();
         write!(s, "now={} rng={:?}", 42, [1u64, 2]).unwrap();
         assert_eq!(w.finish(), crc32c(s.as_bytes()));
-        assert_eq!(w.bytes(), s.len() as u64);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 use crate::rng::SimRng;
 
 /// The canonical diurnal day length used by the day-shaped factor.
-pub const DAY_SECS: f64 = 86_400.0;
+pub(crate) const DAY_SECS: f64 = 86_400.0;
 
 /// Day-shaped diurnal factor in `[floor, 1]`: the crest is at local
 /// noon, the trough (`floor`) at midnight, following
@@ -52,7 +52,7 @@ pub fn bounded_pareto_bits(rng: &mut SimRng, min_bits: f64, alpha: f64, max_bits
 ///
 /// `s = 0` is uniform; `s ≈ 1` is the classic web-popularity curve. The
 /// weights are unnormalised — [`ZipfSampler`] normalises internally.
-pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
+pub(crate) fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
     (0..n).map(|i| 1.0 / ((i + 1) as f64).powf(s)).collect()
 }
 
@@ -60,8 +60,8 @@ pub fn zipf_weights(n: usize, s: f64) -> Vec<f64> {
 ///
 /// Construction is O(n); each draw is one uniform variate plus a binary
 /// search (O(log n)), which is what makes million-tenant attribution
-/// affordable — [`SimRng::weighted_index`] is O(n) per draw and is only
-/// suitable for small weight vectors.
+/// affordable — a linear scan of the weights is O(n) per draw (the
+/// tests hold the sampler to one).
 #[derive(Debug, Clone)]
 pub struct ZipfSampler {
     /// Inclusive prefix sums of the weights; `cum[i]` is the total
@@ -77,7 +77,7 @@ impl ZipfSampler {
 
     /// Sampler over arbitrary non-negative weights. Panics if the
     /// weights are empty or sum to zero.
-    pub fn from_weights(weights: Vec<f64>) -> ZipfSampler {
+    pub(crate) fn from_weights(weights: Vec<f64>) -> ZipfSampler {
         assert!(!weights.is_empty(), "ZipfSampler needs at least one rank");
         let mut cum = weights;
         let mut acc = 0.0;
@@ -90,19 +90,8 @@ impl ZipfSampler {
         ZipfSampler { cum }
     }
 
-    /// Number of ranks.
-    pub fn len(&self) -> usize {
-        self.cum.len()
-    }
-
-    /// True when the sampler has no ranks (never: construction forbids
-    /// it), kept for `len`/`is_empty` pairing.
-    pub fn is_empty(&self) -> bool {
-        self.cum.is_empty()
-    }
-
     /// Total weight across all ranks.
-    pub fn total_weight(&self) -> f64 {
+    pub(crate) fn total_weight(&self) -> f64 {
         *self.cum.last().expect("non-empty by construction")
     }
 

@@ -91,23 +91,6 @@ impl TokenBucket {
             retry_after: Some(SimDuration::from_nanos(wait_ns as u64)),
         })
     }
-
-    /// Current level in whole tokens (rounded down), after refilling to
-    /// `now`.
-    pub fn level_tokens(&mut self, now: SimTime) -> u64 {
-        self.refill(now);
-        (self.level_pt / PT_PER_TOKEN) as u64
-    }
-
-    /// The configured burst capacity in whole tokens.
-    pub fn burst_tokens(&self) -> u64 {
-        (self.capacity_pt / PT_PER_TOKEN) as u64
-    }
-
-    /// The configured refill rate in millitokens per second.
-    pub fn rate_millitokens_per_sec(&self) -> u64 {
-        self.rate_mt_per_s
-    }
 }
 
 /// Outcome of a [`BoundedQueue::push`].
@@ -125,8 +108,6 @@ pub struct BoundedQueue<T> {
     items: VecDeque<T>,
     capacity: usize,
     high_water: usize,
-    enqueued: u64,
-    shed: u64,
 }
 
 impl<T> BoundedQueue<T> {
@@ -136,19 +117,15 @@ impl<T> BoundedQueue<T> {
             items: VecDeque::new(),
             capacity,
             high_water: 0,
-            enqueued: 0,
-            shed: 0,
         }
     }
 
     /// Enqueue `item`, or return it to the caller when full.
     pub fn push(&mut self, item: T) -> Result<PushOutcome, T> {
         if self.items.len() >= self.capacity {
-            self.shed += 1;
             return Err(item);
         }
         self.items.push_back(item);
-        self.enqueued += 1;
         self.high_water = self.high_water.max(self.items.len());
         Ok(PushOutcome::Enqueued(self.items.len()))
     }
@@ -176,16 +153,6 @@ impl<T> BoundedQueue<T> {
     /// Deepest the queue has ever been.
     pub fn high_water(&self) -> usize {
         self.high_water
-    }
-
-    /// Items accepted over the queue's lifetime.
-    pub fn total_enqueued(&self) -> u64 {
-        self.enqueued
-    }
-
-    /// Items refused over the queue's lifetime.
-    pub fn total_shed(&self) -> u64 {
-        self.shed
     }
 }
 
@@ -238,7 +205,8 @@ mod tests {
             assert!(b.try_take(at(0), 1).is_ok());
         }
         // A week later the bucket holds exactly `burst`, not more.
-        assert_eq!(b.level_tokens(at(7 * 86_400)), 5);
+        b.refill(at(7 * 86_400));
+        assert_eq!(b.level_pt, 5 * PT_PER_TOKEN);
     }
 
     #[test]
@@ -260,10 +228,8 @@ mod tests {
         assert_eq!(q.push(3), Err(3));
         assert_eq!(q.len(), 2);
         assert_eq!(q.high_water(), 2);
-        assert_eq!(q.total_shed(), 1);
         assert_eq!(q.pop(), Some(1));
         assert_eq!(q.push(3), Ok(PushOutcome::Enqueued(2)));
-        assert_eq!(q.total_enqueued(), 3);
     }
 }
 

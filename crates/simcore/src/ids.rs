@@ -64,41 +64,6 @@ macro_rules! define_id {
     };
 }
 
-/// A monotonically increasing id allocator for use alongside [`define_id!`]
-/// types.
-///
-/// ```
-/// simcore::define_id!(WidgetId, "wid");
-/// let mut alloc = simcore::ids::IdAllocator::new();
-/// let a: WidgetId = WidgetId::new(alloc.next());
-/// let b: WidgetId = WidgetId::new(alloc.next());
-/// assert_ne!(a, b);
-/// ```
-#[derive(Debug, Default, Clone)]
-pub struct IdAllocator {
-    next: u32,
-}
-
-impl IdAllocator {
-    /// A fresh allocator starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Allocate the next raw id.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> u32 {
-        let v = self.next;
-        self.next = self.next.checked_add(1).expect("id space exhausted");
-        v
-    }
-
-    /// How many ids have been handed out so far.
-    pub fn allocated(&self) -> u32 {
-        self.next
-    }
-}
-
 #[cfg(test)]
 mod tests {
     define_id!(TestId, "t");
@@ -116,13 +81,5 @@ mod tests {
     #[test]
     fn ordering_follows_raw_value() {
         assert!(TestId::new(1) < TestId::new(2));
-    }
-
-    #[test]
-    fn allocator_is_monotonic() {
-        let mut a = super::IdAllocator::new();
-        let ids: Vec<u32> = (0..5).map(|_| a.next()).collect();
-        assert_eq!(ids, vec![0, 1, 2, 3, 4]);
-        assert_eq!(a.allocated(), 5);
     }
 }

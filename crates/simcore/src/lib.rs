@@ -18,8 +18,8 @@
 //!   queue used by the active-probing measurement plane.
 //! - [`rng`] — [`SimRng`], a small, fully reproducible PRNG
 //!   (SplitMix64-seeded xoshiro256**) with the distributions the workload
-//!   generators need (uniform, exponential, normal, lognormal, Pareto,
-//!   weighted choice).
+//!   generators need (uniform, exponential, normal, Pareto, choice,
+//!   shuffle).
 //! - [`dist`] — shared heavy-tailed and diurnal sampling helpers
 //!   (Zipf rank sampling, bounded Pareto, diurnal factors) used by the
 //!   workload, measurement and service planes.
@@ -75,12 +75,11 @@ pub mod trace;
 pub mod units;
 
 pub use codec::{crc32c, CodecError, Crc32c, CrcWriter, Decoder, Encoder};
-pub use dist::{bounded_pareto_bits, diurnal_day_factor, diurnal_sin, zipf_weights, ZipfSampler};
+pub use dist::{bounded_pareto_bits, diurnal_day_factor, diurnal_sin, ZipfSampler};
 pub use flow::{BoundedQueue, PushOutcome, RateLimited, TokenBucket};
 pub use metrics::{
-    Counter, CounterId, CounterSample, Exemplar, FamilyRegistry, Footprint, Gauge, GaugeId,
-    GaugeSample, Histogram, HistogramId, HistogramSample, LatencyRecorder, MetricsRegistry,
-    MetricsSnapshot, TimeSeries,
+    CounterId, Exemplar, FamilyRegistry, Footprint, Gauge, GaugeId, Histogram, HistogramId,
+    LatencyRecorder, MetricsRegistry, TimeSeries,
 };
 pub use queue::{EventId, FluidQueue, Scheduler};
 pub use rng::SimRng;
@@ -88,5 +87,5 @@ pub use span::{
     AttrValue, Span, SpanId, SpanRecorder, TailSampleConfig, TailSampleStats, TailSampler,
 };
 pub use time::{SimDuration, SimTime};
-pub use trace::{TraceEvent, TraceLog};
+pub use trace::TraceLog;
 pub use units::{DataRate, DataSize};

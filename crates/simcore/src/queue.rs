@@ -134,15 +134,6 @@ impl<E> Scheduler<E> {
         self.live
     }
 
-    /// Size of the internal bookkeeping: heap entries (live ones and
-    /// tombstones) plus slab slots (occupied and free).
-    ///
-    /// Exposed for memory-regression tests: this stays O(peak pending) no
-    /// matter how many events have ever been scheduled or delivered.
-    pub fn bookkeeping_len(&self) -> usize {
-        self.heap.len() + self.slots.len()
-    }
-
     /// True if no live events remain.
     pub fn is_empty(&self) -> bool {
         self.pending() == 0
@@ -320,16 +311,6 @@ impl FluidQueue {
             capacity,
             backlog: DataSize::ZERO,
         }
-    }
-
-    /// The service rate.
-    pub fn capacity(&self) -> DataRate {
-        self.capacity
-    }
-
-    /// Bits currently queued.
-    pub fn backlog(&self) -> DataSize {
-        self.backlog
     }
 
     /// Advance the queue `dt` under constant fluid `inflow`.
@@ -550,14 +531,13 @@ mod tests {
         assert_eq!(s.pending(), 0);
         assert!(s.heap.is_empty(), "{} tombstones left", s.heap.len());
         assert_eq!(s.slots.len(), 1, "one event pending at a time is one slot");
-        assert_eq!(s.bookkeeping_len(), 1);
     }
 
     #[test]
     fn fluid_queue_underload_stays_empty() {
         let mut q = FluidQueue::new(DataRate::from_gbps(10));
         q.advance(SimDuration::from_secs(5), DataRate::from_gbps(4));
-        assert!(q.backlog().is_zero());
+        assert!(q.backlog.is_zero());
         assert_eq!(q.delay(), SimDuration::ZERO);
     }
 
@@ -566,12 +546,12 @@ mod tests {
         let mut q = FluidQueue::new(DataRate::from_gbps(10));
         // 12G into a 10G server for 3 s: 6 Gbit of backlog.
         q.advance(SimDuration::from_secs(3), DataRate::from_gbps(12));
-        assert_eq!(q.backlog(), DataSize::from_bits(6_000_000_000));
+        assert_eq!(q.backlog, DataSize::from_bits(6_000_000_000));
         // Drains at 10G: 600 ms of delay.
         assert_eq!(q.delay(), SimDuration::from_millis(600));
         // 2 s of silence drains 20 Gbit worth — clamps at zero.
         q.advance(SimDuration::from_secs(2), DataRate::ZERO);
-        assert!(q.backlog().is_zero());
+        assert!(q.backlog.is_zero());
     }
 
     #[test]
@@ -594,8 +574,8 @@ mod tests {
             SimDuration::from_nanos(23_456_789),
             DataRate::from_mbps(12_300),
         );
-        assert_eq!(whole.backlog(), split.backlog());
-        assert!(!whole.backlog().is_zero());
+        assert_eq!(whole.backlog, split.backlog);
+        assert!(!whole.backlog.is_zero());
     }
 
     #[test]

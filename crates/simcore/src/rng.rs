@@ -132,7 +132,7 @@ impl SimRng {
     }
 
     /// Standard normal via Box–Muller (with spare caching).
-    pub fn gaussian(&mut self) -> f64 {
+    pub(crate) fn gaussian(&mut self) -> f64 {
         if let Some(z) = self.gauss_spare.take() {
             return z;
         }
@@ -162,23 +162,19 @@ impl SimRng {
         floor
     }
 
-    /// Log-normal: `exp(N(mu, sigma))` where `mu`/`sigma` are the
-    /// parameters of the underlying normal.
-    pub fn lognormal(&mut self, mu: f64, sigma: f64) -> f64 {
-        self.normal(mu, sigma).exp()
-    }
-
     /// Pareto with scale `xm > 0` and shape `alpha > 0` — heavy-tailed bulk
     /// transfer sizes.
-    pub fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
+    pub(crate) fn pareto(&mut self, xm: f64, alpha: f64) -> f64 {
         assert!(xm > 0.0 && alpha > 0.0, "pareto parameters must be > 0");
         let u = 1.0 - self.f64();
         xm / u.powf(1.0 / alpha)
     }
 
-    /// Pick an index with probability proportional to `weights[i]`.
+    /// Pick an index with probability proportional to `weights[i]`: the
+    /// O(n) reference the Zipf sampler's tests hold it to.
     /// Panics if all weights are zero/negative or the slice is empty.
-    pub fn weighted_index(&mut self, weights: &[f64]) -> usize {
+    #[cfg(test)]
+    pub(crate) fn weighted_index(&mut self, weights: &[f64]) -> usize {
         let total: f64 = weights.iter().filter(|w| **w > 0.0).sum();
         assert!(total > 0.0, "weighted_index: no positive weights");
         let mut x = self.f64() * total;

@@ -108,7 +108,7 @@ impl Span {
 }
 
 /// Default bound on buffered spans (drop-new beyond this).
-pub const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
+pub(crate) const DEFAULT_SPAN_CAPACITY: usize = 1 << 16;
 
 /// A bounded, deterministic recorder of [`Span`]s (see module docs for
 /// the determinism and overhead contracts).
@@ -271,11 +271,6 @@ impl SpanRecorder {
         &self.spans
     }
 
-    /// Number of buffered spans.
-    pub fn len(&self) -> usize {
-        self.spans.len()
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.spans.is_empty()
@@ -303,25 +298,15 @@ impl SpanRecorder {
         self.spans.capacity()
     }
 
-    /// Forget all spans and reset ids to 0 (the drop counter survives).
-    pub fn clear(&mut self) {
-        self.spans.clear();
-    }
-
     /// Take ownership of the buffered spans, leaving the recorder empty.
     pub fn take_spans(&mut self) -> Vec<Span> {
         std::mem::take(&mut self.spans)
     }
-
-    /// Structural invariants the Chrome exporter and aggregator rely on:
-    /// every span closed, parents recorded before children, children
-    /// contained in their parent's interval. Returns the first violation.
-    pub fn validate(&self) -> Result<(), String> {
-        validate(&self.spans)
-    }
 }
 
-/// Validate a span slice (see [`SpanRecorder::validate`]).
+/// Structural invariants the Chrome exporter and aggregator rely on:
+/// every span closed, parents recorded before children, children
+/// contained in their parent's interval. Returns the first violation.
 pub fn validate(spans: &[Span]) -> Result<(), String> {
     for s in spans {
         let Some(end) = s.end else {
@@ -764,7 +749,7 @@ mod tests {
         assert_eq!(b.index(), 2);
         assert_eq!(r.spans()[1].parent, Some(root));
         assert_eq!(r.spans()[0].duration(), Some(SimDuration::from_secs(5)));
-        r.validate().unwrap();
+        validate(r.spans()).unwrap();
     }
 
     #[test]
@@ -795,7 +780,7 @@ mod tests {
         let c = r.record(t(2), t(3), "x", "c", None);
         assert!(a.is_valid() && b.is_valid());
         assert_eq!(c, SpanId::INVALID);
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.spans().len(), 2);
         assert_eq!(r.dropped(), 1);
         assert!(r.drop_warning().unwrap().contains("dropped 1"));
     }
@@ -804,11 +789,11 @@ mod tests {
     fn validate_rejects_open_and_escaping_spans() {
         let mut r = SpanRecorder::new(8);
         let root = r.open(t(0), "conn", "conn.setup", None);
-        assert!(r.validate().unwrap_err().contains("never closed"));
+        assert!(validate(r.spans()).unwrap_err().contains("never closed"));
         r.close(root, t(4));
-        r.validate().unwrap();
+        validate(r.spans()).unwrap();
         r.record(t(3), t(6), "phase", "phase.late", Some(root));
-        assert!(r.validate().unwrap_err().contains("escapes parent"));
+        assert!(validate(r.spans()).unwrap_err().contains("escapes parent"));
     }
 
     #[test]

@@ -28,17 +28,10 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant; useful as an "infinitely far
-    /// away" sentinel for deadlines that are never reached.
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from whole nanoseconds.
     pub const fn from_nanos(ns: u64) -> Self {
         SimTime(ns)
-    }
-    /// Construct from whole microseconds.
-    pub const fn from_micros(us: u64) -> Self {
-        SimTime(us * 1_000)
     }
     /// Construct from whole milliseconds.
     pub const fn from_millis(ms: u64) -> Self {
@@ -47,10 +40,6 @@ impl SimTime {
     /// Construct from whole seconds.
     pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1_000_000_000)
-    }
-    /// Construct from fractional seconds. Negative values clamp to zero.
-    pub fn from_secs_f64(s: f64) -> Self {
-        SimTime((s.max(0.0) * 1e9).round() as u64)
     }
 
     /// Nanoseconds since simulation start.
@@ -74,16 +63,6 @@ impl SimTime {
     /// Duration since an earlier instant, or zero if `earlier` is later.
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// Checked addition of a duration.
-    pub fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        self.0.checked_add(d.0).map(SimTime)
-    }
-
-    /// Saturating addition of a duration.
-    pub fn saturating_add(self, d: SimDuration) -> SimTime {
-        SimTime(self.0.saturating_add(d.0))
     }
 }
 
@@ -126,10 +105,6 @@ impl SimDuration {
     pub const fn as_nanos(self) -> u64 {
         self.0
     }
-    /// Whole milliseconds (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.0 / 1_000_000
-    }
     /// Seconds as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -138,11 +113,6 @@ impl SimDuration {
     /// True if this is the zero duration.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Checked subtraction.
-    pub fn checked_sub(self, other: SimDuration) -> Option<SimDuration> {
-        self.0.checked_sub(other.0).map(SimDuration)
     }
 
     /// Saturating subtraction.
@@ -272,23 +242,19 @@ mod tests {
     #[test]
     fn constructors_agree() {
         assert_eq!(SimTime::from_secs(1), SimTime::from_millis(1000));
-        assert_eq!(SimTime::from_millis(1), SimTime::from_micros(1000));
-        assert_eq!(SimTime::from_micros(1), SimTime::from_nanos(1000));
+        assert_eq!(SimTime::from_millis(1), SimTime::from_nanos(1_000_000));
         assert_eq!(SimDuration::from_hours(1), SimDuration::from_mins(60));
         assert_eq!(SimDuration::from_mins(1), SimDuration::from_secs(60));
     }
 
     #[test]
     fn float_roundtrip() {
-        let t = SimTime::from_secs_f64(62.48);
-        assert!((t.as_secs_f64() - 62.48).abs() < 1e-9);
         let d = SimDuration::from_secs_f64(0.0503);
         assert!((d.as_secs_f64() - 0.0503).abs() < 1e-9);
     }
 
     #[test]
     fn negative_float_clamps_to_zero() {
-        assert_eq!(SimTime::from_secs_f64(-3.0), SimTime::ZERO);
         assert_eq!(SimDuration::from_secs_f64(-0.1), SimDuration::ZERO);
     }
 
@@ -318,7 +284,6 @@ mod tests {
             d.saturating_sub(SimDuration::from_secs(20)),
             SimDuration::ZERO
         );
-        assert_eq!(d.checked_sub(SimDuration::from_secs(20)), None);
     }
 
     #[test]
@@ -330,14 +295,5 @@ mod tests {
         assert_eq!(SimDuration::from_secs(62).to_string(), "1m02s");
         assert_eq!(SimDuration::from_secs(3723).to_string(), "1h02m03s");
         assert_eq!(SimTime::from_secs(5).to_string(), "t+5.00s");
-    }
-
-    #[test]
-    fn saturating_add_at_max() {
-        assert_eq!(
-            SimTime::MAX.saturating_add(SimDuration::from_secs(1)),
-            SimTime::MAX
-        );
-        assert_eq!(SimTime::MAX.checked_add(SimDuration::from_nanos(1)), None);
     }
 }

@@ -32,7 +32,6 @@ pub struct TraceLog {
     events: VecDeque<TraceEvent>,
     capacity: usize,
     dropped: u64,
-    enabled: bool,
 }
 
 impl Default for TraceLog {
@@ -49,20 +48,11 @@ impl TraceLog {
             events: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
             dropped: 0,
-            enabled: true,
         }
-    }
-
-    /// Turn recording on/off (e.g. during warm-up).
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
     }
 
     /// Append an event.
     pub fn emit(&mut self, at: SimTime, category: &'static str, detail: impl Into<String>) {
-        if !self.enabled {
-            return;
-        }
         if self.events.len() == self.capacity {
             self.events.pop_front();
             self.dropped += 1;
@@ -173,17 +163,6 @@ mod tests {
         let w = log.drop_warning().unwrap();
         assert!(w.contains("dropped 2 events"), "{w}");
         assert!(w.contains("capacity 2"), "{w}");
-    }
-
-    #[test]
-    fn disabled_log_records_nothing() {
-        let mut log = TraceLog::new(4);
-        log.set_enabled(false);
-        log.emit(SimTime::ZERO, "t", "x");
-        assert!(log.is_empty());
-        log.set_enabled(true);
-        log.emit(SimTime::ZERO, "t", "y");
-        assert_eq!(log.len(), 1);
     }
 
     #[test]

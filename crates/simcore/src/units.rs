@@ -64,12 +64,6 @@ impl DataRate {
     pub fn saturating_sub(self, other: DataRate) -> DataRate {
         DataRate(self.0.saturating_sub(other.0))
     }
-
-    /// Integer division: how many whole `unit`s fit in this rate.
-    pub fn units_of(self, unit: DataRate) -> u64 {
-        assert!(unit.0 > 0, "units_of zero rate");
-        self.0 / unit.0
-    }
 }
 
 impl DataSize {
@@ -97,10 +91,6 @@ impl DataSize {
     pub const fn bits(self) -> u64 {
         self.0
     }
-    /// Whole bytes (truncating).
-    pub const fn bytes(self) -> u64 {
-        self.0 / 8
-    }
     /// Decimal terabytes as a float.
     pub fn terabytes_f64(self) -> f64 {
         self.0 as f64 / 8e12
@@ -124,11 +114,6 @@ impl DataSize {
     /// True if zero bits.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// The smaller of two sizes.
-    pub fn min(self, other: DataSize) -> DataSize {
-        DataSize(self.0.min(other.0))
     }
 }
 
@@ -248,17 +233,6 @@ mod tests {
         let t = size.time_at(DataRate::from_gbps(40));
         assert_eq!(t, SimDuration::from_secs(200));
         assert_eq!(size.time_at(DataRate::ZERO), SimDuration::MAX);
-    }
-
-    #[test]
-    fn units_of_counts_whole_units() {
-        // A 40G wavelength fits 32 ODU0-ish 1.244G tributaries? No — by
-        // pure rate division it's 32; the OTN crate applies real TS rules.
-        assert_eq!(
-            DataRate::from_gbps(40).units_of(DataRate::from_mbps(1244)),
-            32
-        );
-        assert_eq!(DataRate::from_gbps(10).units_of(DataRate::from_gbps(10)), 1);
     }
 
     #[test]

@@ -1,16 +1,17 @@
 //! The shipped `scenarios/*.json` files must always parse and run —
-//! they are documentation that executes.
+//! they are documentation that executes — and their transcripts are
+//! pinned to `tests/golden/scenarios.txt`.
+//!
+//! If a change intentionally alters a transcript, regenerate with
+//! `cargo test --release --test artifact_goldens -- --ignored regenerate`
+//! and review the diff.
 
-use std::fs;
-
-fn run_file(path: &str) -> String {
-    let json = fs::read_to_string(path).unwrap_or_else(|e| panic!("read {path}: {e}"));
-    griphon_bench::scenario::run_json(&json).unwrap_or_else(|e| panic!("run {path}: {e}"))
-}
+#[path = "support/goldens.rs"]
+mod goldens;
 
 #[test]
 fn testbed_outage_scenario_runs() {
-    let out = run_file("scenarios/testbed_outage.json");
+    let out = goldens::run_scenario("scenarios/testbed_outage.json");
     assert!(out.contains("CUT I–IV"), "{out}");
     assert!(out.contains("maintenance done I–III"), "{out}");
     // Both reports present plus the final state.
@@ -22,7 +23,7 @@ fn testbed_outage_scenario_runs() {
 
 #[test]
 fn backbone_week_scenario_runs() {
-    let out = run_file("scenarios/backbone_week.json");
+    let out = goldens::run_scenario("scenarios/backbone_week.json");
     assert!(out.contains("Seattle"), "{out}");
     assert!(out.contains("CUT Lincoln–Champaign"));
     assert!(out.contains("===== final state at t+168h00m00s"), "{out}");
@@ -33,10 +34,16 @@ fn backbone_week_scenario_runs() {
 
 #[test]
 fn shipped_scenarios_are_deterministic() {
-    for f in [
-        "scenarios/testbed_outage.json",
-        "scenarios/backbone_week.json",
-    ] {
-        assert_eq!(run_file(f), run_file(f), "{f} must replay identically");
+    for f in goldens::SCENARIOS {
+        assert_eq!(
+            goldens::run_scenario(f),
+            goldens::run_scenario(f),
+            "{f} must replay identically"
+        );
     }
+}
+
+#[test]
+fn scenario_transcripts_match_committed_golden() {
+    goldens::match_committed("scenarios", &[("scenarios.txt", goldens::scenario_text())]);
 }

@@ -7,7 +7,8 @@
 //! report is host time around sim-time digests, which
 //! `tests/determinism.rs` holds to the identity gates instead. The
 //! printed paper tables (`policies.txt`, `paper.txt`) are `repro`'s
-//! own output for their targets, concatenated.
+//! own output for their targets, concatenated; `scenarios.txt` is the
+//! scenario runner's transcript of each shipped `scenarios/*.json`.
 //!
 //! If a change intentionally alters an artifact, regenerate every golden
 //! with `cargo test --release --test artifact_goldens -- --ignored regenerate`
@@ -83,9 +84,35 @@ pub fn match_committed(target: &str, goldens: &[(&'static str, String)]) {
 /// Renders one printed-table golden.
 type Text = fn() -> String;
 
-/// The printed-table goldens: `(name under tests/golden, text)`, each
-/// text what `repro <target>` prints for its targets, one after another.
-pub const TEXTS: &[(&str, Text)] = &[("policies.txt", policy_text), ("paper.txt", paper_text)];
+/// The printed-text goldens: `(name under tests/golden, text)`, each
+/// text what `repro <target>` prints for its targets, or the scenario
+/// runner prints for its files, one after another.
+pub const TEXTS: &[(&str, Text)] = &[
+    ("policies.txt", policy_text),
+    ("paper.txt", paper_text),
+    ("scenarios.txt", scenario_text),
+];
+
+/// The shipped scenario files `scenarios.txt` pins, in order.
+pub const SCENARIOS: &[&str] = &[
+    "scenarios/testbed_outage.json",
+    "scenarios/backbone_week.json",
+];
+
+/// The scenario runner's transcript of one file under the repo root.
+pub fn run_scenario(path: &str) -> String {
+    let full = format!("{}/{path}", env!("CARGO_MANIFEST_DIR"));
+    let json = std::fs::read_to_string(&full).unwrap_or_else(|e| panic!("read {path}: {e}"));
+    griphon_bench::scenario::run_json(&json).unwrap_or_else(|e| panic!("run {path}: {e}"))
+}
+
+/// Every shipped scenario's transcript, each under a `# <file>` header.
+pub fn scenario_text() -> String {
+    SCENARIOS
+        .iter()
+        .map(|path| format!("# {path}\n{}", run_scenario(path)))
+        .collect()
+}
 
 /// The transfer-policy targets `policies.txt` pins.
 pub const POLICY_TARGETS: &[&str] = &["e5-bulk", "e5b-full-mesh", "fig6", "fig7"];

@@ -286,15 +286,13 @@ fn corpus_recovers_to_the_pinned_digests() {
     }
 }
 
-/// Write the two `repro ha` scenario logs and the generated one, with the
-/// journaling controller's own planner, and print the values to pin.
-#[test]
-#[ignore = "regenerates tests/golden/wal; run only to change the corpus on purpose"]
-fn generate_corpus() {
+/// The two `repro ha` scenarios driven with the journal on, each
+/// checked to start from the corpus's public-API genesis.
+fn scenario_logs() -> Vec<(&'static str, Controller)> {
     use griphon_bench::noc_target::{BACKBONE_WEEK_FAULTS, TESTBED_OUTAGE};
     use griphon_bench::scenario;
 
-    let mut logs: Vec<(&str, Controller)> = Vec::new();
+    let mut logs = Vec::new();
     for (name, json, genesis) in [
         (
             "testbed_outage",
@@ -314,6 +312,31 @@ fn generate_corpus() {
         scenario::drive(&spec, &mut ctl, &mut |_| {}).unwrap();
         logs.push((name, ctl));
     }
+    logs
+}
+
+/// Journaling the two scenario sets writes exactly their committed
+/// segments, so the journal's encoding and the scenario runner's intent
+/// stream are pinned, not only their recovery.
+#[test]
+fn scenario_journals_equal_the_committed_segments() {
+    for (c, (name, mut ctl)) in CORPUS.iter().zip(scenario_logs()) {
+        assert_eq!(c.name, name);
+        ctl.run_until(SimTime::from_secs(c.target_secs));
+        let wal = ctl.take_journal().unwrap();
+        assert!(
+            wal.segments() == segments(name),
+            "{name}: the journal differs from tests/golden/wal/{name}"
+        );
+    }
+}
+
+/// Write the two `repro ha` scenario logs and the generated one, with the
+/// journaling controller's own planner, and print the values to pin.
+#[test]
+#[ignore = "regenerates tests/golden/wal; run only to change the corpus on purpose"]
+fn generate_corpus() {
+    let mut logs = scenario_logs();
     logs.push(("lambda_cold_100", lambda_log()));
 
     for (c, (name, mut ctl)) in CORPUS.iter().zip(logs) {
