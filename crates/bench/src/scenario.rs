@@ -19,15 +19,24 @@
 //! }
 //! ```
 //!
-//! Events execute in time order; `report` snapshots customer views, SLA
+//! The runner is a naming layer over the intent log's language. Each
+//! action's node, fibre, tenant and order names are resolved to ids once,
+//! into the [`Intent`] the action journals, and that intent runs through
+//! [`recovery::apply`](apply) — the mapping crash recovery replays — whose
+//! [`Applied`] outcome prints the action's transcript line. The set-up
+//! (tenants, OTN switches, trunks) goes the same way. Events execute in
+//! time order; `report` journals nothing and snapshots customer views, SLA
 //! aggregates and headline metrics into the runner's output.
 
 use serde::Deserialize;
 use std::fmt::Write as _;
 
 use griphon::controller::{Controller, ControllerConfig};
-use griphon::{ConnectionId, CustomerId};
-use photonic::{EmsProfile, EqualizationModel, LineRate, PhotonicNetwork, RoadmId};
+use griphon::durability::recovery::{apply, Applied, ApplyError};
+use griphon::durability::wal::encode_rate;
+use griphon::tenant::DEFAULT_PRIORITY;
+use griphon::{ConnectionId, CustomerId, Intent};
+use photonic::{EmsProfile, EqualizationModel, FiberId, LineRate, PhotonicNetwork, RoadmId};
 use simcore::{DataRate, SimDuration, SimTime};
 
 /// Which plant to build.
@@ -66,44 +75,56 @@ pub struct TenantSpec {
     pub quota_gbps: u64,
 }
 
+/// A connection order.
+#[derive(Debug, Clone, Deserialize)]
+pub struct OrderSpec {
+    /// Tenant index.
+    pub tenant: usize,
+    /// A-end node name.
+    pub from: String,
+    /// Z-end node name.
+    pub to: String,
+    /// Rate in Gbps: the line rate of a wavelength, a bundle's aggregate.
+    pub gbps: u64,
+}
+
+/// The fiber between two named nodes.
+#[derive(Debug, Clone, Deserialize)]
+pub struct LinkSpec {
+    /// One endpoint name.
+    pub a: String,
+    /// Other endpoint name.
+    pub b: String,
+}
+
+/// An advance booking: an order's fields plus its window.
+#[derive(Debug, Clone, Deserialize)]
+pub struct BookingSpec {
+    /// Tenant index.
+    pub tenant: usize,
+    /// A-end node name.
+    pub from: String,
+    /// Z-end node name.
+    pub to: String,
+    /// Aggregate rate in Gbps.
+    pub gbps: u64,
+    /// Window start (seconds from scenario start).
+    pub start_secs: u64,
+    /// Window end (seconds from scenario start).
+    pub end_secs: u64,
+}
+
 /// An action within the scenario. Node references use display names
 /// ("I"…"IV" on the testbed, city names on NSFNET).
 #[derive(Debug, Clone, Deserialize)]
 #[serde(rename_all = "snake_case")]
 pub enum ActionSpec {
     /// Order an unprotected wavelength (gbps ∈ {10, 40, 100}).
-    Wavelength {
-        /// Tenant index.
-        tenant: usize,
-        /// A-end node name.
-        from: String,
-        /// Z-end node name.
-        to: String,
-        /// Line rate in Gbps.
-        gbps: u64,
-    },
+    Wavelength(OrderSpec),
     /// Order a 1+1-protected wavelength.
-    ProtectedWavelength {
-        /// Tenant index.
-        tenant: usize,
-        /// A-end node name.
-        from: String,
-        /// Z-end node name.
-        to: String,
-        /// Line rate in Gbps.
-        gbps: u64,
-    },
+    ProtectedWavelength(OrderSpec),
     /// Order a composite bundle of the given aggregate rate.
-    Bundle {
-        /// Tenant index.
-        tenant: usize,
-        /// A-end node name.
-        from: String,
-        /// Z-end node name.
-        to: String,
-        /// Aggregate rate in Gbps.
-        gbps: u64,
-    },
+    Bundle(OrderSpec),
     /// Tear down the n-th successfully ordered connection (0-based,
     /// order of issue; bundles count each member).
     Teardown {
@@ -111,12 +132,7 @@ pub enum ActionSpec {
         order: usize,
     },
     /// Cut the fiber between two nodes.
-    CutFiber {
-        /// One endpoint name.
-        a: String,
-        /// Other endpoint name.
-        b: String,
-    },
+    CutFiber(LinkSpec),
     /// Schedule repair of the fiber between two nodes.
     Repair {
         /// One endpoint name.
@@ -127,34 +143,11 @@ pub enum ActionSpec {
         after_secs: u64,
     },
     /// Drain a fiber for maintenance via bridge-and-roll.
-    Maintenance {
-        /// One endpoint name.
-        a: String,
-        /// Other endpoint name.
-        b: String,
-    },
+    Maintenance(LinkSpec),
     /// Return a fiber from maintenance.
-    EndMaintenance {
-        /// One endpoint name.
-        a: String,
-        /// Other endpoint name.
-        b: String,
-    },
+    EndMaintenance(LinkSpec),
     /// Book an advance reservation (calendared BoD window).
-    Reserve {
-        /// Tenant index.
-        tenant: usize,
-        /// A-end node name.
-        from: String,
-        /// Z-end node name.
-        to: String,
-        /// Aggregate rate in Gbps.
-        gbps: u64,
-        /// Window start (seconds from scenario start).
-        start_secs: u64,
-        /// Window end (seconds from scenario start).
-        end_secs: u64,
-    },
+    Reserve(BookingSpec),
     /// Snapshot customer views, SLAs and metrics into the output.
     Report,
 }
@@ -242,24 +235,25 @@ impl std::fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+/// Why `apply` accepts every intent the runner builds: each id in one comes
+/// from the plant's own lookups, and a second OTN switch on a node is
+/// caught before this is relied on.
+const RESOLVED: &str = "the runner resolves every id against the plant";
+
 /// Parse and run a scenario from JSON; returns the accumulated report.
 pub fn run_json(json: &str) -> Result<String, ScenarioError> {
     let spec: ScenarioSpec = serde_json::from_str(json).map_err(ScenarioError::Parse)?;
-    run(&spec)
+    run_with(&spec).map(|(out, _)| out)
 }
 
-fn rate_of(gbps: u64) -> Result<LineRate, ScenarioError> {
+/// The intent log's tag for a line rate of `gbps`.
+fn rate_of(gbps: u64) -> Result<u8, ScenarioError> {
     match gbps {
-        10 => Ok(LineRate::Gbps10),
-        40 => Ok(LineRate::Gbps40),
-        100 => Ok(LineRate::Gbps100),
+        10 => Ok(encode_rate(LineRate::Gbps10)),
+        40 => Ok(encode_rate(LineRate::Gbps40)),
+        100 => Ok(encode_rate(LineRate::Gbps100)),
         other => Err(ScenarioError::BadRate(other)),
     }
-}
-
-/// Execute a parsed scenario.
-pub fn run(spec: &ScenarioSpec) -> Result<String, ScenarioError> {
-    run_with(spec).map(|(out, _)| out)
 }
 
 /// Execute a parsed scenario and also hand back the finished controller,
@@ -337,218 +331,70 @@ pub fn drive(
     ctl: &mut Controller,
     barrier: &mut dyn FnMut(&mut Controller),
 ) -> Result<String, ScenarioError> {
-    let node = |ctl: &Controller, name: &str| -> Result<RoadmId, ScenarioError> {
-        ctl.net
-            .roadm_by_name(name)
-            .ok_or_else(|| ScenarioError::UnknownNode(name.to_string()))
-    };
-    let fiber = |ctl: &Controller, a: &str, b: &str| {
-        let na = node(ctl, a)?;
-        let nb = node(ctl, b)?;
-        ctl.net
-            .fiber_between(na, nb)
-            .ok_or_else(|| ScenarioError::NotAdjacent(a.to_string(), b.to_string()))
-    };
-
     // The whole setup phase — tenant onboarding, switch installs, trunk
     // provisioning — is one admission burst, group-committed to the WAL
     // as a single batch (one flush, one batch CRC; the segment bytes are
-    // identical to per-call appends, so every golden digest holds).
-    enum Setup {
-        Tenants(Vec<CustomerId>),
-        Abort(String),
-    }
-    let (setup, _commit) = ctl.journal_batch(|ctl| -> Result<Setup, ScenarioError> {
-        let tenants: Vec<CustomerId> = spec
-            .tenants
-            .iter()
-            // The journaled entry point, so tenant onboarding replays
-            // from the intent log like every other northbound call.
-            .map(|t| ctl.register_tenant(&t.name, DataRate::from_gbps(t.quota_gbps)))
-            .collect();
+    // identical to per-call appends, so every golden digest holds). A
+    // trunk that cannot be planned ends the scenario with its transcript
+    // (the inner `Err`), not a panic.
+    type Setup = Result<Result<Vec<CustomerId>, String>, ScenarioError>;
+    let (setup, _commit) = ctl.journal_batch(|ctl| -> Setup {
+        let mut tenants = Vec::new();
+        for t in &spec.tenants {
+            let tenant = Intent::RegisterTenant {
+                name: t.name.clone(),
+                quota_bps: DataRate::from_gbps(t.quota_gbps).bps(),
+                priority: DEFAULT_PRIORITY,
+            };
+            let Applied::Tenant(id) = apply(ctl, &tenant).expect(RESOLVED) else {
+                unreachable!("a tenant registers as Applied::Tenant");
+            };
+            tenants.push(id);
+        }
         for name in &spec.otn_switches {
-            let n = node(ctl, name)?;
-            // Refused before the switch is journaled: a second switch on
-            // one node is not a state the controller can hold.
-            if ctl.otn_switch_at(n).is_some() {
+            let (node, fabric_bps) = (node(ctl, name)?, DataRate::from_gbps(320).bps());
+            let added = apply(ctl, &Intent::AddOtnSwitch { node, fabric_bps });
+            if let Err(ApplyError::DuplicateOtnSwitch { .. }) = added {
                 return Err(ScenarioError::DuplicateOtnSwitch(name.clone()));
             }
-            ctl.add_otn_switch(n, DataRate::from_gbps(320));
+            added.expect(RESOLVED);
         }
         for (a, b) in &spec.trunks {
-            let na = node(ctl, a)?;
-            let nb = node(ctl, b)?;
-            // Trunk planning failures surface in the report, not as
-            // panics.
-            if let Err(e) = ctl.provision_trunk(na, nb, LineRate::Gbps10) {
-                return Ok(Setup::Abort(format!(
-                    "scenario aborted: trunk {a}–{b}: {e}\n"
-                )));
+            let trunk = Intent::ProvisionTrunk {
+                a: node(ctl, a)?,
+                b: node(ctl, b)?,
+                rate: encode_rate(LineRate::Gbps10),
+            };
+            if let Applied::Trunk(Err(e)) = apply(ctl, &trunk).expect(RESOLVED) {
+                return Ok(Err(format!("scenario aborted: trunk {a}–{b}: {e}\n")));
             }
         }
-        Ok(Setup::Tenants(tenants))
+        Ok(Ok(tenants))
     });
     let tenants = match setup? {
-        Setup::Tenants(t) => t,
-        Setup::Abort(text) => return Ok(text),
+        Ok(tenants) => tenants,
+        Err(abort) => return Ok(abort),
     };
     ctl.run_until_idle();
     barrier(ctl);
 
-    let mut events: Vec<(usize, &EventSpec)> = spec.events.iter().enumerate().collect();
-    events.sort_by_key(|(i, e)| (e.at_secs, *i));
+    // A stable sort: events at one instant run in file order.
+    let mut events: Vec<&EventSpec> = spec.events.iter().collect();
+    events.sort_by_key(|e| e.at_secs);
 
     let mut out = String::new();
     let mut orders: Vec<ConnectionId> = Vec::new();
-    let tenant_of = |i: usize| -> Result<CustomerId, ScenarioError> {
-        tenants
-            .get(i)
-            .copied()
-            .ok_or(ScenarioError::UnknownTenant(i))
-    };
-
-    for (_, ev) in events {
+    for ev in events {
         ctl.run_until(SimTime::from_secs(ev.at_secs));
-        match &ev.action {
-            ActionSpec::Wavelength {
-                tenant,
-                from,
-                to,
-                gbps,
-            } => {
-                let t = tenant_of(*tenant)?;
-                let (f, d) = (node(ctl, from)?, node(ctl, to)?);
-                match ctl.request_wavelength(t, f, d, rate_of(*gbps)?) {
-                    Ok(id) => {
-                        orders.push(id);
-                        let _ = writeln!(out, "[{}] ordered {id}: {gbps}G {from}→{to}", ctl.now());
-                    }
-                    Err(e) => {
-                        let _ = writeln!(out, "[{}] order REFUSED ({from}→{to}): {e}", ctl.now());
-                    }
-                }
+        match resolve(&ev.action, ctl, &tenants, &orders)? {
+            Some(intent) => {
+                let applied = apply(ctl, &intent).expect(RESOLVED);
+                let line = outcome_line(&ev.action, applied, &mut orders);
+                let _ = writeln!(out, "[{}] {line}", ctl.now());
             }
-            ActionSpec::ProtectedWavelength {
-                tenant,
-                from,
-                to,
-                gbps,
-            } => {
-                let t = tenant_of(*tenant)?;
-                let (f, d) = (node(ctl, from)?, node(ctl, to)?);
-                match ctl.request_protected_wavelength(t, f, d, rate_of(*gbps)?) {
-                    Ok(id) => {
-                        orders.push(id);
-                        let _ =
-                            writeln!(out, "[{}] ordered {id}: {gbps}G 1+1 {from}→{to}", ctl.now());
-                    }
-                    Err(e) => {
-                        let _ =
-                            writeln!(out, "[{}] 1+1 order REFUSED ({from}→{to}): {e}", ctl.now());
-                    }
-                }
-            }
-            ActionSpec::Bundle {
-                tenant,
-                from,
-                to,
-                gbps,
-            } => {
-                let t = tenant_of(*tenant)?;
-                let (f, d) = (node(ctl, from)?, node(ctl, to)?);
-                match ctl.request_bandwidth(t, f, d, DataRate::from_gbps(*gbps)) {
-                    Ok(bundle) => {
-                        let _ = writeln!(
-                            out,
-                            "[{}] ordered {}: {gbps}G as {} members",
-                            ctl.now(),
-                            bundle.id,
-                            bundle.members.len()
-                        );
-                        orders.extend(bundle.members);
-                    }
-                    Err(e) => {
-                        let _ = writeln!(out, "[{}] bundle REFUSED: {e}", ctl.now());
-                    }
-                }
-            }
-            ActionSpec::Teardown { order } => {
-                let id = *orders
-                    .get(*order)
-                    .ok_or(ScenarioError::UnknownOrder(*order))?;
-                match ctl.request_teardown(id) {
-                    Ok(()) => {
-                        let _ = writeln!(out, "[{}] teardown {id} requested", ctl.now());
-                    }
-                    Err(e) => {
-                        let _ = writeln!(out, "[{}] teardown {id} refused: {e}", ctl.now());
-                    }
-                }
-            }
-            ActionSpec::CutFiber { a, b } => {
-                let f = fiber(ctl, a, b)?;
-                ctl.inject_fiber_cut(f, 0);
-                let _ = writeln!(out, "[{}] CUT {a}–{b}", ctl.now());
-            }
-            ActionSpec::Repair { a, b, after_secs } => {
-                let f = fiber(ctl, a, b)?;
-                ctl.schedule_repair(f, SimDuration::from_secs(*after_secs));
-                let _ = writeln!(out, "[{}] repair {a}–{b} in {after_secs}s", ctl.now());
-            }
-            ActionSpec::Maintenance { a, b } => {
-                let f = fiber(ctl, a, b)?;
-                match ctl.start_fiber_maintenance(f) {
-                    Ok(moved) => {
-                        let _ = writeln!(
-                            out,
-                            "[{}] maintenance {a}–{b}: {} circuits moving",
-                            ctl.now(),
-                            moved.len()
-                        );
-                    }
-                    Err(e) => {
-                        let _ = writeln!(out, "[{}] maintenance {a}–{b} failed: {e}", ctl.now());
-                    }
-                }
-            }
-            ActionSpec::EndMaintenance { a, b } => {
-                let f = fiber(ctl, a, b)?;
-                ctl.end_fiber_maintenance(f);
-                let _ = writeln!(out, "[{}] maintenance done {a}–{b}", ctl.now());
-            }
-            ActionSpec::Reserve {
-                tenant,
-                from,
-                to,
-                gbps,
-                start_secs,
-                end_secs,
-            } => {
-                let t = tenant_of(*tenant)?;
-                let (f, d) = (node(ctl, from)?, node(ctl, to)?);
-                match ctl.reserve_bandwidth(
-                    t,
-                    f,
-                    d,
-                    DataRate::from_gbps(*gbps),
-                    SimTime::from_secs(*start_secs),
-                    SimTime::from_secs(*end_secs),
-                ) {
-                    Ok(id) => {
-                        let _ = writeln!(
-                            out,
-                            "[{}] booked {id}: {gbps}G [{start_secs}s, {end_secs}s)",
-                            ctl.now()
-                        );
-                    }
-                    Err(e) => {
-                        let _ = writeln!(out, "[{}] booking REFUSED: {e}", ctl.now());
-                    }
-                }
-            }
-            ActionSpec::Report => {
+            None => {
                 let _ = writeln!(out, "\n===== report at {} =====", ctl.now());
-                for (i, t) in tenants.iter().enumerate() {
+                for t in &tenants {
                     out.push_str(&ctl.customer_view(*t));
                     let sla = ctl.sla_report(*t);
                     let _ = writeln!(
@@ -558,7 +404,6 @@ pub fn drive(
                         griphon::nines(sla.aggregate),
                         sla.worst
                     );
-                    let _ = i;
                 }
                 let _ = writeln!(out, "--- carrier metrics ---");
                 out.push_str(&ctl.metrics.report());
@@ -574,6 +419,149 @@ pub fn drive(
     }
     out.push_str(&ctl.metrics.report());
     Ok(out)
+}
+
+/// The raw id of the node called `name`.
+fn node(ctl: &Controller, name: &str) -> Result<u32, ScenarioError> {
+    ctl.net
+        .roadm_by_name(name)
+        .map(RoadmId::raw)
+        .ok_or_else(|| ScenarioError::UnknownNode(name.to_string()))
+}
+
+/// The intent `action` journals, its names resolved against the plant, the
+/// onboarded `tenants` and the connections `orders` placed so far; `None`
+/// for a report, which journals nothing.
+fn resolve(
+    action: &ActionSpec,
+    ctl: &Controller,
+    tenants: &[CustomerId],
+    orders: &[ConnectionId],
+) -> Result<Option<Intent>, ScenarioError> {
+    let ends = |tenant: usize, from: &str, to: &str| -> Result<(u32, u32, u32), ScenarioError> {
+        let customer = tenants
+            .get(tenant)
+            .ok_or(ScenarioError::UnknownTenant(tenant))?;
+        Ok((customer.raw(), node(ctl, from)?, node(ctl, to)?))
+    };
+    let fiber = |a: &str, b: &str| -> Result<u32, ScenarioError> {
+        let (na, nb) = (RoadmId::new(node(ctl, a)?), RoadmId::new(node(ctl, b)?));
+        ctl.net
+            .fiber_between(na, nb)
+            .map(FiberId::raw)
+            .ok_or_else(|| ScenarioError::NotAdjacent(a.to_string(), b.to_string()))
+    };
+    Ok(Some(match action {
+        ActionSpec::Wavelength(o) => {
+            let (customer, from, to) = ends(o.tenant, &o.from, &o.to)?;
+            let rate = rate_of(o.gbps)?;
+            Intent::Wavelength {
+                customer,
+                from,
+                to,
+                rate,
+            }
+        }
+        ActionSpec::ProtectedWavelength(o) => {
+            let (customer, from, to) = ends(o.tenant, &o.from, &o.to)?;
+            let rate = rate_of(o.gbps)?;
+            Intent::ProtectedWavelength {
+                customer,
+                from,
+                to,
+                rate,
+            }
+        }
+        ActionSpec::Bundle(o) => {
+            let (customer, from, to) = ends(o.tenant, &o.from, &o.to)?;
+            let target_bps = DataRate::from_gbps(o.gbps).bps();
+            Intent::Bandwidth {
+                customer,
+                from,
+                to,
+                target_bps,
+            }
+        }
+        ActionSpec::Teardown { order } => {
+            let conn = orders
+                .get(*order)
+                .ok_or(ScenarioError::UnknownOrder(*order))?;
+            Intent::Teardown { conn: conn.raw() }
+        }
+        ActionSpec::CutFiber(l) => Intent::CutFiber {
+            fiber: fiber(&l.a, &l.b)?,
+            span: 0,
+        },
+        ActionSpec::Repair { a, b, after_secs } => Intent::ScheduleRepair {
+            fiber: fiber(a, b)?,
+            after_ns: SimDuration::from_secs(*after_secs).as_nanos(),
+        },
+        ActionSpec::Maintenance(l) => Intent::StartFiberMaintenance {
+            fiber: fiber(&l.a, &l.b)?,
+        },
+        ActionSpec::EndMaintenance(l) => Intent::EndFiberMaintenance {
+            fiber: fiber(&l.a, &l.b)?,
+        },
+        ActionSpec::Reserve(r) => {
+            let (customer, from, to) = ends(r.tenant, &r.from, &r.to)?;
+            Intent::Reserve {
+                customer,
+                from,
+                to,
+                rate_bps: DataRate::from_gbps(r.gbps).bps(),
+                start_ns: SimTime::from_secs(r.start_secs).as_nanos(),
+                end_ns: SimTime::from_secs(r.end_secs).as_nanos(),
+            }
+        }
+        ActionSpec::Report => return Ok(None),
+    }))
+}
+
+/// The transcript line of an action from what its intent did; the
+/// connections an order placed join `orders`.
+fn outcome_line(action: &ActionSpec, applied: Applied, orders: &mut Vec<ConnectionId>) -> String {
+    match (action, applied) {
+        (ActionSpec::Wavelength(o), Applied::Connection(Ok(id))) => {
+            orders.push(id);
+            format!("ordered {id}: {}G {}→{}", o.gbps, o.from, o.to)
+        }
+        (ActionSpec::Wavelength(o), Applied::Connection(Err(e))) => {
+            format!("order REFUSED ({}→{}): {e}", o.from, o.to)
+        }
+        (ActionSpec::ProtectedWavelength(o), Applied::Connection(Ok(id))) => {
+            orders.push(id);
+            format!("ordered {id}: {}G 1+1 {}→{}", o.gbps, o.from, o.to)
+        }
+        (ActionSpec::ProtectedWavelength(o), Applied::Connection(Err(e))) => {
+            format!("1+1 order REFUSED ({}→{}): {e}", o.from, o.to)
+        }
+        (ActionSpec::Bundle(o), Applied::Bundle(Ok(bundle))) => {
+            let n = bundle.members.len();
+            orders.extend(bundle.members);
+            format!("ordered {}: {}G as {n} members", bundle.id, o.gbps)
+        }
+        (ActionSpec::Bundle(_), Applied::Bundle(Err(e))) => format!("bundle REFUSED: {e}"),
+        (ActionSpec::Teardown { order }, Applied::Done(done)) => match done {
+            Ok(()) => format!("teardown {} requested", orders[*order]),
+            Err(e) => format!("teardown {} refused: {e}", orders[*order]),
+        },
+        (ActionSpec::CutFiber(l), _) => format!("CUT {}–{}", l.a, l.b),
+        (ActionSpec::Repair { a, b, after_secs }, _) => format!("repair {a}–{b} in {after_secs}s"),
+        (ActionSpec::Maintenance(l), Applied::Moved(Ok(moved))) => {
+            let n = moved.len();
+            format!("maintenance {}–{}: {n} circuits moving", l.a, l.b)
+        }
+        (ActionSpec::Maintenance(l), Applied::Moved(Err(e))) => {
+            format!("maintenance {}–{} failed: {e}", l.a, l.b)
+        }
+        (ActionSpec::EndMaintenance(l), _) => format!("maintenance done {}–{}", l.a, l.b),
+        (ActionSpec::Reserve(r), Applied::Booking(Ok(id))) => {
+            let (gbps, start, end) = (r.gbps, r.start_secs, r.end_secs);
+            format!("booked {id}: {gbps}G [{start}s, {end}s)")
+        }
+        (ActionSpec::Reserve(_), Applied::Booking(Err(e))) => format!("booking REFUSED: {e}"),
+        (action, applied) => unreachable!("{action:?} applied as {applied:?}"),
+    }
 }
 
 #[cfg(test)]
@@ -625,19 +613,33 @@ mod tests {
         ));
     }
 
+    /// Every name an action resolves — node, tenant, order, the fibre
+    /// between two nodes — left unresolvable is its own typed error.
     #[test]
     fn unknown_node_rejected() {
-        let bad = r#"{
-            "topology": { "testbed": { "ots_per_node": 2 } },
-            "tenants": [ { "name": "a", "quota_gbps": 10 } ],
-            "events": [
-                { "at_secs": 0, "do": { "wavelength": { "tenant": 0, "from": "X", "to": "IV", "gbps": 10 } } }
-            ]
-        }"#;
-        assert!(matches!(
-            run_json(bad),
-            Err(ScenarioError::UnknownNode(n)) if n == "X"
-        ));
+        let actions = [
+            r#"{ "wavelength": { "tenant": 0, "from": "X", "to": "IV", "gbps": 10 } }"#,
+            r#"{ "bundle": { "tenant": 1, "from": "I", "to": "IV", "gbps": 10 } }"#,
+            r#"{ "teardown": { "order": 0 } }"#,
+            r#"{ "cut_fiber": { "a": "II", "b": "IV" } }"#,
+        ];
+        let errors = actions.map(|action| {
+            let bad = format!(
+                r#"{{
+                    "topology": {{ "testbed": {{ "ots_per_node": 2 }} }},
+                    "tenants": [ {{ "name": "a", "quota_gbps": 10 }} ],
+                    "events": [ {{ "at_secs": 0, "do": {action} }} ]
+                }}"#
+            );
+            format!("{:?}", run_json(&bad).unwrap_err())
+        });
+        let expected = [
+            r#"UnknownNode("X")"#,
+            "UnknownTenant(1)",
+            "UnknownOrder(0)",
+            r#"NotAdjacent("II", "IV")"#,
+        ];
+        assert_eq!(errors, expected);
     }
 
     #[test]
@@ -653,6 +655,22 @@ mod tests {
             run_json(bad),
             Err(ScenarioError::DuplicateOtnSwitch(n)) if n == "I"
         ));
+    }
+
+    /// A trunk between nodes with no OTN switch cannot be planned: the
+    /// scenario ends with that one transcript line.
+    #[test]
+    fn trunk_without_switches_aborts() {
+        let s = r#"{
+            "topology": { "testbed": { "ots_per_node": 2 } },
+            "tenants": [],
+            "trunks": [["I", "IV"]],
+            "events": [ { "at_secs": 0, "do": "report" } ]
+        }"#;
+        assert_eq!(
+            run_json(s).unwrap(),
+            "scenario aborted: trunk I–IV: no OTN switch at roadm0\n"
+        );
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! replays through the identical public entry point it originally took
 //! (journal disabled), and all derived activity — EMS completions,
 //! restoration, reservation activation — re-derives from the event
-//! schedule.
+//! schedule. [`apply`] is that intent-to-entry-point mapping, and the only
+//! one: the scenario runner and the WAL corpus test run intents through it
+//! too.
 //!
 //! A torn log tail is a *clean* crash: the final, never-acknowledged
 //! intent rolls back (the ledger counts it, and
@@ -16,13 +18,18 @@
 //! backs) are typed [`RecoveryError`]s — recovery refuses to guess
 //! rather than diverging from the lost primary.
 
+use simcore::codec::CodecError;
 use simcore::{DataRate, SimDuration, SimTime};
 
-use crate::controller::Controller;
+use crate::bod::Bundle;
+use crate::calendar::{CalendarError, ReservationId};
+use crate::connection::{ConnectionId, TrunkId};
+use crate::controller::{Controller, RequestError};
 use crate::durability::snapshot::SnapshotStore;
 use crate::durability::wal::{
     decode_rate, decode_signal, Intent, Wal, WalConfig, WalError, WalRecord,
 };
+use crate::tenant::CustomerId;
 
 use photonic::{FiberId, RoadmId, TransponderId};
 
@@ -37,7 +44,7 @@ pub enum RecoveryError {
         /// Sequence number of the offending record.
         seq: u64,
         /// What was wrong.
-        error: String,
+        error: ApplyError,
     },
     /// A record's sim time ran backwards — the log is not a valid
     /// history.
@@ -67,6 +74,64 @@ impl From<WalError> for RecoveryError {
     fn from(e: WalError) -> Self {
         RecoveryError::Wal(e)
     }
+}
+
+/// Why [`apply`] refused a record outright: no controller built from this
+/// genesis could ever have accepted it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ApplyError {
+    /// An id past the end of the plant's table of `kind`s.
+    OutOfRange {
+        /// `node`, `fiber`, `span` or `transponder`.
+        kind: &'static str,
+        /// The id the record carries.
+        raw: u32,
+        /// How many the plant has.
+        count: usize,
+    },
+    /// A line-rate or client-signal tag byte that names no variant.
+    Codec(CodecError),
+    /// A second OTN switch on one node, which the controller cannot hold.
+    DuplicateOtnSwitch {
+        /// The node (raw id).
+        node: u32,
+    },
+}
+
+impl std::fmt::Display for ApplyError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ApplyError::OutOfRange { kind, raw, count } => {
+                write!(f, "{kind} {raw} out of range (plant has {count})")
+            }
+            ApplyError::Codec(e) => write!(f, "{e}"),
+            ApplyError::DuplicateOtnSwitch { node } => {
+                write!(f, "node {node} already has an OTN switch")
+            }
+        }
+    }
+}
+
+impl std::error::Error for ApplyError {}
+
+/// What one intent did: its entry point's own result, kept for the caller
+/// instead of dropped. Refusals are values here, not [`ApplyError`]s.
+#[derive(Debug)]
+pub enum Applied {
+    /// A tenant was onboarded.
+    Tenant(CustomerId),
+    /// A wavelength, protected wavelength or sub-wavelength order.
+    Connection(Result<ConnectionId, RequestError>),
+    /// A bandwidth order and the bundle it became.
+    Bundle(Result<Bundle, RequestError>),
+    /// A calendar booking.
+    Booking(Result<ReservationId, CalendarError>),
+    /// A trunk between two OTN switches.
+    Trunk(Result<TrunkId, RequestError>),
+    /// A fibre drained for maintenance, with the circuits moving off it.
+    Moved(Result<Vec<ConnectionId>, RequestError>),
+    /// Any other intent; an `Err` is its refusal.
+    Done(Result<(), RequestError>),
 }
 
 /// What [`recover`] produced.
@@ -141,8 +206,8 @@ pub fn recover<S: AsRef<[u8]> + Sync>(
 }
 
 /// Replay `tail` against `ctl`: advance sim time to each record's accept
-/// time, then re-issue its intent through the public API. Returns the
-/// number of records applied.
+/// time, then re-issue its intent through [`apply`]. Returns the number of
+/// records applied.
 pub fn replay(ctl: &mut Controller, tail: &[WalRecord]) -> Result<u64, RecoveryError> {
     for rec in tail {
         if rec.at < ctl.now() {
@@ -160,47 +225,57 @@ pub fn replay(ctl: &mut Controller, tail: &[WalRecord]) -> Result<u64, RecoveryE
 /// Bounds-check an id against the plant so replay surfaces a typed error
 /// instead of an indexing panic on a semantically invalid (but
 /// checksum-clean) record.
-fn check(kind: &str, raw: u32, count: usize) -> Result<(), String> {
+fn check(kind: &'static str, raw: u32, count: usize) -> Result<(), ApplyError> {
     if (raw as usize) < count {
         Ok(())
     } else {
-        Err(format!("{kind} {raw} out of range (plant has {count})"))
+        Err(ApplyError::OutOfRange { kind, raw, count })
     }
 }
 
-/// Re-issue one intent through the public controller API.
+/// Run one intent through the controller's public entry point for it and
+/// return what that entry point did.
+///
+/// This is the one mapping from an [`Intent`] to a controller call:
+/// recovery and the warm standby replay through it ([`replay`]), the
+/// scenario runner resolves each JSON action to the intent it journals and
+/// runs that here, and the WAL corpus test counts refusals from its
+/// outcomes. With the journal on, the entry point journals the intent —
+/// except `ReleaseBundle`, whose members are torn down (and journaled)
+/// one `Teardown` at a time.
 ///
 /// Deterministic *refusals* (quota exceeded, unknown connection, no
-/// path) are `Ok`: the primary refused them the same way, so refusing
-/// again reproduces its state. Only records that could never have been
-/// accepted against this plant are errors.
-pub fn apply(ctl: &mut Controller, intent: &Intent) -> Result<(), String> {
-    let nodes = ctl.net.roadm_count();
-    let fibers = ctl.net.fiber_count();
-    let ots = ctl.net.transponder_count();
-    match intent {
+/// path) are `Ok`, inside the [`Applied`]: the primary refused them the
+/// same way, so refusing again reproduces its state. Only records that
+/// could never have been accepted against this plant are errors.
+pub fn apply(ctl: &mut Controller, intent: &Intent) -> Result<Applied, ApplyError> {
+    let (nodes, fibers) = (ctl.net.roadm_count(), ctl.net.fiber_count());
+    let node_id = |raw: u32| check("node", raw, nodes).map(|()| RoadmId::new(raw));
+    let fiber_id = |raw: u32| check("fiber", raw, fibers).map(|()| FiberId::new(raw));
+    let fiber_ids = |raw: &[u32]| {
+        raw.iter()
+            .map(|&f| fiber_id(f))
+            .collect::<Result<Vec<_>, _>>()
+    };
+    Ok(match intent {
         Intent::RegisterTenant {
             name,
             quota_bps,
             priority,
-        } => {
-            ctl.register_tenant_with_priority(name, DataRate::from_bps(*quota_bps), *priority);
-        }
+        } => Applied::Tenant(ctl.register_tenant_with_priority(
+            name,
+            DataRate::from_bps(*quota_bps),
+            *priority,
+        )),
         Intent::Wavelength {
             customer,
             from,
             to,
             rate,
         } => {
-            check("node", *from, nodes)?;
-            check("node", *to, nodes)?;
-            let rate = decode_rate(*rate).map_err(|e| e.to_string())?;
-            let _ = ctl.request_wavelength(
-                crate::CustomerId::new(*customer),
-                RoadmId::new(*from),
-                RoadmId::new(*to),
-                rate,
-            );
+            let (from, to) = (node_id(*from)?, node_id(*to)?);
+            let rate = decode_rate(*rate).map_err(ApplyError::Codec)?;
+            Applied::Connection(ctl.request_wavelength(CustomerId::new(*customer), from, to, rate))
         }
         Intent::ProtectedWavelength {
             customer,
@@ -208,15 +283,10 @@ pub fn apply(ctl: &mut Controller, intent: &Intent) -> Result<(), String> {
             to,
             rate,
         } => {
-            check("node", *from, nodes)?;
-            check("node", *to, nodes)?;
-            let rate = decode_rate(*rate).map_err(|e| e.to_string())?;
-            let _ = ctl.request_protected_wavelength(
-                crate::CustomerId::new(*customer),
-                RoadmId::new(*from),
-                RoadmId::new(*to),
-                rate,
-            );
+            let (from, to) = (node_id(*from)?, node_id(*to)?);
+            let rate = decode_rate(*rate).map_err(ApplyError::Codec)?;
+            let customer = CustomerId::new(*customer);
+            Applied::Connection(ctl.request_protected_wavelength(customer, from, to, rate))
         }
         Intent::Subwavelength {
             customer,
@@ -224,15 +294,10 @@ pub fn apply(ctl: &mut Controller, intent: &Intent) -> Result<(), String> {
             to,
             signal,
         } => {
-            check("node", *from, nodes)?;
-            check("node", *to, nodes)?;
-            let signal = decode_signal(*signal).map_err(|e| e.to_string())?;
-            let _ = ctl.request_subwavelength(
-                crate::CustomerId::new(*customer),
-                RoadmId::new(*from),
-                RoadmId::new(*to),
-                signal,
-            );
+            let (from, to) = (node_id(*from)?, node_id(*to)?);
+            let signal = decode_signal(*signal).map_err(ApplyError::Codec)?;
+            let customer = CustomerId::new(*customer);
+            Applied::Connection(ctl.request_subwavelength(customer, from, to, signal))
         }
         Intent::Bandwidth {
             customer,
@@ -240,24 +305,15 @@ pub fn apply(ctl: &mut Controller, intent: &Intent) -> Result<(), String> {
             to,
             target_bps,
         } => {
-            check("node", *from, nodes)?;
-            check("node", *to, nodes)?;
-            let _ = ctl.request_bandwidth(
-                crate::CustomerId::new(*customer),
-                RoadmId::new(*from),
-                RoadmId::new(*to),
-                DataRate::from_bps(*target_bps),
-            );
+            let (from, to) = (node_id(*from)?, node_id(*to)?);
+            let target = DataRate::from_bps(*target_bps);
+            Applied::Bundle(ctl.request_bandwidth(CustomerId::new(*customer), from, to, target))
         }
-        Intent::Teardown { conn } => {
-            let _ = ctl.request_teardown(crate::ConnectionId::new(*conn));
-        }
+        Intent::Teardown { conn } => done(ctl.request_teardown(ConnectionId::new(*conn))),
         Intent::ReleaseBundle { members } => {
-            let members: Vec<crate::ConnectionId> = members
-                .iter()
-                .map(|m| crate::ConnectionId::new(*m))
-                .collect();
+            let members: Vec<_> = members.iter().map(|m| ConnectionId::new(*m)).collect();
             ctl.release_members(&members);
+            Applied::Done(Ok(()))
         }
         Intent::Reserve {
             customer,
@@ -267,92 +323,78 @@ pub fn apply(ctl: &mut Controller, intent: &Intent) -> Result<(), String> {
             start_ns,
             end_ns,
         } => {
-            check("node", *from, nodes)?;
-            check("node", *to, nodes)?;
-            let _ = ctl.reserve_bandwidth(
-                crate::CustomerId::new(*customer),
-                RoadmId::new(*from),
-                RoadmId::new(*to),
+            let (from, to) = (node_id(*from)?, node_id(*to)?);
+            Applied::Booking(ctl.reserve_bandwidth(
+                CustomerId::new(*customer),
+                from,
+                to,
                 DataRate::from_bps(*rate_bps),
                 SimTime::from_nanos(*start_ns),
                 SimTime::from_nanos(*end_ns),
-            );
+            ))
         }
         Intent::CancelReservation { reservation } => {
-            let _ = ctl.cancel_reservation(crate::ReservationId::new(*reservation));
+            ctl.cancel_reservation(ReservationId::new(*reservation));
+            Applied::Done(Ok(()))
         }
         Intent::SetBookingCapacity { a, b, cap_bps } => {
-            check("node", *a, nodes)?;
-            check("node", *b, nodes)?;
-            ctl.set_booking_capacity(
-                RoadmId::new(*a),
-                RoadmId::new(*b),
-                DataRate::from_bps(*cap_bps),
-            );
+            let (a, b) = (node_id(*a)?, node_id(*b)?);
+            ctl.set_booking_capacity(a, b, DataRate::from_bps(*cap_bps));
+            Applied::Done(Ok(()))
         }
         Intent::AddOtnSwitch { node, fabric_bps } => {
-            check("node", *node, nodes)?;
-            if ctl.otn_switch_at(RoadmId::new(*node)).is_some() {
-                return Err(format!("node {node} already has an OTN switch"));
+            let at = node_id(*node)?;
+            if ctl.otn_switch_at(at).is_some() {
+                return Err(ApplyError::DuplicateOtnSwitch { node: *node });
             }
-            ctl.add_otn_switch(RoadmId::new(*node), DataRate::from_bps(*fabric_bps));
+            ctl.add_otn_switch(at, DataRate::from_bps(*fabric_bps));
+            Applied::Done(Ok(()))
         }
         Intent::ProvisionTrunk { a, b, rate } => {
-            check("node", *a, nodes)?;
-            check("node", *b, nodes)?;
-            let rate = decode_rate(*rate).map_err(|e| e.to_string())?;
-            let _ = ctl.provision_trunk(RoadmId::new(*a), RoadmId::new(*b), rate);
+            let (a, b) = (node_id(*a)?, node_id(*b)?);
+            let rate = decode_rate(*rate).map_err(ApplyError::Codec)?;
+            Applied::Trunk(ctl.provision_trunk(a, b, rate))
         }
         Intent::CutFiber { fiber, span } => {
-            check("fiber", *fiber, fibers)?;
-            let f = FiberId::new(*fiber);
-            let spans = ctl.net.fiber(f).spans.len();
-            check("span", *span, spans)?;
+            let f = fiber_id(*fiber)?;
+            check("span", *span, ctl.net.fiber(f).spans.len())?;
             ctl.inject_fiber_cut(f, *span as usize);
+            Applied::Done(Ok(()))
         }
         Intent::ScheduleRepair { fiber, after_ns } => {
-            check("fiber", *fiber, fibers)?;
-            ctl.schedule_repair(FiberId::new(*fiber), SimDuration::from_nanos(*after_ns));
+            ctl.schedule_repair(fiber_id(*fiber)?, SimDuration::from_nanos(*after_ns));
+            Applied::Done(Ok(()))
         }
         Intent::OtFailure { ot } => {
-            check("transponder", *ot, ots)?;
+            check("transponder", *ot, ctl.net.transponder_count())?;
             ctl.inject_ot_failure(TransponderId::new(*ot));
+            Applied::Done(Ok(()))
         }
         Intent::BridgeRoll { conn, excluded } => {
-            let excluded = checked_fibers(excluded, fibers)?;
-            let _ = ctl.bridge_and_roll(crate::ConnectionId::new(*conn), &excluded);
+            done(ctl.bridge_and_roll(ConnectionId::new(*conn), &fiber_ids(excluded)?))
         }
         Intent::ColdReroute { conn, excluded } => {
-            let excluded = checked_fibers(excluded, fibers)?;
-            let _ = ctl.cold_reroute(crate::ConnectionId::new(*conn), &excluded);
+            done(ctl.cold_reroute(ConnectionId::new(*conn), &fiber_ids(excluded)?))
         }
         Intent::StartFiberMaintenance { fiber } => {
-            check("fiber", *fiber, fibers)?;
-            let _ = ctl.start_fiber_maintenance(FiberId::new(*fiber));
+            Applied::Moved(ctl.start_fiber_maintenance(fiber_id(*fiber)?))
         }
         Intent::EndFiberMaintenance { fiber } => {
-            check("fiber", *fiber, fibers)?;
-            ctl.end_fiber_maintenance(FiberId::new(*fiber));
+            ctl.end_fiber_maintenance(fiber_id(*fiber)?);
+            Applied::Done(Ok(()))
         }
-        Intent::StartNodeMaintenance { node } => {
-            check("node", *node, nodes)?;
-            let _ = ctl.start_node_maintenance(RoadmId::new(*node));
-        }
-        Intent::Regroom { conn } => {
-            let _ = ctl.regroom(crate::ConnectionId::new(*conn));
-        }
+        Intent::StartNodeMaintenance { node } => done(ctl.start_node_maintenance(node_id(*node)?)),
+        Intent::Regroom { conn } => done(ctl.regroom(ConnectionId::new(*conn))),
         Intent::RegroomAll => {
-            let _ = ctl.regroom_all();
+            ctl.regroom_all();
+            Applied::Done(Ok(()))
         }
-    }
-    Ok(())
+    })
 }
 
-/// Bounds-check and rehydrate a fiber exclusion list.
-fn checked_fibers(raw: &[u32], fibers: usize) -> Result<Vec<FiberId>, String> {
-    raw.iter()
-        .map(|&f| check("fiber", f, fibers).map(|()| FiberId::new(f)))
-        .collect()
+/// An entry point's outcome whose value no caller reads.
+fn done<T>(r: Result<T, RequestError>) -> Applied {
+    Applied::Done(r.map(|_| ()))
 }
 
 #[cfg(test)]
@@ -493,12 +535,14 @@ mod tests {
             let (net, _) = PhotonicNetwork::testbed(2);
             let mut ctl = Controller::new(net, ControllerConfig::default());
             match replay(&mut ctl, &records) {
-                Err(RecoveryError::Apply { seq: at, error }) => {
-                    assert_eq!(at, seq, "{bad:?}");
-                    assert!(
-                        error.starts_with(&format!("{kind} {BAD} ")),
-                        "{bad:?}: {error}"
-                    );
+                Err(RecoveryError::Apply {
+                    seq: at,
+                    error:
+                        ApplyError::OutOfRange {
+                            kind: k, raw: BAD, ..
+                        },
+                }) => {
+                    assert_eq!((at, k), (seq, kind), "{bad:?}");
                 }
                 other => panic!("{bad:?} replayed as {other:?}"),
             }

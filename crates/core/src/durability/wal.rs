@@ -226,7 +226,7 @@ pub enum Intent {
 }
 
 /// Encode a [`LineRate`] as a stable tag byte.
-pub(crate) fn encode_rate(rate: LineRate) -> u8 {
+pub fn encode_rate(rate: LineRate) -> u8 {
     match rate {
         LineRate::Gbps10 => 0,
         LineRate::Gbps40 => 1,

@@ -67,7 +67,7 @@ impl std::error::Error for AdmissionError {}
 
 /// Restoration priority assigned when none is given (lower = restored
 /// first).
-pub(crate) const DEFAULT_PRIORITY: u8 = 100;
+pub const DEFAULT_PRIORITY: u8 = 100;
 
 /// The tenant table.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]

@@ -32,12 +32,13 @@
 use std::path::{Path, PathBuf};
 
 use griphon::connection::Resources;
-use griphon::durability::recovery::apply;
-use griphon::durability::wal::{decode_rate, WAL_VERSION};
+use griphon::durability::recovery::{apply, Applied};
+use griphon::durability::wal::{encode_rate, WAL_VERSION};
 use griphon::rwa::PathEngine;
+use griphon::tenant::DEFAULT_PRIORITY;
 use griphon::{
-    recover, Bundle, BundleId, ConnectionId, Controller, ControllerConfig, CustomerId, Intent,
-    RegionMap, RequestError, RwaError, SnapshotStore, Wal, WalConfig, WalRecord,
+    recover, Bundle, BundleId, ConnectionId, Controller, ControllerConfig, Intent, RegionMap,
+    RequestError, RwaError, SnapshotStore, Wal, WalConfig, WalRecord,
 };
 use photonic::{
     generate, EmsProfile, EqualizationModel, GeneratorConfig, LineRate, PhotonicNetwork,
@@ -54,7 +55,8 @@ struct Corpus {
     target_secs: u64,
     records: u64,
     digest_crc: u32,
-    /// Order intents (wavelength, protected wavelength, bundle) refused.
+    /// Order intents (wavelength, protected wavelength, sub-wavelength,
+    /// bundle) refused.
     refusals: u64,
     /// The candidates summed over refusals that were `RwaError::Blocked`.
     blocked_candidates: u64,
@@ -157,60 +159,14 @@ fn segments(name: &str) -> Vec<Vec<u8>> {
     files.iter().map(|f| std::fs::read(f).unwrap()).collect()
 }
 
-/// Replay `records` onto `ctl` one at a time, issuing every order through
-/// its own entry point so its refusal is seen; everything else goes
-/// through `recovery::apply`. Returns `(refusals, blocked candidates)`.
+/// Replay `records` onto `ctl` one at a time through `recovery::apply`,
+/// counting the orders it refused. Returns `(refusals, blocked candidates)`.
 fn replay_counting(ctl: &mut Controller, records: &[WalRecord]) -> (u64, u64) {
     let (mut refusals, mut blocked) = (0, 0);
     for rec in records {
         ctl.run_until(rec.at);
-        let node = |raw: &u32| RoadmId::new(*raw);
-        let refused: Option<RequestError> = match &rec.intent {
-            Intent::Wavelength {
-                customer,
-                from,
-                to,
-                rate,
-            } => ctl
-                .request_wavelength(
-                    CustomerId::new(*customer),
-                    node(from),
-                    node(to),
-                    decode_rate(*rate).unwrap(),
-                )
-                .err(),
-            Intent::ProtectedWavelength {
-                customer,
-                from,
-                to,
-                rate,
-            } => ctl
-                .request_protected_wavelength(
-                    CustomerId::new(*customer),
-                    node(from),
-                    node(to),
-                    decode_rate(*rate).unwrap(),
-                )
-                .err(),
-            Intent::Bandwidth {
-                customer,
-                from,
-                to,
-                target_bps,
-            } => ctl
-                .request_bandwidth(
-                    CustomerId::new(*customer),
-                    node(from),
-                    node(to),
-                    DataRate::from_bps(*target_bps),
-                )
-                .err(),
-            other => {
-                apply(ctl, other).unwrap_or_else(|e| panic!("record {}: {e}", rec.seq));
-                None
-            }
-        };
-        if let Some(e) = refused {
+        let applied = apply(ctl, &rec.intent).unwrap_or_else(|e| panic!("record {}: {e}", rec.seq));
+        if let Applied::Connection(Err(e)) | Applied::Bundle(Err(e)) = applied {
             refusals += 1;
             if let RequestError::Rwa(RwaError::Blocked { candidates }) = e {
                 blocked += candidates as u64;
@@ -376,7 +332,14 @@ fn lambda_log() -> Controller {
     let nodes: Vec<RoadmId> = plant.interior.iter().flatten().copied().collect();
     let mut ctl = lambda_genesis();
     ctl.enable_journal(WalConfig::default());
-    let customer = ctl.register_tenant("cold", DataRate::from_gbps(1_000_000));
+    let tenant = Intent::RegisterTenant {
+        name: "cold".into(),
+        quota_bps: DataRate::from_gbps(1_000_000).bps(),
+        priority: DEFAULT_PRIORITY,
+    };
+    let Applied::Tenant(customer) = apply(&mut ctl, &tenant).unwrap() else {
+        unreachable!("a tenant registers as Applied::Tenant")
+    };
     let mut rng = SimRng::new(LAMBDA_PLANT_SEED).fork(0xC01D);
     let mut waves: Vec<Vec<ConnectionId>> = Vec::new();
     let mut detours = 0;
@@ -397,8 +360,9 @@ fn lambda_log() -> Controller {
             let fibers = ctl.net.fiber_count() as u64;
             let f = photonic::FiberId::from_index(rng.below(fibers) as usize);
             if ctl.net.fiber(f).is_up() {
-                ctl.inject_fiber_cut(f, 0);
-                ctl.schedule_repair(f, SimDuration::from_secs(3 * WAVE_SECS));
+                let (fiber, after_ns) = (f.raw(), SimDuration::from_secs(3 * WAVE_SECS).as_nanos());
+                apply(&mut ctl, &Intent::CutFiber { fiber, span: 0 }).unwrap();
+                apply(&mut ctl, &Intent::ScheduleRepair { fiber, after_ns }).unwrap();
             }
         }
         let (ids, _) = ctl.journal_batch(|c| {
@@ -412,7 +376,13 @@ fn lambda_log() -> Controller {
                     }
                 };
                 let first = PathEngine::new().k_shortest_paths(&c.net, a, b, 1, false);
-                if let Ok(id) = c.request_wavelength(customer, a, b, LineRate::Gbps10) {
+                let order = Intent::Wavelength {
+                    customer: customer.raw(),
+                    from: a.raw(),
+                    to: b.raw(),
+                    rate: encode_rate(LineRate::Gbps10),
+                };
+                if let Applied::Connection(Ok(id)) = apply(c, &order).unwrap() {
                     if let Some(Resources::Wavelength(plan)) = &c.connection(id).unwrap().resources
                     {
                         detours += u64::from(first.first() != Some(&plan.path));
