@@ -20,7 +20,7 @@
 //!   same surviving log.
 //!
 //! Failover latency is reported per crash point through the analytic
-//! detect → replay → serving model ([`griphon::FailoverConfig`]) in
+//! detect → replay → serving model ([`griphon::failover_latency`]) in
 //! **sim time** — no host wall clock touches the report, so
 //! `BENCH_ha.json` is golden-filed and byte-identical across runs.
 //! A snapshot-cadence sweep closes the report: replay-tail length is
@@ -32,7 +32,7 @@ use simcore::SimTime;
 
 use griphon::durability::recovery::replay;
 use griphon::{
-    recover, FailoverConfig, SnapshotStore, StandbyController, Wal, WalConfig, WalRecord,
+    failover_latency, recover, SnapshotStore, StandbyController, Wal, WalConfig, WalRecord,
 };
 
 use crate::harness::{
@@ -231,7 +231,6 @@ fn ms(d: simcore::SimDuration) -> f64 {
 /// report block. Consumes the run (the warm standby is promoted once,
 /// at the clean crash).
 fn crash_schedule(name: &str, run: HaRun) -> Result<ScenarioHa, String> {
-    let cfg = FailoverConfig::default();
     let empty = SnapshotStore::new(0);
     let standby_applied = run.standby.applied();
 
@@ -275,8 +274,7 @@ fn crash_schedule(name: &str, run: HaRun) -> Result<ScenarioHa, String> {
         } else {
             survived - standby_applied
         };
-        let detect = cfg.heartbeat;
-        let replay_t = cfg.base_switchover + cfg.per_record_replay * tail;
+        let (detect, replay_t) = failover_latency(tail);
         crashes.push(CrashSample {
             cut_bytes: cut,
             records_survived: survived,

@@ -39,7 +39,6 @@ use photonic::PhotonicNetwork;
 use serde::Serialize;
 use simcore::{Crc32c, DataRate, DataSize, SimDuration, SimTime};
 
-use crate::experiments::quiet_config;
 use crate::harness::{
     ensure, CellRun, Ctx, Experiment, Finished, GateError, Identity, PointRun, Runs, Sweep,
 };
@@ -178,7 +177,7 @@ fn run_cell(s: &Scenario, mode: MeasuredMode, observability: bool) -> (u32, Meas
         net,
         ControllerConfig {
             seed,
-            ..quiet_config()
+            ..ControllerConfig::quiet()
         },
     );
     let csp = ctl

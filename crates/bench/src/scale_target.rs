@@ -32,7 +32,6 @@ use serde::Serialize;
 use simcore::metrics::LatencyRecorder;
 use simcore::{DataRate, SimRng};
 
-use crate::experiments::quiet_config;
 use crate::harness::{
     CellRun, Ctx, Experiment, Finished, GateError, Identity, PointRun, Runs, Sweep,
 };
@@ -189,7 +188,7 @@ pub(crate) fn drive_cell(
 ) -> (Controller, usize, LatencyRecorder) {
     let cfg = ControllerConfig {
         seed: p.seed ^ (cell.region as u64) << 32,
-        ..quiet_config()
+        ..ControllerConfig::quiet()
     };
     let mut ctl = Controller::new(p.plant.net.clone(), cfg);
     ctl.install_region_map(RegionMap::new(p.plant.region_of.clone()))

@@ -36,7 +36,7 @@ use griphon::durability::recovery::{apply, Applied, ApplyError};
 use griphon::durability::wal::encode_rate;
 use griphon::tenant::DEFAULT_PRIORITY;
 use griphon::{ConnectionId, CustomerId, Intent};
-use photonic::{EmsProfile, EqualizationModel, FiberId, LineRate, PhotonicNetwork, RoadmId};
+use photonic::{FiberId, LineRate, PhotonicNetwork, RoadmId};
 use simcore::{DataRate, SimDuration, SimTime};
 
 /// Which plant to build.
@@ -303,14 +303,15 @@ pub fn genesis(spec: &ScenarioSpec) -> Controller {
             plant.net
         }
     };
-    let mut cfg = ControllerConfig {
-        seed: spec.seed,
-        ..ControllerConfig::default()
+    let base = if spec.deterministic {
+        ControllerConfig::quiet()
+    } else {
+        ControllerConfig::default()
     };
-    if spec.deterministic {
-        cfg.ems = EmsProfile::calibrated_deterministic();
-        cfg.equalization = EqualizationModel::calibrated_deterministic();
-    }
+    let cfg = ControllerConfig {
+        seed: spec.seed,
+        ..base
+    };
     let mut ctl = Controller::new(net, cfg);
     if let Some(map) = region_map {
         ctl.install_region_map(map)

@@ -35,6 +35,7 @@
 //! only the `host_intents_per_sec` column is host wall clock.
 
 use griphon::WalConfig;
+use northbound::server::QUEUE_CAPACITY;
 use northbound::{
     build_testbed, generate_fleet, replay_admitted, AbuserConfig, ApiServer, FleetConfig,
     ServeOutcome, ServerConfig, TenantDirectory,
@@ -254,8 +255,7 @@ fn run_cell(&(tenants, load, abuser): &ServeCell) -> Result<CellRun<ServeOut>, S
         "server-on vs replay digests differ: {:#010x} vs {replay:#010x}",
         outcome.digest_crc
     );
-    let caps = ServerConfig::default().queue_capacity;
-    for (hw, cap) in outcome.queue_high_water.iter().zip(caps) {
+    for (hw, cap) in outcome.queue_high_water.iter().zip(QUEUE_CAPACITY) {
         ensure!(*hw <= cap, "queue high water {hw} exceeded capacity {cap}");
     }
     let well_admitted = outcome.admitted.iter().filter(|a| !a.abusive).count() as u64;

@@ -5,67 +5,44 @@
 //! protection is "expensive" while manual restoration is slow — the cost
 //! side of Table 1. The paper proposes no concrete tariff, so this
 //! module uses the industry-standard *structure* (flat monthly leased
-//! lines vs usage-metered BoD with a per-order fee) with configurable
+//! lines vs usage-metered BoD with a per-order fee) with fixed
 //! coefficients; experiment E5 reports cost *ratios*, which are robust
 //! to the absolute numbers.
 
-use serde::{Deserialize, Serialize};
-
 use crate::scheduler::PolicyOutcome;
 
-/// Tariff coefficients (arbitrary currency units).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CostModel {
-    /// Leased line: per Gbps per month, paid on the provisioned peak
-    /// whether used or not.
-    pub leased_per_gbps_month: f64,
-    /// BoD: per Gbps-hour actually held.
-    pub bod_per_gbps_hour: f64,
-    /// BoD: per setup order (amortized provisioning/OSS cost).
-    pub bod_setup_fee: f64,
-    /// Multiplier a 1+1-protected leased line costs over unprotected
-    /// (two disjoint paths plus premium).
-    pub protection_1p1_multiplier: f64,
+/// Leased line: per Gbps per month (arbitrary currency units), paid on
+/// the provisioned peak whether used or not.
+const LEASED_PER_GBPS_MONTH: f64 = 1_000.0;
+/// BoD: per Gbps-hour actually held. Per-hour pricing carries a premium
+/// such that holding capacity ~40% of the time costs about the same as
+/// leasing it flat — below that BoD wins.
+const BOD_PER_GBPS_HOUR: f64 = LEASED_PER_GBPS_MONTH / (730.0 * 0.4);
+/// BoD: per setup order (amortized provisioning/OSS cost).
+const BOD_SETUP_FEE: f64 = 25.0;
+
+/// Monthly-prorated cost of a static leased line sized at `peak_gbps`,
+/// held for `hours`.
+pub fn leased_cost(peak_gbps: f64, hours: f64) -> f64 {
+    LEASED_PER_GBPS_MONTH * peak_gbps * (hours / 730.0)
 }
 
-impl Default for CostModel {
-    fn default() -> Self {
-        // Structure-realistic defaults: BoD per-hour pricing carries a
-        // premium such that holding capacity ~40% of the time costs about
-        // the same as leasing it flat — below that BoD wins.
-        CostModel {
-            leased_per_gbps_month: 1_000.0,
-            bod_per_gbps_hour: 1_000.0 / (730.0 * 0.4),
-            bod_setup_fee: 25.0,
-            protection_1p1_multiplier: 2.2,
-        }
-    }
+/// Cost of a BoD usage pattern.
+pub fn bod_cost(gbps_hours: f64, setups: u64) -> f64 {
+    BOD_PER_GBPS_HOUR * gbps_hours + BOD_SETUP_FEE * setups as f64
 }
 
-impl CostModel {
-    /// Monthly-prorated cost of a static leased line sized at
-    /// `peak_gbps`, held for `hours`.
-    pub fn leased_cost(&self, peak_gbps: f64, hours: f64) -> f64 {
-        self.leased_per_gbps_month * peak_gbps * (hours / 730.0)
-    }
-
-    /// Cost of a BoD usage pattern.
-    pub fn bod_cost(&self, gbps_hours: f64, setups: u64) -> f64 {
-        self.bod_per_gbps_hour * gbps_hours + self.bod_setup_fee * setups as f64
-    }
-
-    /// Cost attributed to a policy outcome over a run of `hours`:
-    /// leased policies (`setups == 0 && gbps_hours > 0` with flat peak)
-    /// are billed flat; BoD outcomes by usage; harvested capacity
-    /// (`gbps_hours == 0`) is free.
-    pub fn outcome_cost(&self, outcome: &PolicyOutcome, hours: f64, is_bod: bool) -> f64 {
-        if is_bod {
-            self.bod_cost(outcome.gbps_hours, outcome.setups)
-        } else if outcome.gbps_hours == 0.0 {
-            0.0
-        } else {
-            self.leased_cost(outcome.peak_gbps, hours)
-        }
+/// Cost attributed to a policy outcome over a run of `hours`: leased
+/// policies (`setups == 0 && gbps_hours > 0` with flat peak) are billed
+/// flat; BoD outcomes by usage; harvested capacity (`gbps_hours == 0`)
+/// is free.
+pub fn outcome_cost(outcome: &PolicyOutcome, hours: f64, is_bod: bool) -> f64 {
+    if is_bod {
+        bod_cost(outcome.gbps_hours, outcome.setups)
+    } else if outcome.gbps_hours == 0.0 {
+        0.0
+    } else {
+        leased_cost(outcome.peak_gbps, hours)
     }
 }
 
@@ -85,41 +62,30 @@ mod tests {
 
     #[test]
     fn bod_cheaper_at_low_utilization() {
-        let m = CostModel::default();
         let hours = 730.0;
         // Hold 10 G for 10% of the month.
-        let bod = m.bod_cost(10.0 * hours * 0.1, 20);
-        let leased = m.leased_cost(10.0, hours);
+        let bod = bod_cost(10.0 * hours * 0.1, 20);
+        let leased = leased_cost(10.0, hours);
         assert!(bod < leased, "bod={bod} leased={leased}");
     }
 
     #[test]
     fn leased_cheaper_at_high_utilization() {
-        let m = CostModel::default();
         let hours = 730.0;
-        let bod = m.bod_cost(10.0 * hours * 0.9, 20);
-        let leased = m.leased_cost(10.0, hours);
+        let bod = bod_cost(10.0 * hours * 0.9, 20);
+        let leased = leased_cost(10.0, hours);
         assert!(leased < bod);
     }
 
     #[test]
     fn outcome_attribution() {
-        let m = CostModel::default();
         // Harvested (store-and-forward): free.
-        assert_eq!(m.outcome_cost(&outcome(0.0, 4.0, 0), 730.0, false), 0.0);
+        assert_eq!(outcome_cost(&outcome(0.0, 4.0, 0), 730.0, false), 0.0);
         // Static line: flat on peak.
-        let st = m.outcome_cost(&outcome(7300.0, 10.0, 0), 730.0, false);
+        let st = outcome_cost(&outcome(7300.0, 10.0, 0), 730.0, false);
         assert!((st - 10_000.0).abs() < 1e-9);
         // BoD: usage + fees.
-        let bod = m.outcome_cost(&outcome(100.0, 40.0, 4), 730.0, true);
-        assert!((bod - (100.0 * m.bod_per_gbps_hour + 100.0)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn protection_premium_ordering() {
-        let m = CostModel::default();
-        let base = m.leased_cost(10.0, 730.0);
-        let protected = base * m.protection_1p1_multiplier;
-        assert!(protected > 2.0 * base, "1+1 costs more than two lines");
+        let bod = outcome_cost(&outcome(100.0, 40.0, 4), 730.0, true);
+        assert!((bod - (100.0 * BOD_PER_GBPS_HOUR + 100.0)).abs() < 1e-9);
     }
 }

@@ -41,7 +41,6 @@ pub mod scheduler;
 pub mod transfer;
 pub mod workload;
 
-pub use cost::CostModel;
 pub use datacenter::{DataCenterId, DataCenterSet};
 pub use portal::{CspPortal, PortalError};
 pub use profile::RateProfile;

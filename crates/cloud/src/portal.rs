@@ -121,18 +121,11 @@ impl CspPortal {
 mod tests {
     use super::*;
     use griphon::controller::ControllerConfig;
-    use photonic::{EmsProfile, EqualizationModel, LineRate, PhotonicNetwork};
+    use photonic::{LineRate, PhotonicNetwork};
 
     fn setup() -> (Controller, CspPortal, DataCenterId, DataCenterId) {
         let (net, ids) = PhotonicNetwork::testbed(10);
-        let mut ctl = Controller::new(
-            net,
-            ControllerConfig {
-                ems: EmsProfile::calibrated_deterministic(),
-                equalization: EqualizationModel::calibrated_deterministic(),
-                ..ControllerConfig::default()
-            },
-        );
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         ctl.add_otn_switch(ids.i, DataRate::from_gbps(320));
         ctl.add_otn_switch(ids.iv, DataRate::from_gbps(320));
         ctl.provision_trunk(ids.i, ids.iv, LineRate::Gbps10)

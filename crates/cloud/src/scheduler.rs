@@ -1004,7 +1004,7 @@ mod tests {
     use crate::datacenter::DataCenterId;
     use crate::workload::JobId;
     use griphon::controller::ControllerConfig;
-    use photonic::{EmsProfile, EqualizationModel, PhotonicNetwork};
+    use photonic::PhotonicNetwork;
 
     fn job(id: u32, tb: u64, created_s: u64) -> BulkJob {
         BulkJob {
@@ -1075,14 +1075,7 @@ mod tests {
 
     fn bod_setup() -> (Controller, RoadmId, RoadmId, CustomerId) {
         let (net, ids) = PhotonicNetwork::testbed(8);
-        let mut ctl = Controller::new(
-            net,
-            ControllerConfig {
-                ems: EmsProfile::calibrated_deterministic(),
-                equalization: EqualizationModel::calibrated_deterministic(),
-                ..ControllerConfig::default()
-            },
-        );
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(400));
         (ctl, ids.i, ids.iv, csp)
     }
@@ -1119,14 +1112,7 @@ mod tests {
     #[test]
     fn multi_pair_full_mesh_shares_one_carrier() {
         let (net, ids) = photonic::PhotonicNetwork::testbed(6);
-        let mut ctl = Controller::new(
-            net,
-            griphon::controller::ControllerConfig {
-                ems: photonic::EmsProfile::calibrated_deterministic(),
-                equalization: photonic::EqualizationModel::calibrated_deterministic(),
-                ..griphon::controller::ControllerConfig::default()
-            },
-        );
+        let mut ctl = Controller::new(net, griphon::controller::ControllerConfig::quiet());
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(400));
         let mk = |id: u32, from: DataCenterId, to: DataCenterId| BulkJob {
             id: JobId::new(id),

@@ -43,38 +43,34 @@ pub struct BulkJob {
     pub deadline: Option<SimTime>,
 }
 
+/// Pareto scale: the minimum bulk size ("several terabytes").
+const BULK_MIN: DataSize = DataSize::from_terabytes(1);
+/// Pareto shape (1 < α < 2 ⇒ heavy tail with finite mean).
+const BULK_ALPHA: f64 = 1.3;
+/// Deadline slack: deadline = created + slack × (size / 10 G time).
+const DEADLINE_SLACK: f64 = 3.0;
+/// Peak interactive demand per site pair (diurnal curve's crest).
+const INTERACTIVE_PEAK: DataRate = DataRate::from_gbps(2);
+/// Trough-to-peak ratio of the diurnal curve.
+const DIURNAL_FLOOR: f64 = 0.3;
+
 /// Workload shape parameters.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct WorkloadConfig {
     /// Mean bulk-job inter-arrival time per site pair.
     pub bulk_interarrival: SimDuration,
-    /// Pareto scale: the minimum bulk size.
-    pub bulk_min: DataSize,
-    /// Pareto shape (1 < α < 2 ⇒ heavy tail with finite mean).
-    pub bulk_alpha: f64,
     /// Cap on a single job (petabyte-scale ceiling).
     pub bulk_max: DataSize,
     /// Fraction of jobs carrying a deadline.
     pub deadline_fraction: f64,
-    /// Deadline slack: deadline = created + slack × (size / 10 G time).
-    pub deadline_slack: f64,
-    /// Peak interactive demand per site pair (diurnal curve's crest).
-    pub interactive_peak: DataRate,
-    /// Trough-to-peak ratio of the diurnal curve.
-    pub diurnal_floor: f64,
 }
 
 impl Default for WorkloadConfig {
     fn default() -> Self {
         WorkloadConfig {
             bulk_interarrival: SimDuration::from_hours(2),
-            bulk_min: DataSize::from_terabytes(1),
-            bulk_alpha: 1.3,
             bulk_max: DataSize::from_terabytes(500),
             deadline_fraction: 0.5,
-            deadline_slack: 3.0,
-            interactive_peak: DataRate::from_gbps(2),
-            diurnal_floor: 0.3,
         }
     }
 }
@@ -101,8 +97,8 @@ impl WorkloadGenerator {
     /// Interactive demand between a site pair at time `t` — a smooth
     /// diurnal curve with its peak at local noon and floor at midnight.
     pub fn interactive_rate(&self, t: SimTime) -> DataRate {
-        let scale = simcore::diurnal_day_factor(t.as_secs_f64(), self.config.diurnal_floor);
-        DataRate::from_bps((self.config.interactive_peak.bps() as f64 * scale) as u64)
+        let scale = simcore::diurnal_day_factor(t.as_secs_f64(), DIURNAL_FLOOR);
+        DataRate::from_bps((INTERACTIVE_PEAK.bps() as f64 * scale) as u64)
     }
 
     /// Generate all bulk jobs for one site pair over `[0, horizon)`,
@@ -125,14 +121,14 @@ impl WorkloadGenerator {
             }
             let bits = simcore::bounded_pareto_bits(
                 &mut self.rng,
-                self.config.bulk_min.bits() as f64,
-                self.config.bulk_alpha,
+                BULK_MIN.bits() as f64,
+                BULK_ALPHA,
                 self.config.bulk_max.bits(),
             );
             let size = DataSize::from_bits(bits);
             let deadline = self.rng.chance(self.config.deadline_fraction).then(|| {
                 let base = size.time_at(DataRate::from_gbps(10));
-                t + base.mul_f64(self.config.deadline_slack)
+                t + base.mul_f64(DEADLINE_SLACK)
             });
             let id = JobId::new(self.next_job);
             self.next_job += 1;
@@ -218,7 +214,7 @@ mod tests {
         assert!(jobs.len() > 1000);
         let min = jobs.iter().map(|j| j.size).min().unwrap();
         let max = jobs.iter().map(|j| j.size).max().unwrap();
-        assert!(min >= cfg.bulk_min);
+        assert!(min >= BULK_MIN);
         assert!(max <= cfg.bulk_max);
         // Heavy tail: the top 10% of jobs carry the majority of bytes.
         let mut sizes: Vec<u64> = jobs.iter().map(|j| j.size.bits()).collect();
@@ -257,7 +253,7 @@ mod tests {
         assert!(noon > midnight);
         assert_eq!(midnight, next_midnight, "24 h periodic");
         // Floor ratio respected.
-        let peak = g.config.interactive_peak.bps() as f64;
+        let peak = INTERACTIVE_PEAK.bps() as f64;
         assert!((midnight.bps() as f64 - peak * 0.3).abs() < peak * 0.01);
         assert!((noon.bps() as f64 - peak).abs() < peak * 0.01);
     }

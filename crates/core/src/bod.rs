@@ -11,8 +11,8 @@
 //!
 //! 1. as many full 10 G wavelengths as fit entirely;
 //! 2. the remainder as 1 G OTN circuits if it is at most
-//!    [`crate::controller::ControllerConfig::otn_remainder_max_gbps`]
-//!    (and OTN reaches both endpoints), otherwise one more wavelength.
+//!    `OTN_REMAINDER_MAX_GBPS` (and OTN reaches both endpoints),
+//!    otherwise one more wavelength.
 //!
 //! The bundle is the customer-visible object; members are ordinary
 //! connections and restore/tear down independently.
@@ -49,6 +49,11 @@ pub struct Bundle {
     pub members: Vec<ConnectionId>,
 }
 
+/// Rate remainder (in 1 G units) at or below which a bundle takes OTN
+/// circuits instead of another wavelength: §2.2's 12 G = 10 G λ + 2 × 1 G
+/// example sits well inside it.
+const OTN_REMAINDER_MAX_GBPS: u64 = 4;
+
 /// How a target rate will be decomposed (pure function — unit-testable
 /// without a network).
 ///
@@ -57,7 +62,7 @@ pub struct Bundle {
 /// use simcore::DataRate;
 ///
 /// // The paper's example: 12 G = one 10 G wavelength + 2×1G OTN.
-/// let d = Decomposition::plan(DataRate::from_gbps(12), 4);
+/// let d = Decomposition::plan(DataRate::from_gbps(12));
 /// assert_eq!((d.wavelengths_10g, d.otn_1g), (1, 2));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -69,8 +74,9 @@ pub struct Decomposition {
 }
 
 impl Decomposition {
-    /// Decompose `target` with the given OTN-remainder threshold.
-    pub fn plan(target: DataRate, otn_remainder_max_gbps: u64) -> Decomposition {
+    /// Decompose `target`: whole wavelengths, then the remainder as OTN
+    /// circuits up to `OTN_REMAINDER_MAX_GBPS`.
+    pub fn plan(target: DataRate) -> Decomposition {
         let ten = DataRate::from_gbps(10);
         let full = target.bps() / ten.bps();
         let rem_bps = target.bps() - full * ten.bps();
@@ -80,7 +86,7 @@ impl Decomposition {
                 wavelengths_10g: full,
                 otn_1g: 0,
             }
-        } else if rem_gbps <= otn_remainder_max_gbps {
+        } else if rem_gbps <= OTN_REMAINDER_MAX_GBPS {
             Decomposition {
                 wavelengths_10g: full,
                 otn_1g: rem_gbps,
@@ -118,7 +124,7 @@ impl Controller {
             to: to.raw(),
             target_bps: target.bps(),
         });
-        let d = Decomposition::plan(target, self.cfg_otn_remainder());
+        let d = Decomposition::plan(target);
         let mut members: Vec<ConnectionId> = Vec::new();
         let mut failed: Option<RequestError> = None;
         self.journal_depth += 1;
@@ -183,20 +189,22 @@ impl Controller {
 
     /// Tear down every member of a bundle.
     pub fn release_bundle(&mut self, bundle: &Bundle) {
-        self.journal_record(|| crate::durability::Intent::ReleaseBundle {
-            members: bundle.members.iter().map(|m| m.raw()).collect(),
-        });
-        let members = bundle.members.clone();
-        self.journaled(|c| c.release_members(&members));
+        self.release_members(&bundle.members);
     }
 
-    /// Tear down a list of member connections (shared by
-    /// [`Self::release_bundle`] and log replay, which has only the raw
+    /// Tear down a list of member connections under one `ReleaseBundle`
+    /// journal record (shared by [`Self::release_bundle`] and
+    /// [`crate::durability::recovery::apply`], which has only the raw
     /// member list).
     pub(crate) fn release_members(&mut self, members: &[ConnectionId]) {
-        for id in members {
-            let _ = self.request_teardown(*id);
-        }
+        self.journal_record(|| crate::durability::Intent::ReleaseBundle {
+            members: members.iter().map(|m| m.raw()).collect(),
+        });
+        self.journaled(|c| {
+            for id in members {
+                let _ = c.request_teardown(*id);
+            }
+        });
     }
 
     /// Aggregate bandwidth of a bundle's currently Active members.
@@ -209,21 +217,17 @@ impl Controller {
             .map(|c| c.kind.rate())
             .sum()
     }
-
-    fn cfg_otn_remainder(&self) -> u64 {
-        self.config().otn_remainder_max_gbps
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::controller::ControllerConfig;
-    use photonic::{EmsProfile, EqualizationModel, PhotonicNetwork};
+    use photonic::PhotonicNetwork;
 
     #[test]
     fn paper_example_12g() {
-        let d = Decomposition::plan(DataRate::from_gbps(12), 4);
+        let d = Decomposition::plan(DataRate::from_gbps(12));
         assert_eq!(
             d,
             Decomposition {
@@ -235,7 +239,7 @@ mod tests {
 
     #[test]
     fn large_remainder_takes_another_wavelength() {
-        let d = Decomposition::plan(DataRate::from_gbps(18), 4);
+        let d = Decomposition::plan(DataRate::from_gbps(18));
         assert_eq!(
             d,
             Decomposition {
@@ -247,14 +251,14 @@ mod tests {
 
     #[test]
     fn exact_multiples_use_only_wavelengths() {
-        let d = Decomposition::plan(DataRate::from_gbps(30), 4);
+        let d = Decomposition::plan(DataRate::from_gbps(30));
         assert_eq!(d.wavelengths_10g, 3);
         assert_eq!(d.otn_1g, 0);
     }
 
     #[test]
     fn small_rates_use_only_otn() {
-        let d = Decomposition::plan(DataRate::from_gbps(2), 4);
+        let d = Decomposition::plan(DataRate::from_gbps(2));
         assert_eq!(
             d,
             Decomposition {
@@ -263,28 +267,22 @@ mod tests {
             }
         );
         // Fractional gigabits round up to whole OTN circuits.
-        let d = Decomposition::plan(DataRate::from_mbps(1500), 4);
+        let d = Decomposition::plan(DataRate::from_mbps(1500));
         assert_eq!(d.otn_1g, 2);
     }
 
     #[test]
     fn threshold_is_respected() {
-        // With threshold 2, a 3 G remainder forces a wavelength.
-        let d = Decomposition::plan(DataRate::from_gbps(13), 2);
-        assert_eq!(d.wavelengths_10g, 2);
-        assert_eq!(d.otn_1g, 0);
+        // A 4 G remainder is the most OTN carries; 5 G takes a wavelength.
+        let d = Decomposition::plan(DataRate::from_gbps(14));
+        assert_eq!((d.wavelengths_10g, d.otn_1g), (1, 4));
+        let d = Decomposition::plan(DataRate::from_gbps(15));
+        assert_eq!((d.wavelengths_10g, d.otn_1g), (2, 0));
     }
 
     fn bod_testbed() -> (Controller, photonic::TestbedIds, CustomerId) {
         let (net, ids) = PhotonicNetwork::testbed(8);
-        let mut ctl = Controller::new(
-            net,
-            ControllerConfig {
-                ems: EmsProfile::calibrated_deterministic(),
-                equalization: EqualizationModel::calibrated_deterministic(),
-                ..ControllerConfig::default()
-            },
-        );
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         ctl.add_otn_switch(ids.i, DataRate::from_gbps(320));
         ctl.add_otn_switch(ids.iv, DataRate::from_gbps(320));
         ctl.provision_trunk(ids.i, ids.iv, LineRate::Gbps10)

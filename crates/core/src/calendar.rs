@@ -263,18 +263,11 @@ mod tests {
     use super::*;
     use crate::connection::ConnState;
     use crate::controller::ControllerConfig;
-    use photonic::{EmsProfile, EqualizationModel, LineRate, PhotonicNetwork};
+    use photonic::{LineRate, PhotonicNetwork};
 
     fn booked_testbed() -> (Controller, photonic::TestbedIds, CustomerId) {
         let (net, ids) = PhotonicNetwork::testbed(10);
-        let mut ctl = Controller::new(
-            net,
-            ControllerConfig {
-                ems: EmsProfile::calibrated_deterministic(),
-                equalization: EqualizationModel::calibrated_deterministic(),
-                ..ControllerConfig::default()
-            },
-        );
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         ctl.add_otn_switch(ids.i, DataRate::from_gbps(320));
         ctl.add_otn_switch(ids.iv, DataRate::from_gbps(320));
         ctl.provision_trunk(ids.i, ids.iv, LineRate::Gbps10)

@@ -35,7 +35,6 @@ use simcore::{
 };
 
 use otn::{OtnSwitch, XcId};
-use photonic::alarm::DetectionModel;
 use photonic::{
     Alarm, DegreeId, EmsLatencyModel, EmsProfile, EqualizationModel, FiberId, LineRate,
     PhotonicNetwork, RoadmId,
@@ -55,8 +54,6 @@ pub struct ControllerConfig {
     pub ems: EmsProfile,
     /// Equalization timing model.
     pub equalization: EqualizationModel,
-    /// Alarm detection latencies.
-    pub detection: DetectionModel,
     /// RNG seed (jitter, workload forks).
     pub seed: u64,
     /// Automatically restore failed connections (GRIPhoN behaviour).
@@ -66,21 +63,6 @@ pub struct ControllerConfig {
     /// paper's testbed serialized commands (1); §4 asks what faster
     /// control planes buy — raise this to find out (experiment E2b).
     pub restoration_parallelism: usize,
-    /// Rate remainder (in 1 G units) at or below which composite BoD uses
-    /// OTN circuits instead of another wavelength (§2.2's 12 G example).
-    pub otn_remainder_max_gbps: u64,
-    /// After a repair, automatically migrate restored connections back
-    /// to shorter paths via bridge-and-roll (§2.2: "reversion following
-    /// a failure restoration (moving traffic from backup paths to
-    /// repaired primary)").
-    pub auto_revert: bool,
-    /// Stage wavelength power ramps to suppress add/remove transients
-    /// (§4's "power transient tolerance" requirement). When false, every
-    /// add/remove exposes co-propagating channels and the controller
-    /// records the disturbances.
-    pub staged_power_ramp: bool,
-    /// The transient exposure model used when ramps are not staged.
-    pub transients: photonic::power::TransientModel,
 }
 
 impl Default for ControllerConfig {
@@ -89,14 +71,21 @@ impl Default for ControllerConfig {
             rwa: RwaConfig::default(),
             ems: EmsProfile::calibrated(),
             equalization: EqualizationModel::calibrated(),
-            detection: DetectionModel::default(),
             seed: 0xC0FFEE,
             auto_restore: true,
             restoration_parallelism: 1,
-            auto_revert: true,
-            otn_remainder_max_gbps: 4,
-            staged_power_ramp: true,
-            transients: photonic::power::TransientModel::default(),
+        }
+    }
+}
+
+impl ControllerConfig {
+    /// The calibrated EMS and equalization timings with no jitter: every
+    /// workflow takes its paper mean, so runs pin exact setup times.
+    pub fn quiet() -> Self {
+        ControllerConfig {
+            ems: EmsProfile::calibrated_deterministic(),
+            equalization: EqualizationModel::calibrated_deterministic(),
+            ..ControllerConfig::default()
         }
     }
 }
@@ -689,41 +678,9 @@ impl Controller {
 
     // ── plan claim / release ────────────────────────────────────────
 
-    /// Record §4 power-transient exposure for an add/remove event on
-    /// every fiber of `path`, unless staged ramps suppress it.
-    pub(crate) fn account_transients(&mut self, path: &[FiberId], adding: bool) {
-        if self.cfg.staged_power_ramp {
-            return;
-        }
-        let now = self.now();
-        for f in path {
-            // Survivors: channels already lit on the fiber, excluding the
-            // one being added/removed (on add it is not yet counted; on
-            // remove it still is).
-            let lit = self.net.lit_lambdas_on_fiber(*f);
-            let survivors = if adding { lit } else { lit.saturating_sub(1) };
-            if self.cfg.transients.disturbs(survivors) {
-                self.metrics
-                    .counter("transient.disturbed_channels")
-                    .add(survivors as u64);
-                self.metrics.counter("transient.events").incr();
-                self.trace.emit(
-                    now,
-                    "power",
-                    format!(
-                        "{} on {f}: {:.2} dB transient across {survivors} survivors",
-                        if adding { "add" } else { "remove" },
-                        self.cfg.transients.depth_db(survivors)
-                    ),
-                );
-            }
-        }
-    }
-
     /// Apply a wavelength plan to the inventory: tune OTs, claim regens,
     /// configure add/drop at the ends and express at intermediates.
     pub(crate) fn claim_plan(&mut self, plan: &WavelengthPlan) {
-        self.account_transients(&plan.path, true);
         let from = self.net.transponder(plan.ot_src).location;
         let to = self.net.transponder(plan.ot_dst).location;
         self.fxc_patch(from, plan.ot_src);
@@ -770,7 +727,6 @@ impl Controller {
 
     /// Undo everything [`Self::claim_plan`] did.
     pub(crate) fn release_plan(&mut self, plan: &WavelengthPlan) {
-        self.account_transients(&plan.path, false);
         let from = self.net.transponder(plan.ot_src).location;
         let to = self.net.transponder(plan.ot_dst).location;
         self.fxc_unpatch(from, plan.ot_src);
@@ -1109,11 +1065,11 @@ mod tests {
 
     fn testbed_controller(jitter: bool) -> (Controller, photonic::TestbedIds, CustomerId) {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut cfg = ControllerConfig::default();
-        if !jitter {
-            cfg.ems = EmsProfile::calibrated_deterministic();
-            cfg.equalization = EqualizationModel::calibrated_deterministic();
-        }
+        let cfg = if jitter {
+            ControllerConfig::default()
+        } else {
+            ControllerConfig::quiet()
+        };
         let mut ctl = Controller::new(net, cfg);
         let csp = ctl
             .tenants
@@ -1262,12 +1218,7 @@ mod tests {
     #[test]
     fn restoration_spans_attribute_queue_wait() {
         let (net, ids) = PhotonicNetwork::testbed(8);
-        let cfg = ControllerConfig {
-            ems: EmsProfile::calibrated_deterministic(),
-            equalization: EqualizationModel::calibrated_deterministic(),
-            ..ControllerConfig::default()
-        };
-        let mut ctl = Controller::new(net, cfg);
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         ctl.spans.set_enabled(true);
         let csp = ctl
             .tenants

@@ -31,5 +31,5 @@ pub mod wal;
 
 pub use recovery::{recover, RecoveryError, RecoveryOutcome};
 pub use snapshot::{Snapshot, SnapshotStore};
-pub use standby::{FailoverConfig, HaPair, StandbyController};
+pub use standby::{failover_latency, HaPair, StandbyController};
 pub use wal::{decode_threads, Intent, Wal, WalConfig, WalRecord};

@@ -240,9 +240,7 @@ fn check(kind: &'static str, raw: u32, count: usize) -> Result<(), ApplyError> {
 /// recovery and the warm standby replay through it ([`replay`]), the
 /// scenario runner resolves each JSON action to the intent it journals and
 /// runs that here, and the WAL corpus test counts refusals from its
-/// outcomes. With the journal on, the entry point journals the intent —
-/// except `ReleaseBundle`, whose members are torn down (and journaled)
-/// one `Teardown` at a time.
+/// outcomes. With the journal on, the entry point journals the intent.
 ///
 /// Deterministic *refusals* (quota exceeded, unknown connection, no
 /// path) are `Ok`, inside the [`Applied`]: the primary refused them the
@@ -547,5 +545,29 @@ mod tests {
                 other => panic!("{bad:?} replayed as {other:?}"),
             }
         }
+    }
+    /// `ReleaseBundle` through `apply` journals what `release_bundle`
+    /// journals: one record for the bundle, not one `Teardown` per member.
+    #[test]
+    fn release_bundle_through_apply_journals_the_same_bytes() {
+        let run = |via_apply: bool| {
+            let (net, ids) = PhotonicNetwork::testbed(4);
+            let mut ctl = Controller::new(net, ControllerConfig::quiet());
+            ctl.enable_journal(WalConfig::default());
+            let csp = ctl.register_tenant("acme", simcore::DataRate::from_gbps(100));
+            let bundle = ctl
+                .request_bandwidth(csp, ids.i, ids.iv, simcore::DataRate::from_gbps(20))
+                .expect("two wavelengths fit the testbed");
+            ctl.run_until_idle();
+            if via_apply {
+                let members = bundle.members.iter().map(|m| m.raw()).collect();
+                apply(&mut ctl, &Intent::ReleaseBundle { members }).expect("in range");
+            } else {
+                ctl.release_bundle(&bundle);
+            }
+            ctl.run_until_idle();
+            ctl.journal().expect("journal on").segments().to_vec()
+        };
+        assert_eq!(run(true), run(false));
     }
 }

@@ -7,7 +7,7 @@
 //! heartbeat), replay whatever log tail the standby had not yet
 //! consumed, and start serving. [`FailoverReport`] breaks the outage
 //! into those phases using an analytic latency model
-//! ([`FailoverConfig`]) so experiments can sweep log length × shipping
+//! ([`failover_latency`]) so experiments can sweep log length × shipping
 //! cadence without simulating the standby's wall clock.
 //!
 //! The correctness contract is the same byte identity recovery promises:
@@ -22,25 +22,22 @@ use crate::durability::recovery::{recover, replay, RecoveryError};
 use crate::durability::snapshot::SnapshotStore;
 use crate::durability::wal::{Wal, WalConfig, WalRecord};
 
-/// Analytic latency model of a failover.
-#[derive(Debug, Clone, Copy)]
-pub struct FailoverConfig {
-    /// Heartbeat interval; a crash is detected after one missed beat.
-    pub heartbeat: SimDuration,
-    /// Fixed cost of promoting the standby (fencing, address takeover).
-    pub base_switchover: SimDuration,
-    /// Replay cost per log-tail record not yet consumed at the crash.
-    pub per_record_replay: SimDuration,
-}
+/// Heartbeat interval; a crash is detected after one missed beat.
+const HEARTBEAT: SimDuration = SimDuration::from_secs(1);
+/// Fixed cost of promoting the standby (fencing, address takeover).
+const BASE_SWITCHOVER: SimDuration = SimDuration::from_millis(500);
+/// Replay cost per log-tail record not yet consumed at the crash.
+const PER_RECORD_REPLAY: SimDuration = SimDuration::from_millis(2);
 
-impl Default for FailoverConfig {
-    fn default() -> Self {
-        FailoverConfig {
-            heartbeat: SimDuration::from_secs(1),
-            base_switchover: SimDuration::from_millis(500),
-            per_record_replay: SimDuration::from_millis(2),
-        }
-    }
+/// The analytic failover latency when the standby must replay
+/// `tail_records` records: `(detect, replay)`, where detect is one
+/// missed heartbeat and replay is the promotion cost plus a fixed cost
+/// per record.
+pub fn failover_latency(tail_records: u64) -> (SimDuration, SimDuration) {
+    (
+        HEARTBEAT,
+        BASE_SWITCHOVER + PER_RECORD_REPLAY * tail_records,
+    )
 }
 
 /// How a failover went: phase latencies and replay accounting.
@@ -133,7 +130,6 @@ pub struct HaPair {
     pub store: SnapshotStore,
     standby: StandbyController,
     genesis: Box<dyn Fn() -> Controller>,
-    cfg: FailoverConfig,
     wal_cfg: WalConfig,
 }
 
@@ -145,7 +141,6 @@ impl HaPair {
         genesis: Box<dyn Fn() -> Controller>,
         wal_cfg: WalConfig,
         snapshot_cadence: u64,
-        cfg: FailoverConfig,
     ) -> HaPair {
         let mut primary = genesis();
         primary.enable_journal(wal_cfg);
@@ -155,7 +150,6 @@ impl HaPair {
             store: SnapshotStore::new(snapshot_cadence),
             standby,
             genesis,
-            cfg,
             wal_cfg,
         }
     }
@@ -188,7 +182,6 @@ impl HaPair {
             store,
             standby,
             genesis,
-            cfg,
             wal_cfg,
         } = self;
         let journal = primary.journal().expect("primary journals");
@@ -215,8 +208,7 @@ impl HaPair {
             standby.promote(&records, target, wal_cfg)?
         };
 
-        let detect = cfg.heartbeat;
-        let replay_t = cfg.base_switchover + cfg.per_record_replay * replay_cost;
+        let (detect, replay_t) = failover_latency(replay_cost);
         let resumed = controller.workflows.open_count();
         Ok((
             controller,
@@ -271,12 +263,7 @@ mod tests {
 
     #[test]
     fn standby_takeover_matches_primary_digest() {
-        let mut pair = HaPair::new(
-            Box::new(genesis),
-            WalConfig::default(),
-            2,
-            FailoverConfig::default(),
-        );
+        let mut pair = HaPair::new(Box::new(genesis), WalConfig::default(), 2);
         drive(&mut pair);
         let target = SimTime::from_secs(120);
         let mut primary_image = pair.primary.fork();
@@ -292,12 +279,7 @@ mod tests {
 
     #[test]
     fn takeover_equals_cold_recovery_at_torn_cut() {
-        let mut pair = HaPair::new(
-            Box::new(genesis),
-            WalConfig::default(),
-            0,
-            FailoverConfig::default(),
-        );
+        let mut pair = HaPair::new(Box::new(genesis), WalConfig::default(), 0);
         drive(&mut pair);
         let target = SimTime::from_secs(120);
         let total = pair.primary.journal().map_or(0, Wal::total_bytes);
@@ -325,12 +307,7 @@ mod tests {
 
     #[test]
     fn standby_ahead_of_surviving_log_rebuilds() {
-        let mut pair = HaPair::new(
-            Box::new(genesis),
-            WalConfig::default(),
-            0,
-            FailoverConfig::default(),
-        );
+        let mut pair = HaPair::new(Box::new(genesis), WalConfig::default(), 0);
         drive(&mut pair);
         pair.sync().unwrap(); // standby fully caught up
         let target = SimTime::from_secs(120);

@@ -31,7 +31,7 @@
 
 use simcore::SimDuration;
 
-use photonic::alarm::{Alarm, AlarmKind, AlarmSeverity};
+use photonic::alarm::{detection, Alarm, AlarmKind, AlarmSeverity};
 use photonic::FiberId;
 
 use crate::connection::{ConnState, ConnectionId, Resources, TrunkId};
@@ -47,8 +47,7 @@ impl Controller {
             span: span as u32,
         });
         let now = self.now();
-        let detection = self.cfg.detection;
-        let alarms = self.net.cut_fiber(fiber, span, now, &detection);
+        let alarms = self.net.cut_fiber(fiber, span, now);
         self.down_fibers.insert(fiber);
         self.trace
             .emit(now, "fault", format!("{fiber} cut at span {span}"));
@@ -77,9 +76,9 @@ impl Controller {
                 let ot = p.ot_dst;
                 self.noc.hint_ot(ot.raw(), fiber.raw());
                 self.sched.schedule_after(
-                    detection.ot_los,
+                    detection::OT_LOS,
                     Event::AlarmDelivered(Alarm {
-                        at: now + detection.ot_los,
+                        at: now + detection::OT_LOS,
                         kind: AlarmKind::OtLos { ot },
                         severity: AlarmSeverity::Critical,
                     }),
@@ -88,9 +87,9 @@ impl Controller {
             // The customer hand-off drops last (client hold-off timers).
             self.noc.hint_client(client.0, client.1, fiber.raw());
             self.sched.schedule_after(
-                detection.client_port,
+                detection::CLIENT_PORT,
                 Event::AlarmDelivered(Alarm {
-                    at: now + detection.client_port,
+                    at: now + detection::CLIENT_PORT,
                     kind: AlarmKind::ClientPortDown {
                         switch: client.0,
                         port: client.1,
@@ -111,9 +110,9 @@ impl Controller {
             self.trunks[tid.index()].ready = false;
             self.noc.hint_trunk(tid.raw(), fiber.raw());
             self.sched.schedule_after(
-                detection.odu_ais,
+                detection::ODU_AIS,
                 Event::AlarmDelivered(Alarm {
-                    at: now + detection.odu_ais,
+                    at: now + detection::ODU_AIS,
                     kind: AlarmKind::OduAis { trunk: tid.raw() },
                     severity: AlarmSeverity::Critical,
                 }),
@@ -170,7 +169,7 @@ impl Controller {
             c.transition(ConnState::Failed);
             c.outage_start(now);
         }
-        let delay = self.cfg.detection.ot_los;
+        let delay = detection::OT_LOS;
         self.sched.schedule_after(
             delay,
             Event::AlarmDelivered(Alarm {
@@ -443,7 +442,6 @@ impl Controller {
     /// ports raise the tail of the alarm cascade.
     pub(crate) fn fail_circuits_on_trunk(&mut self, tid: TrunkId, cause: Option<FiberId>) {
         let now = self.now();
-        let detection = self.cfg.detection;
         let impacted: Vec<(ConnectionId, u32)> = self
             .conns
             .values()
@@ -469,9 +467,9 @@ impl Controller {
             if let Some(fiber) = cause {
                 self.noc.hint_client(sw, id.raw(), fiber.raw());
                 self.sched.schedule_after(
-                    detection.client_port,
+                    detection::CLIENT_PORT,
                     Event::AlarmDelivered(Alarm {
-                        at: now + detection.client_port,
+                        at: now + detection::CLIENT_PORT,
                         kind: AlarmKind::ClientPortDown {
                             switch: sw,
                             port: id.raw(),
@@ -507,20 +505,18 @@ impl Controller {
                 self.enqueue_restoration(id);
             }
             self.pump_restoration_queue();
-            if self.cfg.auto_revert {
-                // §2.2 reversion: restored circuits sitting on detours
-                // migrate back toward the repaired primary, hitlessly.
-                let (moved, km) = self.regroom_all();
-                if moved > 0 {
-                    self.trace.emit(
-                        now,
-                        "maint",
-                        format!("reversion: {moved} circuits migrating, {km:.0} km saved"),
-                    );
-                    self.metrics
-                        .counter("maintenance.reversions")
-                        .add(moved as u64);
-                }
+            // §2.2 reversion: restored circuits sitting on detours
+            // migrate back toward the repaired primary, hitlessly.
+            let (moved, km) = self.regroom_all();
+            if moved > 0 {
+                self.trace.emit(
+                    now,
+                    "maint",
+                    format!("reversion: {moved} circuits migrating, {km:.0} km saved"),
+                );
+                self.metrics
+                    .counter("maintenance.reversions")
+                    .add(moved as u64);
             }
         } else {
             for id in still_failed {
@@ -567,16 +563,8 @@ mod tests {
     use super::*;
     use crate::controller::ControllerConfig;
     use crate::tenant::CustomerId;
-    use photonic::{EmsProfile, EqualizationModel, LineRate, PhotonicNetwork};
+    use photonic::{LineRate, PhotonicNetwork};
     use simcore::{DataRate, SimTime};
-
-    fn quiet_cfg() -> ControllerConfig {
-        ControllerConfig {
-            ems: EmsProfile::calibrated_deterministic(),
-            equalization: EqualizationModel::calibrated_deterministic(),
-            ..ControllerConfig::default()
-        }
-    }
 
     fn up(ctl: &mut Controller, ids: &photonic::TestbedIds) -> (CustomerId, ConnectionId) {
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
@@ -591,7 +579,7 @@ mod tests {
     #[test]
     fn cut_detect_localize_restore() {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut ctl = Controller::new(net, quiet_cfg());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let (_, id) = up(&mut ctl, &ids);
         let t_cut = ctl.now();
         ctl.inject_fiber_cut(ids.f_i_iv, 0);
@@ -612,7 +600,7 @@ mod tests {
     #[test]
     fn multi_connection_restoration_is_serialized() {
         let (net, ids) = PhotonicNetwork::testbed(8);
-        let mut ctl = Controller::new(net, quiet_cfg());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
         let mut conns = Vec::new();
         for _ in 0..3 {
@@ -645,7 +633,7 @@ mod tests {
                 net,
                 ControllerConfig {
                     restoration_parallelism: parallelism,
-                    ..quiet_cfg()
+                    ..ControllerConfig::quiet()
                 },
             );
             let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
@@ -680,7 +668,7 @@ mod tests {
             net,
             ControllerConfig {
                 auto_restore: false,
-                ..quiet_cfg()
+                ..ControllerConfig::quiet()
             },
         );
         let (_, id) = up(&mut ctl, &ids);
@@ -702,7 +690,7 @@ mod tests {
         let f = net.link(a, b, 50.0).unwrap();
         net.add_transponders(a, LineRate::Gbps10, 2).unwrap();
         net.add_transponders(b, LineRate::Gbps10, 2).unwrap();
-        let mut ctl = Controller::new(net, quiet_cfg());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
         let id = ctl.request_wavelength(csp, a, b, LineRate::Gbps10).unwrap();
         ctl.run_until_idle();
@@ -719,7 +707,7 @@ mod tests {
     #[test]
     fn alarm_storm_is_counted_and_correlated_once() {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut ctl = Controller::new(net, quiet_cfg());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let _ = up(&mut ctl, &ids);
         ctl.inject_fiber_cut(ids.f_i_iv, 0);
         ctl.run_until_idle();
@@ -733,7 +721,7 @@ mod tests {
     #[test]
     fn premium_tenants_restore_first() {
         let (net, ids) = PhotonicNetwork::testbed(8);
-        let mut ctl = Controller::new(net, quiet_cfg());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let economy = ctl.tenants.register("economy", DataRate::from_gbps(100));
         let premium = ctl
             .tenants
@@ -759,7 +747,7 @@ mod tests {
     #[test]
     fn ot_failure_restores_on_spare() {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut ctl = Controller::new(net, quiet_cfg());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let (_, id) = up(&mut ctl, &ids);
         let dead_ot = ctl
             .connection(id)
@@ -788,7 +776,7 @@ mod tests {
     #[test]
     fn idle_ot_failure_is_harmless() {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut ctl = Controller::new(net, quiet_cfg());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let (_, id) = up(&mut ctl, &ids);
         let spare = ctl.net.idle_ots_at(ids.i, LineRate::Gbps10)[0];
         ctl.inject_ot_failure(spare);
@@ -801,45 +789,9 @@ mod tests {
     }
 
     #[test]
-    fn transients_counted_without_staged_ramp() {
-        let (net, ids) = PhotonicNetwork::testbed(6);
-        let mut ctl = Controller::new(
-            net,
-            ControllerConfig {
-                staged_power_ramp: false,
-                ..quiet_cfg()
-            },
-        );
-        let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
-        // First λ on the fiber: no survivors, no disturbance.
-        ctl.request_wavelength(csp, ids.i, ids.iv, LineRate::Gbps10)
-            .unwrap();
-        assert_eq!(ctl.metrics.counter("transient.events").get(), 0);
-        // Second λ: one survivor (worst case 3 dB > 0.5 dB tolerance).
-        ctl.request_wavelength(csp, ids.i, ids.iv, LineRate::Gbps10)
-            .unwrap();
-        assert_eq!(ctl.metrics.counter("transient.events").get(), 1);
-        assert_eq!(ctl.metrics.counter("transient.disturbed_channels").get(), 1);
-        ctl.run_until_idle();
-    }
-
-    #[test]
-    fn staged_ramp_suppresses_transients() {
-        let (net, ids) = PhotonicNetwork::testbed(6);
-        let mut ctl = Controller::new(net, quiet_cfg()); // default: staged
-        let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
-        for _ in 0..3 {
-            ctl.request_wavelength(csp, ids.i, ids.iv, LineRate::Gbps10)
-                .unwrap();
-        }
-        ctl.run_until_idle();
-        assert_eq!(ctl.metrics.counter("transient.events").get(), 0);
-    }
-
-    #[test]
     fn unaffected_connections_keep_running() {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut ctl = Controller::new(net, quiet_cfg());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
         let direct = ctl
             .request_wavelength(csp, ids.i, ids.iv, LineRate::Gbps10)

@@ -150,7 +150,7 @@ impl Controller {
 #[cfg(test)]
 mod tests {
     use crate::controller::{Controller, ControllerConfig};
-    use photonic::{EmsProfile, EqualizationModel, LineRate, PhotonicNetwork};
+    use photonic::{LineRate, PhotonicNetwork};
     use simcore::DataRate;
 
     fn setup() -> (
@@ -160,14 +160,7 @@ mod tests {
         crate::tenant::CustomerId,
     ) {
         let (net, ids) = PhotonicNetwork::testbed(6);
-        let mut ctl = Controller::new(
-            net,
-            ControllerConfig {
-                ems: EmsProfile::calibrated_deterministic(),
-                equalization: EqualizationModel::calibrated_deterministic(),
-                ..ControllerConfig::default()
-            },
-        );
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let a = ctl.tenants.register("acme-cloud", DataRate::from_gbps(100));
         let b = ctl
             .tenants

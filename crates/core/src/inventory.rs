@@ -137,19 +137,12 @@ impl InventorySnapshot {
 mod tests {
     use super::*;
     use crate::controller::{Controller, ControllerConfig};
-    use photonic::{EmsProfile, EqualizationModel, LineRate, PhotonicNetwork};
+    use photonic::{LineRate, PhotonicNetwork};
     use simcore::DataRate;
 
     fn ctl_with_conn() -> Controller {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut ctl = Controller::new(
-            net,
-            ControllerConfig {
-                ems: EmsProfile::calibrated_deterministic(),
-                equalization: EqualizationModel::calibrated_deterministic(),
-                ..ControllerConfig::default()
-            },
-        );
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
         ctl.request_wavelength(csp, ids.i, ids.iv, LineRate::Gbps10)
             .unwrap();

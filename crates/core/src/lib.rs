@@ -76,7 +76,7 @@ pub use calendar::{ReservationId, ReservationState};
 pub use connection::{ConnState, Connection, ConnectionId, ConnectionKind, TrunkId};
 pub use controller::{Controller, ControllerConfig, RequestError, Trunk};
 pub use durability::{
-    recover, FailoverConfig, HaPair, Intent, RecoveryError, RecoveryOutcome, Snapshot,
+    failover_latency, recover, HaPair, Intent, RecoveryError, RecoveryOutcome, Snapshot,
     SnapshotStore, StandbyController, Wal, WalConfig, WalRecord,
 };
 pub use inventory::InventorySnapshot;

@@ -378,16 +378,8 @@ impl Controller {
 mod tests {
     use super::*;
     use crate::controller::ControllerConfig;
-    use photonic::{EmsProfile, EqualizationModel, LineRate, PhotonicNetwork, Wavelength};
+    use photonic::{LineRate, PhotonicNetwork, Wavelength};
     use simcore::{DataRate, SimDuration};
-
-    fn quiet() -> ControllerConfig {
-        ControllerConfig {
-            ems: EmsProfile::calibrated_deterministic(),
-            equalization: EqualizationModel::calibrated_deterministic(),
-            ..ControllerConfig::default()
-        }
-    }
 
     fn active_conn(
         ctl: &mut Controller,
@@ -404,7 +396,7 @@ mod tests {
     #[test]
     fn bridge_and_roll_is_nearly_hitless() {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let id = active_conn(&mut ctl, &ids);
         ctl.bridge_and_roll(id, &[]).unwrap();
         // Traffic still flowing while the bridge is built.
@@ -428,7 +420,7 @@ mod tests {
     #[test]
     fn cold_reroute_outage_is_seconds() {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let id = active_conn(&mut ctl, &ids);
         ctl.cold_reroute(id, &[]).unwrap();
         ctl.run_until_idle();
@@ -442,7 +434,7 @@ mod tests {
     #[test]
     fn fiber_maintenance_drains_then_flags() {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let id = active_conn(&mut ctl, &ids);
         let moved = ctl.start_fiber_maintenance(ids.f_i_iv).unwrap();
         assert_eq!(moved, vec![id]);
@@ -460,7 +452,7 @@ mod tests {
     #[test]
     fn idle_fiber_maintenance_is_immediate() {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let moved = ctl.start_fiber_maintenance(ids.f_ii_iii).unwrap();
         assert!(moved.is_empty());
         assert!(matches!(
@@ -481,7 +473,7 @@ mod tests {
         net.link(c, b, 500.0).unwrap();
         net.add_transponders(a, LineRate::Gbps10, 4).unwrap();
         net.add_transponders(b, LineRate::Gbps10, 4).unwrap();
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
         let id = ctl.request_wavelength(csp, a, b, LineRate::Gbps10).unwrap();
         ctl.run_until_idle();
@@ -514,7 +506,7 @@ mod tests {
     #[test]
     fn regroom_noop_when_already_best() {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let id = active_conn(&mut ctl, &ids);
         // Direct 1-hop path is already optimal; the only disjoint
         // alternative is longer.
@@ -525,7 +517,7 @@ mod tests {
     #[test]
     fn node_maintenance_moves_transit_keeps_terminating() {
         let (net, ids) = PhotonicNetwork::testbed(8);
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
         // A transit connection through III (forced via exclusions) and a
         // connection terminating at III.
@@ -563,7 +555,7 @@ mod tests {
     #[test]
     fn reversion_after_repair_returns_to_short_path() {
         let (net, ids) = PhotonicNetwork::testbed(8);
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
         let id = ctl
             .request_wavelength(csp, ids.i, ids.iv, LineRate::Gbps10)
@@ -593,7 +585,7 @@ mod tests {
         net.link(c, b, 400.0).unwrap();
         net.add_transponders(a, LineRate::Gbps10, 6).unwrap();
         net.add_transponders(b, LineRate::Gbps10, 6).unwrap();
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
         let c1 = ctl.request_wavelength(csp, a, b, LineRate::Gbps10).unwrap();
         let c2 = ctl.request_wavelength(csp, a, b, LineRate::Gbps10).unwrap();
@@ -724,7 +716,7 @@ mod tests {
     #[test]
     fn double_bridge_rejected() {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let id = active_conn(&mut ctl, &ids);
         ctl.bridge_and_roll(id, &[]).unwrap();
         assert!(matches!(

@@ -238,41 +238,37 @@ pub struct ProbePath {
     pub cross: CrossTraffic,
 }
 
+/// Gap between probe trains.
+const CADENCE: SimDuration = SimDuration::from_secs(30);
+/// Probes per train (pairs = probes − 1).
+const PROBES_PER_TRAIN: usize = 16;
+const _: () = assert!(PROBES_PER_TRAIN >= 2, "a train needs at least one gap");
+/// Probe packet size in bytes (jumbo frames keep the relative timestamp
+/// noise small).
+const PROBE_BYTES: u64 = 9_000;
+/// EWMA weight of the newest train estimate.
+const EWMA_ALPHA: f64 = 0.3;
+/// Probe traces the tail sampler keeps per window.
+const KEEP_SLOWEST: usize = 4;
+/// Exemplars retained per estimate histogram.
+const EXEMPLAR_CAPACITY: usize = 4;
+
 /// Probing parameters.
 #[derive(Debug, Clone)]
 pub struct ProbeConfig {
-    /// Gap between probe trains.
-    pub cadence: SimDuration,
-    /// Probes per train (pairs = probes − 1).
-    pub probes_per_train: usize,
-    /// Probe packet size in bytes (jumbo frames keep the relative
-    /// timestamp noise small).
-    pub probe_bytes: u64,
     /// Receive-timestamp noise: σ of a Gaussian, in nanoseconds. Drawn
     /// for every probe whether or not observability records anything.
     pub noise_ns: f64,
     /// A probe that would wait longer than this in the bottleneck queue
     /// is counted dropped and excluded from gap pairs.
     pub drop_delay: SimDuration,
-    /// EWMA weight of the newest train estimate.
-    pub ewma_alpha: f64,
-    /// Probe traces the tail sampler keeps per window.
-    pub keep_slowest: usize,
-    /// Exemplars retained per estimate histogram.
-    pub exemplar_capacity: usize,
 }
 
 impl Default for ProbeConfig {
     fn default() -> Self {
         ProbeConfig {
-            cadence: SimDuration::from_secs(30),
-            probes_per_train: 16,
-            probe_bytes: 9_000,
             noise_ns: 200.0,
             drop_delay: SimDuration::from_millis(50),
-            ewma_alpha: 0.3,
-            keep_slowest: 4,
-            exemplar_capacity: 4,
         }
     }
 }
@@ -381,14 +377,13 @@ pub struct Prober {
 impl Prober {
     /// A prober for `path`; the first train fires one cadence in.
     pub fn new(path: ProbePath, cfg: ProbeConfig, seed: u64, observability: bool) -> Prober {
-        assert!(cfg.probes_per_train >= 2, "a train needs at least one gap");
         let mut sched = Scheduler::new();
-        sched.schedule_at(SimTime::ZERO + cfg.cadence, ());
-        let mut spans = SpanRecorder::new(4 * cfg.probes_per_train.max(64));
+        sched.schedule_at(SimTime::ZERO + CADENCE, ());
+        let mut spans = SpanRecorder::new(4 * PROBES_PER_TRAIN.max(64));
         spans.set_enabled(observability);
         let sampler = TailSampler::new(TailSampleConfig {
             window: SimDuration::from_mins(5),
-            keep_slowest: cfg.keep_slowest,
+            keep_slowest: KEEP_SLOWEST,
             slow_threshold: Some(cfg.drop_delay),
         });
         let queue = FluidQueue::new(path.capacity);
@@ -398,7 +393,7 @@ impl Prober {
             sched,
             queue,
             queue_t: SimTime::ZERO,
-            estimator: AbEstimator::new(cfg.ewma_alpha),
+            estimator: AbEstimator::new(EWMA_ALPHA),
             cfg,
             observability,
             spans,
@@ -418,7 +413,7 @@ impl Prober {
     pub fn advance_to(&mut self, t: SimTime) {
         while let Some((at, ())) = self.sched.pop_until(t) {
             self.run_train(at);
-            let next = at + self.cfg.cadence;
+            let next = at + CADENCE;
             self.sched.schedule_at(next, ());
         }
     }
@@ -467,16 +462,16 @@ impl Prober {
     /// collect (noisy) departure timestamps, estimate from the mean
     /// output-gap dilation, record the trace.
     fn run_train(&mut self, at: SimTime) {
-        let probe = DataSize::from_bytes(self.cfg.probe_bytes);
+        let probe = DataSize::from_bytes(PROBE_BYTES);
         let g_in = probe.time_at(self.path.capacity);
         let g_in_ns = g_in.as_nanos() as f64;
         let cap_gbps = self.path.capacity.gbps_f64();
         let root = self.spans.open(at, "measure", "probe.train", None);
 
         // Inject, collecting each kept probe's (index, noisy departure).
-        let mut kept: Vec<(usize, f64)> = Vec::with_capacity(self.cfg.probes_per_train);
+        let mut kept: Vec<(usize, f64)> = Vec::with_capacity(PROBES_PER_TRAIN);
         let mut train_end = at;
-        for i in 0..self.cfg.probes_per_train {
+        for i in 0..PROBES_PER_TRAIN {
             let arrival = at + g_in * i as u64;
             self.advance_queue_to(arrival);
             self.probes_sent += 1;
@@ -553,7 +548,6 @@ impl Prober {
     pub fn finish(self) -> MeasureOutcome {
         let Prober {
             path,
-            cfg,
             sampler,
             spans,
             samples,
@@ -571,7 +565,7 @@ impl Prober {
             let labels = [("path", path.name)];
             {
                 let h = families.histogram("measure_ab_estimate_gbps", &labels);
-                h.enable_exemplars(0x0E5E_ED00 ^ probes_sent, cfg.exemplar_capacity);
+                h.enable_exemplars(0x0E5E_ED00 ^ probes_sent, EXEMPLAR_CAPACITY);
                 for s in &samples {
                     h.record(s.raw_gbps);
                 }

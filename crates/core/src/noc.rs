@@ -34,6 +34,13 @@ use std::collections::BTreeMap;
 use photonic::{FiberId, RoadmId};
 use simcore::{FamilyRegistry, GaugeId, Scheduler, SimDuration, SimTime};
 
+/// §4 power transients: when a channel is added or removed, constant-gain
+/// EDFAs divide the line's power swing among the surviving channels, so a
+/// single survivor sees this depth (dB) and `k` survivors a `k`-th of it.
+const TRANSIENT_WORST_CASE_DB: f64 = 3.0;
+/// Transient depth (dB) below which receivers ride through without errors.
+const TRANSIENT_TOLERANCE_DB: f64 = 0.5;
+
 /// The root cause a domain of correlated alarms is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum RootCause {
@@ -570,8 +577,13 @@ impl crate::controller::Controller {
         // survivor threshold.
         for f in self.net.fiber_ids() {
             let lit = self.net.lit_lambdas_on_fiber(f);
-            let margin = self.cfg.transients.tolerance_db
-                - self.cfg.transients.depth_db(lit.saturating_sub(1));
+            let survivors = lit.saturating_sub(1);
+            let depth = if survivors == 0 {
+                0.0
+            } else {
+                TRANSIENT_WORST_CASE_DB / survivors as f64
+            };
+            let margin = TRANSIENT_TOLERANCE_DB - depth;
             put(
                 "noc_power_margin_db",
                 [Some(("fiber", Fiber(f))), None],

@@ -281,21 +281,13 @@ mod tests {
     use super::*;
     use crate::connection::ConnState;
     use crate::controller::ControllerConfig;
-    use photonic::{EmsProfile, EqualizationModel, PhotonicNetwork};
+    use photonic::PhotonicNetwork;
     use simcore::SimDuration;
-
-    fn quiet() -> ControllerConfig {
-        ControllerConfig {
-            ems: EmsProfile::calibrated_deterministic(),
-            equalization: EqualizationModel::calibrated_deterministic(),
-            ..ControllerConfig::default()
-        }
-    }
 
     /// Testbed with OTN switches at I, III and IV and trunks I–III, III–IV.
     fn otn_testbed() -> (Controller, photonic::TestbedIds, CustomerId) {
         let (net, ids) = PhotonicNetwork::testbed(6);
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         ctl.add_otn_switch(ids.i, DataRate::from_gbps(320));
         ctl.add_otn_switch(ids.iii, DataRate::from_gbps(320));
         ctl.add_otn_switch(ids.iv, DataRate::from_gbps(320));

@@ -396,20 +396,12 @@ impl Controller {
 mod tests {
     use super::*;
     use crate::controller::ControllerConfig;
-    use photonic::{EmsProfile, EqualizationModel, PhotonicNetwork, Wavelength};
+    use photonic::{PhotonicNetwork, Wavelength};
     use simcore::DataRate;
-
-    fn quiet() -> ControllerConfig {
-        ControllerConfig {
-            ems: EmsProfile::calibrated_deterministic(),
-            equalization: EqualizationModel::calibrated_deterministic(),
-            ..ControllerConfig::default()
-        }
-    }
 
     fn protected_testbed() -> (Controller, photonic::TestbedIds, ConnectionId) {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let csp = ctl.tenants.register("bank", DataRate::from_gbps(100));
         let id = ctl
             .request_protected_wavelength(csp, ids.i, ids.iv, LineRate::Gbps10)
@@ -562,7 +554,7 @@ mod tests {
         net.link(a, b, 50.0).unwrap();
         net.add_transponders(a, LineRate::Gbps10, 4).unwrap();
         net.add_transponders(b, LineRate::Gbps10, 4).unwrap();
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let csp = ctl.tenants.register("bank", DataRate::from_gbps(100));
         let err = ctl
             .request_protected_wavelength(csp, a, b, LineRate::Gbps10)
@@ -575,7 +567,7 @@ mod tests {
     #[test]
     fn unprotected_neighbors_still_restore_normally() {
         let (net, ids) = PhotonicNetwork::testbed(6);
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let csp = ctl.tenants.register("bank", DataRate::from_gbps(100));
         let prot = ctl
             .request_protected_wavelength(csp, ids.i, ids.iv, LineRate::Gbps10)

@@ -175,16 +175,8 @@ pub fn nines(availability: f64) -> String {
 mod tests {
     use super::*;
     use crate::controller::ControllerConfig;
-    use photonic::{EmsProfile, EqualizationModel, LineRate, PhotonicNetwork};
+    use photonic::{LineRate, PhotonicNetwork};
     use simcore::DataRate;
-
-    fn quiet() -> ControllerConfig {
-        ControllerConfig {
-            ems: EmsProfile::calibrated_deterministic(),
-            equalization: EqualizationModel::calibrated_deterministic(),
-            ..ControllerConfig::default()
-        }
-    }
 
     #[test]
     fn availability_reflects_restoration_speed() {
@@ -196,7 +188,7 @@ mod tests {
                 net,
                 ControllerConfig {
                     auto_restore: auto,
-                    ..quiet()
+                    ..ControllerConfig::quiet()
                 },
             );
             let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
@@ -223,7 +215,7 @@ mod tests {
             net,
             ControllerConfig {
                 auto_restore: false,
-                ..quiet()
+                ..ControllerConfig::quiet()
             },
         );
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
@@ -247,7 +239,7 @@ mod tests {
     #[test]
     fn never_activated_connections_are_excluded() {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
         let _id = ctl
             .request_wavelength(csp, ids.i, ids.iv, LineRate::Gbps10)
@@ -265,7 +257,7 @@ mod tests {
             net,
             ControllerConfig {
                 auto_restore: false,
-                ..quiet()
+                ..ControllerConfig::quiet()
             },
         );
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
@@ -300,7 +292,7 @@ mod tests {
             net,
             ControllerConfig {
                 auto_restore: false,
-                ..quiet()
+                ..ControllerConfig::quiet()
             },
         );
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
@@ -390,7 +382,7 @@ mod tests {
     fn repair_straddling_a_scrape_boundary_is_accounted_exactly() {
         let run = |noc: bool| {
             let (net, ids) = PhotonicNetwork::testbed(4);
-            let mut ctl = Controller::new(net, quiet());
+            let mut ctl = Controller::new(net, ControllerConfig::quiet());
             if noc {
                 // 60 s cadence: the ~66 s restoration spans a scrape tick.
                 ctl.noc.enable(SimDuration::from_secs(60));
@@ -425,7 +417,7 @@ mod tests {
     #[test]
     fn healthy_connection_is_fully_available() {
         let (net, ids) = PhotonicNetwork::testbed(4);
-        let mut ctl = Controller::new(net, quiet());
+        let mut ctl = Controller::new(net, ControllerConfig::quiet());
         let csp = ctl.tenants.register("acme", DataRate::from_gbps(100));
         let id = ctl
             .request_wavelength(csp, ids.i, ids.iv, LineRate::Gbps10)

@@ -47,6 +47,30 @@ pub struct AbuserConfig {
     pub rate_per_sec: f64,
 }
 
+/// Zipf popularity exponent across tenant ranks.
+const ZIPF_EXPONENT: f64 = 1.0;
+/// Diurnal modulation amplitude in `[0, 1)`:
+/// `λ(t) = base × (1 + amp·sin(2πt/period + φ))`.
+const DIURNAL_AMPLITUDE: f64 = 0.3;
+const _: () = assert!(DIURNAL_AMPLITUDE >= 0.0 && DIURNAL_AMPLITUDE < 1.0);
+/// Bounded-Pareto request rate: minimum bps.
+const RATE_MIN_BPS: u64 = 1_000_000_000;
+/// Pareto shape for request rates.
+const RATE_ALPHA: f64 = 1.3;
+/// Cap on a single request's rate, bps.
+const RATE_MAX_BPS: u64 = 100_000_000_000;
+/// Uniform window length: minimum seconds.
+const DURATION_MIN_SECS: u64 = 600;
+/// Uniform window length: maximum seconds.
+const DURATION_MAX_SECS: u64 = 7_200;
+
+/// One request's bounded-Pareto rate (bps) and uniform window length
+/// (seconds), drawn in that order.
+fn draw_window(rng: &mut SimRng) -> (u64, u64) {
+    let rate = simcore::bounded_pareto_bits(rng, RATE_MIN_BPS as f64, RATE_ALPHA, RATE_MAX_BPS);
+    (rate, rng.range_u64(DURATION_MIN_SECS, DURATION_MAX_SECS))
+}
+
 /// Fleet shape parameters.
 #[derive(Debug, Clone)]
 pub struct FleetConfig {
@@ -58,23 +82,8 @@ pub struct FleetConfig {
     pub horizon: SimTime,
     /// Mean aggregate arrival rate before diurnal modulation, req/s.
     pub base_rate_per_sec: f64,
-    /// Zipf popularity exponent across tenant ranks.
-    pub zipf_exponent: f64,
-    /// Diurnal modulation amplitude in `[0, 1)`:
-    /// `λ(t) = base × (1 + amp·sin(2πt/period + φ))`.
-    pub diurnal_amplitude: f64,
     /// Diurnal modulation period.
     pub diurnal_period: SimDuration,
-    /// Bounded-Pareto request rate: minimum bps.
-    pub rate_min_bps: u64,
-    /// Pareto shape for request rates.
-    pub rate_alpha: f64,
-    /// Cap on a single request's rate, bps.
-    pub rate_max_bps: u64,
-    /// Uniform window length: minimum seconds.
-    pub duration_min_secs: u64,
-    /// Uniform window length: maximum seconds.
-    pub duration_max_secs: u64,
     /// Fraction of requests presenting a forged token.
     pub invalid_token_frac: f64,
     /// Endpoint pairs the server exposes.
@@ -90,14 +99,7 @@ impl Default for FleetConfig {
             seed: 0xF1EE7,
             horizon: SimTime::from_secs(60),
             base_rate_per_sec: 100.0,
-            zipf_exponent: 1.0,
-            diurnal_amplitude: 0.3,
             diurnal_period: SimDuration::from_secs(60),
-            rate_min_bps: 1_000_000_000,
-            rate_alpha: 1.3,
-            rate_max_bps: 100_000_000_000,
-            duration_min_secs: 600,
-            duration_max_secs: 7_200,
             invalid_token_frac: 0.005,
             pairs: 4,
             abuser: None,
@@ -108,8 +110,7 @@ impl Default for FleetConfig {
 /// Generate the request stream for one run, sorted by arrival time.
 pub fn generate(cfg: &FleetConfig, dir: &TenantDirectory) -> Vec<Request> {
     assert_eq!(cfg.tenants, dir.fleet(), "fleet size must match directory");
-    assert!(cfg.diurnal_amplitude >= 0.0 && cfg.diurnal_amplitude < 1.0);
-    let zipf = ZipfSampler::new(cfg.tenants as usize, cfg.zipf_exponent);
+    let zipf = ZipfSampler::new(cfg.tenants as usize, ZIPF_EXPONENT);
 
     let mut rng = SimRng::new(cfg.seed).fork(0xF1EE7);
     // The diurnal phase comes off its own fork — the same idiom as
@@ -117,7 +118,7 @@ pub fn generate(cfg: &FleetConfig, dir: &TenantDirectory) -> Vec<Request> {
     let phase = SimRng::new(cfg.seed).fork(0xD109).f64() * std::f64::consts::TAU;
     let period = cfg.diurnal_period.as_secs_f64();
 
-    let lambda_max = cfg.base_rate_per_sec * (1.0 + cfg.diurnal_amplitude);
+    let lambda_max = cfg.base_rate_per_sec * (1.0 + DIURNAL_AMPLITUDE);
     let mut requests = Vec::new();
     let mut t = SimTime::ZERO;
     // Non-homogeneous Poisson by thinning: draw at the envelope rate,
@@ -129,7 +130,7 @@ pub fn generate(cfg: &FleetConfig, dir: &TenantDirectory) -> Vec<Request> {
             break;
         }
         let lambda = cfg.base_rate_per_sec
-            * (1.0 + cfg.diurnal_amplitude * simcore::diurnal_sin(t.as_secs_f64(), period, phase));
+            * (1.0 + DIURNAL_AMPLITUDE * simcore::diurnal_sin(t.as_secs_f64(), period, phase));
         if !rng.chance(lambda / lambda_max) {
             continue;
         }
@@ -139,18 +140,15 @@ pub fn generate(cfg: &FleetConfig, dir: &TenantDirectory) -> Vec<Request> {
         } else {
             dir.token_for(tenant)
         };
+        let pair = rng.below(cfg.pairs as u64) as usize;
+        let (rate_bps, duration_secs) = draw_window(&mut rng);
         requests.push(Request {
             tenant,
             token,
             arrival: t,
-            pair: rng.below(cfg.pairs as u64) as usize,
-            rate_bps: simcore::bounded_pareto_bits(
-                &mut rng,
-                cfg.rate_min_bps as f64,
-                cfg.rate_alpha,
-                cfg.rate_max_bps,
-            ),
-            duration_secs: rng.range_u64(cfg.duration_min_secs, cfg.duration_max_secs),
+            pair,
+            rate_bps,
+            duration_secs,
             abusive: false,
         });
     }
@@ -166,18 +164,15 @@ pub fn generate(cfg: &FleetConfig, dir: &TenantDirectory) -> Vec<Request> {
             if t >= cfg.horizon {
                 break;
             }
+            let pair = arng.below(cfg.pairs as u64) as usize;
+            let (rate_bps, duration_secs) = draw_window(&mut arng);
             requests.push(Request {
                 tenant: ab.tenant,
                 token: dir.token_for(ab.tenant),
                 arrival: t,
-                pair: arng.below(cfg.pairs as u64) as usize,
-                rate_bps: simcore::bounded_pareto_bits(
-                    &mut arng,
-                    cfg.rate_min_bps as f64,
-                    cfg.rate_alpha,
-                    cfg.rate_max_bps,
-                ),
-                duration_secs: arng.range_u64(cfg.duration_min_secs, cfg.duration_max_secs),
+                pair,
+                rate_bps,
+                duration_secs,
                 abusive: true,
             });
         }
@@ -256,7 +251,7 @@ mod tests {
         // Rates respect the Pareto bounds.
         assert!(reqs
             .iter()
-            .all(|r| (cfg.rate_min_bps..=cfg.rate_max_bps).contains(&r.rate_bps)));
+            .all(|r| (RATE_MIN_BPS..=RATE_MAX_BPS).contains(&r.rate_bps)));
     }
 
     #[test]

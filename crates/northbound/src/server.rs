@@ -95,51 +95,48 @@ pub struct AdmittedIntent {
     pub abusive: bool,
 }
 
-/// Server shape parameters.
+/// Drain-tick cadence: queued intents are handed off to the controller
+/// at every multiple of this interval.
+pub const DRAIN_INTERVAL: SimDuration = SimDuration::from_millis(100);
+/// Max intents handed off per drain tick (service capacity =
+/// `DRAIN_BUDGET / DRAIN_INTERVAL`).
+const DRAIN_BUDGET: usize = 10;
+/// Admission-queue capacity per tier (drain-priority order).
+pub const QUEUE_CAPACITY: [usize; 3] = [64, 128, 256];
+/// Token-bucket refill per tier, millitokens/s.
+const BUCKET_RATE_MT: [u64; 3] = [2_000, 500, 100];
+/// Token-bucket burst per tier, tokens.
+const BUCKET_BURST: [u64; 3] = [10, 5, 3];
+/// Reservations start this far after their drain tick (the tenant books
+/// ahead; also keeps activation outside the serving horizon).
+const BOOKING_OFFSET: SimDuration = SimDuration::from_hours(1);
+/// Admission-latency SLO threshold.
+const SLO_LATENCY: SimDuration = SimDuration::from_secs(1);
+/// Admission-latency SLO objective (good fraction).
+const SLO_LATENCY_OBJECTIVE: f64 = 0.99;
+/// Shed-rate SLO objective (non-shed fraction).
+const SLO_SHED_OBJECTIVE: f64 = 0.90;
+/// Tail-sampler window.
+const SAMPLE_WINDOW: SimDuration = SimDuration::from_secs(10);
+/// Slowest admissions kept per sampler window.
+const KEEP_SLOWEST: usize = 4;
+/// Exemplars retained per latency histogram.
+const EXEMPLAR_CAPACITY: usize = 4;
+/// Sample queue depths every this many drain ticks.
+const DEPTH_SAMPLE_EVERY: u64 = 10;
+/// Exemplar-reservoir seed.
+const EXEMPLAR_SEED: u64 = 0xA91;
+
+/// The server's one tunable: the quota policy per tier.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Hand-off cadence.
-    pub drain_interval: SimDuration,
-    /// Max intents handed off per drain tick (service capacity =
-    /// `drain_budget / drain_interval`).
-    pub drain_budget: usize,
-    /// Admission-queue capacity per tier (drain-priority order).
-    pub queue_capacity: [usize; 3],
-    /// Token-bucket refill per tier, millitokens/s.
-    pub bucket_rate_mt: [u64; 3],
-    /// Token-bucket burst per tier, tokens.
-    pub bucket_burst: [u64; 3],
     /// Quota policy per tier.
     pub quota: [TierPolicy; 3],
-    /// Reservations start this far after their drain tick (the tenant
-    /// books ahead; also keeps activation outside the serving horizon).
-    pub booking_offset: SimDuration,
-    /// Admission-latency SLO threshold.
-    pub slo_latency: SimDuration,
-    /// Admission-latency SLO objective (good fraction).
-    pub slo_latency_objective: f64,
-    /// Shed-rate SLO objective (non-shed fraction).
-    pub slo_shed_objective: f64,
-    /// Tail-sampler window.
-    pub sample_window: SimDuration,
-    /// Slowest admissions kept per sampler window.
-    pub keep_slowest: usize,
-    /// Exemplars retained per latency histogram.
-    pub exemplar_capacity: usize,
-    /// Sample queue depths every N drain ticks.
-    pub depth_sample_every: u64,
-    /// Exemplar-reservoir seed.
-    pub seed: u64,
 }
 
 impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
-            drain_interval: SimDuration::from_millis(100),
-            drain_budget: 10,
-            queue_capacity: [64, 128, 256],
-            bucket_rate_mt: [2_000, 500, 100],
-            bucket_burst: [10, 5, 3],
             quota: [
                 TierPolicy {
                     tenant_budget_mgh: 100_000,
@@ -157,15 +154,6 @@ impl Default for ServerConfig {
                     max_concurrent: 4,
                 },
             ],
-            booking_offset: SimDuration::from_hours(1),
-            slo_latency: SimDuration::from_secs(1),
-            slo_latency_objective: 0.99,
-            slo_shed_objective: 0.90,
-            sample_window: SimDuration::from_secs(10),
-            keep_slowest: 4,
-            exemplar_capacity: 4,
-            depth_sample_every: 10,
-            seed: 0xA91,
         }
     }
 }
@@ -191,9 +179,7 @@ pub fn build_testbed(target_roadms: usize, pair_count: usize, seed: u64) -> Test
     let plant = generate(&GeneratorConfig::with_target_roadms(target_roadms, seed));
     let cfg = ControllerConfig {
         seed,
-        ems: photonic::EmsProfile::calibrated_deterministic(),
-        equalization: photonic::EqualizationModel::calibrated_deterministic(),
-        ..ControllerConfig::default()
+        ..ControllerConfig::quiet()
     };
     let mut ctl = Controller::new(plant.net.clone(), cfg);
     ctl.install_region_map(RegionMap::new(plant.region_of.clone()))
@@ -311,7 +297,6 @@ pub struct ServeOutcome {
 
 /// The modeled API server.
 pub struct ApiServer {
-    cfg: ServerConfig,
     dir: TenantDirectory,
     ctl: Controller,
     customers: [CustomerId; 3],
@@ -348,33 +333,28 @@ impl ApiServer {
         let slo = SloEngine::new(vec![
             SloSpec {
                 name: SLO_ADMISSION,
-                objective: cfg.slo_latency_objective,
-                threshold_secs: cfg.slo_latency.as_secs_f64(),
+                objective: SLO_LATENCY_OBJECTIVE,
+                threshold_secs: SLO_LATENCY.as_secs_f64(),
             },
             SloSpec {
                 name: SLO_SHED,
-                objective: cfg.slo_shed_objective,
+                objective: SLO_SHED_OBJECTIVE,
                 threshold_secs: 0.0,
             },
         ]);
         let sampler = TailSampler::new(TailSampleConfig {
-            window: cfg.sample_window,
-            keep_slowest: cfg.keep_slowest,
-            slow_threshold: Some(cfg.slo_latency),
+            window: SAMPLE_WINDOW,
+            keep_slowest: KEEP_SLOWEST,
+            slow_threshold: Some(SLO_LATENCY),
         });
         ApiServer {
             quota: QuotaLedger::new(cfg.quota),
-            queues: [
-                BoundedQueue::new(cfg.queue_capacity[0]),
-                BoundedQueue::new(cfg.queue_capacity[1]),
-                BoundedQueue::new(cfg.queue_capacity[2]),
-            ],
-            spans: SpanRecorder::new(4 * cfg.drain_budget.max(64)),
+            queues: QUEUE_CAPACITY.map(BoundedQueue::new),
+            spans: SpanRecorder::new(4 * DRAIN_BUDGET.max(64)),
             sampler,
             slo,
             families: FamilyRegistry::new(),
             ids: HotIds::default(),
-            cfg,
             dir,
             ctl: testbed.ctl,
             customers: testbed.customers,
@@ -405,9 +385,10 @@ impl ApiServer {
         let ti = tier.index();
 
         // Per-tenant token bucket, created lazily at the tier's policy.
-        let bucket = self.buckets.entry(req.tenant).or_insert_with(|| {
-            TokenBucket::new(self.cfg.bucket_rate_mt[ti], self.cfg.bucket_burst[ti])
-        });
+        let bucket = self
+            .buckets
+            .entry(req.tenant)
+            .or_insert_with(|| TokenBucket::new(BUCKET_RATE_MT[ti], BUCKET_BURST[ti]));
         if let Err(limited) = bucket.try_take(now, 1) {
             self.rate_limited_per_tier[ti] += 1;
             self.count_outcome(Some(tier), Outcome::RateLimited);
@@ -466,17 +447,16 @@ impl ApiServer {
             let id = self
                 .families
                 .histogram_id("api_admission_latency_ms", &[("tier", tier.label())]);
-            self.families.histogram_at(id).enable_exemplars(
-                self.cfg.seed ^ tier.index() as u64,
-                self.cfg.exemplar_capacity,
-            );
+            self.families
+                .histogram_at(id)
+                .enable_exemplars(EXEMPLAR_SEED ^ tier.index() as u64, EXEMPLAR_CAPACITY);
             id
         });
         self.families.histogram_at(id)
     }
 
     fn time_to_next_drain(&self, now: SimTime) -> SimDuration {
-        let iv = self.cfg.drain_interval.as_nanos();
+        let iv = DRAIN_INTERVAL.as_nanos();
         let since = now.as_nanos() % iv;
         SimDuration::from_nanos(if since == 0 { 0 } else { iv - since })
     }
@@ -490,9 +470,9 @@ impl ApiServer {
         // Strict priority drain: premium first, then standard, free.
         // Sized by what is queued, so an idle tick allocates no batch.
         let queued: usize = self.queues.iter().map(|q| q.len()).sum();
-        let mut picked: Vec<(u32, Tier)> = Vec::with_capacity(queued.min(self.cfg.drain_budget));
+        let mut picked: Vec<(u32, Tier)> = Vec::with_capacity(queued.min(DRAIN_BUDGET));
         for tier in Tier::ALL {
-            while picked.len() < self.cfg.drain_budget {
+            while picked.len() < DRAIN_BUDGET {
                 match self.queues[tier.index()].pop() {
                     Some(idx) => picked.push((idx, tier)),
                     None => break,
@@ -517,7 +497,7 @@ impl ApiServer {
                 .map(|&(idx, tier)| {
                     let req = &requests[idx as usize];
                     let (from, to) = self.pairs[req.pair];
-                    let start = now + self.cfg.booking_offset;
+                    let start = now + BOOKING_OFFSET;
                     Item {
                         idx,
                         tier,
@@ -612,7 +592,7 @@ impl ApiServer {
         });
         self.families.gauge_at(id).set(lag);
 
-        if self.drains.is_multiple_of(self.cfg.depth_sample_every) {
+        if self.drains.is_multiple_of(DEPTH_SAMPLE_EVERY) {
             self.depth_series.push((
                 now,
                 [
@@ -628,7 +608,7 @@ impl ApiServer {
     ///
     /// `requests` must be sorted by arrival, as [`crate::fleet::generate`]
     /// returns them. Drain ticks fire at every multiple of
-    /// `drain_interval` in `(0, horizon]`; a request arriving at
+    /// [`DRAIN_INTERVAL`] in `(0, horizon]`; a request arriving at
     /// `t ≤ horizon` is offered, one arriving later never is (it is not
     /// counted in [`ServeOutcome::offered`] either). An arrival that falls
     /// exactly on a drain instant is decided *before* that drain, and
@@ -659,7 +639,7 @@ impl ApiServer {
         }
         self.horizon = horizon;
         let mut cursor = 0;
-        let mut drain = SimTime::ZERO + self.cfg.drain_interval;
+        let mut drain = SimTime::ZERO + DRAIN_INTERVAL;
         loop {
             match requests.get(cursor) {
                 Some(req) if req.arrival <= drain.min(horizon) => {
@@ -668,7 +648,7 @@ impl ApiServer {
                 }
                 _ if drain <= horizon => {
                     self.on_drain(drain, requests);
-                    drain += self.cfg.drain_interval;
+                    drain += DRAIN_INTERVAL;
                 }
                 _ => break,
             }
@@ -891,8 +871,7 @@ mod tests {
     #[test]
     fn queues_never_exceed_capacity() {
         let (outcome, _) = small_run(0xCA9);
-        let caps = ServerConfig::default().queue_capacity;
-        for (hw, cap) in outcome.queue_high_water.iter().zip(caps) {
+        for (hw, cap) in outcome.queue_high_water.iter().zip(QUEUE_CAPACITY) {
             assert!(hw <= &cap, "queue high water {hw} over capacity {cap}");
         }
     }
@@ -962,10 +941,7 @@ mod tests {
         for (i, r) in requests.iter().enumerate() {
             sched.schedule_at(r.arrival, ServerEvent::Arrival(i as u32));
         }
-        sched.schedule_at(
-            SimTime::ZERO + server.cfg.drain_interval,
-            ServerEvent::Drain,
-        );
+        sched.schedule_at(SimTime::ZERO + DRAIN_INTERVAL, ServerEvent::Drain);
         while let Some((t, ev)) = sched.pop_until(horizon) {
             match ev {
                 ServerEvent::Arrival(i) => {
@@ -973,7 +949,7 @@ mod tests {
                 }
                 ServerEvent::Drain => {
                     server.on_drain(t, requests);
-                    let next = t + server.cfg.drain_interval;
+                    let next = t + DRAIN_INTERVAL;
                     if next <= horizon {
                         sched.schedule_at(next, ServerEvent::Drain);
                     }

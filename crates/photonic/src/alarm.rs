@@ -9,7 +9,7 @@
 //! alarm vocabulary and the detection latency model.
 
 use serde::{Deserialize, Serialize};
-use simcore::{SimDuration, SimTime};
+use simcore::SimTime;
 use std::fmt;
 
 use crate::fiber::FiberId;
@@ -120,35 +120,33 @@ impl fmt::Display for Alarm {
 }
 
 /// Detection latencies: how long after the physical event each class of
-/// alarm reaches the controller.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DetectionModel {
+/// alarm reaches the controller, in cascade order.
+pub mod detection {
+    use simcore::SimDuration;
+
     /// Photodiode LOS detection at the adjacent ROADM degrees (fast,
     /// hardware-level — tens of ms).
-    pub degree_los: SimDuration,
-    /// Terminal OT LOS surfaced through its EMS (slower — EMS polling).
-    pub ot_los: SimDuration,
+    pub const DEGREE_LOS: SimDuration = SimDuration::from_millis(50);
     /// Line telemetry declaring the whole fiber down.
-    pub fiber_down: SimDuration,
+    pub const FIBER_DOWN: SimDuration = SimDuration::from_millis(500);
     /// ODU AIS raised by the OTN switch once the carrying wavelength is
     /// gone (framer hardware plus switch-EMS surfacing; between span
     /// telemetry and OT-EMS polling).
-    pub odu_ais: SimDuration,
+    pub const ODU_AIS: SimDuration = SimDuration::from_millis(1_000);
+    /// Terminal OT LOS surfaced through its EMS (slower — EMS polling).
+    pub const OT_LOS: SimDuration = SimDuration::from_millis(2_500);
     /// Client port down at the hand-off, the tail of the cascade (client
     /// equipment hold-off timers delay it past OT LOS).
-    pub client_port: SimDuration,
-}
+    pub const CLIENT_PORT: SimDuration = SimDuration::from_millis(3_000);
 
-impl Default for DetectionModel {
-    fn default() -> Self {
-        DetectionModel {
-            degree_los: SimDuration::from_millis(50),
-            ot_los: SimDuration::from_millis(2_500),
-            fiber_down: SimDuration::from_millis(500),
-            odu_ais: SimDuration::from_millis(1_000),
-            client_port: SimDuration::from_millis(3_000),
-        }
-    }
+    // Cascade ordering: degree LOS → span telemetry → ODU AIS → OT LOS →
+    // client port (hold-off timers put the client drop last).
+    const _: () = assert!(
+        DEGREE_LOS.as_nanos() < FIBER_DOWN.as_nanos()
+            && FIBER_DOWN.as_nanos() < ODU_AIS.as_nanos()
+            && ODU_AIS.as_nanos() < OT_LOS.as_nanos()
+            && OT_LOS.as_nanos() < CLIENT_PORT.as_nanos()
+    );
 }
 
 #[cfg(test)]
@@ -159,18 +157,6 @@ mod tests {
     fn severity_orders() {
         assert!(AlarmSeverity::Critical > AlarmSeverity::Major);
         assert!(AlarmSeverity::Major > AlarmSeverity::Minor);
-    }
-
-    #[test]
-    fn detection_latencies_ordered_realistically() {
-        let d = DetectionModel::default();
-        assert!(d.degree_los < d.fiber_down);
-        assert!(d.fiber_down < d.ot_los);
-        // Cascade ordering: span telemetry → ODU AIS → OT LOS → client
-        // port (hold-off timers put the client drop last).
-        assert!(d.fiber_down < d.odu_ais);
-        assert!(d.odu_ais < d.ot_los);
-        assert!(d.ot_los < d.client_port);
     }
 
     #[test]

@@ -122,48 +122,6 @@ pub fn split_even(total: SimDuration, parts: usize) -> Vec<SimDuration> {
     out
 }
 
-/// Power-transient exposure when a channel is added or removed on a line.
-///
-/// §4: the optical line must tolerate add/remove events without
-/// perturbing surviving channels. We model exposure as the worst-case
-/// transient depth (dB) seen by co-propagating channels, a function of how
-/// many channels the affected amplifiers carry: fewer survivors → deeper
-/// transient (constant-gain EDFA physics: total power swing is divided
-/// among survivors).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct TransientModel {
-    /// Transient depth in dB when a single survivor absorbs the swing.
-    pub worst_case_db: f64,
-    /// Depth (dB) below which receivers ride through without errors.
-    pub tolerance_db: f64,
-}
-
-impl Default for TransientModel {
-    fn default() -> Self {
-        TransientModel {
-            worst_case_db: 3.0,
-            tolerance_db: 0.5,
-        }
-    }
-}
-
-impl TransientModel {
-    /// Transient depth experienced by survivors when one channel
-    /// (de)activates on a line carrying `survivors` other lit channels.
-    pub fn depth_db(&self, survivors: usize) -> f64 {
-        if survivors == 0 {
-            0.0
-        } else {
-            self.worst_case_db / survivors as f64
-        }
-    }
-
-    /// Would this add/remove event disturb surviving traffic?
-    pub fn disturbs(&self, survivors: usize) -> bool {
-        survivors > 0 && self.depth_db(survivors) > self.tolerance_db
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -235,16 +193,5 @@ mod tests {
         // Degenerate cases.
         assert_eq!(split_even(SimDuration::ZERO, 4).len(), 4);
         assert_eq!(split_even(SimDuration::from_secs(1), 0).len(), 1);
-    }
-
-    #[test]
-    fn transient_depth_divides_among_survivors() {
-        let t = TransientModel::default();
-        assert_eq!(t.depth_db(0), 0.0);
-        assert!((t.depth_db(1) - 3.0).abs() < 1e-12);
-        assert!((t.depth_db(6) - 0.5).abs() < 1e-12);
-        assert!(t.disturbs(1));
-        assert!(!t.disturbs(6), "at tolerance, not above");
-        assert!(!t.disturbs(0));
     }
 }

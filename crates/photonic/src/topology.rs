@@ -21,7 +21,7 @@ use std::fmt::Write as _;
 use serde::{Deserialize, Serialize};
 use simcore::SimTime;
 
-use crate::alarm::{Alarm, AlarmKind, AlarmSeverity, DetectionModel};
+use crate::alarm::{detection, Alarm, AlarmKind, AlarmSeverity};
 use crate::fiber::{FiberId, FiberLink, FiberState};
 use crate::fxc::{Fxc, FxcId};
 use crate::grid::{ChannelGrid, LineRate, Wavelength};
@@ -578,16 +578,10 @@ impl PhotonicNetwork {
     /// line telemetry plus per-wavelength LOS at both adjacent nodes.
     /// (Terminal OT alarms are added by the controller layer, which knows
     /// which connections traverse the fiber.)
-    pub fn cut_fiber(
-        &mut self,
-        f: FiberId,
-        span: usize,
-        at: SimTime,
-        detect: &DetectionModel,
-    ) -> Vec<Alarm> {
+    pub fn cut_fiber(&mut self, f: FiberId, span: usize, at: SimTime) -> Vec<Alarm> {
         self.fiber_mut(f).cut_at(span);
         let mut alarms = vec![Alarm {
-            at: at + detect.fiber_down,
+            at: at + detection::FIBER_DOWN,
             kind: AlarmKind::FiberDown { fiber: f },
             severity: AlarmSeverity::Critical,
         }];
@@ -598,7 +592,7 @@ impl PhotonicNetwork {
             for (deg, w, _) in r.configurations() {
                 if deg == d {
                     alarms.push(Alarm {
-                        at: at + detect.degree_los,
+                        at: at + detection::DEGREE_LOS,
                         kind: AlarmKind::DegreeLos {
                             roadm: node,
                             degree: d,
@@ -946,12 +940,7 @@ mod tests {
         net.roadm_mut(ids.iv)
             .connect_add_drop(piv, Wavelength(0), div)
             .unwrap();
-        let alarms = net.cut_fiber(
-            ids.f_i_iv,
-            0,
-            SimTime::from_secs(100),
-            &DetectionModel::default(),
-        );
+        let alarms = net.cut_fiber(ids.f_i_iv, 0, SimTime::from_secs(100));
         // 1 FiberDown + LOS at each endpoint for λ0.
         assert_eq!(alarms.len(), 3);
         assert!(matches!(alarms[0].kind, AlarmKind::DegreeLos { .. }));

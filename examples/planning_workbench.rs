@@ -11,7 +11,7 @@ use griphon::controller::{Controller, ControllerConfig};
 use griphon::planning::{
     erlang_b, forecast_linear, servers_for_blocking, NodeDemand, SparePlanner,
 };
-use photonic::{EmsProfile, EqualizationModel, LineRate, PhotonicNetwork};
+use photonic::{LineRate, PhotonicNetwork};
 use simcore::{DataRate, SimDuration, SimRng, SimTime};
 
 fn main() {
@@ -73,14 +73,7 @@ fn main() {
     net.link(a, b, 80.0).unwrap();
     net.add_transponders(a, LineRate::Gbps10, n_ots).unwrap();
     net.add_transponders(b, LineRate::Gbps10, n_ots).unwrap();
-    let mut ctl = Controller::new(
-        net,
-        ControllerConfig {
-            ems: EmsProfile::calibrated_deterministic(),
-            equalization: EqualizationModel::calibrated_deterministic(),
-            ..ControllerConfig::default()
-        },
-    );
+    let mut ctl = Controller::new(net, ControllerConfig::quiet());
     let csp = ctl.tenants.register("pool", DataRate::from_gbps(100_000));
     let mut rng = SimRng::new(7);
     let hold_mean = 7_200.0;

@@ -9,7 +9,7 @@
 
 use cloud::scheduler::BodPolicy;
 use cloud::workload::{WorkloadConfig, WorkloadGenerator};
-use cloud::{CostModel, DataCenterSet};
+use cloud::{cost, DataCenterSet};
 use griphon::controller::{Controller, ControllerConfig};
 use photonic::{LineRate, PhotonicNetwork};
 use simcore::{DataRate, DataSize, SimDuration};
@@ -68,7 +68,6 @@ fn main() {
         SimDuration::from_secs(60),
     );
 
-    let cost = CostModel::default();
     println!(
         "completed {}/{} jobs; mean completion {:.2} h; deadlines met {:.0}%",
         outcome.log.completed,
@@ -80,8 +79,8 @@ fn main() {
         "bandwidth held: {:.1} Gbps·h over 3.5 days (peak {} Gbps), {} setups",
         outcome.gbps_hours, outcome.peak_gbps, outcome.setups
     );
-    let bod_cost = cost.bod_cost(outcome.gbps_hours, outcome.setups);
-    let leased = cost.leased_cost(outcome.peak_gbps, 84.0);
+    let bod_cost = cost::bod_cost(outcome.gbps_hours, outcome.setups);
+    let leased = cost::leased_cost(outcome.peak_gbps, 84.0);
     println!(
         "BoD cost {bod_cost:.0} vs {leased:.0} to lease the same peak flat ({:.0}% saved)",
         (1.0 - bod_cost / leased) * 100.0

@@ -17,6 +17,7 @@ use std::cell::Cell;
 
 use griphon::rwa::{PathEngine, RegionMap, RwaConfig, RwaError};
 use griphon::{Controller, ControllerConfig, SloEngine, SloSpec};
+use northbound::server::DRAIN_INTERVAL;
 use northbound::{build_testbed, ApiServer, Request, ServerConfig, TenantDirectory};
 use photonic::{generate, GeneratedPlant, GeneratorConfig, LineRate, RoadmId};
 use simcore::{FamilyRegistry, MetricsRegistry, Scheduler, SimDuration, SimTime};
@@ -158,10 +159,13 @@ fn second_scrape_of_an_unchanged_plant_does_not_allocate() {
 
 #[test]
 fn idle_drain_ticks_do_not_allocate_per_tick() {
-    let cfg = ServerConfig::default();
     let ticks = 1_000;
-    let horizon = SimTime::ZERO + cfg.drain_interval * ticks;
-    let mut server = ApiServer::new(build_testbed(14, 2, 3), TenantDirectory::new(10, 3), cfg);
+    let horizon = SimTime::ZERO + DRAIN_INTERVAL * ticks;
+    let mut server = ApiServer::new(
+        build_testbed(14, 2, 3),
+        TenantDirectory::new(10, 3),
+        ServerConfig::default(),
+    );
     let allocs = allocs_during(|| server.run(&[], horizon));
     // What is left is amortised growth (the depth series, the event
     // queue) and the first resolution of the two southbound gauges.
@@ -196,8 +200,7 @@ fn warm_scheduler_cycles_do_not_allocate() {
 
 #[test]
 fn run_allocations_do_not_grow_with_the_request_count() {
-    let cfg = ServerConfig::default();
-    let horizon = SimTime::ZERO + cfg.drain_interval * 100;
+    let horizon = SimTime::ZERO + DRAIN_INTERVAL * 100;
     let dir = TenantDirectory::new(10, 3);
     // Every request presents a forged token: a 401 touches no bucket, no
     // queue and no SLO stream, so all that could grow with the request
@@ -215,7 +218,11 @@ fn run_allocations_do_not_grow_with_the_request_count() {
                 abusive: false,
             })
             .collect();
-        let mut server = ApiServer::new(build_testbed(14, 2, 3), dir.clone(), cfg.clone());
+        let mut server = ApiServer::new(
+            build_testbed(14, 2, 3),
+            dir.clone(),
+            ServerConfig::default(),
+        );
         let allocs = allocs_during(|| server.run(&requests, horizon));
         assert_eq!(server.finish().unauthorized, count);
         allocs

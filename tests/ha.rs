@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use griphon::controller::{Controller, ControllerConfig};
 use griphon::durability::recovery::replay;
-use griphon::{recover, FailoverConfig, HaPair, SnapshotStore, Wal, WalConfig, WalRecord};
+use griphon::{recover, HaPair, SnapshotStore, Wal, WalConfig, WalRecord};
 use photonic::{LineRate, PhotonicNetwork};
 use simcore::{DataRate, SimDuration, SimTime};
 
@@ -104,12 +104,7 @@ fn torn_tail_rolls_back_to_the_previous_record() {
 
 #[test]
 fn warm_failover_matches_a_surviving_primary() {
-    let mut pair = HaPair::new(
-        Box::new(genesis),
-        WalConfig::default(),
-        2,
-        FailoverConfig::default(),
-    );
+    let mut pair = HaPair::new(Box::new(genesis), WalConfig::default(), 2);
     let csp = pair
         .primary
         .register_tenant("acme", DataRate::from_gbps(200));

@@ -21,7 +21,6 @@ mod reference;
 use cloud::{BulkJob, DataCenterId, JobId, MeasuredBodPolicy, MeasuredMode, MeasuredRun};
 use griphon::controller::{Controller, ControllerConfig};
 use griphon::{CrossTraffic, ProbeConfig, ProbePath};
-use griphon_bench::experiments::quiet_config;
 use griphon_bench::measure_target::point_seed;
 use photonic::PhotonicNetwork;
 use proptest::prelude::*;
@@ -53,7 +52,7 @@ fn run(cell: &Cell, reference: bool) -> (MeasuredRun, u32) {
         net,
         ControllerConfig {
             seed: cell.seed,
-            ..quiet_config()
+            ..ControllerConfig::quiet()
         },
     );
     let csp = ctl.tenants.register("csp", DataRate::from_gbps(400));

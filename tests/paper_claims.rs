@@ -64,7 +64,7 @@ fn grooming_dominance() {
 /// §2.2's 12 G example decomposes exactly as the paper describes.
 #[test]
 fn composite_example_matches_paper() {
-    let d = griphon::Decomposition::plan(simcore::DataRate::from_gbps(12), 4);
+    let d = griphon::Decomposition::plan(simcore::DataRate::from_gbps(12));
     assert_eq!(d.wavelengths_10g, 1);
     assert_eq!(d.otn_1g, 2);
 }

@@ -37,13 +37,10 @@ use griphon::durability::wal::{encode_rate, WAL_VERSION};
 use griphon::rwa::PathEngine;
 use griphon::tenant::DEFAULT_PRIORITY;
 use griphon::{
-    recover, Bundle, BundleId, ConnectionId, Controller, ControllerConfig, Intent, RegionMap,
-    RequestError, RwaError, SnapshotStore, Wal, WalConfig, WalRecord,
+    recover, ConnectionId, Controller, ControllerConfig, Intent, RegionMap, RequestError, RwaError,
+    SnapshotStore, Wal, WalConfig, WalRecord,
 };
-use photonic::{
-    generate, EmsProfile, EqualizationModel, GeneratorConfig, LineRate, PhotonicNetwork,
-    ReachModel, RoadmId,
-};
+use photonic::{generate, GeneratorConfig, LineRate, PhotonicNetwork, ReachModel, RoadmId};
 use simcore::codec::{read_frame, Encoder, Frame};
 use simcore::{DataRate, SimDuration, SimRng, SimTime};
 
@@ -97,9 +94,7 @@ const CORPUS: [Corpus; 3] = [
 fn deterministic(net: PhotonicNetwork) -> Controller {
     let cfg = ControllerConfig {
         seed: 1,
-        ems: EmsProfile::calibrated_deterministic(),
-        equalization: EqualizationModel::calibrated_deterministic(),
-        ..ControllerConfig::default()
+        ..ControllerConfig::quiet()
     };
     Controller::new(net, cfg)
 }
@@ -346,15 +341,8 @@ fn lambda_log() -> Controller {
     for w in 0..LAMBDA_WAVES as usize {
         ctl.run_until(SimTime::from_secs(w as u64 * WAVE_SECS));
         if w >= HOLD {
-            let members = std::mem::take(&mut waves[w - HOLD]);
-            ctl.release_bundle(&Bundle {
-                id: BundleId::new(w as u32),
-                customer,
-                from: nodes[0],
-                to: nodes[1],
-                target: DataRate::from_gbps(10 * members.len() as u64),
-                members,
-            });
+            let members = waves[w - HOLD].iter().map(|m| m.raw()).collect();
+            apply(&mut ctl, &Intent::ReleaseBundle { members }).unwrap();
         }
         if w % 8 == 7 {
             let fibers = ctl.net.fiber_count() as u64;
